@@ -1,8 +1,7 @@
 """Memory-centric power allocation for multi-agent embodied QA."""
 
 from .baselines import (BaselineSpec, allocate_fairness, allocate_greedy,
-                        allocate_max_cov, allocate_max_rate, allocate_remember,
-                        allocate_uniform)
+                        allocate_max_cov, allocate_remember, allocate_uniform)
 from .channel import (ChannelState, RadioConstants, RobotGeometry,
                       draw_channels, sinr, sinr_vector)
 from .config import ConfigError, Scenario, build_scenario, load_config
@@ -14,7 +13,7 @@ from .qom import (DatasetMeta, PilotPhaseInfeasible, PowerVector, QomParams,
                   accuracy_estimate, frames_uploaded, pilot_overhead,
                   qom_objective, qom_terms, qom_weights)
 from .solver import (SolveTrace, SolverOptions, SurrogateContext,
-                     project_feasible, solve_inner, solve_mcpa,
-                     surrogate_gradient, surrogate_value, waterfill)
+                     project_feasible, solve_mcpa, surrogate_gradient,
+                     surrogate_value, waterfill)
 
 __version__ = "0.1.0"

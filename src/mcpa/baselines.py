@@ -12,13 +12,11 @@ import numpy as np
 
 from .channel import ChannelState
 from .qom import DatasetMeta, PowerVector, QomParams
-from .solver import SolverOptions, solve_mcpa
 
 __all__ = [
     "BASELINE_KINDS",
     "BaselineSpec",
     "unit_rate_params",
-    "allocate_max_rate",
     "allocate_fairness",
     "allocate_greedy",
     "allocate_max_cov",
@@ -53,14 +51,6 @@ def unit_rate_params(num_robots: int) -> QomParams:
     """Sum-log-rate weighting: lambda_k = 1 for every robot."""
     return QomParams(weights=np.ones(num_robots), effective_time_s=1.0,
                      gae_scores=np.zeros(num_robots))
-
-
-def allocate_max_rate(state: ChannelState, budget: float, noise_power_w: float,
-                      opts: SolverOptions | None = None) -> PowerVector:
-    """Sum-log-rate maximization: the MCPA machinery with unit weights."""
-    trace = solve_mcpa(unit_rate_params(state.num_robots), state, budget,
-                       noise_power_w, opts)
-    return trace.final
 
 
 def _fairness_fixed_point(state: ChannelState, target_sinr: float, budget: float,

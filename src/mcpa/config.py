@@ -182,6 +182,15 @@ def _number(cfg: dict, section: str, key: str, positive: bool = False) -> float:
     return float(value)
 
 
+def _integer(cfg: dict, section: str, key: str) -> int:
+    """A positive integer field; a fractional or non-numeric value is an
+    error rather than something to truncate."""
+    value = cfg[section][key]
+    _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+             f"{section}.{key}", "must be an integer >= 1")
+    return value
+
+
 def load_config(path: str | Path) -> dict:
     with open(path) as fh:
         try:
@@ -208,7 +217,7 @@ def build_scenario(config: dict | None = None) -> Scenario:
         ref_pathloss_linear=db_to_linear(_number(cfg, "radio", "ref_pathloss_db")),
         shadow_fading_linear=db_to_linear(_number(cfg, "radio", "shadow_fading_db")),
         pathloss_exponent=_number(cfg, "radio", "pathloss_exponent", positive=True),
-        num_antennas=int(_number(cfg, "radio", "num_antennas", positive=True)),
+        num_antennas=_integer(cfg, "radio", "num_antennas"),
     )
 
     d_min = _number(cfg, "geometry", "distance_min_m", positive=True)
@@ -218,17 +227,13 @@ def build_scenario(config: dict | None = None) -> Scenario:
     power_w = _number(cfg, "budgets", "power_sum_mw", positive=True) / 1e3
     time_s = _number(cfg, "budgets", "time_s", positive=True)
 
-    items = cfg["dataset"]["items_per_robot"]
-    _require(isinstance(items, int) and items >= 1,
-             "dataset.items_per_robot", "must be an integer >= 1")
+    items = _integer(cfg, "dataset", "items_per_robot")
     item_bits = _number(cfg, "dataset", "item_volume_bits", positive=True)
     pilot_ratio = _number(cfg, "gae", "pilot_ratio", positive=True)
     _require(pilot_ratio <= 1.0, "gae.pilot_ratio", "must be at most 1")
     dataset = DatasetMeta.uniform(num_robots, items, item_bits, pilot_ratio)
 
-    questions = cfg["gae"]["questions_per_robot"]
-    _require(isinstance(questions, int) and questions >= 1,
-             "gae.questions_per_robot", "must be an integer >= 1")
+    questions = _integer(cfg, "gae", "questions_per_robot")
     backend = cfg["gae"]["backend"]
     _require(backend in ("synthetic", "remote"),
              "gae.backend", "must be 'synthetic' or 'remote'")
@@ -273,8 +278,8 @@ def build_scenario(config: dict | None = None) -> Scenario:
     solver = SolverOptions(
         inner_tol=_number(cfg, "solver", "inner_tol", positive=True),
         outer_tol=_number(cfg, "solver", "outer_tol", positive=True),
-        max_outer=int(_number(cfg, "solver", "max_outer", positive=True)),
-        max_inner=int(_number(cfg, "solver", "max_inner", positive=True)),
+        max_outer=_integer(cfg, "solver", "max_outer"),
+        max_inner=_integer(cfg, "solver", "max_inner"),
     )
 
     remote_cfg = cfg["remote"]
@@ -305,8 +310,8 @@ def build_scenario(config: dict | None = None) -> Scenario:
         base_robots=base_robots,
         staged_novel_counts=staged,
         object_dwell_frames=dwell,
-        num_landmarks=int(_number(cfg, "world", "num_landmarks", positive=True)),
-        segment_frames=int(_number(cfg, "world", "segment_frames", positive=True)),
+        num_landmarks=_integer(cfg, "world", "num_landmarks"),
+        segment_frames=_integer(cfg, "world", "segment_frames"),
         background_tag_rate=tag_rate,
         town_extent_m=_number(cfg, "world", "town_extent_m", positive=True),
         coverage_margin=margin,

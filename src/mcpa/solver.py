@@ -32,7 +32,6 @@ __all__ = [
     "surrogate_gradient",
     "qom_gradient",
     "project_feasible",
-    "solve_inner",
     "solve_mcpa",
     "waterfill",
 ]
@@ -55,8 +54,9 @@ class SurrogateContext:
     """Anchor point plus the constants appearing in every surrogate term.
 
     Precomputes the scaled coupling matrix A = I / sigma^2, its zero-diagonal
-    copy B (the interference-only rows) and the anchored denominators
-    S*_k = (B p*)_k + 1.
+    copy B (the interference-only rows), the anchored denominators
+    S*_k = (B p*)_k + 1 and the other per-anchor constants: ln S*_k,
+    lambda_k / ln 2 and the constant gradient term B^T (lambda / (ln 2 S*)).
     """
 
     anchor: PowerVector
@@ -66,6 +66,9 @@ class SurrogateContext:
     coupling: np.ndarray = field(init=False, repr=False)
     coupling_offdiag: np.ndarray = field(init=False, repr=False)
     anchor_denominators: np.ndarray = field(init=False, repr=False)
+    log_anchor_denominators: np.ndarray = field(init=False, repr=False)
+    scaled_weights: np.ndarray = field(init=False, repr=False)
+    anchor_gradient: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.anchor.num_robots != self.state.num_robots:
@@ -74,10 +77,28 @@ class SurrogateContext:
         self.coupling_offdiag = self.coupling.copy()
         np.fill_diagonal(self.coupling_offdiag, 0.0)
         self.anchor_denominators = self.coupling_offdiag @ self.anchor.powers + 1.0
+        self.log_anchor_denominators = np.log(self.anchor_denominators)
+        weights = self.params.weights
+        self.scaled_weights = weights / _LN2
+        self.anchor_gradient = self.coupling_offdiag.T @ (
+            weights / (_LN2 * self.anchor_denominators))
 
     @property
     def num_robots(self) -> int:
         return self.state.num_robots
+
+    def total_and_full(self, powers: np.ndarray) -> tuple[float, np.ndarray]:
+        """sum_k That_k(p|p*) plus A p + 1, which the gradient at p reuses."""
+        full = self.coupling.dot(powers) + 1.0
+        cross = self.coupling_offdiag.dot(powers) + 1.0
+        terms = self.scaled_weights * (np.log(full) - self.log_anchor_denominators
+                                       - cross / self.anchor_denominators + 1.0)
+        return float(np.add.reduce(terms)), full
+
+    def gradient_from_full(self, full: np.ndarray) -> np.ndarray:
+        """Surrogate gradient at the point p whose A p + 1 is ``full``."""
+        return (self.coupling.T.dot(self.params.weights / (_LN2 * full))
+                - self.anchor_gradient)
 
 
 def _powers_of(p) -> np.ndarray:
@@ -96,22 +117,12 @@ def surrogate_value(ctx: SurrogateContext, p, k: int) -> float:
 
 def surrogate_total(ctx: SurrogateContext, p) -> float:
     """sum_k That_k(p|p*), vectorized."""
-    powers = _powers_of(p)
-    full = ctx.coupling @ powers + 1.0
-    cross = ctx.coupling_offdiag @ powers + 1.0
-    s_star = ctx.anchor_denominators
-    terms = ctx.params.weights / _LN2 * (np.log(full) - np.log(s_star)
-                                         - cross / s_star + 1.0)
-    return float(terms.sum())
+    return ctx.total_and_full(_powers_of(p))[0]
 
 
 def surrogate_gradient(ctx: SurrogateContext, p) -> np.ndarray:
     """Analytic gradient of sum_k That_k(p|p*) w.r.t. p."""
-    powers = _powers_of(p)
-    full = ctx.coupling @ powers + 1.0
-    w_full = ctx.params.weights / (_LN2 * full)
-    w_anchor = ctx.params.weights / (_LN2 * ctx.anchor_denominators)
-    return ctx.coupling.T @ w_full - ctx.coupling_offdiag.T @ w_anchor
+    return ctx.gradient_from_full(ctx.coupling @ _powers_of(p) + 1.0)
 
 
 def qom_gradient(params: QomParams, state: ChannelState, p, noise_power_w: float) -> np.ndarray:
@@ -136,23 +147,25 @@ def project_feasible(p_raw, budget: float) -> PowerVector:
     """
     if budget <= 0.0:
         raise ValueError("budget must be strictly positive")
-    v = np.maximum(np.asarray(p_raw, dtype=float), 0.0)
-    total = v.sum()
-    if total <= budget:
-        return PowerVector(v, budget)
-    u = np.sort(v)[::-1]
-    thresholds = (np.cumsum(u) - budget) / np.arange(1, v.size + 1)
-    idx = np.nonzero(u > thresholds)[0][-1]
-    q = np.maximum(v - thresholds[idx], 0.0)
-    # guard against the roundoff the feasibility invariant will not tolerate
-    excess = q.sum() - budget
-    if excess > 0.0:
-        q = np.maximum(q - excess / np.count_nonzero(q), 0.0)
-    return PowerVector(q, budget)
+    return PowerVector(_project_array(np.asarray(p_raw, dtype=float), budget), budget)
 
 
 def _project_array(p_raw: np.ndarray, budget: float) -> np.ndarray:
-    return project_feasible(p_raw, budget).powers
+    """Array kernel of :func:`project_feasible` for a float array and a
+    positive budget; it skips the PowerVector checks."""
+    v = np.maximum(p_raw, 0.0)
+    if np.add.reduce(v) <= budget:
+        return v
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
+    thresholds = (np.add.accumulate(u) - budget) / np.arange(1, v.size + 1)
+    q = np.maximum(v - thresholds[(u > thresholds).nonzero()[0][-1]], 0.0)
+    # guard against the roundoff the feasibility invariant will not tolerate
+    excess = np.add.reduce(q) - budget
+    if excess > 0.0:
+        q = np.maximum(q - excess / np.count_nonzero(q), 0.0)
+    return q
 
 
 class _InnerResult(NamedTuple):
@@ -166,46 +179,40 @@ def _inner_ascent(ctx: SurrogateContext, budget: float, tol: float,
                   max_iter: int) -> _InnerResult:
     """Projected gradient ascent with Armijo backtracking along the
     projection arc, started at the anchor (so the returned surrogate value
-    never drops below the anchor's)."""
+    never drops below the anchor's). ``converged`` is False only when
+    ``max_iter`` steps ran out before a stopping test fired."""
+    value = ctx.total_and_full
+    gradient = ctx.gradient_from_full
     p = ctx.anchor.powers.copy()
-    f = surrogate_total(ctx, p)
+    f, full = value(p)
     step = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        g = surrogate_gradient(ctx, p)
-        gnorm = float(np.linalg.norm(g))
+        g = gradient(full)
+        gnorm = math.sqrt(g.dot(g))
         if gnorm == 0.0:
             return _InnerResult(p, f, iterations, True)
         # fixed-step stationarity probe: p is optimal iff it is a fixed
         # point of p -> proj(p + a g) for every a > 0
-        probe = _project_array(p + g, budget)
-        if np.linalg.norm(probe - p) <= tol * (1.0 + abs(f)):
+        d = _project_array(p + g, budget) - p
+        if math.sqrt(d.dot(d)) <= tol * (1.0 + abs(f)):
             return _InnerResult(p, f, iterations, True)
         if step is None:
             step = budget / gnorm
         s = step
-        accepted = False
         for _ in range(60):
             q = _project_array(p + s * g, budget)
-            fq = surrogate_total(ctx, q)
-            predicted = float(g @ (q - p))
+            fq, full_q = value(q)
+            predicted = float(g.dot(q - p))
             if fq >= f + 1e-4 * predicted and predicted > 0.0:
-                p, f = q, fq
+                p, f, full = q, fq, full_q
                 step = s * 2.0
-                accepted = True
                 break
             s *= 0.5
-        if not accepted:
+        else:
             # line search cannot improve: numerically stationary
             return _InnerResult(p, f, iterations, True)
     return _InnerResult(p, f, iterations, False)
-
-
-def solve_inner(ctx: SurrogateContext, budget: float, tol: float = 1e-8,
-                max_iter: int = 5000) -> PowerVector:
-    """Maximize the surrogate over the feasible set from the anchor point."""
-    result = _inner_ascent(ctx, budget, tol, max_iter)
-    return PowerVector(result.powers, budget)
 
 
 @dataclass
@@ -215,11 +222,15 @@ class SolveTrace:
     ``iterates`` holds (power vector, true objective, surrogate objective)
     per outer iteration, starting at the initial point. The true-objective
     sequence is nondecreasing up to 1e-10 * (1 + |value|).
+    ``inner_iterations`` and ``inner_converged`` hold, per outer iteration,
+    the inner ascent's step count and whether it stopped before
+    ``max_inner``.
     """
 
     iterates: list[tuple[PowerVector, float, float]]
     stop_reason: str
     inner_iterations: list[int]
+    inner_converged: list[bool]
 
     @property
     def final(self) -> PowerVector:
@@ -244,11 +255,14 @@ def solve_mcpa(params: QomParams, state: ChannelState, budget: float,
     """MM/SCA loop: re-anchor the surrogate at each iterate and maximize it.
 
     Stops once the true objective changes by at most
-    outer_tol * (1 + |QoM|) between consecutive iterates (``converged``),
-    after ``max_outer`` iterations (``max_iterations``), or if the true
-    objective ever slips below the ascent slack (``stalled``; defensive,
-    the minorization property rules it out analytically).
+    outer_tol * (1 + |QoM|) between consecutive iterates (``converged``,
+    or ``inexact`` if any inner ascent of the solve stopped at
+    ``max_inner``), after ``max_outer`` iterations (``max_iterations``), or
+    if the true objective ever slips below the ascent slack (``stalled``;
+    defensive, the minorization property rules it out analytically).
     """
+    if budget <= 0.0:
+        raise ValueError("budget must be strictly positive")
     opts = opts or SolverOptions()
     k = state.num_robots
     if start is None:
@@ -261,6 +275,7 @@ def solve_mcpa(params: QomParams, state: ChannelState, budget: float,
     obj = qom_objective(params, state, current, noise_power_w)
     iterates = [(current, obj, obj)]
     inner_counts: list[int] = []
+    inner_flags: list[bool] = []
     reason = "max_iterations"
     for _ in range(opts.max_outer):
         ctx = SurrogateContext(anchor=current, params=params, state=state,
@@ -270,16 +285,17 @@ def solve_mcpa(params: QomParams, state: ChannelState, budget: float,
         new_obj = qom_objective(params, state, candidate, noise_power_w)
         iterates.append((candidate, new_obj, inner.objective))
         inner_counts.append(inner.iterations)
+        inner_flags.append(inner.converged)
         if new_obj < obj - 1e-10 * (1.0 + abs(obj)):
             reason = "stalled"
             break
         if abs(new_obj - obj) <= opts.outer_tol * (1.0 + abs(new_obj)):
-            reason = "converged"
+            reason = "converged" if all(inner_flags) else "inexact"
             current, obj = candidate, new_obj
             break
         current, obj = candidate, new_obj
     return SolveTrace(iterates=iterates, stop_reason=reason,
-                      inner_iterations=inner_counts)
+                      inner_iterations=inner_counts, inner_converged=inner_flags)
 
 
 class WaterfillResult(NamedTuple):

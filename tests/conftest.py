@@ -1,4 +1,5 @@
 """Shared instance generators for the test suite."""
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,15 @@ CONFIG_DIR = REPO_ROOT / "configs"
 
 NOISE_W = 1e-13
 BUDGET_W = 0.2
+
+
+def cli_env() -> dict:
+    """Environment for a ``python -m mcpa.cli`` subprocess: ``src/`` leads
+    PYTHONPATH, so the CLI imports this checkout even when not installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def radio(num_antennas=256, bandwidth_hz=1e7):

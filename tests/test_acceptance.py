@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from conftest import (BUDGET_W, CONFIG_DIR, NOISE_W, REPO_ROOT,
+from conftest import (BUDGET_W, CONFIG_DIR, NOISE_W, REPO_ROOT, cli_env,
                       orthogonal_state, random_feasible, random_memory,
                       random_params, random_state)
 from mcpa.config import build_scenario, load_config
@@ -281,7 +281,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     second = tmp_path / "b.csv"
     for path in (first, second):
         result = subprocess.run(args + ["--out", str(path)], cwd=REPO_ROOT,
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=cli_env())
         assert result.returncode == 0, result.stderr
     identical = strip_wall_ms(first) == strip_wall_ms(second)
     report(10, "repeated CLI runs emit byte-identical CSV (wall_ms aside)",

@@ -3,12 +3,16 @@ import pytest
 
 from conftest import BUDGET_W, NOISE_W, orthogonal_state, random_params, random_state
 from mcpa.baselines import (BaselineSpec, allocate_fairness, allocate_greedy,
-                            allocate_max_cov, allocate_max_rate,
-                            allocate_remember, allocate_uniform,
-                            unit_rate_params)
+                            allocate_max_cov, allocate_remember,
+                            allocate_uniform, unit_rate_params)
 from mcpa.channel import sinr_vector
 from mcpa.qom import DatasetMeta, qom_objective
 from mcpa.solver import solve_mcpa, waterfill
+
+
+def max_rate(state):
+    """The max_rate baseline as the harness runs it: MCPA with unit weights."""
+    return solve_mcpa(unit_rate_params(state.num_robots), state, BUDGET_W, NOISE_W).final
 
 
 def rates_bps(state, powers, bandwidth=1e7):
@@ -27,11 +31,11 @@ def test_baseline_spec_validation():
 
 def test_max_rate_single_user_and_symmetry():
     single = orthogonal_state(np.array([1e-10]))
-    out = allocate_max_rate(single, BUDGET_W, NOISE_W)
+    out = max_rate(single)
     assert out.powers[0] == pytest.approx(BUDGET_W, rel=1e-6)
 
     equal = orthogonal_state(np.full(4, 1e-10))
-    out = allocate_max_rate(equal, BUDGET_W, NOISE_W)
+    out = max_rate(equal)
     assert np.allclose(out.powers, BUDGET_W / 4, atol=1e-5 * BUDGET_W)
 
 
@@ -39,7 +43,7 @@ def test_max_rate_matches_unit_weight_waterfill_on_orthogonal():
     rng = np.random.default_rng(2)
     gains = rng.uniform(1e-13, 5e-12, 8)  # unequal, with meaningful floors
     state = orthogonal_state(gains)
-    out = allocate_max_rate(state, BUDGET_W, NOISE_W)
+    out = max_rate(state)
     reference, _ = waterfill(unit_rate_params(8), gains, NOISE_W, BUDGET_W)
     assert np.max(np.abs(out.powers - reference.powers)) <= 1e-3 * BUDGET_W
 
@@ -81,7 +85,7 @@ def test_fairness_min_rate_tops_every_allocator_on_orthogonal_instances():
         fair = allocate_fairness(state, BUDGET_W, NOISE_W, tol=1e-6)
         fair_min = rates_bps(state, fair.powers).min()
         rivals = [
-            allocate_max_rate(state, BUDGET_W, NOISE_W),
+            max_rate(state),
             allocate_greedy(state, gae, meta, BUDGET_W, NOISE_W, 500.0, 1e7),
             allocate_max_cov(state, BUDGET_W, NOISE_W, 2e6, 1e7),
             allocate_remember(5, BUDGET_W),
@@ -162,7 +166,7 @@ def test_every_allocator_is_feasible():
                              d_range=(800.0, 4000.0))
         gae = rng.uniform(0, 1, 6)
         allocations = [
-            allocate_max_rate(state, BUDGET_W, NOISE_W),
+            max_rate(state),
             allocate_fairness(state, BUDGET_W, NOISE_W),
             allocate_greedy(state, gae, meta, BUDGET_W, NOISE_W, 500.0, 1e7),
             allocate_max_cov(state, BUDGET_W, NOISE_W, 2e6, 1e7),
@@ -183,7 +187,7 @@ def test_max_rate_and_mcpa_win_their_own_metrics():
         from mcpa.qom import qom_weights
         params = qom_weights(rng.uniform(0, 1, 8), meta, 500.0, 1e7)
         mcpa = solve_mcpa(params, state, BUDGET_W, NOISE_W).final
-        maxrate = allocate_max_rate(state, BUDGET_W, NOISE_W)
+        maxrate = max_rate(state)
         tol = 1e-6
         assert rates_bps(state, maxrate.powers).sum() >= \
             rates_bps(state, mcpa.powers).sum() * (1.0 - tol)

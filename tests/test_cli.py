@@ -3,13 +3,13 @@ import json
 import subprocess
 import sys
 
-from conftest import CONFIG_DIR, REPO_ROOT
+from conftest import CONFIG_DIR, REPO_ROOT, cli_env
 from mcpa.harness import CSV_COLUMNS
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "mcpa.cli", *args],
-                          capture_output=True, text=True, cwd=REPO_ROOT)
+                          capture_output=True, text=True, cwd=REPO_ROOT, env=cli_env())
 
 
 def test_solve_prints_power_vector():
@@ -68,6 +68,18 @@ def test_bad_config_yields_machine_readable_error(tmp_path):
     assert "radio.bandwidth_hz" in error["message"]
 
 
+def test_fractional_solver_limit_is_rejected(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"solver": {"max_outer": 0.5}}))
+    out = run_cli("solve", "--config", str(bad), "--method", "mcpa")
+    assert out.returncode == 2
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError"
+    assert "solver.max_outer" in error["message"]
+
+
 def test_unknown_method_rejected(tmp_path):
     out = run_cli("simulate", "--seeds", "1", "--methods", "telepathy",
                   "--out", str(tmp_path / "x.csv"),
@@ -85,8 +97,7 @@ def test_missing_config_file_is_reported():
 
 
 def test_remote_backend_without_endpoint_is_reported(monkeypatch):
-    import os
-    env = dict(os.environ)
+    env = cli_env()
     env.pop("MCPA_REMOTE_URL", None)
     out = subprocess.run(
         [sys.executable, "-m", "mcpa.cli", "solve", "--backend", "remote",

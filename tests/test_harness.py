@@ -64,6 +64,17 @@ def test_config_rejections_carry_field_paths():
                                   "num_base_robots": 1}})
 
 
+def test_integer_fields_reject_non_integers():
+    fields = [("radio", "num_antennas"), ("solver", "max_outer"),
+              ("solver", "max_inner"), ("world", "num_landmarks"),
+              ("world", "segment_frames"), ("dataset", "items_per_robot"),
+              ("gae", "questions_per_robot")]
+    for section, key in fields:
+        for value in (0.5, 3.0, 0, True, "3"):
+            with pytest.raises(ConfigError, match=f"{section}.{key}"):
+                build_scenario({section: {key: value}})
+
+
 def test_build_scenario_is_deterministic():
     a = build_scenario(CITY)
     b = build_scenario(CITY)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mcpa.solver
 from conftest import (BUDGET_W, NOISE_W, orthogonal_state, random_feasible,
                       random_params, random_state)
+from mcpa.baselines import unit_rate_params
 from mcpa.qom import DatasetMeta, PowerVector, QomParams, qom_objective, qom_weights
-from mcpa.solver import (SurrogateContext, project_feasible,
-                         qom_gradient, solve_inner, solve_mcpa,
-                         surrogate_gradient, surrogate_total, surrogate_value,
-                         waterfill)
+from mcpa.solver import (SolverOptions, SurrogateContext, _inner_ascent,
+                         _project_array, project_feasible, qom_gradient,
+                         solve_mcpa, surrogate_gradient, surrogate_total,
+                         surrogate_value, waterfill)
 
 
 def make_ctx(rng, num_robots=6, num_antennas=16, anchor=None):
@@ -114,21 +118,64 @@ def test_project_feasible_known_cases():
                        [0.0, 0.1])
 
 
-def test_project_feasible_against_qp_oracle():
+def qp_projection_oracle(raw, budget):
+    """The projection as a generic QP, solved by SLSQP."""
     scipy_optimize = pytest.importorskip("scipy.optimize")
+    n = raw.size
+    res = scipy_optimize.minimize(
+        lambda q: 0.5 * np.sum((q - raw) ** 2), np.full(n, budget / n),
+        jac=lambda q: q - raw, method="SLSQP",
+        bounds=[(0.0, None)] * n,
+        constraints=[{"type": "ineq", "fun": lambda q: budget - q.sum()}],
+        options={"ftol": 1e-14, "maxiter": 400})
+    return res.x
+
+
+def test_project_feasible_against_qp_oracle():
     rng = np.random.default_rng(6)
     for _ in range(25):
         n = int(rng.integers(2, 7))
         raw = rng.normal(0.0, 0.3, n)
         budget = float(rng.uniform(0.05, 0.5))
         ours = project_feasible(raw, budget).powers
-        res = scipy_optimize.minimize(
-            lambda q: 0.5 * np.sum((q - raw) ** 2), np.full(n, budget / n),
-            jac=lambda q: q - raw, method="SLSQP",
-            bounds=[(0.0, None)] * n,
-            constraints=[{"type": "ineq", "fun": lambda q: budget - q.sum()}],
-            options={"ftol": 1e-14, "maxiter": 400})
-        assert np.allclose(ours, res.x, atol=5e-7)
+        assert np.allclose(ours, qp_projection_oracle(raw, budget), atol=5e-7)
+
+
+@st.composite
+def projection_cases(draw):
+    """(raw point, budget) with the clipped sum below, at or above the
+    budget, all-negative points, and ties drawn from a small value pool."""
+    k = draw(st.integers(1, 8))
+    value = st.one_of(st.floats(-0.5, 0.5, allow_subnormal=False),
+                      st.sampled_from([-0.1, 0.0, 0.05, 0.1]))
+    raw = np.array(draw(st.lists(value, min_size=k, max_size=k)))
+    regime = draw(st.sampled_from(["below", "at", "above", "negative"]))
+    if regime == "negative":
+        raw = -np.abs(raw) - 1e-3
+    clipped = float(np.add.reduce(np.maximum(raw, 0.0)))
+    if regime == "at" and clipped > 0.0:
+        return raw, clipped
+    if regime == "above" and clipped > 0.0:
+        return raw, clipped * draw(st.floats(0.05, 0.95))
+    return raw, clipped + draw(st.floats(0.01, 1.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(projection_cases())
+def test_projection_kernel_properties(case):
+    raw, budget = case
+    q = _project_array(raw, budget)
+    # feasible within the PowerVector tolerance; the simplex branch may
+    # overshoot the budget by about one ulp of roundoff
+    assert np.all(q >= 0.0)
+    assert np.add.reduce(q) <= budget * (1.0 + 1e-9)
+    again = _project_array(q, budget)
+    if np.add.reduce(q) <= budget:
+        assert np.array_equal(again, q)
+    else:
+        assert np.max(np.abs(again - q)) <= 4.0 * np.finfo(float).eps * budget
+    assert project_feasible(raw, budget).powers.tobytes() == q.tobytes()
+    assert np.allclose(q, qp_projection_oracle(raw, budget), atol=5e-7)
 
 
 # --- inner solver -------------------------------------------------------------
@@ -139,7 +186,7 @@ def test_solve_inner_single_user_takes_whole_budget():
                        gae_scores=np.array([0.0]))
     ctx = SurrogateContext(anchor=PowerVector(np.array([0.01]), BUDGET_W),
                            params=params, state=state, noise_power_w=NOISE_W)
-    result = solve_inner(ctx, BUDGET_W, tol=1e-10, max_iter=5000)
+    result = _inner_ascent(ctx, BUDGET_W, tol=1e-10, max_iter=5000)
     assert result.powers[0] == pytest.approx(BUDGET_W, rel=1e-6)
 
 
@@ -150,7 +197,7 @@ def test_solve_inner_matches_waterfill_on_orthogonal_instance():
     params = random_params(rng, 10)
     ctx = SurrogateContext(anchor=PowerVector.uniform(10, BUDGET_W), params=params,
                            state=state, noise_power_w=NOISE_W)
-    inner = solve_inner(ctx, BUDGET_W, tol=1e-8, max_iter=5000)
+    inner = _inner_ascent(ctx, BUDGET_W, tol=1e-8, max_iter=5000)
     reference, _ = waterfill(params, gains, NOISE_W, BUDGET_W)
     assert np.max(np.abs(inner.powers - reference.powers)) <= 1e-3 * BUDGET_W
     # never worse than the anchor it started from
@@ -163,7 +210,7 @@ def test_solve_inner_zero_weights_any_feasible():
                        gae_scores=np.ones(2))
     ctx = SurrogateContext(anchor=PowerVector.uniform(2, BUDGET_W), params=params,
                            state=state, noise_power_w=NOISE_W)
-    result = solve_inner(ctx, BUDGET_W, 1e-8, 100)
+    result = _inner_ascent(ctx, BUDGET_W, 1e-8, 100)
     assert surrogate_total(ctx, result.powers) == 0.0
     assert result.powers.sum() <= BUDGET_W * (1 + 1e-9)
 
@@ -206,6 +253,62 @@ def test_solve_mcpa_monotone_ascent_over_seeds():
     assert converged >= 95
 
 
+def test_capped_inner_ascent_is_not_reported_converged():
+    rng = np.random.default_rng(3)
+    state = random_state(rng, num_robots=6, num_antennas=64)   # 50-250 m: high SNR
+    params = random_params(rng, 6)
+    trace = solve_mcpa(params, state, BUDGET_W, NOISE_W, SolverOptions(max_inner=5))
+    assert not all(trace.inner_converged)
+    assert trace.stop_reason == "inexact"
+    assert len(trace.inner_converged) == len(trace.inner_iterations) == trace.outer_iterations
+
+
+# Pinned from the solver before its inner loop was rewritten for speed: the
+# MM iterate path must not move by a single bit. Town-like instance (K=10,
+# N=256, 50-250 m) from conftest seed 14. The values are the IEEE doubles of
+# one fixed sequence of numpy/BLAS operations, so a BLAS build with other
+# summation kernels may legitimately move them.
+GOLDEN_SOLVES = {
+    "mcpa": (
+        [193, 520, 528, 509, 438, 410, 329],
+        ["0x1.d3c0c88bc3296p-7", "0x1.e8086ca7003aep-10", "0x1.49629cbdf318ep-7",
+         "0x1.5ecd0a94cac0bp-6", "0x1.8959e0c75e039p-5", "0x1.0bd78ddeeb9adp-10",
+         "0x1.8a6b6e79d0073p-5", "0x1.9492b200062ebp-7", "0x1.0a170a71f8536p-9",
+         "0x1.4e8c9b8d14fb7p-5"],
+        "0x1.62efe86226e78p+2",
+    ),
+    "unit": (
+        [119, 155, 157, 146, 131, 121],
+        ["0x1.4acf0321a5912p-5", "0x1.a9a5c1e2c6ccfp-8", "0x1.f64215e4a1804p-7",
+         "0x1.140fb5e62c178p-5", "0x1.528c760f29fe6p-6", "0x1.36b22c3a2abd1p-7",
+         "0x1.310686f6d55f7p-6", "0x1.34bae9db1cc9ap-6", "0x1.2860412f7b6cap-6",
+         "0x1.2d7da1247a162p-6"],
+        "0x1.65b1f75b5a141p+5",
+    ),
+}
+
+
+@pytest.mark.parametrize("weights", sorted(GOLDEN_SOLVES))
+def test_solve_mcpa_iterate_path_is_pinned(weights, monkeypatch):
+    rng = np.random.default_rng(14)
+    state = random_state(rng, num_robots=10, num_antennas=256)
+    params = random_params(rng, 10) if weights == "mcpa" else unit_rate_params(10)
+    simplex_hits = []
+
+    def counting_projection(p_raw, budget):
+        simplex_hits.append(np.add.reduce(np.maximum(p_raw, 0.0)) > budget)
+        return _project_array(p_raw, budget)
+
+    monkeypatch.setattr(mcpa.solver, "_project_array", counting_projection)
+    trace = solve_mcpa(params, state, BUDGET_W, NOISE_W)
+    inner, powers, objective = GOLDEN_SOLVES[weights]
+    assert any(simplex_hits)
+    assert trace.stop_reason == "converged"
+    assert trace.inner_iterations == inner
+    assert [x.hex() for x in trace.final.powers.tolist()] == powers
+    assert trace.objective.hex() == objective
+
+
 def test_solve_mcpa_rejects_infeasible_start():
     rng = np.random.default_rng(10)
     state = random_state(rng, num_robots=3, num_antennas=8)
@@ -214,6 +317,8 @@ def test_solve_mcpa_rejects_infeasible_start():
     object.__setattr__(bad, "powers", np.full(3, BUDGET_W))  # bypass ctor check
     with pytest.raises(ValueError):
         solve_mcpa(params, state, BUDGET_W, NOISE_W, start=bad)
+    with pytest.raises(ValueError, match="budget"):
+        solve_mcpa(params, state, 0.0, NOISE_W)
 
 
 # --- water-filling ------------------------------------------------------------
