@@ -7,11 +7,11 @@ import sys
 
 import numpy as np
 
-from . import harness
 from .config import ConfigError, build_scenario, load_config
-from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
-from .harness import DEFAULT_SWEEP_MW, METHODS, run_campaign, run_sweep, write_csv
-from .qom import PilotPhaseInfeasible, qom_objective
+from .gae import GaeError, SyntheticBackend
+from .harness import (DEFAULT_SWEEP_MW, METHODS, prepare_seed, run_campaign,
+                      run_method, run_sweep, write_csv)
+from .qom import PilotPhaseInfeasible
 from .remote import RemoteBackend
 
 
@@ -38,61 +38,42 @@ def _methods(args):
 
 def _cmd_solve(args) -> int:
     scenario = _load_scenario(args)
-    ctx = harness._prepare_run(scenario, args.seed, _backend_for(scenario))
-    allocation, iters = harness._allocate(ctx, scenario, args.method)
-    print(f"method={args.method} seed={args.seed} outer_iterations={iters}")
-    print(f"gae_scores={np.array2string(ctx.params.gae_scores, precision=4)}")
-    print("power_mw=" + np.array2string(allocation.powers * 1e3, precision=6,
+    stage = prepare_seed(scenario, args.seed, _backend_for(scenario))
+    metrics = run_method(stage, scenario, args.method)
+    print(f"method={args.method} seed={args.seed} outer_iterations={metrics.solver_iters}")
+    print(f"gae_scores={np.array2string(stage.gae_scores, precision=4)}")
+    print("power_mw=" + np.array2string(np.array(metrics.power_mw), precision=6,
                                         floatmode="fixed"))
-    qom = qom_objective(ctx.params, ctx.state, allocation, scenario.radio.noise_power_w)
-    print(f"qom={qom!r}")
+    print(f"qom={metrics.qom!r}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
-    rows, summary = run_campaign(scenario, _methods(args), args.seeds,
-                                 _backend_for(scenario))
-    write_csv(rows, args.out)
-    _print_summary(summary)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return _report(args, *run_campaign(scenario, _methods(args), args.seeds,
+                                       _backend_for(scenario)))
 
 
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
     budgets = [float(b) for b in args.budgets_mw.split(",")] if args.budgets_mw \
         else list(DEFAULT_SWEEP_MW)
-    rows, summary = run_sweep(scenario, _methods(args), budgets, args.seeds,
-                              _backend_for(scenario))
-    write_csv(rows, args.out)
-    _print_summary(summary)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return _report(args, *run_sweep(scenario, _methods(args), budgets, args.seeds,
+                                    _backend_for(scenario)))
 
 
 def _cmd_gae_test(args) -> int:
     """Staged-scenario table: per-robot GAE score and merged-memory accuracy."""
     scenario = _load_scenario(args)
     backend = _backend_for(scenario)
-    oracle = SyntheticBackend()
     k = scenario.num_robots
     scores = np.zeros((args.seeds, k))
     merged_acc = np.zeros((args.seeds, k))
-    base = scenario.seeds["run"]
     for i in range(args.seeds):
-        seed = base + i
-        world = harness.build_world(scenario, np.random.default_rng(
-            [scenario.seeds["placement"], seed]))
-        report = run_gae(world.datasets, world.base_memory, scenario.pilot_ratio,
-                         scenario.questions_per_robot, backend,
-                         seed=[scenario.seeds["pilot"], seed])
-        scores[i] = report.scores
-        for robot in range(k):
-            index = MemoryIndex(world.base_memory)
-            index.extend(world.datasets[robot])
-            merged_acc[i, robot] = sum(
-                oracle.grade(q, index) for q in world.questions) / len(world.questions)
+        stage = prepare_seed(scenario, scenario.seeds["run"] + i, backend)
+        scores[i] = stage.gae_scores
+        for robot, dataset in enumerate(stage.world.datasets):
+            merged_acc[i, robot] = stage.accuracy_with([dataset])
     print(f"{'robot':>5}  {'GAE_k':>8}  {'accuracy(M0+Mk)':>16}")
     for robot in range(k):
         print(f"{robot + 1:>5}  {scores[:, robot].mean():>8.4f}  "
@@ -104,6 +85,13 @@ def _cmd_gae_test(args) -> int:
                 fh.write(f"{robot + 1},{float(scores[:, robot].mean())!r},"
                          f"{float(merged_acc[:, robot].mean())!r}\n")
         print(f"wrote {args.out}")
+    return 0
+
+
+def _report(args, rows, summary) -> int:
+    write_csv(rows, args.out)
+    _print_summary(summary)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 

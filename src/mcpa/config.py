@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,8 +176,8 @@ def _require(cond: bool, where: str, message: str) -> None:
 def _number(cfg: dict, section: str, key: str, positive: bool = False) -> float:
     value = cfg[section][key]
     where = f"{section}.{key}"
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             where, "must be a number")
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and abs(value) <= sys.float_info.max, where, "must be a finite number")
     if positive:
         _require(value > 0, where, "must be strictly positive")
     return float(value)
@@ -211,12 +212,14 @@ def build_scenario(config: dict | None = None) -> Scenario:
     _require(isinstance(num_robots, int) and num_robots >= 1,
              "num_robots", "must be an integer >= 1")
 
+    exponent = _number(cfg, "radio", "pathloss_exponent")
+    _require(exponent >= 1.0, "radio.pathloss_exponent", "must be at least 1")
     radio = RadioConstants(
         bandwidth_hz=_number(cfg, "radio", "bandwidth_hz", positive=True),
         noise_power_w=dbm_to_watts(_number(cfg, "radio", "noise_dbm")),
         ref_pathloss_linear=db_to_linear(_number(cfg, "radio", "ref_pathloss_db")),
         shadow_fading_linear=db_to_linear(_number(cfg, "radio", "shadow_fading_db")),
-        pathloss_exponent=_number(cfg, "radio", "pathloss_exponent", positive=True),
+        pathloss_exponent=exponent,
         num_antennas=_integer(cfg, "radio", "num_antennas"),
     )
 
@@ -286,9 +289,9 @@ def build_scenario(config: dict | None = None) -> Scenario:
     remote = RemoteSettings(
         url=remote_cfg["url"],
         model=str(remote_cfg["model"]),
-        timeout_s=float(remote_cfg["timeout_s"]),
-        retries=int(remote_cfg["retries"]),
-        max_concurrency=int(remote_cfg["max_concurrency"]),
+        timeout_s=_number(cfg, "remote", "timeout_s", positive=True),
+        retries=_integer(cfg, "remote", "retries"),
+        max_concurrency=_integer(cfg, "remote", "max_concurrency"),
         transcript_path=remote_cfg["transcript_path"],
     )
 

@@ -131,6 +131,13 @@ class MemoryIndex:
                 self._robots.setdefault(tag, set()).add(item.robot_id)
                 self._positions.setdefault(tag, []).append(item.xy)
 
+    def copy(self) -> "MemoryIndex":
+        """An independent index with the same content."""
+        other = MemoryIndex()
+        other._robots = {tag: set(ids) for tag, ids in self._robots.items()}
+        other._positions = {tag: list(at) for tag, at in self._positions.items()}
+        return other
+
     def has_tag(self, tag: str) -> bool:
         return tag in self._robots
 

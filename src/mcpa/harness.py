@@ -3,22 +3,24 @@
 One run draws a world and a channel realization, scores memories with the
 GAE pipeline, allocates power with the requested method, materializes the
 uploads and grades the ground-truth question set with the synthetic oracle.
-Runs are isolated: every method inside a campaign sees identical worlds,
-channels and GAE scores for a given seed.
+Runs are isolated: each seed is staged once (:func:`prepare_seed`), and
+every method and power budget of that seed sees the same world, channels
+and GAE scores; only the pilot overhead and the QoM weights depend on the
+budget.
 """
 from __future__ import annotations
 
 import csv
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import baselines
 from .baselines import BaselineSpec
-from .channel import RobotGeometry, draw_channels, sinr_vector
-from .config import Scenario, build_scenario, load_config  # noqa: F401 (re-export)
+from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
+from .config import Scenario
 from .gae import MemoryIndex, SyntheticBackend, run_gae
 from .qom import (PilotPhaseInfeasible, PowerVector, QomParams,
                   frames_uploaded, pilot_overhead, qom_objective, qom_weights)
@@ -30,14 +32,14 @@ __all__ = [
     "CSV_COLUMNS",
     "ExternalWeights",
     "RunMetrics",
+    "SeedContext",
+    "prepare_seed",
+    "run_method",
     "run_once",
     "run_campaign",
     "run_sweep",
     "write_csv",
     "aggregate",
-    "Scenario",
-    "build_scenario",
-    "load_config",
 ]
 
 METHODS = ("mcpa",) + baselines.BASELINE_KINDS
@@ -107,19 +109,34 @@ def _default_cov_threshold(scenario: Scenario, effective_time_s: float) -> float
     return half_bits / effective_time_s
 
 
-@dataclass
-class _RunContext:
-    """Per-seed state shared by every method: world, channel, GAE, weights."""
+@dataclass(frozen=True)
+class SeedContext:
+    """Budget-independent stage of one seed, shared by every method and budget."""
 
+    seed: int
     world: WorldInstance
-    state: object
-    params: object
-    effective_time_s: float
+    state: ChannelState
+    gae_scores: np.ndarray
     base_index: MemoryIndex
-    base_accuracy: float
+
+    def accuracy_with(self, uploads=()) -> float:
+        """Ground-truth accuracy of the base memory joined with an iterable of
+        uploaded frame sequences, graded by the synthetic oracle."""
+        merged = self.base_index.copy()
+        for items in uploads:
+            merged.extend(items)
+        oracle = SyntheticBackend()
+        return sum(oracle.grade(q, merged) for q in self.world.questions) \
+            / len(self.world.questions)
+
+    @property
+    def base_accuracy(self) -> float:
+        """Accuracy of the base memory alone."""
+        return self.accuracy_with()
 
 
-def _prepare_run(scenario: Scenario, seed: int, backend=None) -> _RunContext:
+def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
+    """Stage one seed: build the world, draw the channel, run the GAE exams."""
     backend = backend or SyntheticBackend()
     world = build_world(scenario, np.random.default_rng(
         [scenario.seeds["placement"], seed]))
@@ -136,32 +153,40 @@ def _prepare_run(scenario: Scenario, seed: int, backend=None) -> _RunContext:
                      scenario.questions_per_robot, backend,
                      seed=[scenario.seeds["pilot"], seed])
 
-    delta_t = pilot_overhead(state, scenario.dataset, scenario.radio,
-                             scenario.power_budget_w,
-                             time_budget_s=scenario.time_budget_s)
-    effective_time_s = scenario.time_budget_s - delta_t
-    params = qom_weights(report.scores, scenario.dataset, effective_time_s,
-                         scenario.radio.bandwidth_hz)
+    return SeedContext(seed=seed, world=world, state=state, gae_scores=report.scores,
+                       base_index=MemoryIndex(world.base_memory))
 
-    base_index = world.base_index()
-    oracle = SyntheticBackend()
-    base_accuracy = sum(oracle.grade(q, base_index) for q in world.questions) \
-        / len(world.questions)
-    return _RunContext(world=world, state=state, params=params,
-                       effective_time_s=effective_time_s, base_index=base_index,
-                       base_accuracy=base_accuracy)
+
+@dataclass(frozen=True)
+class _RunContext:
+    """A staged seed at one power budget; ``params`` carry T minus its dT."""
+
+    stage: SeedContext
+    power_w: float
+    params: QomParams
+
+
+def _at_budget(stage: SeedContext, scenario: Scenario, power_w: float) -> _RunContext:
+    """Pilot overhead and QoM weights at ``power_w``; raises
+    :class:`PilotPhaseInfeasible` when the pilot phase overruns the time budget."""
+    delta_t = pilot_overhead(stage.state, scenario.dataset, scenario.radio, power_w,
+                             time_budget_s=scenario.time_budget_s)
+    params = qom_weights(stage.gae_scores, scenario.dataset,
+                         scenario.time_budget_s - delta_t, scenario.radio.bandwidth_hz)
+    return _RunContext(stage=stage, power_w=power_w, params=params)
 
 
 def _allocate(ctx: _RunContext, scenario: Scenario, method) -> tuple[PowerVector, int]:
     spec = _method_spec(method)
-    state, budget = ctx.state, scenario.power_budget_w
+    state, budget = ctx.stage.state, ctx.power_w
+    effective_time_s = ctx.params.effective_time_s
     noise = scenario.radio.noise_power_w
     if spec == "mcpa":
         trace = solve_mcpa(ctx.params, state, budget, noise, scenario.solver)
         return trace.final, trace.outer_iterations
     if isinstance(spec, ExternalWeights):
         w = np.asarray(spec.weights, dtype=float)
-        params = QomParams(weights=w, effective_time_s=ctx.effective_time_s,
+        params = QomParams(weights=w, effective_time_s=effective_time_s,
                            gae_scores=np.where(w > 0.0, 0.0, 1.0))
         trace = solve_mcpa(params, state, budget, noise, scenario.solver)
         return trace.final, trace.outer_iterations
@@ -172,7 +197,7 @@ def _allocate(ctx: _RunContext, scenario: Scenario, method) -> tuple[PowerVector
         return trace.final, trace.outer_iterations
     if kind == "max_cov":
         threshold = options.get("rate_threshold_bps") or \
-            _default_cov_threshold(scenario, ctx.effective_time_s)
+            _default_cov_threshold(scenario, effective_time_s)
         return baselines.allocate_max_cov(
             state, budget, noise, threshold, scenario.radio.bandwidth_hz), 0
     if kind == "fairness":
@@ -181,7 +206,7 @@ def _allocate(ctx: _RunContext, scenario: Scenario, method) -> tuple[PowerVector
     if kind == "greedy":
         return baselines.allocate_greedy(
             state, ctx.params.gae_scores, scenario.dataset, budget, noise,
-            ctx.effective_time_s, scenario.radio.bandwidth_hz), 0
+            effective_time_s, scenario.radio.bandwidth_hz), 0
     if kind == "remember":
         return baselines.allocate_remember(state.num_robots, budget), 0
     if kind == "uniform":
@@ -189,66 +214,45 @@ def _allocate(ctx: _RunContext, scenario: Scenario, method) -> tuple[PowerVector
     raise ValueError(f"unknown method {kind!r}")
 
 
-class _UnionIndex:
-    """Read-only union view over two memory indexes."""
-
-    def __init__(self, first: MemoryIndex, second: MemoryIndex):
-        self._a, self._b = first, second
-
-    def has_tag(self, tag):
-        return self._a.has_tag(tag) or self._b.has_tag(tag)
-
-    def robots_for(self, tag):
-        return self._a.robots_for(tag) | self._b.robots_for(tag)
-
-    def near(self, tag, x, y, radius_m=None):
-        args = (tag, x, y) if radius_m is None else (tag, x, y, radius_m)
-        return self._a.near(*args) or self._b.near(*args)
-
-
 def _score_allocation(ctx: _RunContext, scenario: Scenario,
                       allocation: PowerVector) -> tuple[float, float, float, int]:
     noise = scenario.radio.noise_power_w
     bandwidth = scenario.radio.bandwidth_hz
     meta = scenario.dataset
+    stage = ctx.stage
 
-    frames = np.array([
-        math.floor(frames_uploaded(ctx.state, allocation, meta, noise,
-                                   ctx.effective_time_s, bandwidth, k))
-        for k in range(scenario.num_robots)
-    ])
+    # math.floor raises on NaN, so a broken allocation becomes a failed row
+    frames = np.array([math.floor(f) for f in frames_uploaded(
+        stage.state, allocation, meta, noise, ctx.params.effective_time_s, bandwidth)])
+    accuracy = stage.accuracy_with(dataset[:count] for dataset, count
+                                   in zip(stage.world.datasets, frames))
 
-    upload_index = MemoryIndex()
-    for k in range(scenario.num_robots):
-        upload_index.extend(ctx.world.datasets[k][:frames[k]])
-    merged = _UnionIndex(ctx.base_index, upload_index)
-
-    oracle = SyntheticBackend()
-    correct = sum(oracle.grade(q, merged) for q in ctx.world.questions)
-    accuracy = correct / len(ctx.world.questions)
-
-    qom = qom_objective(ctx.params, ctx.state, allocation, noise)
-    rates = bandwidth * np.log2(1.0 + sinr_vector(ctx.state, allocation.powers, noise))
+    qom = qom_objective(ctx.params, stage.state, allocation, noise)
+    rates = bandwidth * np.log2(1.0 + sinr_vector(stage.state, allocation.powers, noise))
     connected = int(np.sum(frames / meta.num_items > 0.5))
     return accuracy, qom, float(rates.sum() / 1e6), connected
 
 
+def run_method(stage: SeedContext, scenario: Scenario, method) -> RunMetrics:
+    """Run one method on a staged seed at the scenario's power budget."""
+    ctx = _at_budget(stage, scenario, scenario.power_budget_w)
+    return _run_with_context(ctx, scenario, method)
+
+
 def run_once(scenario: Scenario, method, seed: int, backend=None) -> RunMetrics:
     """Execute one seeded run of one method and report its metrics."""
-    ctx = _prepare_run(scenario, seed, backend)
-    return _run_with_context(ctx, scenario, method, seed)
+    return run_method(prepare_seed(scenario, seed, backend), scenario, method)
 
 
-def _run_with_context(ctx: _RunContext, scenario: Scenario, method,
-                      seed: int) -> RunMetrics:
+def _run_with_context(ctx: _RunContext, scenario: Scenario, method) -> RunMetrics:
     started = time.perf_counter()
     allocation, iters = _allocate(ctx, scenario, method)
     accuracy, qom, sum_rate, connected = _score_allocation(ctx, scenario, allocation)
     wall_ms = (time.perf_counter() - started) * 1e3
     return RunMetrics(
         method=_method_name(_method_spec(method)),
-        seed=seed,
-        p_sum_mw=scenario.power_budget_w * 1e3,
+        seed=ctx.stage.seed,
+        p_sum_mw=ctx.power_w * 1e3,
         eqa_accuracy=accuracy,
         qom=qom,
         sum_rate_mbps=sum_rate,
@@ -259,61 +263,61 @@ def _run_with_context(ctx: _RunContext, scenario: Scenario, method,
     )
 
 
-def run_campaign(scenario: Scenario, methods, num_seeds: int,
-                 backend=None) -> tuple[list[RunMetrics], dict]:
-    """Run every method over the seed schedule seed_i = base + i.
-
-    The expensive per-seed stages (world, channels, GAE) are computed once
-    and shared across methods; allocations and scoring stay per-method, so
-    the method list's order cannot affect any result. A failed run is
-    recorded as a row of NaNs and the campaign continues.
-    """
-    if num_seeds < 1:
-        raise ValueError("num_seeds must be >= 1")
-    base = scenario.seeds["run"]
-    rows: list[RunMetrics] = []
-    for i in range(num_seeds):
-        seed = base + i
-        try:
-            ctx = _prepare_run(scenario, seed, backend)
-        except PilotPhaseInfeasible:
-            for method in methods:
-                rows.append(_failed_run(scenario, method, seed))
-            continue
-        for method in methods:
-            try:
-                rows.append(_run_with_context(ctx, scenario, method, seed))
-            except Exception:
-                rows.append(_failed_run(scenario, method, seed))
-    return rows, aggregate(rows)
-
-
-def _failed_run(scenario: Scenario, method, seed: int) -> RunMetrics:
+def _failed_run(method, seed: int, power_w: float) -> RunMetrics:
     nan = float("nan")
     return RunMetrics(method=_method_name(_method_spec(method)), seed=seed,
-                      p_sum_mw=scenario.power_budget_w * 1e3, eqa_accuracy=nan,
+                      p_sum_mw=power_w * 1e3, eqa_accuracy=nan,
                       qom=nan, sum_rate_mbps=nan, connected_drones=0,
                       solver_iters=0, wall_ms=0.0)
 
 
-def run_sweep(scenario: Scenario, methods, budgets_mw, num_seeds: int,
-              backend=None) -> tuple[list[RunMetrics], dict]:
-    """run_campaign once per power budget (default grid 100..300 mW)."""
-    rows: list[RunMetrics] = []
-    for budget_mw in budgets_mw:
-        if budget_mw <= 0:
-            raise ValueError("sweep budgets must be strictly positive")
-        swept = _with_budget(scenario, budget_mw / 1e3)
-        campaign_rows, _ = run_campaign(swept, methods, num_seeds, backend)
-        rows.extend(campaign_rows)
+def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
+              backend) -> tuple[list[RunMetrics], dict]:
+    """Stage each seed once, then run every budget and method on it; a failed
+    run is a row of NaNs. Rows come out budget-major, then seed, then method;
+    no stage is kept once its seed is done.
+    """
+    if num_seeds < 1:
+        raise ValueError("num_seeds must be >= 1")
+    per_budget: list[list[RunMetrics]] = [[] for _ in budgets_w]
+    for i in range(num_seeds):
+        stage = prepare_seed(scenario, scenario.seeds["run"] + i, backend)
+        for rows, power_w in zip(per_budget, budgets_w):
+            try:
+                ctx = _at_budget(stage, scenario, power_w)
+            except PilotPhaseInfeasible:
+                rows.extend(_failed_run(method, stage.seed, power_w) for method in methods)
+                continue
+            for method in methods:
+                try:
+                    rows.append(_run_with_context(ctx, scenario, method))
+                except Exception:
+                    rows.append(_failed_run(method, stage.seed, power_w))
+    rows = [row for budget_rows in per_budget for row in budget_rows]
     return rows, aggregate(rows)
 
 
+def run_campaign(scenario: Scenario, methods, num_seeds: int,
+                 backend=None) -> tuple[list[RunMetrics], dict]:
+    """Run every method over the seed schedule seed_i = base + i.
+
+    Each seed is staged once and shared by every method, so the method list's
+    order cannot affect any result; a failed run is a row of NaNs.
+    """
+    return _run_grid(scenario, methods, [scenario.power_budget_w], num_seeds, backend)
+
+
+def run_sweep(scenario: Scenario, methods, budgets_mw, num_seeds: int,
+              backend=None) -> tuple[list[RunMetrics], dict]:
+    """run_campaign at every power budget (default grid 100..300 mW), each
+    seed staged once for all budgets, rows in campaign-after-campaign order."""
+    if any(budget_mw <= 0 for budget_mw in budgets_mw):
+        raise ValueError("sweep budgets must be strictly positive")
+    return _run_grid(scenario, methods, [budget_mw / 1e3 for budget_mw in budgets_mw],
+                     num_seeds, backend)
+
+
 DEFAULT_SWEEP_MW = (100.0, 150.0, 200.0, 250.0, 300.0)
-
-
-def _with_budget(scenario: Scenario, power_w: float) -> Scenario:
-    return replace(scenario, power_budget_w=power_w)
 
 
 def aggregate(rows) -> dict:

@@ -151,18 +151,17 @@ def _powers_of(p) -> np.ndarray:
 
 
 def frames_uploaded(state: ChannelState, p, meta: DatasetMeta, noise_power_w: float,
-                    time_s: float, bandwidth_hz: float, k: int) -> float:
-    """Continuous frame count F_k = T B log2(1 + SINR_k) / Z_k, capped at |D_k|.
+                    time_s: float, bandwidth_hz: float) -> np.ndarray:
+    """Continuous frame counts F_k = T B log2(1 + SINR_k) / Z_k, capped at |D_k|.
 
     The cap models the robot running out of data; the optimization objective
     itself works on the uncapped log-rate (see :func:`qom_objective`).
     """
     if time_s <= 0.0 or bandwidth_hz <= 0.0:
         raise ValueError("time_s and bandwidth_hz must be strictly positive")
-    powers = _powers_of(p)
-    value = sinr_vector(state, powers, noise_power_w)[k]
-    raw = time_s * bandwidth_hz * np.log2(1.0 + value) / meta.item_volume_bits[k]
-    return float(min(raw, meta.num_items[k]))
+    sinr = sinr_vector(state, _powers_of(p), noise_power_w)
+    raw = time_s * bandwidth_hz * np.log2(1.0 + sinr) / meta.item_volume_bits
+    return np.minimum(raw, meta.num_items)
 
 
 def pilot_overhead(state: ChannelState, meta: DatasetMeta, constants: RadioConstants,

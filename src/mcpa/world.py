@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Scenario
-from .gae import MemoryItem, MemoryIndex, Question
+from .gae import MemoryItem, Question
 
 __all__ = ["PlacedObject", "WorldInstance", "build_world", "landmark_tag"]
 
@@ -37,9 +37,6 @@ class WorldInstance:
     base_memory: tuple[MemoryItem, ...]
     placed_objects: tuple[PlacedObject, ...]
     questions: tuple[Question, ...]
-
-    def base_index(self) -> MemoryIndex:
-        return MemoryIndex(self.base_memory)
 
 
 def _staged_windows(num_objects: int, num_frames: int, dwell: int):

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import CONFIG_DIR, REPO_ROOT, cli_env
 from mcpa.harness import CSV_COLUMNS
 
@@ -78,6 +80,24 @@ def test_fractional_solver_limit_is_rejected(tmp_path):
     error = json.loads(lines[0])
     assert error["error"] == "ConfigError"
     assert "solver.max_outer" in error["message"]
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"radio": {"noise_dbm": float("nan")}}, "radio.noise_dbm"),
+    ({"radio": {"pathloss_exponent": 0.5}}, "radio.pathloss_exponent"),
+    ({"budgets": {"time_s": float("inf")}}, "budgets.time_s"),
+])
+def test_non_finite_or_out_of_range_values_are_rejected(tmp_path, config, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))   # NaN and Infinity as JSON literals
+    out = run_cli("simulate", "--config", str(bad), "--seeds", "1",
+                  "--out", str(tmp_path / "x.csv"))
+    assert out.returncode == 2
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError"
+    assert field in error["message"]
 
 
 def test_unknown_method_rejected(tmp_path):

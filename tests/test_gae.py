@@ -106,6 +106,17 @@ def test_reporter_grading_requires_attribution():
     assert backend.grade(q, both)
 
 
+def test_memory_index_copy_is_independent():
+    base = MemoryIndex([item({"bus"}, robot=1, xy=(0.0, 0.0))])
+    merged = base.copy()
+    merged.extend([item({"bus", "cone"}, robot=2, xy=(500.0, 0.0))])
+    assert merged.robots_for("bus") == {1, 2}
+    assert merged.has_tag("cone") and merged.near("bus", 500.0, 0.0)
+    # the original sees none of the extension
+    assert base.robots_for("bus") == {1}
+    assert not base.has_tag("cone") and not base.near("bus", 500.0, 0.0)
+
+
 def test_run_gae_duplicate_and_novel_extremes():
     backend = SyntheticBackend()
     rng = np.random.default_rng(8)

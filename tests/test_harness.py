@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 
 from conftest import CONFIG_DIR
 from mcpa.config import ConfigError, build_scenario, load_config
-from mcpa.harness import (CSV_COLUMNS, aggregate, run_campaign, run_once,
-                          run_sweep, write_csv, _prepare_run)
-from mcpa.qom import qom_objective
+from mcpa import harness
+from mcpa.harness import (CSV_COLUMNS, METHODS, aggregate, prepare_seed, run_campaign,
+                          run_method, run_once, run_sweep, write_csv)
+from mcpa.gae import MemoryIndex, SyntheticBackend
+from mcpa.qom import pilot_overhead, qom_objective, qom_weights
 from mcpa.world import build_world
 
 CITY = load_config(CONFIG_DIR / "city_desk.json")
@@ -18,6 +21,11 @@ STAGED = load_config(CONFIG_DIR / "staged_k5.json")
 def small_city(num_seeds_irrelevant=None):
     cfg = json.loads(json.dumps(CITY))
     return build_scenario(cfg)
+
+
+def _fields(row):
+    """Every field of a row but its wall time, NaNs included, as text."""
+    return repr(dataclasses.replace(row, wall_ms=0.0))
 
 
 # --- scenario construction ----------------------------------------------------
@@ -68,11 +76,31 @@ def test_integer_fields_reject_non_integers():
     fields = [("radio", "num_antennas"), ("solver", "max_outer"),
               ("solver", "max_inner"), ("world", "num_landmarks"),
               ("world", "segment_frames"), ("dataset", "items_per_robot"),
-              ("gae", "questions_per_robot")]
+              ("gae", "questions_per_robot"), ("remote", "retries"),
+              ("remote", "max_concurrency")]
     for section, key in fields:
         for value in (0.5, 3.0, 0, True, "3"):
             with pytest.raises(ConfigError, match=f"{section}.{key}"):
                 build_scenario({section: {key: value}})
+
+
+def test_number_fields_reject_strings_and_non_finite_values():
+    with pytest.raises(ConfigError, match="remote.timeout_s"):
+        build_scenario({"remote": {"timeout_s": "5"}})
+    with pytest.raises(ConfigError, match="remote.timeout_s"):
+        build_scenario({"remote": {"timeout_s": 0.0}})
+    for section, key in (("radio", "noise_dbm"), ("budgets", "time_s"),
+                         ("geometry", "server_height_m")):
+        for value in (float("nan"), float("inf"), float("-inf"), 10 ** 400):
+            with pytest.raises(ConfigError, match=f"{section}.{key}"):
+                build_scenario({section: {key: value}})
+
+
+def test_pathloss_exponent_below_one_is_rejected():
+    assert build_scenario({"radio": {"pathloss_exponent": 1}}).radio.pathloss_exponent == 1.0
+    for value in (0.5, 0.0, -2.0):
+        with pytest.raises(ConfigError, match="radio.pathloss_exponent"):
+            build_scenario({"radio": {"pathloss_exponent": value}})
 
 
 def test_build_scenario_is_deterministic():
@@ -119,9 +147,9 @@ def test_world_determinism():
 
 def test_run_once_remember_reports_base_accuracy():
     s = small_city()
-    ctx = _prepare_run(s, 0)
+    stage = prepare_seed(s, 0)
     m = run_once(s, "remember", 0)
-    assert m.eqa_accuracy == pytest.approx(ctx.base_accuracy)
+    assert m.eqa_accuracy == pytest.approx(stage.base_accuracy)
     assert m.sum_rate_mbps == 0.0
     assert m.connected_drones == 0
     assert m.qom == 0.0
@@ -131,10 +159,10 @@ def test_run_once_all_robots_in_base_memory_gains_nothing():
     cfg = json.loads(json.dumps(CITY))
     cfg["world"]["num_base_robots"] = 10
     s = build_scenario(cfg)
-    ctx = _prepare_run(s, 1)
-    assert np.all(ctx.params.gae_scores == 1.0)
+    stage = prepare_seed(s, 1)
+    assert np.all(stage.gae_scores == 1.0)
     m = run_once(s, "mcpa", 1)
-    assert m.eqa_accuracy == pytest.approx(ctx.base_accuracy)
+    assert m.eqa_accuracy == pytest.approx(stage.base_accuracy)
     assert m.qom == 0.0
 
 
@@ -151,11 +179,40 @@ def test_run_once_deterministic():
 def test_run_once_qom_round_trips_from_allocation():
     s = small_city()
     m = run_once(s, "mcpa", 5)
-    ctx = _prepare_run(s, 5)
+    stage = prepare_seed(s, 5)
+    delta_t = pilot_overhead(stage.state, s.dataset, s.radio, s.power_budget_w)
+    params = qom_weights(stage.gae_scores, s.dataset, s.time_budget_s - delta_t,
+                         s.radio.bandwidth_hz)
     powers = np.array(m.power_mw) / 1e3
-    recomputed = qom_objective(ctx.params, ctx.state, powers,
-                               s.radio.noise_power_w)
+    recomputed = qom_objective(params, stage.state, powers, s.radio.noise_power_w)
     assert m.qom == pytest.approx(recomputed, rel=1e-12)
+
+
+def test_run_method_on_a_stage_matches_run_once():
+    s = small_city()
+    stage = prepare_seed(s, 4)
+    for method in ("mcpa", "greedy", "remember"):
+        assert _fields(run_method(stage, s, method)) == _fields(run_once(s, method, 4))
+
+
+def test_stage_accuracy_joins_uploads_with_base_memory():
+    s = small_city()
+    stage = prepare_seed(s, 0)
+    oracle = SyntheticBackend()
+
+    def graded(*memories):
+        merged = MemoryIndex(stage.world.base_memory)
+        for memory in memories:
+            merged.extend(memory)
+        return sum(oracle.grade(q, merged) for q in stage.world.questions) \
+            / len(stage.world.questions)
+    assert stage.base_accuracy == graded() < 1.0
+    # every robot's full dataset: the union covers every placed object
+    assert stage.accuracy_with(stage.world.datasets) == graded(*stage.world.datasets) == 1.0
+    for dataset in stage.world.datasets:
+        assert stage.accuracy_with([dataset]) == graded(dataset)
+    # the base index itself is left as it was
+    assert stage.base_accuracy == graded()
 
 
 # --- campaigns & sweeps ---------------------------------------------------------
@@ -212,6 +269,38 @@ def test_sweep_bookkeeping_and_single_point():
     assert [r.eqa_accuracy for r in single] == [r.eqa_accuracy for r in campaign]
     with pytest.raises(ValueError):
         run_sweep(s, ["uniform"], [0.0], 1)
+
+
+def test_sweep_matches_a_campaign_per_budget():
+    # seed 8's pilot phase overruns T at 100 mW (NaN rows) and fits at 200 mW
+    cfg = json.loads(json.dumps(CITY))
+    cfg["seeds"] = {"run": 8}
+    s = build_scenario(cfg)
+    rows, _ = run_sweep(s, METHODS, [100, 200], 1)
+    campaigns = []
+    for budget_mw in (100, 200):
+        cfg.setdefault("budgets", {})["power_sum_mw"] = budget_mw
+        campaigns += run_campaign(build_scenario(cfg), METHODS, 1)[0]
+    assert [_fields(r) for r in rows] == [_fields(r) for r in campaigns]
+    assert all(np.isnan(r.qom) for r in rows if r.p_sum_mw == 100.0)
+    assert not any(np.isnan(r.qom) for r in rows if r.p_sum_mw == 200.0)
+
+
+def test_sweep_stages_each_seed_once(monkeypatch):
+    calls = {"build_world": [], "run_gae": []}
+    for name in calls:
+        original = getattr(harness, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(1)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    rows, _ = run_sweep(small_city(), ["uniform", "mcpa"], [150.0, 250.0], 2)
+    assert len(rows) == 2 * 2 * 2
+    assert [(r.p_sum_mw, r.seed, r.method) for r in rows] == [
+        (b, seed, m) for b in (150.0, 250.0) for seed in (0, 1) for m in ("uniform", "mcpa")]
+    assert len(calls["build_world"]) == 2
+    assert len(calls["run_gae"]) == 2
 
 
 def test_end_to_end_ordering_smoke():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import NOISE_W, orthogonal_state, radio, random_state
+from mcpa.channel import sinr_vector
 from mcpa.qom import (DatasetMeta, PilotPhaseInfeasible, PowerVector, QomParams,
                       accuracy_estimate, frames_uploaded, pilot_overhead,
                       qom_objective, qom_terms, qom_weights, round_half_up)
@@ -34,20 +35,37 @@ def test_frames_uploaded_at_unit_sinr():
     state = orthogonal_state(gains)
     p = NOISE_W / gains
     meta = DatasetMeta(np.array([100000]), 1.6e6, 0.01)
-    frames = frames_uploaded(state, p, meta, NOISE_W, 600.0, 1e7, 0)
-    assert frames == pytest.approx(3750.0, rel=1e-12)
+    frames = frames_uploaded(state, p, meta, NOISE_W, 600.0, 1e7)
+    assert frames.shape == (1,)
+    assert frames[0] == pytest.approx(3750.0, rel=1e-12)
 
 
 def test_frames_uploaded_zero_power_and_clamp():
     gains = np.array([1e-9, 1e-9])
     state = orthogonal_state(gains)
     meta = DatasetMeta.uniform(2, num_items=1050)
-    assert frames_uploaded(state, np.zeros(2), meta, NOISE_W, 600.0, 1e7, 0) == 0.0
+    assert list(frames_uploaded(state, np.zeros(2), meta, NOISE_W, 600.0, 1e7)) == [0.0, 0.0]
     # an enormous SINR would overflow the dataset: clamp at |D_k|
-    frames = frames_uploaded(state, np.array([0.2, 0.0]), meta, NOISE_W, 600.0, 1e7, 0)
-    assert frames == 1050.0
+    frames = frames_uploaded(state, np.array([0.2, 0.0]), meta, NOISE_W, 600.0, 1e7)
+    assert list(frames) == [1050.0, 0.0]
     with pytest.raises(ValueError):
-        frames_uploaded(state, np.zeros(2), meta, NOISE_W, -1.0, 1e7, 0)
+        frames_uploaded(state, np.zeros(2), meta, NOISE_W, -1.0, 1e7)
+
+
+def test_frames_uploaded_vector_matches_per_robot_formula():
+    # reference: one robot at a time, (T*B)*log2(1+SINR_k)/Z_k capped at |D_k|
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        k = int(rng.integers(1, 12))
+        state = random_state(rng, num_robots=k, d_range=(10.0, 3000.0))
+        p = rng.dirichlet(np.ones(k)) * 0.2
+        meta = DatasetMeta.uniform(k, num_items=int(rng.integers(1, 3000)),
+                                   item_volume_bits=float(rng.uniform(1e5, 5e6)))
+        frames = frames_uploaded(state, p, meta, NOISE_W, 550.0, 1e7)
+        for j in range(k):
+            sinr_j = sinr_vector(state, p, NOISE_W)[j]
+            raw = 550.0 * 1e7 * np.log2(1.0 + sinr_j) / meta.item_volume_bits[j]
+            assert frames[j] == min(raw, meta.num_items[j])
 
 
 def test_pilot_overhead_single_user_closed_form():
