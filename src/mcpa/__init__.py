@@ -3,9 +3,9 @@
 from .baselines import (BaselineSpec, allocate_fairness, allocate_greedy,
                         allocate_max_cov, allocate_remember, allocate_uniform)
 from .channel import (ChannelState, RadioConstants, RobotGeometry,
-                      draw_channels, sinr, sinr_vector)
+                      draw_channels, sinr_vector)
 from .config import ConfigError, Scenario, build_scenario, load_config
-from .gae import (Exam, GaeReport, MemoryIndex, MemoryItem, Question,
+from .gae import (Exam, FrameStore, GaeReport, MemoryIndex, MemoryItem, Question,
                   SyntheticBackend, generate_exam, practice_test, run_gae,
                   sample_pilot)
 from .harness import (RunMetrics, run_campaign, run_once, run_sweep, write_csv)

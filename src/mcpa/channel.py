@@ -16,7 +16,6 @@ __all__ = [
     "RobotGeometry",
     "ChannelState",
     "draw_channels",
-    "sinr",
     "sinr_vector",
 ]
 
@@ -151,10 +150,3 @@ def sinr_vector(state: ChannelState, powers: np.ndarray, noise_power_w: float) -
     interference = state.interference @ p - signal
     return signal / (interference + noise_power_w)
 
-
-def sinr(state: ChannelState, p, noise_power_w: float, k: int) -> float:
-    """Single-robot SINR; ``p`` may be a PowerVector or a plain array."""
-    powers = np.asarray(getattr(p, "powers", p), dtype=float)
-    if not 0 <= k < state.num_robots:
-        raise IndexError(f"robot index {k} out of range for K={state.num_robots}")
-    return float(sinr_vector(state, powers, noise_power_w)[k])

@@ -72,8 +72,9 @@ def _cmd_gae_test(args) -> int:
     for i in range(args.seeds):
         stage = prepare_seed(scenario, scenario.seeds["run"] + i, backend)
         scores[i] = stage.gae_scores
-        for robot, dataset in enumerate(stage.world.datasets):
-            merged_acc[i, robot] = stage.accuracy_with([dataset])
+        # robot k's whole dataset uploaded, nothing from the others
+        full = np.diag([len(dataset) for dataset in stage.world.datasets])
+        merged_acc[i] = [stage.accuracy_with(counts) for counts in full]
     print(f"{'robot':>5}  {'GAE_k':>8}  {'accuracy(M0+Mk)':>16}")
     for robot in range(k):
         print(f"{robot + 1:>5}  {scores[:, robot].mean():>8.4f}  "
@@ -92,6 +93,9 @@ def _report(args, rows, summary) -> int:
     write_csv(rows, args.out)
     _print_summary(summary)
     print(f"wrote {len(rows)} rows to {args.out}")
+    failed = sum(1 for row in rows if row.failure)
+    if failed:
+        print(f"failed runs: {failed} of {len(rows)}", file=sys.stderr)
     return 0
 
 

@@ -3,12 +3,15 @@
 The synthetic backend stands in for the VLM/LLM stack: each memory item
 carries a set of event tags (the caption surrogate) and exams are graded by
 exact tag lookup, so a memory scores 1.0 on any exam generated from its own
-content. The remote backend (see :mod:`mcpa.remote`) delegates questioning
-and answering to a chat-completion service but is graded by the same rules.
+content. A robot's recorded frames are held as columns (:class:`FrameStore`)
+and become :class:`MemoryItem` objects only where one is read. The remote
+backend (see :mod:`mcpa.remote`) delegates questioning and answering to a
+chat-completion service but is graded by the same rules.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,7 @@ __all__ = [
     "NOTHING_TAG",
     "TEMPLATES",
     "MemoryItem",
+    "FrameStore",
     "Question",
     "Exam",
     "GaeReport",
@@ -72,6 +76,57 @@ class MemoryItem:
         return (self.pose[0], self.pose[1])
 
 
+class FrameStore(Sequence):
+    """Recorded frames of one or more robots, held as columns.
+
+    Frame ``i`` was captured by ``robot_ids[i]`` at ``timestamps[i]`` with
+    pose ``poses[i]``. Its tags are ``vocabulary[background[i]]`` unless
+    ``background[i]`` is -1, plus the tag of every event whose frame window
+    ``[start, stop)`` contains ``i``. Indexing or iterating builds the
+    equivalent :class:`MemoryItem` on demand; slices give a tuple of them.
+    """
+
+    def __init__(self, robot_ids, timestamps, poses, background, vocabulary, events=()):
+        self.robot_ids = np.asarray(robot_ids, dtype=np.intp)
+        self.timestamps = np.asarray(timestamps, dtype=float)
+        self.poses = np.asarray(poses, dtype=float).reshape(-1, 6)
+        self.background = np.asarray(background, dtype=np.intp)
+        self.vocabulary = tuple(vocabulary)
+        self.events = tuple(events)
+        if not (len(self.robot_ids) == len(self.timestamps) == len(self.poses)
+                == len(self.background)):
+            raise ValueError("frame columns must have one entry per frame")
+
+    def __len__(self) -> int:
+        return len(self.robot_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._item(i) for i in range(len(self))[index])
+        return self._item(range(len(self))[index])
+
+    def __iter__(self):
+        return (self._item(i) for i in range(len(self)))
+
+    def _item(self, i: int) -> MemoryItem:
+        tags = {tag for tag, start, stop in self.events if start <= i < stop}
+        if self.background[i] >= 0:
+            tags.add(self.vocabulary[self.background[i]])
+        return MemoryItem(timestamp_s=float(self.timestamps[i]),
+                          pose=tuple(self.poses[i].tolist()),
+                          tags=frozenset(tags), robot_id=int(self.robot_ids[i]))
+
+    def frames_with(self, tag: str) -> np.ndarray:
+        """Ascending indices of the frames that carry ``tag``."""
+        hit = np.zeros(len(self), dtype=bool)
+        if tag in self.vocabulary:
+            hit |= self.background == self.vocabulary.index(tag)
+        for event, start, stop in self.events:
+            if event == tag:
+                hit[start:stop] = True
+        return np.flatnonzero(hit)
+
+
 @dataclass(frozen=True)
 class Question:
     """One exam entry: template, queried tag, rendered text, ground truth.
@@ -117,26 +172,46 @@ class GaeReport:
         object.__setattr__(self, "pilot_sizes", np.asarray(self.pilot_sizes, dtype=int))
 
 
+def _without_repeats(rows: np.ndarray) -> list:
+    """The rows of a 2-D array as lists, less each row equal to the one
+    before it (consecutive frames mostly are; the index's sets drop the rest)."""
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    return rows[keep].tolist()
+
+
 class MemoryIndex:
     """Tag lookup over a memory: which robots saw a tag, and where."""
 
     def __init__(self, items=()):
         self._robots: dict[str, set[int]] = {}
-        self._positions: dict[str, list[tuple[float, float]]] = {}
+        self._positions: dict[str, set[tuple[float, float]]] = {}
         self.extend(items)
 
     def extend(self, items) -> None:
+        """Index more frames: ``MemoryItem``s, or a :class:`FrameStore` read
+        from its columns."""
+        if isinstance(items, FrameStore):
+            self._extend_columns(items)
+            return
         for item in items:
             for tag in item.tags:
-                self._robots.setdefault(tag, set()).add(item.robot_id)
-                self._positions.setdefault(tag, []).append(item.xy)
+                self._add(tag, item.robot_id, item.xy)
 
-    def copy(self) -> "MemoryIndex":
-        """An independent index with the same content."""
-        other = MemoryIndex()
-        other._robots = {tag: set(ids) for tag, ids in self._robots.items()}
-        other._positions = {tag: list(at) for tag, at in self._positions.items()}
-        return other
+    def _extend_columns(self, frames: FrameStore) -> None:
+        tagged = frames.background >= 0
+        rows = np.column_stack((frames.background[tagged], frames.robot_ids[tagged],
+                                frames.poses[tagged, :2]))
+        for background, robot, x, y in _without_repeats(rows):
+            self._add(frames.vocabulary[int(background)], int(robot), (x, y))
+        for tag, start, stop in frames.events:
+            rows = np.column_stack((frames.robot_ids[start:stop], frames.poses[start:stop, :2]))
+            for robot, x, y in _without_repeats(rows):
+                self._add(tag, int(robot), (x, y))
+
+    def _add(self, tag: str, robot: int, xy: tuple[float, float]) -> None:
+        self._robots.setdefault(tag, set()).add(robot)
+        self._positions.setdefault(tag, set()).add(xy)
 
     def has_tag(self, tag: str) -> bool:
         return tag in self._robots
@@ -199,6 +274,27 @@ class SyntheticBackend:
             x, y, _ = question.answer
             return index.near(question.tag, x, y)
         return question.answer in index.robots_for(question.tag)
+
+    def first_answering_frame(self, question: Question, frames: FrameStore) -> int:
+        """Index of the first frame that alone makes ``grade`` true, or
+        ``len(frames)`` when none does.
+
+        Grading a positive question is a test over single frames (the tag is
+        on some frame; on some frame within the radius; on some frame of the
+        reporter), so a memory joined with the prefix ``frames[:n]`` answers
+        it exactly when the memory alone does or ``n`` exceeds this index.
+        """
+        if question.template == "presence" and question.answer != "YES":
+            raise ValueError("only questions answered YES grade as a test over single frames")
+        hits = frames.frames_with(question.tag)
+        if question.template == "location":
+            x, y, _ = question.answer
+            xy = frames.poses[hits, :2].tolist()
+            return next((int(i) for i, (px, py) in zip(hits, xy)
+                         if math.hypot(px - x, py - y) <= LOCATION_RADIUS_M), len(frames))
+        if question.template == "reporter":
+            hits = hits[frames.robot_ids[hits] == question.answer]
+        return int(hits[0]) if len(hits) else len(frames)
 
     def test(self, exam: Exam, base_memory) -> float:
         index = base_memory if isinstance(base_memory, MemoryIndex) else MemoryIndex(base_memory)

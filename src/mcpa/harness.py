@@ -21,7 +21,7 @@ from . import baselines
 from .baselines import BaselineSpec
 from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
 from .config import Scenario
-from .gae import MemoryIndex, SyntheticBackend, run_gae
+from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
 from .qom import (PilotPhaseInfeasible, PowerVector, QomParams,
                   frames_uploaded, pilot_overhead, qom_objective, qom_weights)
 from .solver import solve_mcpa
@@ -62,7 +62,8 @@ class RunMetrics:
     """Everything one (scenario, method, seed) run reports.
 
     ``power_mw`` keeps the allocation behind the metrics; it is not part of
-    the CSV schema but lets callers re-derive qom / rates exactly.
+    the CSV schema but lets callers re-derive qom / rates exactly. A failed
+    run is a row of NaNs whose ``failure`` says why (also not a CSV column).
     """
 
     method: str
@@ -75,6 +76,7 @@ class RunMetrics:
     solver_iters: int
     wall_ms: float
     power_mw: tuple = ()
+    failure: str = ""
 
     def row(self) -> list:
         return [self.method, self.seed, repr(self.p_sum_mw), repr(self.eqa_accuracy),
@@ -111,32 +113,38 @@ def _default_cov_threshold(scenario: Scenario, effective_time_s: float) -> float
 
 @dataclass(frozen=True)
 class SeedContext:
-    """Budget-independent stage of one seed, shared by every method and budget."""
+    """Budget-independent stage of one seed, shared by every method and budget.
+
+    ``base_answers[q]`` says whether the base memory answers world question
+    ``q``; ``first_frames[q, k]`` is the index of robot ``k``'s first frame
+    that answers it (``len`` of its dataset if none does). Uploads are
+    prefixes of each robot's frames, so grading needs nothing else.
+    """
 
     seed: int
     world: WorldInstance
     state: ChannelState
     gae_scores: np.ndarray
-    base_index: MemoryIndex
+    base_answers: np.ndarray
+    first_frames: np.ndarray
 
-    def accuracy_with(self, uploads=()) -> float:
-        """Ground-truth accuracy of the base memory joined with an iterable of
-        uploaded frame sequences, graded by the synthetic oracle."""
-        merged = self.base_index.copy()
-        for items in uploads:
-            merged.extend(items)
-        oracle = SyntheticBackend()
-        return sum(oracle.grade(q, merged) for q in self.world.questions) \
-            / len(self.world.questions)
+    def accuracy_with(self, frame_counts) -> float:
+        """Ground-truth accuracy of the base memory joined with the first
+        ``frame_counts[k]`` frames of every robot ``k``, as the synthetic
+        oracle grades it."""
+        uploaded = np.asarray(frame_counts)[None, :] > self.first_frames
+        answered = self.base_answers | uploaded.any(axis=1)
+        return int(answered.sum()) / len(answered)
 
     @property
     def base_accuracy(self) -> float:
         """Accuracy of the base memory alone."""
-        return self.accuracy_with()
+        return self.accuracy_with(np.zeros(len(self.world.datasets), dtype=int))
 
 
 def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
-    """Stage one seed: build the world, draw the channel, run the GAE exams."""
+    """Stage one seed: build the world, draw the channel, run the GAE exams
+    and tabulate which frames answer each world question."""
     backend = backend or SyntheticBackend()
     world = build_world(scenario, np.random.default_rng(
         [scenario.seeds["placement"], seed]))
@@ -149,12 +157,20 @@ def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
     state = draw_channels(scenario.radio, geometry,
                           seed=[scenario.seeds["channel"], seed, 1])
 
-    report = run_gae(world.datasets, world.base_memory, scenario.pilot_ratio,
-                     scenario.questions_per_robot, backend,
+    # one index of the base memory serves the synthetic exams and the
+    # scoring; any other backend reads the base memory's frames itself
+    base_index = MemoryIndex(world.base_memory)
+    report = run_gae(world.datasets,
+                     base_index if isinstance(backend, SyntheticBackend) else world.base_memory,
+                     scenario.pilot_ratio, scenario.questions_per_robot, backend,
                      seed=[scenario.seeds["pilot"], seed])
 
+    oracle = SyntheticBackend()
+    base_answers = np.array([oracle.grade(q, base_index) for q in world.questions])
+    first_frames = np.array([[oracle.first_answering_frame(q, frames) for frames in world.datasets]
+                             for q in world.questions])
     return SeedContext(seed=seed, world=world, state=state, gae_scores=report.scores,
-                       base_index=MemoryIndex(world.base_memory))
+                       base_answers=base_answers, first_frames=first_frames)
 
 
 @dataclass(frozen=True)
@@ -224,8 +240,7 @@ def _score_allocation(ctx: _RunContext, scenario: Scenario,
     # math.floor raises on NaN, so a broken allocation becomes a failed row
     frames = np.array([math.floor(f) for f in frames_uploaded(
         stage.state, allocation, meta, noise, ctx.params.effective_time_s, bandwidth)])
-    accuracy = stage.accuracy_with(dataset[:count] for dataset, count
-                                   in zip(stage.world.datasets, frames))
+    accuracy = stage.accuracy_with(frames)
 
     qom = qom_objective(ctx.params, stage.state, allocation, noise)
     rates = bandwidth * np.log2(1.0 + sinr_vector(stage.state, allocation.powers, noise))
@@ -263,18 +278,21 @@ def _run_with_context(ctx: _RunContext, scenario: Scenario, method) -> RunMetric
     )
 
 
-def _failed_run(method, seed: int, power_w: float) -> RunMetrics:
+def _failed_run(method, seed: int, power_w: float, error: Exception) -> RunMetrics:
     nan = float("nan")
     return RunMetrics(method=_method_name(_method_spec(method)), seed=seed,
                       p_sum_mw=power_w * 1e3, eqa_accuracy=nan,
                       qom=nan, sum_rate_mbps=nan, connected_drones=0,
-                      solver_iters=0, wall_ms=0.0)
+                      solver_iters=0, wall_ms=0.0,
+                      failure=f"{type(error).__name__}: {error}")
 
 
 def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
               backend) -> tuple[list[RunMetrics], dict]:
-    """Stage each seed once, then run every budget and method on it; a failed
-    run is a row of NaNs. Rows come out budget-major, then seed, then method;
+    """Stage each seed once, then run every budget and method on it. A run
+    that fails with a domain error (an infeasible pilot phase, a numerical
+    failure, a GAE error) is a row of NaNs with its reason; any other
+    exception propagates. Rows come out budget-major, then seed, then method;
     no stage is kept once its seed is done.
     """
     if num_seeds < 1:
@@ -285,14 +303,14 @@ def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
         for rows, power_w in zip(per_budget, budgets_w):
             try:
                 ctx = _at_budget(stage, scenario, power_w)
-            except PilotPhaseInfeasible:
-                rows.extend(_failed_run(method, stage.seed, power_w) for method in methods)
+            except PilotPhaseInfeasible as exc:
+                rows.extend(_failed_run(method, stage.seed, power_w, exc) for method in methods)
                 continue
             for method in methods:
                 try:
                     rows.append(_run_with_context(ctx, scenario, method))
-                except Exception:
-                    rows.append(_failed_run(method, stage.seed, power_w))
+                except (ValueError, ArithmeticError, GaeError) as exc:
+                    rows.append(_failed_run(method, stage.seed, power_w, exc))
     rows = [row for budget_rows in per_budget for row in budget_rows]
     return rows, aggregate(rows)
 

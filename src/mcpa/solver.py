@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelState
-from .qom import PowerVector, QomParams, qom_objective
+from .qom import PowerVector, QomParams, _powers_of, qom_objective
 
 __all__ = [
     "SurrogateContext",
@@ -99,10 +99,6 @@ class SurrogateContext:
         """Surrogate gradient at the point p whose A p + 1 is ``full``."""
         return (self.coupling.T.dot(self.params.weights / (_LN2 * full))
                 - self.anchor_gradient)
-
-
-def _powers_of(p) -> np.ndarray:
-    return np.asarray(getattr(p, "powers", p), dtype=float)
 
 
 def surrogate_value(ctx: SurrogateContext, p, k: int) -> float:

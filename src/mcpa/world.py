@@ -3,6 +3,7 @@
 Frames carry the tag of the landmark their robot is passing (the caption
 surrogate for ordinary streetscape) at the configured background rate;
 frames inside an object's dwell window additionally carry the object tag.
+Each robot's frames are numpy columns (a :class:`~mcpa.gae.FrameStore`).
 Ground-truth questions ask all three templates about each placed object.
 """
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Scenario
-from .gae import MemoryItem, Question
+from .gae import FrameStore, Question
 
 __all__ = ["PlacedObject", "WorldInstance", "build_world", "landmark_tag"]
 
@@ -32,9 +33,9 @@ class PlacedObject:
 
 @dataclass(frozen=True)
 class WorldInstance:
-    datasets: tuple[tuple[MemoryItem, ...], ...]
+    datasets: tuple[FrameStore, ...]
     base_robots: tuple[int, ...]
-    base_memory: tuple[MemoryItem, ...]
+    base_memory: FrameStore
     placed_objects: tuple[PlacedObject, ...]
     questions: tuple[Question, ...]
 
@@ -81,21 +82,20 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
             start = int(rng.integers(0, frames - dwell + 1))
             placed.append(PlacedObject(name, host, start, dwell, position=(0.0, 0.0)))
 
-    # resolve object positions to the host's pose at the window start
-    def pose_at(robot: int, frame: int) -> tuple[float, ...]:
-        lm = landmarks[routes[robot][frame // seg]]
-        return (float(lm[0]), float(lm[1]), 10.0, 0.0, 0.0, 0.0)
+    # every robot's frames as columns: the landmark each frame passes, its
+    # position there, and its timestamp
+    route_at = routes[:, np.arange(frames) // seg]                 # (k, frames)
+    poses = np.zeros((k, frames, 6))
+    poses[:, :, :2] = landmarks[route_at]
+    poses[:, :, 2] = 10.0
+    timestamps = np.arange(frames) / scenario.frame_rate_fps
 
+    # resolve object positions to the host's pose at the window start
     placed = [
         PlacedObject(o.name, o.host_robot, o.window_start, o.window_len,
-                     position=pose_at(o.host_robot, o.window_start)[:2])
+                     position=tuple(poses[o.host_robot, o.window_start, :2].tolist()))
         for o in placed
     ]
-
-    # per-robot frame tags
-    object_windows: dict[int, list[PlacedObject]] = {}
-    for o in placed:
-        object_windows.setdefault(o.host_robot, []).append(o)
 
     # which ordinary frames get captioned with their landmark: a rate of 1
     # tags everything; sparse rates model a captioner that only remarks on
@@ -105,22 +105,21 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
         bg_tagged = np.ones((k, frames), dtype=bool)
     else:
         bg_tagged = rng.random((k, frames)) < tag_rate
+    background = np.where(bg_tagged, route_at, -1)
+    vocabulary = tuple(landmark_tag(i) for i in range(scenario.num_landmarks))
 
-    fps = scenario.frame_rate_fps
-    datasets = []
-    for robot in range(k):
-        windows = object_windows.get(robot, ())
-        items = []
-        for i in range(frames):
-            tags = set()
-            if bg_tagged[robot, i]:
-                tags.add(landmark_tag(int(routes[robot][i // seg])))
-            for o in windows:
-                if o.window_start <= i < o.window_start + o.window_len:
-                    tags.add(o.name)
-            items.append(MemoryItem(timestamp_s=i / fps, pose=pose_at(robot, i),
-                                    tags=frozenset(tags), robot_id=robot))
-        datasets.append(tuple(items))
+    def frame_store(robots) -> FrameStore:
+        """The listed robots' frames, one robot after another."""
+        robots = np.asarray(robots, dtype=np.intp)
+        events = [(o.name, offset + o.window_start, offset + o.window_start + o.window_len)
+                  for offset, robot in zip(range(0, len(robots) * frames, frames), robots)
+                  for o in placed if o.host_robot == robot]
+        return FrameStore(robot_ids=np.repeat(robots, frames),
+                          timestamps=np.tile(timestamps, len(robots)),
+                          poses=poses[robots], background=background[robots].ravel(),
+                          vocabulary=vocabulary, events=events)
+
+    datasets = tuple(frame_store([robot]) for robot in range(k))
 
     # pre-collection memory: full datasets of the seed robots
     if scenario.base_robots is not None:
@@ -128,7 +127,7 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
     else:
         base_robots = tuple(sorted(int(b) for b in rng.choice(
             k, size=scenario.num_base_robots, replace=False)))
-    base_memory = tuple(item for b in base_robots for item in datasets[b])
+    base_memory = frame_store(base_robots)
 
     # ground-truth exam: presence / location / reporter per placed object
     questions = []
@@ -141,7 +140,7 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
                                   o.host_robot))
 
     return WorldInstance(
-        datasets=tuple(datasets),
+        datasets=datasets,
         base_robots=base_robots,
         base_memory=base_memory,
         placed_objects=tuple(placed),

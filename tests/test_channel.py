@@ -3,7 +3,7 @@ import pytest
 
 from conftest import NOISE_W, radio, random_state
 from mcpa.channel import (ChannelState, RadioConstants, RobotGeometry,
-                          draw_channels, sinr, sinr_vector)
+                          draw_channels, sinr_vector)
 from mcpa.config import db_to_linear
 
 
@@ -83,13 +83,13 @@ def test_sinr_zero_power_and_orthogonal_unit():
     rng = np.random.default_rng(5)
     state = random_state(rng, num_robots=4, num_antennas=16)
     p = np.array([0.0, 0.01, 0.02, 0.03])
-    assert sinr(state, p, NOISE_W, 0) == 0.0
+    assert sinr_vector(state, p, NOISE_W)[0] == 0.0
     # orthogonal channels with H p = sigma^2 give SINR exactly 1
     gains = np.array([2e-12, 4e-12])
     ortho = ChannelState(gains=gains, interference=np.diag(gains))
     powers = NOISE_W / gains
-    assert sinr(ortho, powers, NOISE_W, 0) == pytest.approx(1.0, rel=1e-12)
-    assert sinr(ortho, powers, NOISE_W, 1) == pytest.approx(1.0, rel=1e-12)
+    assert sinr_vector(ortho, powers, NOISE_W)[0] == pytest.approx(1.0, rel=1e-12)
+    assert sinr_vector(ortho, powers, NOISE_W)[1] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sinr_matches_direct_recomputation():
@@ -100,7 +100,7 @@ def test_sinr_matches_direct_recomputation():
         for k in range(5):
             interf = sum(state.interference[k, j] * p[j] for j in range(5) if j != k)
             expected = state.gains[k] * p[k] / (interf + NOISE_W)
-            assert sinr(state, p, NOISE_W, k) == pytest.approx(expected, rel=1e-12)
+            assert sinr_vector(state, p, NOISE_W)[k] == pytest.approx(expected, rel=1e-12)
 
 
 def test_sinr_monotone_in_powers():
@@ -110,25 +110,28 @@ def test_sinr_monotone_in_powers():
         p = rng.uniform(0.001, 0.05, size=5)
         k = int(rng.integers(5))
         j = int((k + 1 + rng.integers(4)) % 5)
-        base = sinr(state, p, NOISE_W, k)
+        base = sinr_vector(state, p, NOISE_W)[k]
         bumped = p.copy()
         bumped[j] *= 1.5
-        assert sinr(state, bumped, NOISE_W, k) <= base + 1e-18
+        assert sinr_vector(state, bumped, NOISE_W)[k] <= base + 1e-18
         own = p.copy()
         own[k] *= 1.5
-        assert sinr(state, own, NOISE_W, k) >= base - 1e-18
+        assert sinr_vector(state, own, NOISE_W)[k] >= base - 1e-18
 
 
 def test_sinr_rejects_bad_index():
     state = random_state(np.random.default_rng(1), num_robots=3, num_antennas=4)
     with pytest.raises(IndexError):
-        sinr(state, np.zeros(3), NOISE_W, 3)
+        sinr_vector(state, np.zeros(3), NOISE_W)[3]
 
 
 def test_sinr_vector_agrees_with_scalar():
+    # each entry equals the single-robot formula evaluated on its own
     rng = np.random.default_rng(29)
     state = random_state(rng, num_robots=6, num_antennas=8)
     p = rng.uniform(0.0, 0.03, size=6)
     vec = sinr_vector(state, p, NOISE_W)
     for k in range(6):
-        assert vec[k] == pytest.approx(sinr(state, p, NOISE_W, k), rel=1e-14)
+        signal = state.gains[k] * p[k]
+        scalar = signal / (state.interference[k] @ p - signal + NOISE_W)
+        assert vec[k] == pytest.approx(scalar, rel=1e-14)

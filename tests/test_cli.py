@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from conftest import CONFIG_DIR, REPO_ROOT, cli_env
+from mcpa import cli
+from mcpa.config import load_config
 from mcpa.harness import CSV_COLUMNS
 
 
@@ -58,6 +60,24 @@ def test_gae_test_emits_table(tmp_path):
     scores = [float(r["gae_mean"]) for r in rows]
     assert scores[0] > scores[1] > scores[2] > scores[3]
     assert scores[4] >= max(scores[:4])
+
+
+def test_failed_runs_are_counted_on_stderr(tmp_path, capsys):
+    # city seed 8 cannot finish its pilot phase at 100 mW but can at 200 mW
+    config = tmp_path / "seed8.json"
+    config.write_text(json.dumps({**load_config(CONFIG_DIR / "city_desk.json"),
+                                  "seeds": {"run": 8}}))
+    path = tmp_path / "sweep.csv"
+    args = ["--config", str(config), "--seeds", "1", "--methods", "remember,uniform",
+            "--out", str(path)]
+    assert cli.main(["sweep", "--budgets-mw", "100,200", *args]) == 0
+    out = capsys.readouterr()
+    assert out.err == "failed runs: 2 of 4\n"
+    assert "failed runs" not in out.out
+    with open(path) as fh:
+        assert next(csv.reader(fh)) == list(CSV_COLUMNS)
+    assert cli.main(["simulate", *args]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_bad_config_yields_machine_readable_error(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_memory
-from mcpa.gae import (NOTHING_TAG, Exam, GaeError, MemoryIndex, MemoryItem,
+from mcpa.gae import (NOTHING_TAG, Exam, FrameStore, GaeError, MemoryIndex, MemoryItem,
                       Question, SyntheticBackend, generate_exam, practice_test,
                       run_gae, sample_pilot)
 
@@ -106,15 +106,27 @@ def test_reporter_grading_requires_attribution():
     assert backend.grade(q, both)
 
 
-def test_memory_index_copy_is_independent():
-    base = MemoryIndex([item({"bus"}, robot=1, xy=(0.0, 0.0))])
-    merged = base.copy()
-    merged.extend([item({"bus", "cone"}, robot=2, xy=(500.0, 0.0))])
-    assert merged.robots_for("bus") == {1, 2}
-    assert merged.has_tag("cone") and merged.near("bus", 500.0, 0.0)
-    # the original sees none of the extension
-    assert base.robots_for("bus") == {1}
-    assert not base.has_tag("cone") and not base.near("bus", 500.0, 0.0)
+def test_first_answering_frame_per_template():
+    # "bus" on frame 0 (background tag, robot 1, 70 m east) and on frame 2
+    # (event window, robot 0, at the origin)
+    backend = SyntheticBackend()
+    poses = np.zeros((3, 6))
+    poses[0, 0] = 70.0
+    frames = FrameStore(robot_ids=[1, 0, 0], timestamps=[0.0, 1.0, 2.0], poses=poses,
+                        background=[0, -1, -1], vocabulary=["bus"], events=[("bus", 2, 3)])
+
+    def first(template, answer, tag="bus"):
+        return backend.first_answering_frame(Question(template, tag, "?", answer), frames)
+    assert first("presence", "YES") == 0
+    assert first("presence", "YES", tag="taxi") == 3
+    assert first("location", (70.0, 0.0, 0.0)) == 0
+    assert first("location", (30.0, 40.0, 0.0)) == 2     # 50 m exactly; frame 0 is 57 m off
+    assert first("location", (0.0, 51.0, 0.0)) == 3
+    assert first("reporter", 1) == 0
+    assert first("reporter", 0) == 2
+    assert first("reporter", 3) == 3
+    with pytest.raises(ValueError):
+        first("presence", "NO")
 
 
 def test_run_gae_duplicate_and_novel_extremes():

@@ -11,7 +11,7 @@ from mcpa import harness
 from mcpa.harness import (CSV_COLUMNS, METHODS, aggregate, prepare_seed, run_campaign,
                           run_method, run_once, run_sweep, write_csv)
 from mcpa.gae import MemoryIndex, SyntheticBackend
-from mcpa.qom import pilot_overhead, qom_objective, qom_weights
+from mcpa.qom import PowerVector, pilot_overhead, qom_objective, qom_weights
 from mcpa.world import build_world
 
 CITY = load_config(CONFIG_DIR / "city_desk.json")
@@ -199,20 +199,35 @@ def test_stage_accuracy_joins_uploads_with_base_memory():
     s = small_city()
     stage = prepare_seed(s, 0)
     oracle = SyntheticBackend()
+    datasets = stage.world.datasets
 
-    def graded(*memories):
-        merged = MemoryIndex(stage.world.base_memory)
-        for memory in memories:
-            merged.extend(memory)
+    def graded(counts):
+        merged = MemoryIndex(list(stage.world.base_memory))
+        for dataset, count in zip(datasets, counts):
+            merged.extend(dataset[:count])
         return sum(oracle.grade(q, merged) for q in stage.world.questions) \
             / len(stage.world.questions)
-    assert stage.base_accuracy == graded() < 1.0
+    nothing = [0] * len(datasets)
+    assert stage.base_accuracy == stage.accuracy_with(nothing) == graded(nothing) < 1.0
     # every robot's full dataset: the union covers every placed object
-    assert stage.accuracy_with(stage.world.datasets) == graded(*stage.world.datasets) == 1.0
-    for dataset in stage.world.datasets:
-        assert stage.accuracy_with([dataset]) == graded(dataset)
-    # the base index itself is left as it was
-    assert stage.base_accuracy == graded()
+    everything = [len(d) for d in datasets]
+    assert stage.accuracy_with(everything) == graded(everything) == 1.0
+    for counts in np.diag(everything):
+        assert stage.accuracy_with(counts) == graded(counts)
+    for counts in np.random.default_rng(0).integers(0, 1051, size=(5, len(datasets))):
+        assert stage.accuracy_with(counts) == graded(counts)
+
+
+def test_prepare_seed_builds_one_base_index(monkeypatch):
+    built = []
+    original = MemoryIndex.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+    monkeypatch.setattr(MemoryIndex, "__init__", counted)
+    prepare_seed(small_city(), 0)
+    assert len(built) == 1
 
 
 # --- campaigns & sweeps ---------------------------------------------------------
@@ -338,7 +353,29 @@ def test_campaign_records_pilot_failures_and_continues():
     rows, summary = run_campaign(s, ["remember", "uniform"], 2)
     assert len(rows) == 4
     assert all(np.isnan(r.eqa_accuracy) for r in rows)
+    assert all(r.failure.startswith("PilotPhaseInfeasible: ") for r in rows)
     assert summary[("remember", 200.0)]["eqa_accuracy"]["count"] == 0
+
+
+def test_programming_errors_propagate(monkeypatch):
+    def broken(num_robots, budget):
+        raise TypeError("a bug, not a failed run")
+    monkeypatch.setattr(harness.baselines, "allocate_uniform", broken)
+    with pytest.raises(TypeError):
+        run_campaign(small_city(), ["remember", "uniform"], 1)
+
+
+def test_nan_allocation_is_a_failed_row_with_reason(monkeypatch):
+    monkeypatch.setattr(harness.baselines, "allocate_uniform",
+                        lambda num_robots, budget: PowerVector(np.full(num_robots, np.nan),
+                                                               budget))
+    rows, _ = run_campaign(small_city(), ["remember", "uniform"], 1)
+    remember, uniform = rows
+    assert not remember.failure and not np.isnan(remember.eqa_accuracy)
+    assert np.isnan(uniform.eqa_accuracy) and np.isnan(uniform.qom)
+    assert uniform.failure.startswith("ValueError: ")
+    # the reason is not a CSV column
+    assert len(uniform.row()) == len(CSV_COLUMNS)
 
 
 def test_aggregate_skips_nan_rows():
