@@ -343,8 +343,7 @@ def run_gae(datasets, base_memory, ratio, questions_per_robot: int, backend, see
     if num_robots < 1:
         raise GaeError("run_gae needs at least one robot dataset")
     ratios = np.broadcast_to(np.asarray(ratio, dtype=float), (num_robots,))
-    prepared = backend.prepare_memory(base_memory) if hasattr(backend, "prepare_memory") \
-        else base_memory
+    prepared = backend.prepare_memory(base_memory)
 
     scores = np.zeros(num_robots)
     pilot_sizes = np.zeros(num_robots, dtype=int)

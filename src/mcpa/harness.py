@@ -21,7 +21,7 @@ from . import baselines
 from .baselines import BaselineSpec
 from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
 from .config import Scenario
-from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
+from .gae import GaeError, SyntheticBackend, run_gae
 from .qom import (PilotPhaseInfeasible, PowerVector, QomParams,
                   frames_uploaded, pilot_overhead, qom_objective, qom_weights)
 from .solver import solve_mcpa
@@ -157,20 +157,17 @@ def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
     state = draw_channels(scenario.radio, geometry,
                           seed=[scenario.seeds["channel"], seed, 1])
 
-    # one index of the base memory serves the synthetic exams and the
-    # scoring; any other backend reads the base memory's frames itself
-    base_index = MemoryIndex(world.base_memory)
-    report = run_gae(world.datasets,
-                     base_index if isinstance(backend, SyntheticBackend) else world.base_memory,
-                     scenario.pilot_ratio, scenario.questions_per_robot, backend,
+    report = run_gae(world.datasets, world.base_memory, scenario.pilot_ratio,
+                     scenario.questions_per_robot, backend,
                      seed=[scenario.seeds["pilot"], seed])
 
     oracle = SyntheticBackend()
-    base_answers = np.array([oracle.grade(q, base_index) for q in world.questions])
-    first_frames = np.array([[oracle.first_answering_frame(q, frames) for frames in world.datasets]
-                             for q in world.questions])
+    first = np.array([[oracle.first_answering_frame(q, frames)
+                       for frames in (world.base_memory, *world.datasets)]
+                      for q in world.questions])
     return SeedContext(seed=seed, world=world, state=state, gae_scores=report.scores,
-                       base_answers=base_answers, first_frames=first_frames)
+                       base_answers=first[:, 0] < len(world.base_memory),
+                       first_frames=first[:, 1:])
 
 
 @dataclass(frozen=True)

@@ -9,16 +9,19 @@ transcript file when one is configured.
 """
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
 import re
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import requests
 
 from .gae import (LOCATION_RADIUS_M, TEMPLATES, GaeError, MemoryItem, Question)
 
@@ -38,7 +41,7 @@ TOKEN_ENV_VAR = "MCPA_REMOTE_TOKEN"
 
 
 class GaeTransportError(GaeError):
-    """HTTP transport failed after the configured retries."""
+    """The request was refused, or its transport failed on every attempt."""
 
 
 class GaeParseError(GaeError):
@@ -51,49 +54,55 @@ def chat_completion(url: str, model: str, messages: list[dict], *,
                     transcript=None) -> str:
     """POST one chat request and return the first choice's content string.
 
-    Retries transport failures and 5xx/429 responses with exponential
-    backoff; 4xx responses other than 429 fail immediately (retrying cannot
-    help a malformed request).
+    Only http(s) URLs are accepted. Transport failures, 429 and 5xx are retried
+    with exponential backoff; any other status (redirects are not followed) or
+    an unparsable reply fails at once, as retrying cannot help.
     """
+    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+        raise GaeTransportError(f"not an http(s) endpoint: {url!r}")
     payload = {"model": model, "messages": messages, "temperature": 0}
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
+    request = urllib.request.Request(url, json.dumps(payload).encode(), headers)
+    log = transcript.log if transcript is not None else lambda *args, **kwargs: None
 
-    last_error: Exception | None = None
-    for attempt in range(max(1, retries)):
+    for attempt in range(1, max(1, retries) + 1):
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=timeout_s)
-            if response.status_code == 429 or response.status_code >= 500:
+            with _OPENER.open(request, timeout=timeout_s) as response:
+                body = response.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
                 last_error = GaeTransportError(
-                    f"HTTP {response.status_code}: {response.text[:500]}")
-            else:
-                response.raise_for_status()
-                data = response.json()
-                content = _first_choice_content(data)
-                if transcript is not None:
-                    transcript.log(payload, content)
-                return content
-        except requests.RequestException as exc:
+                    f"HTTP {exc.code}: {exc.read(500).decode(errors='replace')}")
+            if exc.code != 429 and exc.code < 500:
+                break
+        except (OSError, http.client.HTTPException) as exc:
             last_error = exc
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            if transcript is not None:
-                transcript.log(payload, error=str(exc))
-            raise GaeParseError(f"malformed chat response: {exc}") from exc
-        if attempt + 1 < retries:
-            time.sleep(backoff_s * (2 ** attempt))
-    if transcript is not None:
-        transcript.log(payload, error=str(last_error))
+        else:
+            try:
+                choice = json.loads(body)["choices"][0]
+                content = choice["message"]["content"] if "message" in choice else choice["content"]
+                if not isinstance(content, str):
+                    raise TypeError("choice content is not a string")
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                log(payload, error=str(exc))
+                raise GaeParseError(f"malformed chat response: {exc}") from exc
+            log(payload, content)
+            return content
+        if attempt < retries:
+            time.sleep(backoff_s * (2 ** (attempt - 1)))
+    log(payload, error=str(last_error))
     raise GaeTransportError(
-        f"chat request failed after {retries} attempts: {last_error}") from last_error
+        f"chat request failed after {attempt} attempt(s): {last_error}") from last_error
 
 
-def _first_choice_content(data: dict) -> str:
-    choice = data["choices"][0]
-    content = choice["message"]["content"] if "message" in choice else choice["content"]
-    if not isinstance(content, str):
-        raise ValueError("choice content is not a string")
-    return content
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    def redirect_request(self, *args, **kwargs):
+        return None  # a 3xx stays an error, so the bearer token never leaves the host
+
+
+_OPENER = urllib.request.build_opener(_NoRedirect)
 
 
 def caption(item: MemoryItem) -> str:
@@ -192,10 +201,8 @@ class RemoteBackend:
 
     @classmethod
     def from_settings(cls, settings) -> "RemoteBackend":
-        return cls(url=settings.url, model=settings.model,
-                   timeout_s=settings.timeout_s, retries=settings.retries,
-                   max_concurrency=settings.max_concurrency,
-                   transcript_path=settings.transcript_path)
+        """Build from a ``config.RemoteSettings``, whose fields are keywords here."""
+        return cls(**vars(settings))
 
     def _chat(self, system: str, user: str) -> str:
         messages = [{"role": "system", "content": system},
@@ -258,9 +265,5 @@ class RemoteBackend:
                 return False  # malformed answer counts as incorrect (logged)
             return grade_text_answer(question, reply)
 
-        if self.max_concurrency > 1:
-            with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
-                results = list(pool.map(ask, exam.qa_pairs))
-        else:
-            results = [ask(q) for q in exam.qa_pairs]
-        return sum(results) / len(exam)
+        with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
+            return sum(pool.map(ask, exam.qa_pairs)) / len(exam)

@@ -1,21 +1,34 @@
 import json
+import socket
+import subprocess
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from mcpa.gae import Exam, MemoryItem, Question, generate_exam, practice_test
+from conftest import cli_env
+from mcpa import remote
+from mcpa.config import build_scenario
+from mcpa.gae import Exam, GaeError, MemoryItem, Question, generate_exam, practice_test
 from mcpa.remote import (GaeParseError, GaeTransportError, RemoteBackend,
                          chat_completion, grade_text_answer)
 
 
 class FakeChatServer:
-    """Tiny chat-completions stand-in: canned replies, captured requests."""
+    """Tiny chat-completions stand-in: canned replies, captured requests.
+
+    ``statuses`` and ``replies`` are consumed one per request; a reply of
+    type ``bytes`` is sent as the raw body instead of a chat payload, and
+    ``delay_s`` stalls every request before it is answered.
+    """
 
     def __init__(self):
         self.requests = []
         self.replies = []
         self.statuses = []
+        self.delay_s = 0.0
         server = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -24,15 +37,18 @@ class FakeChatServer:
                 body = json.loads(self.rfile.read(length))
                 server.requests.append(
                     {"body": body, "auth": self.headers.get("Authorization")})
+                time.sleep(server.delay_s)
                 status = server.statuses.pop(0) if server.statuses else 200
                 if status != 200:
                     self.send_response(status)
+                    if 300 <= status < 400:
+                        self.send_header("Location", server.url)
                     self.end_headers()
                     self.wfile.write(b"backend exploded")
                     return
                 reply = server.replies.pop(0) if server.replies else "OK"
                 payload = {"choices": [{"message": {"content": reply}}]}
-                data = json.dumps(payload).encode()
+                data = reply if isinstance(reply, bytes) else json.dumps(payload).encode()
                 self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -43,7 +59,10 @@ class FakeChatServer:
                 pass
 
         self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # a client that timed out leaves the stalled handler a broken pipe
+        self.httpd.handle_error = lambda request, client_address: None
+        self.thread = threading.Thread(target=self.httpd.serve_forever,
+                                       kwargs={"poll_interval": 0.05}, daemon=True)
         self.thread.start()
 
     @property
@@ -106,10 +125,97 @@ def test_chat_completion_writes_transcript(server, tmp_path):
     assert lines[0]["request"]["messages"][1]["content"] == "usr"
 
 
+def test_chat_completion_retries_rate_limit(server):
+    server.statuses = [429, 200]
+    server.replies = ["after the wait"]
+    out = chat_completion(server.url, "m", [{"role": "user", "content": "x"}],
+                          retries=3, backoff_s=0.0)
+    assert out == "after the wait"
+    assert len(server.requests) == 2
+
+
+@pytest.mark.parametrize("status", [400, 302])
+def test_chat_completion_fails_at_once_on_client_error(server, status):
+    # a redirect is not followed either: it would resend the bearer token
+    server.statuses = [status, 200]
+    with pytest.raises(GaeTransportError, match=f"HTTP {status}"):
+        chat_completion(server.url, "m", [{"role": "user", "content": "x"}],
+                        token="sekrit", retries=3, backoff_s=0.0)
+    assert len(server.requests) == 1
+
+
+def test_chat_completion_non_json_reply_is_parse_error(server, tmp_path):
+    server.replies = [b"<html><body>gateway says hi</body></html>"]
+    path = tmp_path / "transcript.jsonl"
+    backend = RemoteBackend(url=server.url, model="m", retries=3,
+                            transcript_path=str(path))
+    with pytest.raises(GaeParseError):
+        backend._chat("sys", "usr")
+    assert len(server.requests) == 1
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(lines) == 1 and "error" in lines[0] and "response" not in lines[0]
+
+
+def test_chat_completion_refused_connection_uses_every_attempt(monkeypatch):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    sleeps = []
+    monkeypatch.setattr(remote.time, "sleep", sleeps.append)
+    with pytest.raises(GaeTransportError, match="after 3 attempt"):
+        chat_completion(f"http://127.0.0.1:{port}/v1/chat/completions", "m",
+                        [{"role": "user", "content": "x"}], retries=3, backoff_s=0.5)
+    assert sleeps == [0.5, 1.0]
+
+
+def test_chat_completion_times_out_and_retries(server):
+    server.delay_s = 0.5
+    with pytest.raises(GaeTransportError, match="after 2 attempt"):
+        chat_completion(server.url, "m", [{"role": "user", "content": "x"}],
+                        timeout_s=0.2, retries=2, backoff_s=0.0)
+    assert len(server.requests) == 2
+
+
+@pytest.mark.parametrize("scheme", ["file", "ftp"])
+def test_chat_completion_refuses_non_http_urls(monkeypatch, tmp_path, scheme):
+    reply = tmp_path / "reply.json"
+    reply.write_text(json.dumps({"choices": [{"message": {"content": "leaked"}}]}))
+    url = reply.as_uri() if scheme == "file" else "ftp://127.0.0.1/chat"
+
+    def no_io(*args, **kwargs):
+        raise AssertionError("a non-http URL was opened")
+    monkeypatch.setattr(remote._OPENER, "open", no_io)
+    transcript = tmp_path / "transcript.jsonl"
+    backend = RemoteBackend(url=url, model="m", transcript_path=str(transcript))
+    with pytest.raises(GaeTransportError, match="not an http"):
+        backend._chat("sys", "usr")
+    assert not transcript.exists()
+
+
 def test_remote_backend_requires_endpoint(monkeypatch):
     monkeypatch.delenv("MCPA_REMOTE_URL", raising=False)
-    with pytest.raises(Exception):
+    with pytest.raises(GaeError):
         RemoteBackend()
+
+
+def test_remote_backend_from_settings_carries_every_field(tmp_path):
+    transcript = tmp_path / "transcript.jsonl"
+    settings = build_scenario({"remote": {
+        "url": "http://127.0.0.1:9/v1", "model": "m2", "timeout_s": 5.0, "retries": 2,
+        "max_concurrency": 3, "transcript_path": str(transcript)}}).remote
+    backend = RemoteBackend.from_settings(settings)
+    assert (backend.url, backend.model, backend.timeout_s, backend.retries,
+            backend.max_concurrency) == ("http://127.0.0.1:9/v1", "m2", 5.0, 2, 3)
+    backend.transcript.log({"probe": 1}, "ok")
+    assert transcript.exists()
+
+
+def test_cli_import_needs_no_http_package():
+    probe = ("import sys, mcpa.cli; "
+             "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=cli_env(), check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_remote_exam_generation_parses_json(server):
