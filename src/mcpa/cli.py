@@ -96,7 +96,7 @@ def _report(args, rows, summary) -> int:
     failed = sum(1 for row in rows if row.failure)
     if failed:
         print(f"failed runs: {failed} of {len(rows)}", file=sys.stderr)
-    return 0
+    return 1 if failed and failed == len(rows) else 0
 
 
 def _print_summary(summary) -> None:

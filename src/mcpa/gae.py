@@ -2,11 +2,11 @@
 
 The synthetic backend stands in for the VLM/LLM stack: each memory item
 carries a set of event tags (the caption surrogate) and exams are graded by
-exact tag lookup, so a memory scores 1.0 on any exam generated from its own
-content. A robot's recorded frames are held as columns (:class:`FrameStore`)
-and become :class:`MemoryItem` objects only where one is read. The remote
-backend (see :mod:`mcpa.remote`) delegates questioning and answering to a
-chat-completion service but is graded by the same rules.
+exact tag lookup (:class:`MemoryIndex`), so a memory scores 1.0 on any exam
+generated from its own content. Recorded frames are held as columns
+(:class:`FrameStore`) and become :class:`MemoryItem` objects only where one
+is read. The remote backend (see :mod:`mcpa.remote`) delegates questioning
+and answering to a chat-completion service but is graded by the same rules.
 """
 from __future__ import annotations
 
@@ -116,6 +116,14 @@ class FrameStore(Sequence):
                           pose=tuple(self.poses[i].tolist()),
                           tags=frozenset(tags), robot_id=int(self.robot_ids[i]))
 
+    @classmethod
+    def from_items(cls, items) -> "FrameStore":
+        """A store of ``MemoryItem``s, each (item, tag) pair a one-frame event."""
+        items = list(items)
+        events = [(tag, i, i + 1) for i, item in enumerate(items) for tag in sorted(item.tags)]
+        return cls([item.robot_id for item in items], [item.timestamp_s for item in items],
+                   [item.pose for item in items], np.full(len(items), -1), (), events)
+
     def frames_with(self, tag: str) -> np.ndarray:
         """Ascending indices of the frames that carry ``tag``."""
         hit = np.zeros(len(self), dtype=bool)
@@ -172,56 +180,53 @@ class GaeReport:
         object.__setattr__(self, "pilot_sizes", np.asarray(self.pilot_sizes, dtype=int))
 
 
-def _without_repeats(rows: np.ndarray) -> list:
-    """The rows of a 2-D array as lists, less each row equal to the one
-    before it (consecutive frames mostly are; the index's sets drop the rest)."""
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return rows[keep].tolist()
-
-
 class MemoryIndex:
-    """Tag lookup over a memory: which robots saw a tag, and where."""
+    """The synthetic oracle's grading rule over one :class:`FrameStore`. Each
+    tag's frames are read once, when a question first asks about it."""
 
-    def __init__(self, items=()):
-        self._robots: dict[str, set[int]] = {}
-        self._positions: dict[str, set[tuple[float, float]]] = {}
-        self.extend(items)
+    def __init__(self, frames: FrameStore):
+        self.frames = frames
+        self._hits: dict[str, np.ndarray] = {}
+        self._answers: dict[tuple, bool] = {}
 
-    def extend(self, items) -> None:
-        """Index more frames: ``MemoryItem``s, or a :class:`FrameStore` read
-        from its columns."""
-        if isinstance(items, FrameStore):
-            self._extend_columns(items)
-            return
-        for item in items:
-            for tag in item.tags:
-                self._add(tag, item.robot_id, item.xy)
+    def _frames_with(self, tag: str) -> np.ndarray:
+        hits = self._hits.get(tag)
+        if hits is None:
+            hits = self._hits[tag] = self.frames.frames_with(tag)
+        return hits
 
-    def _extend_columns(self, frames: FrameStore) -> None:
-        tagged = frames.background >= 0
-        rows = np.column_stack((frames.background[tagged], frames.robot_ids[tagged],
-                                frames.poses[tagged, :2]))
-        for background, robot, x, y in _without_repeats(rows):
-            self._add(frames.vocabulary[int(background)], int(robot), (x, y))
-        for tag, start, stop in frames.events:
-            rows = np.column_stack((frames.robot_ids[start:stop], frames.poses[start:stop, :2]))
-            for robot, x, y in _without_repeats(rows):
-                self._add(tag, int(robot), (x, y))
+    def first_answering_frame(self, question: Question) -> int:
+        """Index of the first frame that alone answers ``question``, or
+        ``len(frames)`` when none does.
 
-    def _add(self, tag: str, robot: int, xy: tuple[float, float]) -> None:
-        self._robots.setdefault(tag, set()).add(robot)
-        self._positions.setdefault(tag, set()).add(xy)
+        A positive question is answered by single frames (the tag is on some
+        frame; on some frame within the radius; on some frame of the
+        reporter), so a memory joined with the prefix ``frames[:n]`` answers
+        it exactly when the memory alone does or ``n`` exceeds this index.
+        """
+        if question.template == "presence" and question.answer != "YES":
+            raise ValueError("only questions answered YES grade as a test over single frames")
+        frames = self.frames
+        hits = self._frames_with(question.tag)
+        if question.template == "location":
+            x, y, _ = question.answer
+            xy = frames.poses[hits, :2].tolist()
+            return next((int(i) for i, (px, py) in zip(hits, xy)
+                         if math.hypot(px - x, py - y) <= LOCATION_RADIUS_M), len(frames))
+        if question.template == "reporter":
+            hits = hits[frames.robot_ids[hits] == question.answer]
+        return int(hits[0]) if len(hits) else len(frames)
 
-    def has_tag(self, tag: str) -> bool:
-        return tag in self._robots
-
-    def robots_for(self, tag: str) -> set[int]:
-        return self._robots.get(tag, set())
-
-    def near(self, tag: str, x: float, y: float, radius_m: float = LOCATION_RADIUS_M) -> bool:
-        return any(math.hypot(px - x, py - y) <= radius_m
-                   for px, py in self._positions.get(tag, ()))
+    def answers(self, question: Question) -> bool:
+        """Would a retriever over the memory answer ``question`` correctly?
+        A presence question answered NO is right when no frame has the tag."""
+        key = (question.template, question.tag, question.answer)
+        if key not in self._answers:    # exams repeat questions
+            if question.template == "presence" and question.answer == "NO":
+                self._answers[key] = len(self._frames_with(question.tag)) == 0
+            else:
+                self._answers[key] = self.first_answering_frame(question) < len(self.frames)
+        return self._answers[key]
 
 
 class SyntheticBackend:
@@ -229,9 +234,11 @@ class SyntheticBackend:
 
     name = "synthetic"
 
-    def prepare_memory(self, items):
-        """Build the reusable lookup structure for repeated grading."""
-        return items if isinstance(items, MemoryIndex) else MemoryIndex(items)
+    def prepare_memory(self, memory) -> MemoryIndex:
+        """The index every exam is graded against: a :class:`FrameStore`, or
+        ``MemoryItem``s read through :meth:`FrameStore.from_items`."""
+        return MemoryIndex(memory if isinstance(memory, FrameStore)
+                           else FrameStore.from_items(memory))
 
     def make_questions(self, pilot, num_questions: int, rng: np.random.Generator):
         """Sample (tag, template) questions from the pilot's tag multiset.
@@ -241,18 +248,15 @@ class SyntheticBackend:
         templates cycle round-robin. A tagless pilot produces
         nothing-observed presence questions whose ground truth is NO.
         """
-        if num_questions < 1:
-            raise GaeError("at least one exam question is required")
         occurrences = [(item, tag) for item in pilot for tag in sorted(item.tags)]
+        if not occurrences:
+            return [Question("presence", NOTHING_TAG,
+                             "Is there anything notable on record?", "NO")] * num_questions
+        picks = rng.integers(len(occurrences), size=num_questions).tolist()
         questions = []
-        for i in range(num_questions):
+        for i, pick in enumerate(picks):
             template = TEMPLATES[i % len(TEMPLATES)]
-            if not occurrences:
-                questions.append(Question(
-                    "presence", NOTHING_TAG,
-                    "Is there anything notable on record?", "NO"))
-                continue
-            item, tag = occurrences[rng.integers(len(occurrences))]
+            item, tag = occurrences[pick]
             if template == "presence":
                 answer = "YES"
                 text = f"Is there a {tag}?"
@@ -265,41 +269,8 @@ class SyntheticBackend:
             questions.append(Question(template, tag, text, answer))
         return questions
 
-    def grade(self, question: Question, index: MemoryIndex) -> bool:
-        """Would a retriever over the indexed memory answer correctly?"""
-        if question.template == "presence":
-            present = index.has_tag(question.tag)
-            return ("YES" if present else "NO") == question.answer
-        if question.template == "location":
-            x, y, _ = question.answer
-            return index.near(question.tag, x, y)
-        return question.answer in index.robots_for(question.tag)
-
-    def first_answering_frame(self, question: Question, frames: FrameStore) -> int:
-        """Index of the first frame that alone makes ``grade`` true, or
-        ``len(frames)`` when none does.
-
-        Grading a positive question is a test over single frames (the tag is
-        on some frame; on some frame within the radius; on some frame of the
-        reporter), so a memory joined with the prefix ``frames[:n]`` answers
-        it exactly when the memory alone does or ``n`` exceeds this index.
-        """
-        if question.template == "presence" and question.answer != "YES":
-            raise ValueError("only questions answered YES grade as a test over single frames")
-        hits = frames.frames_with(question.tag)
-        if question.template == "location":
-            x, y, _ = question.answer
-            xy = frames.poses[hits, :2].tolist()
-            return next((int(i) for i, (px, py) in zip(hits, xy)
-                         if math.hypot(px - x, py - y) <= LOCATION_RADIUS_M), len(frames))
-        if question.template == "reporter":
-            hits = hits[frames.robot_ids[hits] == question.answer]
-        return int(hits[0]) if len(hits) else len(frames)
-
-    def test(self, exam: Exam, base_memory) -> float:
-        index = base_memory if isinstance(base_memory, MemoryIndex) else MemoryIndex(base_memory)
-        correct = sum(self.grade(q, index) for q in exam.qa_pairs)
-        return correct / len(exam)
+    def test(self, exam: Exam, index: MemoryIndex) -> float:
+        return sum(index.answers(q) for q in exam.qa_pairs) / len(exam)
 
 
 def sample_pilot(dataset, ratio: float, seed) -> list[MemoryItem]:
@@ -329,7 +300,7 @@ def generate_exam(pilot, num_questions: int, backend, seed, robot_id: int = 0) -
 
 def practice_test(exam: Exam, base_memory, backend) -> float:
     """Fraction of the exam the base memory answers correctly."""
-    return float(backend.test(exam, base_memory))
+    return float(backend.test(exam, backend.prepare_memory(base_memory)))
 
 
 def run_gae(datasets, base_memory, ratio, questions_per_robot: int, backend, seed) -> GaeReport:
@@ -354,7 +325,7 @@ def run_gae(datasets, base_memory, ratio, questions_per_robot: int, backend, see
             pilot_seed, exam_seed = children[k].spawn(2)
             pilot = sample_pilot(datasets[k], float(ratios[k]), pilot_seed)
             exam = generate_exam(pilot, questions_per_robot, backend, exam_seed, robot_id=k)
-            scores[k] = practice_test(exam, prepared, backend)
+            scores[k] = backend.test(exam, prepared)
         except Exception as exc:
             raise GaeError(f"robot {k}: {exc}") from exc
         pilot_sizes[k] = len(pilot)

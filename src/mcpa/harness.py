@@ -21,7 +21,7 @@ from . import baselines
 from .baselines import BaselineSpec
 from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
 from .config import Scenario
-from .gae import GaeError, SyntheticBackend, run_gae
+from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
 from .qom import (PilotPhaseInfeasible, PowerVector, QomParams,
                   frames_uploaded, pilot_overhead, qom_objective, qom_weights)
 from .solver import solve_mcpa
@@ -161,9 +161,8 @@ def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
                      scenario.questions_per_robot, backend,
                      seed=[scenario.seeds["pilot"], seed])
 
-    oracle = SyntheticBackend()
-    first = np.array([[oracle.first_answering_frame(q, frames)
-                       for frames in (world.base_memory, *world.datasets)]
+    indexes = [MemoryIndex(frames) for frames in (world.base_memory, *world.datasets)]
+    first = np.array([[index.first_answering_frame(q) for index in indexes]
                       for q in world.questions])
     return SeedContext(seed=seed, world=world, state=state, gae_scores=report.scores,
                        base_answers=first[:, 0] < len(world.base_memory),

@@ -211,8 +211,9 @@ class RemoteBackend:
                                timeout_s=self.timeout_s, retries=self.retries,
                                backoff_s=self.backoff_s, transcript=self.transcript)
 
-    def prepare_memory(self, items):
-        return list(items)
+    def prepare_memory(self, memory) -> str:
+        """The captions of the whole memory: every answer's context."""
+        return "\n".join(caption(item) for item in memory)
 
     def make_questions(self, pilot, num_questions: int,
                        rng: np.random.Generator) -> list[Question]:
@@ -254,10 +255,8 @@ class RemoteBackend:
             raise GaeParseError("question reply parsed to an empty exam")
         return questions
 
-    def test(self, exam, base_memory) -> float:
+    def test(self, exam, captions: str) -> float:
         """Submit each exam question with the memory captions in context."""
-        captions = "\n".join(caption(item) for item in base_memory)
-
         def ask(question: Question) -> bool:
             try:
                 reply = self._chat(_ANSWER_PROMPT, f"{captions}\n\nQuestion: {question.text}")

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from conftest import CONFIG_DIR, REPO_ROOT, cli_env
+from golden.regenerate import GOLDEN_DIR, without_wall_ms
 from mcpa import cli
 from mcpa.config import load_config
 from mcpa.harness import CSV_COLUMNS
@@ -30,10 +31,12 @@ def test_simulate_writes_pinned_csv(tmp_path):
                   "--seeds", "2", "--methods", "remember,uniform",
                   "--out", str(path))
     assert out.returncode == 0, out.stderr
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == list(CSV_COLUMNS)
-    assert len(rows) == 1 + 2 * 2
+    golden = without_wall_ms((GOLDEN_DIR / "campaign_city_desk.csv").read_text())
+    pinned = [golden[0]] + [row for row in golden[1:]
+                            if row[0] in ("remember", "uniform") and row[1] in ("0", "1")]
+    assert pinned[0] == [c for c in CSV_COLUMNS if c != "wall_ms"]
+    assert len(pinned) == 1 + 2 * 2
+    assert without_wall_ms(path.read_text()) == pinned
 
 
 def test_sweep_row_count(tmp_path):
@@ -78,6 +81,27 @@ def test_failed_runs_are_counted_on_stderr(tmp_path, capsys):
         assert next(csv.reader(fh)) == list(CSV_COLUMNS)
     assert cli.main(["simulate", *args]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_run_where_every_row_failed_exits_nonzero(tmp_path, capsys):
+    # city seed 8 cannot finish its pilot phase at 100 mW
+    config = tmp_path / "seed8.json"
+    config.write_text(json.dumps({**load_config(CONFIG_DIR / "city_desk.json"),
+                                  "seeds": {"run": 8}}))
+    path = tmp_path / "sweep.csv"
+    args = ["--config", str(config), "--seeds", "1", "--methods", "remember,uniform",
+            "--out", str(path)]
+    assert cli.main(["sweep", "--budgets-mw", "100", *args]) == 1
+    assert capsys.readouterr().err == "failed runs: 2 of 2\n"
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == list(CSV_COLUMNS) and len(rows) == 3
+    config.write_text(json.dumps({**load_config(CONFIG_DIR / "city_desk.json"),
+                                  "seeds": {"run": 8}, "budgets": {"power_sum_mw": 100}}))
+    path.unlink()
+    assert cli.main(["simulate", *args]) == 1
+    assert capsys.readouterr().err == "failed runs: 2 of 2\n"
+    assert path.exists()
 
 
 def test_bad_config_yields_machine_readable_error(tmp_path):

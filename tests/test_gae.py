@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_memory
 from mcpa.gae import (NOTHING_TAG, Exam, FrameStore, GaeError, MemoryIndex, MemoryItem,
                       Question, SyntheticBackend, generate_exam, practice_test,
                       run_gae, sample_pilot)
+from reference_index import ReferenceIndex, grade
 
 
 def item(tag_set, robot=0, ts=0.0, xy=(0.0, 0.0)):
@@ -87,36 +90,38 @@ def test_practice_test_half_overlap():
     assert practice_test(exam, [item({"a"})], backend) == 0.5
 
 
+def index_of(items) -> MemoryIndex:
+    return SyntheticBackend().prepare_memory(items)
+
+
 def test_location_grading_uses_fifty_metre_radius():
-    backend = SyntheticBackend()
     q_near = Question("location", "cone", "Where is the cone?", (0.0, 0.0, 0.0))
     memory_near = [item({"cone"}, xy=(30.0, 40.0))]   # 50 m exactly
     memory_far = [item({"cone"}, xy=(30.1, 40.0))]    # just outside
-    assert backend.grade(q_near, MemoryIndex(memory_near))
-    assert not backend.grade(q_near, MemoryIndex(memory_far))
+    assert index_of(memory_near).answers(q_near)
+    assert not index_of(memory_far).answers(q_near)
 
 
 def test_reporter_grading_requires_attribution():
-    backend = SyntheticBackend()
     q = Question("reporter", "bus", "Which robot sees the bus?", 2)
-    assert backend.grade(q, MemoryIndex([item({"bus"}, robot=2)]))
-    assert not backend.grade(q, MemoryIndex([item({"bus"}, robot=1)]))
+    assert index_of([item({"bus"}, robot=2)]).answers(q)
+    assert not index_of([item({"bus"}, robot=1)]).answers(q)
     # any attribution set containing the ground-truth robot counts
-    both = MemoryIndex([item({"bus"}, robot=1), item({"bus"}, robot=2)])
-    assert backend.grade(q, both)
+    both = index_of([item({"bus"}, robot=1), item({"bus"}, robot=2)])
+    assert both.answers(q)
 
 
 def test_first_answering_frame_per_template():
     # "bus" on frame 0 (background tag, robot 1, 70 m east) and on frame 2
     # (event window, robot 0, at the origin)
-    backend = SyntheticBackend()
     poses = np.zeros((3, 6))
     poses[0, 0] = 70.0
     frames = FrameStore(robot_ids=[1, 0, 0], timestamps=[0.0, 1.0, 2.0], poses=poses,
                         background=[0, -1, -1], vocabulary=["bus"], events=[("bus", 2, 3)])
+    index = MemoryIndex(frames)
 
     def first(template, answer, tag="bus"):
-        return backend.first_answering_frame(Question(template, tag, "?", answer), frames)
+        return index.first_answering_frame(Question(template, tag, "?", answer))
     assert first("presence", "YES") == 0
     assert first("presence", "YES", tag="taxi") == 3
     assert first("location", (70.0, 0.0, 0.0)) == 0
@@ -188,3 +193,91 @@ def test_run_gae_attaches_robot_index_to_errors():
     backend = SyntheticBackend()
     with pytest.raises(GaeError, match="robot 1"):
         run_gae([[item({"a"})], []], [], 0.5, 3, backend, 0)
+
+
+def test_from_items_round_trips_items():
+    items = [item({"bus", "landmark-01"}, robot=2, ts=0.5, xy=(3.0, 4.0)), item(set(), ts=1.0),
+             item({"bus"}, robot=1, ts=2.0)]
+    frames = FrameStore.from_items(items)
+    assert list(frames) == items
+    assert frames.frames_with("bus").tolist() == [0, 2]
+    assert len(FrameStore.from_items([])) == 0
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, 2**31, 2**33])
+@pytest.mark.parametrize("m", [1, 999])
+def test_vector_draw_equals_scalar_draws(n, m):
+    # make_questions draws an exam's picks in one call; the exams pinned in
+    # tests/golden were drawn one pick per call, so the streams must agree
+    vector, scalar = np.random.default_rng(42), np.random.default_rng(42)
+    values = vector.integers(n, size=m).tolist()
+    assert values == [int(scalar.integers(n)) for _ in range(m)]
+    assert vector.bit_generator.state == scalar.bit_generator.state
+
+
+# --- MemoryIndex against the set index it replaced ------------------------------
+
+VOCABULARY = ("bus", "landmark-00", "landmark-01")
+EVENT_TAGS = ("taxi", "cone", "landmark-01")     # one named like a vocabulary tag
+COORDS = (0.0, 30.0, 30.1, 40.0, 60.0, 80.0)     # 30/40 apart: exactly 50 m
+
+
+@st.composite
+def frame_stores(draw, min_frames=0):
+    """Random stores: empty ones, sparse or absent background tags, and
+    overlapping, duplicate and empty event windows."""
+    n = draw(st.integers(min_frames, 12))
+    vocabulary = VOCABULARY[:draw(st.integers(0, len(VOCABULARY)))]
+    background = draw(st.lists(st.integers(-1, len(vocabulary) - 1), min_size=n, max_size=n))
+    xy = draw(st.lists(st.tuples(st.sampled_from(COORDS), st.sampled_from(COORDS)),
+                       min_size=n, max_size=n))
+    poses = np.zeros((n, 6))
+    if n:
+        poses[:, :2] = xy
+    window = st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)
+    events = draw(st.lists(st.tuples(st.sampled_from(EVENT_TAGS), window)
+                           .map(lambda e: (e[0], *e[1])), max_size=5))
+    return FrameStore(robot_ids=draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                      timestamps=np.arange(n, dtype=float), poses=poses,
+                      background=background, vocabulary=vocabulary, events=events)
+
+
+def every_question():
+    tags = sorted({*VOCABULARY, *EVENT_TAGS, "unseen"})
+    for tag in tags:
+        yield Question("presence", tag, "?", "YES")
+        yield Question("presence", tag, "?", "NO")
+        for robot in range(4):
+            yield Question("reporter", tag, "?", robot)
+        for x in COORDS:
+            for y in COORDS:
+                yield Question("location", tag, "?", (x, y, 0.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(frame_stores())
+def test_memory_index_answers_as_the_set_index(frames):
+    items = list(frames)
+    reference = ReferenceIndex(items)
+    index, from_items = MemoryIndex(frames), MemoryIndex(FrameStore.from_items(items))
+    singles = [ReferenceIndex([it]) for it in items]
+    for q in every_question():
+        expected = grade(q, reference)
+        assert index.answers(q) == from_items.answers(q) == expected, q
+        if q.answer == "NO":
+            continue
+        # the first frame that alone answers q, as the set index sees it
+        first = next((i for i, one in enumerate(singles) if grade(q, one)), len(items))
+        assert index.first_answering_frame(q) == from_items.first_answering_frame(q) == first
+        assert (first < len(items)) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(frame_stores(min_frames=1), st.floats(0.05, 1.0), st.integers(1, 20),
+       st.integers(0, 2**32))
+def test_self_test_identity_over_frame_stores(frames, ratio, num_questions, seed):
+    backend = SyntheticBackend()
+    pilot = sample_pilot(frames, ratio, seed)
+    exam = generate_exam(pilot, num_questions, backend, seed)
+    assert practice_test(exam, frames, backend) == 1.0
+    assert practice_test(exam, list(frames), backend) == 1.0

@@ -1,6 +1,8 @@
+import copy
 import csv
 import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from mcpa.config import ConfigError, build_scenario, load_config
 from mcpa import harness
 from mcpa.harness import (CSV_COLUMNS, METHODS, aggregate, prepare_seed, run_campaign,
                           run_method, run_once, run_sweep, write_csv)
-from mcpa.gae import MemoryIndex, SyntheticBackend
+from mcpa.gae import MemoryIndex
 from mcpa.qom import PowerVector, pilot_overhead, qom_objective, qom_weights
 from mcpa.world import build_world
+from reference_index import ReferenceIndex, grade
 
 CITY = load_config(CONFIG_DIR / "city_desk.json")
 STAGED = load_config(CONFIG_DIR / "staged_k5.json")
@@ -198,14 +201,13 @@ def test_run_method_on_a_stage_matches_run_once():
 def test_stage_accuracy_joins_uploads_with_base_memory():
     s = small_city()
     stage = prepare_seed(s, 0)
-    oracle = SyntheticBackend()
     datasets = stage.world.datasets
 
     def graded(counts):
-        merged = MemoryIndex(list(stage.world.base_memory))
+        merged = ReferenceIndex(stage.world.base_memory)
         for dataset, count in zip(datasets, counts):
             merged.extend(dataset[:count])
-        return sum(oracle.grade(q, merged) for q in stage.world.questions) \
+        return sum(grade(q, merged) for q in stage.world.questions) \
             / len(stage.world.questions)
     nothing = [0] * len(datasets)
     assert stage.base_accuracy == stage.accuracy_with(nothing) == graded(nothing) < 1.0
@@ -218,16 +220,27 @@ def test_stage_accuracy_joins_uploads_with_base_memory():
         assert stage.accuracy_with(counts) == graded(counts)
 
 
-def test_prepare_seed_builds_one_base_index(monkeypatch):
-    built = []
+def test_prepare_seed_reads_each_tag_once_per_index(monkeypatch):
+    # every index reads a copy of its store whose frames_with counts the
+    # reads: one index for the GAE practice tests, one per store for scoring
+    stores, reads = [], Counter()
     original = MemoryIndex.__init__
 
-    def counted(self, *args, **kwargs):
-        built.append(1)
-        original(self, *args, **kwargs)
+    def counted(self, frames):
+        own = copy.copy(frames)
+        number = len(stores)
+        stores.append(own)
+
+        def frames_with(tag, _read=frames.frames_with):
+            reads[number, tag] += 1
+            return _read(tag)
+        own.frames_with = frames_with
+        original(self, own)
     monkeypatch.setattr(MemoryIndex, "__init__", counted)
-    prepare_seed(small_city(), 0)
-    assert len(built) == 1
+    s = small_city()
+    prepare_seed(s, 0)
+    assert len(stores) == 2 + s.num_robots
+    assert reads and max(reads.values()) == 1
 
 
 # --- campaigns & sweeps ---------------------------------------------------------

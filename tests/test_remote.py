@@ -11,7 +11,8 @@ import pytest
 from conftest import cli_env
 from mcpa import remote
 from mcpa.config import build_scenario
-from mcpa.gae import Exam, GaeError, MemoryItem, Question, generate_exam, practice_test
+from mcpa.gae import (Exam, GaeError, MemoryItem, Question, generate_exam, practice_test,
+                      run_gae)
 from mcpa.remote import (GaeParseError, GaeTransportError, RemoteBackend,
                          chat_completion, grade_text_answer)
 
@@ -287,3 +288,27 @@ def test_remote_concurrent_answers(server):
                          frozenset({f"t{i}" for i in range(6)}), 0)]
     assert practice_test(exam, memory, backend) == 1.0
     assert len(server.requests) == 6
+
+
+def test_run_gae_captions_the_base_memory_once(server, monkeypatch):
+    captioned = []
+
+    def counted(item):
+        captioned.append(item)
+        return remote_caption(item)
+    remote_caption = remote.caption
+    monkeypatch.setattr(remote, "caption", counted)
+    base = [MemoryItem(float(i), (0, 0, 10, 0, 0, 0), frozenset({"bus"}), 0) for i in range(4)]
+    datasets = [[MemoryItem(float(i), (0, 0, 10, 0, 0, 0), frozenset({f"t{k}"}), k)
+                 for i in range(5)] for k in range(3)]
+    question = json.dumps([{"template": "presence", "tag": "bus",
+                            "question": "Is there a bus?", "answer": "YES"}])
+    server.replies = [question, "YES"] * 3
+    backend = RemoteBackend(url=server.url, model="m", retries=1)
+    report = run_gae(datasets, base, 0.4, 1, backend, 0)
+    assert list(report.scores) == [1.0] * 3
+    assert len(captioned) == len(base) + sum(report.pilot_sizes)
+    # every answer request carried the whole base memory's captions
+    context = "\n".join(remote_caption(it) for it in base)
+    answers = [r["body"]["messages"][1]["content"] for r in server.requests[1::2]]
+    assert answers == [f"{context}\n\nQuestion: Is there a bus?"] * 3

@@ -3,17 +3,19 @@
 ``reference_build_world`` is that builder, kept as the reference: it makes
 one ``MemoryItem`` per frame. The property tests check that the columnar
 world materializes exactly the same items, base memory, objects and
-questions, that a ``MemoryIndex`` read from the columns equals one read
-from the items, and that the per-seed answer table grades every upload
-prefix exactly as ``MemoryIndex`` plus ``SyntheticBackend.grade`` do.
+questions, that a ``MemoryIndex`` over the columns answers every probe
+question as the set index of ``reference_index`` does over the items, and
+that the per-seed answer table grades every upload prefix exactly as that
+set index does.
 """
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcpa.config import Scenario, build_scenario
-from mcpa.gae import MemoryIndex, MemoryItem, Question, SyntheticBackend
+from mcpa.gae import MemoryIndex, MemoryItem, Question
 from mcpa.harness import prepare_seed
+from reference_index import ReferenceIndex, grade
 from mcpa.world import (PlacedObject, WorldInstance, _staged_windows, build_world,
                         landmark_tag)
 
@@ -161,9 +163,26 @@ def _worlds(config):
             reference_build_world(scenario, np.random.default_rng(seed)))
 
 
-def _index_content(index: MemoryIndex):
-    return ({tag: index.robots_for(tag) for tag in index._robots},
-            {tag: set(at) for tag, at in index._positions.items()})
+def probe_questions(index: ReferenceIndex) -> list[Question]:
+    """Questions on every tag the reference index holds and one it does
+    not: presence YES and NO, every robot that saw the tag and one that did
+    not, and every position plus points exactly 50 m and 50.1 m away."""
+    robots, positions = index.content()
+    questions = []
+    for tag in [*robots, "unseen"]:
+        questions += [Question("presence", tag, "?", "YES"), Question("presence", tag, "?", "NO")]
+        questions += [Question("reporter", tag, "?", r)
+                      for r in [*robots.get(tag, ()), max(robots.get(tag, (0,))) + 1]]
+        questions += [Question("location", tag, "?", (x + dx, y + dy, 0.0))
+                      for x, y in positions.get(tag, [(0.0, 0.0)])
+                      for dx, dy in ((0.0, 0.0), (30.0, 40.0), (30.1, 40.0))]
+    return questions
+
+
+def assert_same_answers(frames, items):
+    reference, index = ReferenceIndex(items), MemoryIndex(frames)
+    for q in probe_questions(reference):
+        assert index.answers(q) == grade(q, reference), q
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -181,10 +200,9 @@ def test_columnar_world_materializes_the_reference_items(config):
         assert list(frames) == list(items)
         assert [frames[i] for i in range(len(items))] == list(items)
         assert frames[-1] == items[-1] and frames[:3] == items[:3]
-        assert _index_content(MemoryIndex(frames)) == _index_content(MemoryIndex(items))
+        assert_same_answers(frames, items)
     assert list(world.base_memory) == list(ref.base_memory)
-    assert _index_content(MemoryIndex(world.base_memory)) == \
-        _index_content(MemoryIndex(ref.base_memory))
+    assert_same_answers(world.base_memory, ref.base_memory)
     assert world.base_robots == ref.base_robots
     assert world.placed_objects == ref.placed_objects
     assert world.questions == ref.questions
@@ -206,10 +224,9 @@ def test_accuracy_with_matches_index_grading(case):
     config, prefixes = case
     scenario, _, ref = _worlds(config)
     stage = prepare_seed(scenario, 0)
-    oracle = SyntheticBackend()
     for counts in prefixes:
-        merged = MemoryIndex(ref.base_memory)
+        merged = ReferenceIndex(ref.base_memory)
         for items, count in zip(ref.datasets, counts):
             merged.extend(items[:count])
-        expected = sum(oracle.grade(q, merged) for q in ref.questions) / len(ref.questions)
+        expected = sum(grade(q, merged) for q in ref.questions) / len(ref.questions)
         assert stage.accuracy_with(np.array(counts)) == expected
