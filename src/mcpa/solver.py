@@ -1,4 +1,4 @@
-"""Power allocation solvers: MM/SCA loop with a projected-gradient inner
+"""Power allocation solvers: MM/SCA loop with an active-set Newton inner
 maximizer, plus the asymptotic water-filling closed form.
 
 The surrogate around an anchor p* is, per user k,
@@ -10,6 +10,12 @@ with S_k(p) = sum_{l!=k} I_{k,l} p_l / s2 + 1 and S*_k = S_k(p*). The first
 term is concave in p and the rest is affine, so That is concave; by
 ln x <= x - 1 it minorizes Theta_k with equality (in value and gradient) at
 p = p*, which is what makes the outer loop a monotone ascent.
+
+Each surrogate is maximized over {p >= 0, sum p <= P_sum} to roundoff by a
+primal active-set Newton method (Bertsekas, "Projected Newton Methods for
+Optimization Problems with Simple Constraints", SIAM J. Control Optim.
+1982): the K x K surrogate Hessian is cheap, and Newton steps converge in a
+few iterations where gradient steps crawl at high SNR.
 """
 from __future__ import annotations
 
@@ -41,7 +47,16 @@ _LN2 = math.log(2.0)
 
 @dataclass
 class SolverOptions:
-    """Default tolerances for the MM/SCA loop."""
+    """Default tolerances for the MM/SCA loop.
+
+    The outer loop stops once QoM changes by at most
+    ``outer_tol * (1 + |QoM|)``, or after ``max_outer`` surrogates. Each
+    surrogate's active-set Newton maximizer stops when its Newton step is at
+    most ``inner_tol * P_sum`` watts (or its Newton decrement reaches
+    roundoff) and every constraint multiplier is nonnegative; ``max_inner``
+    caps its Newton iterations, and a capped solve makes the result
+    ``inexact``.
+    """
 
     inner_tol: float = 1e-8
     outer_tol: float = 1e-7
@@ -171,43 +186,115 @@ class _InnerResult(NamedTuple):
     converged: bool
 
 
+def _newton_direction(ctx: SurrogateContext, full: np.ndarray, g_free: np.ndarray,
+                      free: np.ndarray, on_budget: bool) -> tuple[np.ndarray, float]:
+    """Newton step d on the free coordinates and the budget multiplier nu.
+
+    Maximizes the surrogate's local model g^T d - d^T M d / 2, with the
+    curvature M = A_F^T diag(lambda / (ln 2 (A p + 1)^2)) A_F, subject to
+    1^T d = 0 when the budget binds, by solving the KKT system
+    M d + nu 1 = g, 1^T d = 0 (nu = 0 off the budget). M is positive
+    semidefinite, and singular when K > N or weights are zero, so it is
+    Jacobi-scaled and shifted by 1e-10 times the identity, a shift grown
+    until a Cholesky factorization succeeds. The shift bends the path, not
+    the fixed point d = 0.
+    """
+    cols = ctx.coupling[:, free]
+    curvature = cols.T.dot(cols * (ctx.scaled_weights / (full * full))[:, None])
+    # a zero diagonal entry has a zero row and a zero gradient: any scale serves it
+    scale = np.sqrt(curvature.diagonal())
+    scale[scale == 0.0] = 1.0
+    scaled = curvature / np.multiply.outer(scale, scale)
+    shift = 1e-10
+    while True:
+        shifted = scaled + shift * np.eye(free.size)
+        try:
+            np.linalg.cholesky(shifted)
+            break
+        except np.linalg.LinAlgError:
+            if shift >= 1.0:   # a unit diagonal: only a non-finite M gets here
+                raise
+            shift *= 100.0
+    if not on_budget:
+        return np.linalg.solve(shifted, g_free / scale) / scale, 0.0
+    border = 1.0 / scale
+    kkt = np.block([[shifted, border[:, None]], [border, 0.0]])
+    solution = np.linalg.solve(kkt, np.append(g_free / scale, 0.0))
+    return solution[:-1] / scale, float(solution[-1])
+
+
 def _inner_ascent(ctx: SurrogateContext, budget: float, tol: float,
                   max_iter: int) -> _InnerResult:
-    """Projected gradient ascent with Armijo backtracking along the
-    projection arc, started at the anchor (so the returned surrogate value
-    never drops below the anchor's). ``converged`` is False only when
-    ``max_iter`` steps ran out before a stopping test fired."""
+    """Primal active-set Newton maximizer of the surrogate over
+    {p >= 0, sum p <= budget}, started at the anchor (so the returned
+    surrogate value never drops below the anchor's).
+
+    The working set holds the bounds held at zero, plus the budget once it
+    binds. Each iteration takes the equality-constrained Newton step on the
+    free coordinates (:func:`_newton_direction`), cuts it at the first
+    blocking constraint (which joins the working set) and backtracks by
+    Armijo. When the step is negligible -- at most ``tol * budget`` watts, or
+    a Newton decrement g^T d at most 1e-15 (1 + |f|) -- the constraint with
+    the most negative multiplier leaves the working set; if every
+    multiplier is nonnegative, p satisfies the surrogate's KKT conditions.
+    ``converged`` is False only when ``max_iter`` iterations ran out first.
+    """
     value = ctx.total_and_full
-    gradient = ctx.gradient_from_full
     p = ctx.anchor.powers.copy()
     f, full = value(p)
-    step = None
+    at_zero = p == 0.0
+    on_budget = np.add.reduce(p) >= budget * (1.0 - 1e-12)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        g = gradient(full)
-        gnorm = math.sqrt(g.dot(g))
-        if gnorm == 0.0:
-            return _InnerResult(p, f, iterations, True)
-        # fixed-step stationarity probe: p is optimal iff it is a fixed
-        # point of p -> proj(p + a g) for every a > 0
-        d = _project_array(p + g, budget) - p
-        if math.sqrt(d.dot(d)) <= tol * (1.0 + abs(f)):
-            return _InnerResult(p, f, iterations, True)
-        if step is None:
-            step = budget / gnorm
-        s = step
+        g = ctx.gradient_from_full(full)
+        free = (~at_zero).nonzero()[0]
+        d, nu, decrement = np.zeros(0), 0.0, 0.0
+        if free.size:
+            d, nu = _newton_direction(ctx, full, g[free], free, on_budget)
+            decrement = float(g[free].dot(d))
+        if (math.sqrt(d.dot(d)) <= tol * budget
+                or decrement <= 1e-15 * (1.0 + abs(f))):
+            # the working-set problem is solved: check the multipliers
+            bound_mult = nu - g[at_zero]
+            worst_bound = float(bound_mult.min()) if bound_mult.size else math.inf
+            worst_budget = nu if on_budget else math.inf
+            if min(worst_bound, worst_budget) >= 0.0:
+                return _InnerResult(p, f, iterations, True)
+            if worst_budget < worst_bound:
+                on_budget = False
+            else:
+                at_zero[at_zero.nonzero()[0][bound_mult.argmin()]] = False
+            continue
+        # ratio test: the step length at which each constraint outside the
+        # working set becomes active
+        p_free = p[free]
+        limits = np.full(free.size, math.inf)
+        shrinking = d < 0.0
+        limits[shrinking] = p_free[shrinking] / -d[shrinking]
+        j = int(limits.argmin())
+        growth = np.add.reduce(d)
+        room = math.inf
+        if not on_budget and growth > 0.0:
+            room = max((budget - np.add.reduce(p)) / growth, 0.0)
+        alpha_max = alpha = min(1.0, limits[j], room)
         for _ in range(60):
-            q = _project_array(p + s * g, budget)
+            q = p.copy()
+            q[free] = np.maximum(p_free + alpha * d, 0.0)
+            if alpha == limits[j]:
+                q[free[j]] = 0.0
             fq, full_q = value(q)
-            predicted = float(g.dot(q - p))
-            if fq >= f + 1e-4 * predicted and predicted > 0.0:
-                p, f, full = q, fq, full_q
-                step = s * 2.0
+            if fq >= f + 1e-4 * alpha * decrement:
                 break
-            s *= 0.5
+            alpha *= 0.5
         else:
-            # line search cannot improve: numerically stationary
+            # no step improves on p: it is stationary up to roundoff
             return _InnerResult(p, f, iterations, True)
+        p, f, full = q, fq, full_q
+        if alpha == alpha_max < 1.0:   # the step reached a blocking constraint
+            if alpha == limits[j]:
+                at_zero[free[j]] = True
+            if alpha == room:
+                on_budget = True
     return _InnerResult(p, f, iterations, False)
 
 
@@ -219,7 +306,7 @@ class SolveTrace:
     per outer iteration, starting at the initial point. The true-objective
     sequence is nondecreasing up to 1e-10 * (1 + |value|).
     ``inner_iterations`` and ``inner_converged`` hold, per outer iteration,
-    the inner ascent's step count and whether it stopped before
+    the inner maximizer's Newton iterations and whether it stopped before
     ``max_inner``.
     """
 
@@ -252,7 +339,7 @@ def solve_mcpa(params: QomParams, state: ChannelState, budget: float,
 
     Stops once the true objective changes by at most
     outer_tol * (1 + |QoM|) between consecutive iterates (``converged``,
-    or ``inexact`` if any inner ascent of the solve stopped at
+    or ``inexact`` if any inner solve of the solve stopped at
     ``max_inner``), after ``max_outer`` iterations (``max_iterations``), or
     if the true objective ever slips below the ascent slack (``stalled``;
     defensive, the minorization property rules it out analytically).
