@@ -6,8 +6,6 @@ always evaluated with full interference, so the metrics stay honest.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .channel import ChannelState
@@ -15,7 +13,6 @@ from .qom import DatasetMeta, PowerVector, QomParams
 
 __all__ = [
     "BASELINE_KINDS",
-    "BaselineSpec",
     "unit_rate_params",
     "allocate_fairness",
     "allocate_greedy",
@@ -25,26 +22,6 @@ __all__ = [
 ]
 
 BASELINE_KINDS = ("max_rate", "max_cov", "fairness", "greedy", "remember", "uniform")
-
-
-@dataclass(frozen=True)
-class BaselineSpec:
-    """Which baseline to run plus its kind-specific options."""
-
-    kind: str
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in BASELINE_KINDS:
-            raise ValueError(f"unknown baseline kind {self.kind!r}")
-        if self.kind == "max_cov":
-            threshold = self.options.get("rate_threshold_bps")
-            if threshold is not None and not np.all(np.asarray(threshold) > 0.0):
-                raise ValueError("max_cov rate_threshold_bps must be positive")
-        if self.kind == "fairness":
-            tol = self.options.get("tol", 1e-4)
-            if not tol > 0.0:
-                raise ValueError("fairness tol must be positive")
 
 
 def unit_rate_params(num_robots: int) -> QomParams:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import copy
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .channel import RadioConstants
@@ -95,12 +95,7 @@ DEFAULT_CONFIG: dict = {
         "pilot": 3,
         "run": 0,
     },
-    "solver": {
-        "inner_tol": 1e-8,
-        "outer_tol": 1e-7,
-        "max_outer": 200,
-        "max_inner": 5000,
-    },
+    "solver": asdict(SolverOptions()),
     "remote": {
         "url": None,
         "model": "qwen3-8b",

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines
-from .baselines import BaselineSpec
 from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
 from .config import Scenario
 from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
@@ -35,7 +34,6 @@ __all__ = [
     "SeedContext",
     "prepare_seed",
     "run_method",
-    "run_once",
     "run_campaign",
     "run_sweep",
     "write_csv",
@@ -84,20 +82,16 @@ class RunMetrics:
                 self.solver_iters, f"{self.wall_ms:.3f}"]
 
 
-def _method_spec(method) -> BaselineSpec | ExternalWeights | str:
-    if isinstance(method, (BaselineSpec, ExternalWeights)):
-        return method
-    if method == "mcpa":
-        return "mcpa"
-    return BaselineSpec(kind=str(method))
-
-
 def _method_name(method) -> str:
-    if isinstance(method, str):
-        return method
-    if isinstance(method, ExternalWeights):
-        return method.name
-    return method.kind
+    return getattr(method, "name", method)
+
+
+def _check_methods(methods) -> None:
+    """Raise, before anything is staged, on a method that is neither a name
+    in :data:`METHODS` nor an :class:`ExternalWeights`."""
+    for method in methods:
+        if not isinstance(method, ExternalWeights) and method not in METHODS:
+            raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
 
 
 def _default_cov_threshold(scenario: Scenario, effective_time_s: float) -> float:
@@ -189,41 +183,37 @@ def _at_budget(stage: SeedContext, scenario: Scenario, power_w: float) -> _RunCo
 
 
 def _allocate(ctx: _RunContext, scenario: Scenario, method) -> tuple[PowerVector, int]:
-    spec = _method_spec(method)
+    """The allocation of a checked method (see :func:`_check_methods`) and its
+    MM outer iterations, 0 for the fixed rules. mcpa, max_rate and external
+    weights are the same MM solve with different weights."""
     state, budget = ctx.stage.state, ctx.power_w
     effective_time_s = ctx.params.effective_time_s
     noise = scenario.radio.noise_power_w
-    if spec == "mcpa":
-        trace = solve_mcpa(ctx.params, state, budget, noise, scenario.solver)
-        return trace.final, trace.outer_iterations
-    if isinstance(spec, ExternalWeights):
-        w = np.asarray(spec.weights, dtype=float)
+    params = None
+    if isinstance(method, ExternalWeights):
+        w = np.asarray(method.weights, dtype=float)
         params = QomParams(weights=w, effective_time_s=effective_time_s,
                            gae_scores=np.where(w > 0.0, 0.0, 1.0))
+    elif method == "mcpa":
+        params = ctx.params
+    elif method == "max_rate":
+        params = baselines.unit_rate_params(state.num_robots)
+    if params is not None:
         trace = solve_mcpa(params, state, budget, noise, scenario.solver)
         return trace.final, trace.outer_iterations
-    kind, options = spec.kind, spec.options
-    if kind == "max_rate":
-        trace = solve_mcpa(baselines.unit_rate_params(state.num_robots), state,
-                           budget, noise, scenario.solver)
-        return trace.final, trace.outer_iterations
-    if kind == "max_cov":
-        threshold = options.get("rate_threshold_bps") or \
-            _default_cov_threshold(scenario, effective_time_s)
+    if method == "max_cov":
         return baselines.allocate_max_cov(
-            state, budget, noise, threshold, scenario.radio.bandwidth_hz), 0
-    if kind == "fairness":
-        return baselines.allocate_fairness(
-            state, budget, noise, tol=options.get("tol", 1e-4)), 0
-    if kind == "greedy":
+            state, budget, noise, _default_cov_threshold(scenario, effective_time_s),
+            scenario.radio.bandwidth_hz), 0
+    if method == "fairness":
+        return baselines.allocate_fairness(state, budget, noise), 0
+    if method == "greedy":
         return baselines.allocate_greedy(
             state, ctx.params.gae_scores, scenario.dataset, budget, noise,
             effective_time_s, scenario.radio.bandwidth_hz), 0
-    if kind == "remember":
+    if method == "remember":
         return baselines.allocate_remember(state.num_robots, budget), 0
-    if kind == "uniform":
-        return baselines.allocate_uniform(state.num_robots, budget), 0
-    raise ValueError(f"unknown method {kind!r}")
+    return baselines.allocate_uniform(state.num_robots, budget), 0
 
 
 def _score_allocation(ctx: _RunContext, scenario: Scenario,
@@ -245,14 +235,11 @@ def _score_allocation(ctx: _RunContext, scenario: Scenario,
 
 
 def run_method(stage: SeedContext, scenario: Scenario, method) -> RunMetrics:
-    """Run one method on a staged seed at the scenario's power budget."""
+    """Run one method, a name in :data:`METHODS` or an :class:`ExternalWeights`,
+    on a staged seed at the scenario's power budget."""
+    _check_methods([method])
     ctx = _at_budget(stage, scenario, scenario.power_budget_w)
     return _run_with_context(ctx, scenario, method)
-
-
-def run_once(scenario: Scenario, method, seed: int, backend=None) -> RunMetrics:
-    """Execute one seeded run of one method and report its metrics."""
-    return run_method(prepare_seed(scenario, seed, backend), scenario, method)
 
 
 def _run_with_context(ctx: _RunContext, scenario: Scenario, method) -> RunMetrics:
@@ -261,7 +248,7 @@ def _run_with_context(ctx: _RunContext, scenario: Scenario, method) -> RunMetric
     accuracy, qom, sum_rate, connected = _score_allocation(ctx, scenario, allocation)
     wall_ms = (time.perf_counter() - started) * 1e3
     return RunMetrics(
-        method=_method_name(_method_spec(method)),
+        method=_method_name(method),
         seed=ctx.stage.seed,
         p_sum_mw=ctx.power_w * 1e3,
         eqa_accuracy=accuracy,
@@ -276,7 +263,7 @@ def _run_with_context(ctx: _RunContext, scenario: Scenario, method) -> RunMetric
 
 def _failed_run(method, seed: int, power_w: float, error: Exception) -> RunMetrics:
     nan = float("nan")
-    return RunMetrics(method=_method_name(_method_spec(method)), seed=seed,
+    return RunMetrics(method=_method_name(method), seed=seed,
                       p_sum_mw=power_w * 1e3, eqa_accuracy=nan,
                       qom=nan, sum_rate_mbps=nan, connected_drones=0,
                       solver_iters=0, wall_ms=0.0,
@@ -293,6 +280,7 @@ def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
     """
     if num_seeds < 1:
         raise ValueError("num_seeds must be >= 1")
+    _check_methods(methods)
     per_budget: list[list[RunMetrics]] = [[] for _ in budgets_w]
     for i in range(num_seeds):
         stage = prepare_seed(scenario, scenario.seeds["run"] + i, backend)

@@ -37,7 +37,6 @@ __all__ = [
     "surrogate_total",
     "surrogate_gradient",
     "qom_gradient",
-    "project_feasible",
     "solve_mcpa",
     "waterfill",
 ]
@@ -147,36 +146,6 @@ def qom_gradient(params: QomParams, state: ChannelState, p, noise_power_w: float
     w_full = params.weights / (_LN2 * full)
     w_cross = params.weights / (_LN2 * cross)
     return coupling.T @ w_full - offdiag.T @ w_cross
-
-
-def project_feasible(p_raw, budget: float) -> PowerVector:
-    """Euclidean projection onto {p >= 0, sum p <= budget}.
-
-    Clips negatives; if the clipped vector fits the budget it is already the
-    projection, otherwise the point is projected onto the simplex
-    {q >= 0, sum q = budget} by the sorted-threshold method.
-    """
-    if budget <= 0.0:
-        raise ValueError("budget must be strictly positive")
-    return PowerVector(_project_array(np.asarray(p_raw, dtype=float), budget), budget)
-
-
-def _project_array(p_raw: np.ndarray, budget: float) -> np.ndarray:
-    """Array kernel of :func:`project_feasible` for a float array and a
-    positive budget; it skips the PowerVector checks."""
-    v = np.maximum(p_raw, 0.0)
-    if np.add.reduce(v) <= budget:
-        return v
-    u = v.copy()
-    u.sort()
-    u = u[::-1]
-    thresholds = (np.add.accumulate(u) - budget) / np.arange(1, v.size + 1)
-    q = np.maximum(v - thresholds[(u > thresholds).nonzero()[0][-1]], 0.0)
-    # guard against the roundoff the feasibility invariant will not tolerate
-    excess = np.add.reduce(q) - budget
-    if excess > 0.0:
-        q = np.maximum(q - excess / np.count_nonzero(q), 0.0)
-    return q
 
 
 class _InnerResult(NamedTuple):
@@ -333,9 +302,9 @@ class SolveTrace:
 
 
 def solve_mcpa(params: QomParams, state: ChannelState, budget: float,
-               noise_power_w: float, opts: SolverOptions | None = None,
-               start: PowerVector | None = None) -> SolveTrace:
-    """MM/SCA loop: re-anchor the surrogate at each iterate and maximize it.
+               noise_power_w: float, opts: SolverOptions | None = None) -> SolveTrace:
+    """MM/SCA loop from the uniform split: re-anchor the surrogate at each
+    iterate and maximize it.
 
     Stops once the true objective changes by at most
     outer_tol * (1 + |QoM|) between consecutive iterates (``converged``,
@@ -347,14 +316,7 @@ def solve_mcpa(params: QomParams, state: ChannelState, budget: float,
     if budget <= 0.0:
         raise ValueError("budget must be strictly positive")
     opts = opts or SolverOptions()
-    k = state.num_robots
-    if start is None:
-        current = PowerVector.uniform(k, budget)
-    else:
-        if start.powers.sum() > budget * (1.0 + 1e-9) or np.any(start.powers < 0.0):
-            raise ValueError("infeasible starting point")
-        current = PowerVector(start.powers.copy(), budget)
-
+    current = PowerVector.uniform(state.num_robots, budget)
     obj = qom_objective(params, state, current, noise_power_w)
     iterates = [(current, obj, obj)]
     inner_counts: list[int] = []

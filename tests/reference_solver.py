@@ -7,10 +7,46 @@ stationarity probe compares watts with 1/W gradient magnitudes, so at high
 SNR it often runs into ``max_iter``. Its value is still a feasible lower
 bound on the surrogate maximum. ``solve_mcpa`` with this function patched in
 for ``mcpa.solver._inner_ascent`` is the reference MM loop.
+
+The Euclidean projection onto the feasible set that it steps through lives
+here too: no solve in ``mcpa`` projects.
 """
 import math
 
-from mcpa.solver import SurrogateContext, _InnerResult, _project_array
+import numpy as np
+
+from mcpa.qom import PowerVector
+from mcpa.solver import SurrogateContext, _InnerResult
+
+
+def project_feasible(p_raw, budget: float) -> PowerVector:
+    """Euclidean projection onto {p >= 0, sum p <= budget}.
+
+    Clips negatives; if the clipped vector fits the budget it is already the
+    projection, otherwise the point is projected onto the simplex
+    {q >= 0, sum q = budget} by the sorted-threshold method.
+    """
+    if budget <= 0.0:
+        raise ValueError("budget must be strictly positive")
+    return PowerVector(_project_array(np.asarray(p_raw, dtype=float), budget), budget)
+
+
+def _project_array(p_raw: np.ndarray, budget: float) -> np.ndarray:
+    """Array kernel of :func:`project_feasible` for a float array and a
+    positive budget; it skips the PowerVector checks."""
+    v = np.maximum(p_raw, 0.0)
+    if np.add.reduce(v) <= budget:
+        return v
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
+    thresholds = (np.add.accumulate(u) - budget) / np.arange(1, v.size + 1)
+    q = np.maximum(v - thresholds[(u > thresholds).nonzero()[0][-1]], 0.0)
+    # guard against the roundoff the feasibility invariant will not tolerate
+    excess = np.add.reduce(q) - budget
+    if excess > 0.0:
+        q = np.maximum(q - excess / np.count_nonzero(q), 0.0)
+    return q
 
 
 def _inner_ascent(ctx: SurrogateContext, budget: float, tol: float,

@@ -11,7 +11,7 @@ from conftest import CONFIG_DIR
 from mcpa.config import ConfigError, build_scenario, load_config
 from mcpa import harness
 from mcpa.harness import (CSV_COLUMNS, METHODS, aggregate, prepare_seed, run_campaign,
-                          run_method, run_once, run_sweep, write_csv)
+                          run_method, run_sweep, write_csv)
 from mcpa.gae import MemoryIndex
 from mcpa.qom import PowerVector, pilot_overhead, qom_objective, qom_weights
 from mcpa.world import build_world
@@ -146,12 +146,12 @@ def test_world_determinism():
     assert w1.datasets[0][:5] == w2.datasets[0][:5]
 
 
-# --- run_once ------------------------------------------------------------------
+# --- one method on one staged seed -----------------------------------------------
 
 def test_run_once_remember_reports_base_accuracy():
     s = small_city()
     stage = prepare_seed(s, 0)
-    m = run_once(s, "remember", 0)
+    m = run_method(stage, s, "remember")
     assert m.eqa_accuracy == pytest.approx(stage.base_accuracy)
     assert m.sum_rate_mbps == 0.0
     assert m.connected_drones == 0
@@ -164,15 +164,15 @@ def test_run_once_all_robots_in_base_memory_gains_nothing():
     s = build_scenario(cfg)
     stage = prepare_seed(s, 1)
     assert np.all(stage.gae_scores == 1.0)
-    m = run_once(s, "mcpa", 1)
+    m = run_method(stage, s, "mcpa")
     assert m.eqa_accuracy == pytest.approx(stage.base_accuracy)
     assert m.qom == 0.0
 
 
 def test_run_once_deterministic():
     s = small_city()
-    a = run_once(s, "mcpa", 3)
-    b = run_once(s, "mcpa", 3)
+    a = run_method(prepare_seed(s, 3), s, "mcpa")
+    b = run_method(prepare_seed(s, 3), s, "mcpa")
     assert a.eqa_accuracy == b.eqa_accuracy
     assert a.qom == b.qom
     assert a.sum_rate_mbps == b.sum_rate_mbps
@@ -181,8 +181,8 @@ def test_run_once_deterministic():
 
 def test_run_once_qom_round_trips_from_allocation():
     s = small_city()
-    m = run_once(s, "mcpa", 5)
     stage = prepare_seed(s, 5)
+    m = run_method(stage, s, "mcpa")
     delta_t = pilot_overhead(stage.state, s.dataset, s.radio, s.power_budget_w)
     params = qom_weights(stage.gae_scores, s.dataset, s.time_budget_s - delta_t,
                          s.radio.bandwidth_hz)
@@ -191,11 +191,12 @@ def test_run_once_qom_round_trips_from_allocation():
     assert m.qom == pytest.approx(recomputed, rel=1e-12)
 
 
-def test_run_method_on_a_stage_matches_run_once():
+def test_methods_sharing_a_stage_match_a_fresh_stage_each():
     s = small_city()
     stage = prepare_seed(s, 4)
     for method in ("mcpa", "greedy", "remember"):
-        assert _fields(run_method(stage, s, method)) == _fields(run_once(s, method, 4))
+        assert _fields(run_method(stage, s, method)) == \
+            _fields(run_method(prepare_seed(s, 4), s, method))
 
 
 def test_stage_accuracy_joins_uploads_with_base_memory():
@@ -248,7 +249,7 @@ def test_prepare_seed_reads_each_tag_once_per_index(monkeypatch):
 def test_campaign_single_seed_reduces_to_run_once():
     s = small_city()
     rows, _ = run_campaign(s, ["uniform"], 1)
-    single = run_once(s, "uniform", s.seeds["run"])
+    single = run_method(prepare_seed(s, s.seeds["run"]), s, "uniform")
     assert len(rows) == 1
     assert rows[0].eqa_accuracy == single.eqa_accuracy
     assert rows[0].qom == single.qom
@@ -284,6 +285,25 @@ def test_campaign_method_order_is_irrelevant():
 def test_campaign_rejects_zero_seeds():
     with pytest.raises(ValueError):
         run_campaign(small_city(), ["uniform"], 0)
+
+
+def test_unknown_methods_are_rejected_before_staging(monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return build_world(*args, **kwargs)
+    monkeypatch.setattr(harness, "build_world", counted)
+    s = small_city()
+    stage = prepare_seed(s, 0)
+    built.clear()
+    for run in (lambda: run_campaign(s, ["mcpa", "nope"], 2),
+                lambda: run_sweep(s, ["uniform", "nope"], [100.0, 200.0], 1),
+                lambda: run_method(stage, s, "nope")):
+        with pytest.raises(ValueError, match="'nope'") as error:
+            run()
+        assert built == []
+        assert all(repr(method) in str(error.value) for method in METHODS)
 
 
 def test_sweep_bookkeeping_and_single_point():
@@ -348,7 +368,7 @@ def test_external_weights_slot_runs_through_solver():
     s = small_city()
     # full weight on robot 0 only: it must swallow the whole budget
     method = ExternalWeights(weights=(1.0,) + (0.0,) * 9, name="semcom")
-    m = run_once(s, method, 2)
+    m = run_method(prepare_seed(s, 2), s, method)
     assert m.method == "semcom"
     powers = np.array(m.power_mw)
     assert powers[0] == pytest.approx(200.0, rel=1e-6)

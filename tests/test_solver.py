@@ -8,11 +8,11 @@ from conftest import (BUDGET_W, NOISE_W, orthogonal_state, random_feasible,
                       random_params, random_state)
 from mcpa.baselines import unit_rate_params
 from mcpa.qom import DatasetMeta, PowerVector, QomParams, qom_objective, qom_weights
-from mcpa.solver import (SolverOptions, SurrogateContext, _inner_ascent,
-                         _project_array, project_feasible, qom_gradient,
+from mcpa.solver import (SolverOptions, SurrogateContext, _inner_ascent, qom_gradient,
                          solve_mcpa, surrogate_gradient, surrogate_total,
                          surrogate_value, waterfill)
 from reference_solver import _inner_ascent as reference_inner_ascent
+from reference_solver import _project_array, project_feasible
 
 
 def make_ctx(rng, num_robots=6, num_antennas=16, anchor=None):
@@ -414,14 +414,10 @@ def test_solve_mcpa_answer_is_pinned(weights, monkeypatch):
     assert trace.objective.hex() == objective
 
 
-def test_solve_mcpa_rejects_infeasible_start():
+def test_solve_mcpa_rejects_nonpositive_budget():
     rng = np.random.default_rng(10)
     state = random_state(rng, num_robots=3, num_antennas=8)
     params = random_params(rng, 3)
-    bad = PowerVector(np.full(3, BUDGET_W / 3), BUDGET_W)
-    object.__setattr__(bad, "powers", np.full(3, BUDGET_W))  # bypass ctor check
-    with pytest.raises(ValueError):
-        solve_mcpa(params, state, BUDGET_W, NOISE_W, start=bad)
     with pytest.raises(ValueError, match="budget"):
         solve_mcpa(params, state, 0.0, NOISE_W)
 
@@ -490,3 +486,44 @@ def test_waterfill_power_order_mirrors_novelty_on_symmetric_channels():
     result, _ = waterfill(params, gains, NOISE_W, BUDGET_W)
     p = result.powers
     assert p[0] >= p[1] >= p[2] >= p[3]
+
+
+# The abstract's asymptotic claim: with equal Z_k on orthogonal channels the
+# weights are proportional to 1 - GAE_k, so the water-filling optimum
+# p_k = share_k (P_sum + sum_j s2/H_j) - s2/H_k, with share_k = (1 - GAE_k) /
+# sum_j (1 - GAE_j), tends to share_k P_sum as s2/H_k -> 0.
+ASYMPTOTIC_GAE = np.array([0.1, 0.3, 0.6, 0.9, 0.0])
+
+
+def asymptotic_case(h):
+    params = qom_weights(ASYMPTOTIC_GAE, DatasetMeta.uniform(5), 550.0, 1e7)
+    gains = h * np.arange(1.0, 6.0)
+    share = (1.0 - ASYMPTOTIC_GAE) / np.sum(1.0 - ASYMPTOTIC_GAE)
+    return params, gains, share, NOISE_W / gains
+
+
+def test_powers_become_proportional_to_gae_error_as_snr_grows():
+    for h in (1e-10, 1e-8, 1e-6, 1e-4):
+        params, gains, share, floors = asymptotic_case(h)
+        trace = solve_mcpa(params, orthogonal_state(gains), BUDGET_W, NOISE_W)
+        assert trace.stop_reason == "converged"
+        # the gap from proportionality is share_k sum_j s2/H_j - s2/H_k, over P_sum
+        predicted = np.max(np.abs(share * floors.sum() - floors)) / BUDGET_W
+        for powers in (waterfill(params, gains, NOISE_W, BUDGET_W).power.powers,
+                       trace.final.powers):
+            gap = np.max(np.abs(powers / BUDGET_W - share))
+            assert gap == pytest.approx(predicted, rel=1e-2)
+            assert gap <= floors.sum() / BUDGET_W
+    assert predicted < 1e-8
+
+
+@pytest.mark.parametrize("h", [1e-10, 1e-9])
+def test_gap_from_proportionality_is_the_waterfilling_floor_term(h):
+    params, gains, share, floors = asymptotic_case(h)
+    exact = share * (BUDGET_W + floors.sum()) - floors
+    assert np.all(exact > 0.0)
+    result, _ = waterfill(params, gains, NOISE_W, BUDGET_W)
+    # the bisection stops once the spent power is within 1e-10 of the budget
+    assert np.max(np.abs(result.powers - exact)) <= 1e-10 * BUDGET_W
+    trace = solve_mcpa(params, orthogonal_state(gains), BUDGET_W, NOISE_W)
+    assert np.max(np.abs(trace.final.powers - exact)) <= SolverOptions().inner_tol * BUDGET_W
