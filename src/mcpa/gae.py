@@ -229,6 +229,16 @@ class MemoryIndex:
         return self._answers[key]
 
 
+def _question(item: MemoryItem, tag: str, template: str) -> Question:
+    """The ``template`` question about ``tag`` as ``item`` recorded it."""
+    if template == "presence":
+        return Question(template, tag, f"Is there a {tag}?", "YES")
+    if template == "location":
+        return Question(template, tag, f"Where is the {tag}?",
+                        (item.pose[0], item.pose[1], item.pose[5]))
+    return Question(template, tag, f"Which robot sees the {tag}?", item.robot_id)
+
+
 class SyntheticBackend:
     """Deterministic questioner/answerer driven purely by tag lookups."""
 
@@ -253,21 +263,9 @@ class SyntheticBackend:
             return [Question("presence", NOTHING_TAG,
                              "Is there anything notable on record?", "NO")] * num_questions
         picks = rng.integers(len(occurrences), size=num_questions).tolist()
-        questions = []
-        for i, pick in enumerate(picks):
-            template = TEMPLATES[i % len(TEMPLATES)]
-            item, tag = occurrences[pick]
-            if template == "presence":
-                answer = "YES"
-                text = f"Is there a {tag}?"
-            elif template == "location":
-                answer = (item.pose[0], item.pose[1], item.pose[5])
-                text = f"Where is the {tag}?"
-            else:
-                answer = item.robot_id
-                text = f"Which robot sees the {tag}?"
-            questions.append(Question(template, tag, text, answer))
-        return questions
+        keys = [(pick, TEMPLATES[i % len(TEMPLATES)]) for i, pick in enumerate(picks)]
+        built = {key: _question(*occurrences[key[0]], key[1]) for key in dict.fromkeys(keys)}
+        return [built[key] for key in keys]    # exams repeat questions: build each once
 
     def test(self, exam: Exam, index: MemoryIndex) -> float:
         return sum(index.answers(q) for q in exam.qa_pairs) / len(exam)

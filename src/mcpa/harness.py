@@ -19,7 +19,7 @@ import numpy as np
 
 from . import baselines
 from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
-from .config import Scenario
+from .config import ConfigError, Scenario
 from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
 from .qom import (PilotPhaseInfeasible, PowerVector, QomParams,
                   frames_uploaded, pilot_overhead, qom_objective, qom_weights)
@@ -87,11 +87,11 @@ def _method_name(method) -> str:
 
 
 def _check_methods(methods) -> None:
-    """Raise, before anything is staged, on a method that is neither a name
-    in :data:`METHODS` nor an :class:`ExternalWeights`."""
+    """Raise :class:`ConfigError`, before anything is staged, on a method
+    that is neither a name in :data:`METHODS` nor an :class:`ExternalWeights`."""
     for method in methods:
         if not isinstance(method, ExternalWeights) and method not in METHODS:
-            raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
+            raise ConfigError(f"methods: unknown method {method!r} (choose from {METHODS})")
 
 
 def _default_cov_threshold(scenario: Scenario, effective_time_s: float) -> float:

@@ -20,6 +20,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -174,11 +175,23 @@ _ANSWER_PROMPT = (
 )
 
 
+@dataclass
+class _AnsweringMemory:
+    """The captions every answer is asked against, and the reply already
+    received for each question text (``None`` for a malformed one)."""
+
+    captions: str
+    replies: dict[str, str | None] = field(default_factory=dict)
+
+
 class RemoteBackend:
     """Questioner/answerer that delegates to a chat-completion service.
 
-    Each request is independent (no shared session); up to
-    ``max_concurrency`` answer requests may be in flight at once.
+    Requests share no session. Within one prepared memory the system prompt
+    and captions are fixed, so a question text fixes the prompt: each
+    distinct text is asked once and its reply graded for every question that
+    repeats it. Up to ``max_concurrency`` answer requests may be in flight
+    at once.
     """
 
     name = "remote"
@@ -211,9 +224,10 @@ class RemoteBackend:
                                timeout_s=self.timeout_s, retries=self.retries,
                                backoff_s=self.backoff_s, transcript=self.transcript)
 
-    def prepare_memory(self, memory) -> str:
-        """The captions of the whole memory: every answer's context."""
-        return "\n".join(caption(item) for item in memory)
+    def prepare_memory(self, memory) -> _AnsweringMemory:
+        """The captions of the whole memory, every answer's context, with an
+        empty reply memo."""
+        return _AnsweringMemory("\n".join(caption(item) for item in memory))
 
     def make_questions(self, pilot, num_questions: int,
                        rng: np.random.Generator) -> list[Question]:
@@ -255,14 +269,18 @@ class RemoteBackend:
             raise GaeParseError("question reply parsed to an empty exam")
         return questions
 
-    def test(self, exam, captions: str) -> float:
-        """Submit each exam question with the memory captions in context."""
-        def ask(question: Question) -> bool:
+    def test(self, exam, memory: _AnsweringMemory) -> float:
+        """Ask every question text the memory has no reply for yet, with its
+        captions in context, then grade each exam question on its text's reply."""
+        def ask(text: str) -> str | None:
             try:
-                reply = self._chat(_ANSWER_PROMPT, f"{captions}\n\nQuestion: {question.text}")
+                return self._chat(_ANSWER_PROMPT, f"{memory.captions}\n\nQuestion: {text}")
             except GaeParseError:
-                return False  # malformed answer counts as incorrect (logged)
-            return grade_text_answer(question, reply)
+                return None  # malformed answer counts as incorrect (logged)
 
+        replies = memory.replies
+        new = list(dict.fromkeys(q.text for q in exam.qa_pairs if q.text not in replies))
         with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
-            return sum(pool.map(ask, exam.qa_pairs)) / len(exam)
+            replies.update(zip(new, pool.map(ask, new)))
+        return sum(replies[q.text] is not None and grade_text_answer(q, replies[q.text])
+                   for q in exam.qa_pairs) / len(exam)

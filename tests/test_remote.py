@@ -7,6 +7,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cli_env
 from mcpa import remote
@@ -303,12 +305,116 @@ def test_run_gae_captions_the_base_memory_once(server, monkeypatch):
                  for i in range(5)] for k in range(3)]
     question = json.dumps([{"template": "presence", "tag": "bus",
                             "question": "Is there a bus?", "answer": "YES"}])
-    server.replies = [question, "YES"] * 3
+    # the robots' exams repeat one text, which is asked once against the base memory
+    server.replies = [question, "YES", question, question]
     backend = RemoteBackend(url=server.url, model="m", retries=1)
     report = run_gae(datasets, base, 0.4, 1, backend, 0)
     assert list(report.scores) == [1.0] * 3
     assert len(captioned) == len(base) + sum(report.pilot_sizes)
-    # every answer request carried the whole base memory's captions
+    systems = [r["body"]["messages"][0]["content"] for r in server.requests]
+    asking, answering = remote._QUESTION_PROMPT.format(n=1), remote._ANSWER_PROMPT
+    assert systems == [asking, answering, asking, asking]
+    # the one answer request carried the whole base memory's captions
     context = "\n".join(remote_caption(it) for it in base)
-    answers = [r["body"]["messages"][1]["content"] for r in server.requests[1::2]]
-    assert answers == [f"{context}\n\nQuestion: Is there a bus?"] * 3
+    assert server.requests[1]["body"]["messages"][1]["content"] == \
+        f"{context}\n\nQuestion: Is there a bus?"
+
+
+MALFORMED = "<malformed>"
+
+
+def text_keyed_chat(monkeypatch, replies: dict):
+    """Replace ``RemoteBackend._chat`` by a pure responder: an answer prompt
+    gets ``replies[text]`` (a parse error for ``MALFORMED``; an exception
+    value is raised), a question prompt gets ``replies[None]``. Returns the
+    list of prompts it received."""
+    prompts = []
+
+    def chat(self, system, user):
+        prompts.append((system, user))
+        if system != remote._ANSWER_PROMPT:
+            return replies[None]
+        reply = replies[user.rpartition("\n\nQuestion: ")[2]]
+        if isinstance(reply, Exception):
+            raise reply
+        if reply == MALFORMED:
+            raise GaeParseError("malformed chat response")
+        return reply
+    monkeypatch.setattr(RemoteBackend, "_chat", chat)
+    return prompts
+
+
+def offline_backend(max_concurrency=1):
+    return RemoteBackend(url="http://127.0.0.1:9/v1", model="m", retries=1,
+                         max_concurrency=max_concurrency)
+
+
+BASE = [MemoryItem(0.0, (10.0, 20.0, 10, 0, 0, 0), frozenset({"bus"}), 2)]
+TEXTS = ("Is there a bus?", "Where is the bus?", "Which robot sees the bus?",
+         "Is there a cat?", "Where is the cat?")
+REPLIES = ("YES", "NO", "30.0, 60.0, 0.0", "robot 2", "robots 1, 3", "unknown", MALFORMED)
+QUESTIONS = st.one_of(
+    st.builds(Question, st.just("presence"), st.just("bus"), st.sampled_from(TEXTS),
+              st.sampled_from(["YES", "NO"])),
+    st.builds(Question, st.just("location"), st.just("bus"), st.sampled_from(TEXTS),
+              st.sampled_from([(10.0, 20.0, 0.0), (200.0, 0.0, 0.0)])),
+    st.builds(Question, st.just("reporter"), st.just("bus"), st.sampled_from(TEXTS),
+              st.integers(0, 3)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(replies=st.fixed_dictionaries({text: st.sampled_from(REPLIES) for text in TEXTS}),
+       exams=st.lists(st.lists(QUESTIONS, min_size=1, max_size=12), min_size=1, max_size=4),
+       max_concurrency=st.sampled_from([1, 3]))
+def test_reply_memo_grades_like_one_request_per_question(replies, exams, max_concurrency):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        prompts = text_keyed_chat(monkeypatch, replies)
+        backend = offline_backend(max_concurrency)
+        prepared = backend.prepare_memory(BASE)
+        for k, questions in enumerate(exams):
+            expected = sum(replies[q.text] != MALFORMED and grade_text_answer(q, replies[q.text])
+                           for q in questions) / len(questions)
+            assert backend.test(Exam(robot_id=k, qa_pairs=tuple(questions)), prepared) == expected
+    asked = [user.rpartition("\n\nQuestion: ")[2] for _, user in prompts]
+    assert sorted(asked) == sorted({q.text for questions in exams for q in questions})
+    assert {system for system, _ in prompts} <= {remote._ANSWER_PROMPT}
+
+
+def test_questions_sharing_a_text_are_graded_apart_from_one_reply(monkeypatch):
+    prompts = text_keyed_chat(monkeypatch, {"Which robot sees the bus?": "robot 2"})
+    exam = Exam(robot_id=0, qa_pairs=(
+        Question("reporter", "bus", "Which robot sees the bus?", 2),
+        Question("reporter", "bus", "Which robot sees the bus?", 3)))
+    assert practice_test(exam, BASE, offline_backend()) == 0.5
+    assert len(prompts) == 1
+    # the memo lives as long as one prepared memory: a new practice test asks again
+    assert practice_test(exam, BASE, offline_backend()) == 0.5
+    assert len(prompts) == 2
+
+
+def test_answer_concurrency_sends_the_same_prompts(monkeypatch):
+    replies = {"Is there a bus?": "YES", "Where is the bus?": "30.0, 60.0, 0.0",
+               "Which robot sees the bus?": MALFORMED, "Is there a cat?": "NO"}
+    cycle = (Question("presence", "bus", "Is there a bus?", "YES"),
+             Question("location", "bus", "Where is the bus?", (10.0, 20.0, 0.0)),
+             Question("reporter", "bus", "Which robot sees the bus?", 2),
+             Question("presence", "cat", "Is there a cat?", "YES"))
+    exam = Exam(robot_id=0, qa_pairs=(cycle * 3)[:10])   # 3 + 3 right of 10
+    sent, scores = [], []
+    for max_concurrency in (1, 3):
+        prompts = text_keyed_chat(monkeypatch, replies)
+        scores.append(practice_test(exam, BASE, offline_backend(max_concurrency)))
+        sent.append(sorted(prompts))
+    assert scores == [0.6, 0.6]
+    assert sent[0] == sent[1] and len(sent[0]) == len(replies)
+
+
+def test_transport_failure_while_answering_fails_run_gae(monkeypatch):
+    question = json.dumps([{"template": "presence", "tag": "t0",
+                            "question": "Is there a t0?", "answer": "YES"}])
+    text_keyed_chat(monkeypatch, {None: question,
+                                  "Is there a t0?": GaeTransportError("HTTP 503")})
+    datasets = [[MemoryItem(0.0, (0, 0, 10, 0, 0, 0), frozenset({"t0"}), 0)]]
+    with pytest.raises(GaeError, match="robot 0: HTTP 503") as error:
+        run_gae(datasets, BASE, 1.0, 1, offline_backend(), 0)
+    assert isinstance(error.value.__cause__, GaeTransportError)
