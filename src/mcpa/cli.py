@@ -12,7 +12,6 @@ from .gae import GaeError, SyntheticBackend
 from .harness import (DEFAULT_SWEEP_MW, METHODS, prepare_seed, run_campaign,
                       run_method, run_sweep, write_csv)
 from .qom import PilotPhaseInfeasible
-from .remote import RemoteBackend
 
 
 def _load_scenario(args):
@@ -24,6 +23,7 @@ def _load_scenario(args):
 
 def _backend_for(scenario):
     if scenario.backend == "remote":
+        from .remote import RemoteBackend  # HTTP client modules load only when used
         return RemoteBackend.from_settings(scenario.remote)
     return SyntheticBackend()
 

@@ -1,17 +1,17 @@
 """Generative adversarial exam: pilot sampling, exam generation, practice test.
 
-The synthetic backend stands in for the VLM/LLM stack: each memory item
+The synthetic backend stands in for the VLM/LLM stack: each recorded frame
 carries a set of event tags (the caption surrogate) and exams are graded by
 exact tag lookup (:class:`MemoryIndex`), so a memory scores 1.0 on any exam
 generated from its own content. Recorded frames are held as columns
-(:class:`FrameStore`) and become :class:`MemoryItem` objects only where one
-is read. The remote backend (see :mod:`mcpa.remote`) delegates questioning
-and answering to a chat-completion service but is graded by the same rules.
+(:class:`FrameStore`) end to end: a pilot is a sub-store of its dataset, and
+questions and captions read the columns. The remote backend (see
+:mod:`mcpa.remote`) delegates questioning and answering to a
+chat-completion service but is graded by the same rules.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "LOCATION_RADIUS_M",
     "NOTHING_TAG",
     "TEMPLATES",
-    "MemoryItem",
     "FrameStore",
     "Question",
     "Exam",
@@ -40,7 +39,7 @@ __all__ = [
 LOCATION_RADIUS_M = 50.0
 
 # Tag used for exams generated from pilots that observed nothing notable.
-# No real memory item ever carries it, so "is it there?" is answered NO by
+# No recorded frame ever carries it, so "is it there?" is answered NO by
 # every memory and a vacuous pilot yields a full score (no novelty).
 NOTHING_TAG = "__nothing_observed__"
 
@@ -51,39 +50,13 @@ class GaeError(RuntimeError):
     """Raised when an exam cannot be generated or graded."""
 
 
-@dataclass(frozen=True)
-class MemoryItem:
-    """One recorded frame: timestamp, 6-DoF pose, observed event tags.
-
-    ``robot_id`` records which robot captured the frame; the aggregated
-    server memory keeps items indexed by robot, and reporter questions are
-    graded against that attribution.
-    """
-
-    timestamp_s: float
-    pose: tuple[float, float, float, float, float, float]
-    tags: frozenset[str]
-    robot_id: int
-
-    def __post_init__(self):
-        if self.timestamp_s < 0.0:
-            raise ValueError("timestamp_s must be nonnegative")
-        if len(self.pose) != 6:
-            raise ValueError("pose must have six components (x, y, z, roll, pitch, yaw)")
-
-    @property
-    def xy(self) -> tuple[float, float]:
-        return (self.pose[0], self.pose[1])
-
-
-class FrameStore(Sequence):
+class FrameStore:
     """Recorded frames of one or more robots, held as columns.
 
     Frame ``i`` was captured by ``robot_ids[i]`` at ``timestamps[i]`` with
     pose ``poses[i]``. Its tags are ``vocabulary[background[i]]`` unless
     ``background[i]`` is -1, plus the tag of every event whose frame window
-    ``[start, stop)`` contains ``i``. Indexing or iterating builds the
-    equivalent :class:`MemoryItem` on demand; slices give a tuple of them.
+    ``[start, stop)`` contains ``i``.
     """
 
     def __init__(self, robot_ids, timestamps, poses, background, vocabulary, events=()):
@@ -100,29 +73,27 @@ class FrameStore(Sequence):
     def __len__(self) -> int:
         return len(self.robot_ids)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self._item(i) for i in range(len(self))[index])
-        return self._item(range(len(self))[index])
+    def take(self, indices) -> "FrameStore":
+        """The frames at the ascending ``indices``, as a store of their own.
+        An event window maps to the contiguous run of kept frames it covers."""
+        indices = np.asarray(indices, dtype=np.intp)
+        events = [(tag, *np.searchsorted(indices, (start, stop)).tolist())
+                  for tag, start, stop in self.events]
+        return FrameStore(self.robot_ids[indices], self.timestamps[indices],
+                          self.poses[indices], self.background[indices],
+                          self.vocabulary, events)
 
-    def __iter__(self):
-        return (self._item(i) for i in range(len(self)))
-
-    def _item(self, i: int) -> MemoryItem:
-        tags = {tag for tag, start, stop in self.events if start <= i < stop}
-        if self.background[i] >= 0:
-            tags.add(self.vocabulary[self.background[i]])
-        return MemoryItem(timestamp_s=float(self.timestamps[i]),
-                          pose=tuple(self.poses[i].tolist()),
-                          tags=frozenset(tags), robot_id=int(self.robot_ids[i]))
-
-    @classmethod
-    def from_items(cls, items) -> "FrameStore":
-        """A store of ``MemoryItem``s, each (item, tag) pair a one-frame event."""
-        items = list(items)
-        events = [(tag, i, i + 1) for i, item in enumerate(items) for tag in sorted(item.tags)]
-        return cls([item.robot_id for item in items], [item.timestamp_s for item in items],
-                   [item.pose for item in items], np.full(len(items), -1), (), events)
+    def tag_sets(self) -> list[frozenset[str]]:
+        """Each frame's set of tags: its background tag and every covering
+        event's. Frames with equal tags share one set, so the list costs
+        memory per distinct set rather than per frame."""
+        background = [frozenset([tag]) for tag in self.vocabulary] + [frozenset()]  # [-1]: none
+        sets = [background[b] for b in self.background.tolist()]
+        distinct: dict[frozenset[str], frozenset[str]] = {}
+        for tag, start, stop in self.events:
+            sets[start:stop] = [distinct.setdefault(joined, joined)
+                                for joined in (tags | {tag} for tags in sets[start:stop])]
+        return sets
 
     def frames_with(self, tag: str) -> np.ndarray:
         """Ascending indices of the frames that carry ``tag``."""
@@ -229,14 +200,14 @@ class MemoryIndex:
         return self._answers[key]
 
 
-def _question(item: MemoryItem, tag: str, template: str) -> Question:
-    """The ``template`` question about ``tag`` as ``item`` recorded it."""
+def _question(pose, robot: int, tag: str, template: str) -> Question:
+    """The ``template`` question about ``tag`` as a frame of ``robot`` at
+    ``pose`` (x, y, z, roll, pitch, yaw) recorded it."""
     if template == "presence":
         return Question(template, tag, f"Is there a {tag}?", "YES")
     if template == "location":
-        return Question(template, tag, f"Where is the {tag}?",
-                        (item.pose[0], item.pose[1], item.pose[5]))
-    return Question(template, tag, f"Which robot sees the {tag}?", item.robot_id)
+        return Question(template, tag, f"Where is the {tag}?", (pose[0], pose[1], pose[5]))
+    return Question(template, tag, f"Which robot sees the {tag}?", robot)
 
 
 class SyntheticBackend:
@@ -244,13 +215,11 @@ class SyntheticBackend:
 
     name = "synthetic"
 
-    def prepare_memory(self, memory) -> MemoryIndex:
-        """The index every exam is graded against: a :class:`FrameStore`, or
-        ``MemoryItem``s read through :meth:`FrameStore.from_items`."""
-        return MemoryIndex(memory if isinstance(memory, FrameStore)
-                           else FrameStore.from_items(memory))
+    def prepare_memory(self, memory: FrameStore) -> MemoryIndex:
+        """The index every exam is graded against."""
+        return MemoryIndex(memory)
 
-    def make_questions(self, pilot, num_questions: int, rng: np.random.Generator):
+    def make_questions(self, pilot: FrameStore, num_questions: int, rng: np.random.Generator):
         """Sample (tag, template) questions from the pilot's tag multiset.
 
         Tags are drawn uniformly (with replacement) from the occurrences in
@@ -258,7 +227,9 @@ class SyntheticBackend:
         templates cycle round-robin. A tagless pilot produces
         nothing-observed presence questions whose ground truth is NO.
         """
-        occurrences = [(item, tag) for item in pilot for tag in sorted(item.tags)]
+        occurrences = [(pose, robot, tag) for pose, robot, tags
+                       in zip(pilot.poses.tolist(), pilot.robot_ids.tolist(), pilot.tag_sets())
+                       for tag in sorted(tags)]
         if not occurrences:
             return [Question("presence", NOTHING_TAG,
                              "Is there anything notable on record?", "NO")] * num_questions
@@ -271,11 +242,11 @@ class SyntheticBackend:
         return sum(index.answers(q) for q in exam.qa_pairs) / len(exam)
 
 
-def sample_pilot(dataset, ratio: float, seed) -> list[MemoryItem]:
-    """Draw round(ratio * |D|) items (>= 1) uniformly without replacement.
+def sample_pilot(dataset: FrameStore, ratio: float, seed) -> FrameStore:
+    """Draw round(ratio * |D|) frames (>= 1) uniformly without replacement.
 
     The selection keeps the dataset's original order, so ratio = 1 returns
-    the dataset unchanged.
+    a copy of the dataset.
     """
     if len(dataset) == 0:
         raise GaeError("cannot sample a pilot from an empty dataset")
@@ -284,7 +255,7 @@ def sample_pilot(dataset, ratio: float, seed) -> list[MemoryItem]:
     count = max(1, round_half_up(ratio * len(dataset)))
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(len(dataset), size=count, replace=False))
-    return [dataset[i] for i in chosen]
+    return dataset.take(chosen)
 
 
 def generate_exam(pilot, num_questions: int, backend, seed, robot_id: int = 0) -> Exam:

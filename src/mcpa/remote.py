@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gae import (LOCATION_RADIUS_M, TEMPLATES, GaeError, MemoryItem, Question)
+from .gae import LOCATION_RADIUS_M, TEMPLATES, FrameStore, GaeError, Question
 
 __all__ = [
     "URL_ENV_VAR",
@@ -33,7 +33,7 @@ __all__ = [
     "GaeParseError",
     "RemoteBackend",
     "chat_completion",
-    "caption",
+    "captions",
     "grade_text_answer",
 ]
 
@@ -106,12 +106,14 @@ class _NoRedirect(urllib.request.HTTPRedirectHandler):
 _OPENER = urllib.request.build_opener(_NoRedirect)
 
 
-def caption(item: MemoryItem) -> str:
-    """Render one memory item the way a captioner would describe the frame."""
-    seen = ", ".join(sorted(item.tags)) if item.tags else "nothing notable"
-    x, y = item.xy
-    return (f"[t={item.timestamp_s:.2f}s robot={item.robot_id} "
-            f"pos=({x:.1f}, {y:.1f})] saw: {seen}")
+def captions(frames: FrameStore) -> str:
+    """Render each frame the way a captioner would describe it, one line each."""
+    return "\n".join(
+        f"[t={t:.2f}s robot={robot} pos=({x:.1f}, {y:.1f})] saw: "
+        + (", ".join(sorted(tags)) if tags else "nothing notable")
+        for t, robot, x, y, tags in zip(frames.timestamps.tolist(), frames.robot_ids.tolist(),
+                                        frames.poses[:, 0].tolist(), frames.poses[:, 1].tolist(),
+                                        frames.tag_sets()))
 
 
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?")
@@ -224,16 +226,15 @@ class RemoteBackend:
                                timeout_s=self.timeout_s, retries=self.retries,
                                backoff_s=self.backoff_s, transcript=self.transcript)
 
-    def prepare_memory(self, memory) -> _AnsweringMemory:
+    def prepare_memory(self, memory: FrameStore) -> _AnsweringMemory:
         """The captions of the whole memory, every answer's context, with an
         empty reply memo."""
-        return _AnsweringMemory("\n".join(caption(item) for item in memory))
+        return _AnsweringMemory(captions(memory))
 
-    def make_questions(self, pilot, num_questions: int,
+    def make_questions(self, pilot: FrameStore, num_questions: int,
                        rng: np.random.Generator) -> list[Question]:
         del rng  # the service owns question sampling
-        captions = "\n".join(caption(item) for item in pilot)
-        reply = self._chat(_QUESTION_PROMPT.format(n=num_questions), captions)
+        reply = self._chat(_QUESTION_PROMPT.format(n=num_questions), captions(pilot))
         return self._parse_questions(reply, num_questions)
 
     @staticmethod

@@ -33,9 +33,6 @@ __all__ = [
     "SolveTrace",
     "SolverOptions",
     "WaterfillResult",
-    "surrogate_value",
-    "surrogate_total",
-    "surrogate_gradient",
     "qom_gradient",
     "solve_mcpa",
     "waterfill",
@@ -113,26 +110,6 @@ class SurrogateContext:
         """Surrogate gradient at the point p whose A p + 1 is ``full``."""
         return (self.coupling.T.dot(self.params.weights / (_LN2 * full))
                 - self.anchor_gradient)
-
-
-def surrogate_value(ctx: SurrogateContext, p, k: int) -> float:
-    """That_k(p|p*) evaluated exactly as defined above."""
-    powers = _powers_of(p)
-    lam = ctx.params.weights[k]
-    full = ctx.coupling[k] @ powers + 1.0
-    cross = ctx.coupling_offdiag[k] @ powers + 1.0
-    s_star = ctx.anchor_denominators[k]
-    return float(lam / _LN2 * (np.log(full) - np.log(s_star) - cross / s_star + 1.0))
-
-
-def surrogate_total(ctx: SurrogateContext, p) -> float:
-    """sum_k That_k(p|p*), vectorized."""
-    return ctx.total_and_full(_powers_of(p))[0]
-
-
-def surrogate_gradient(ctx: SurrogateContext, p) -> np.ndarray:
-    """Analytic gradient of sum_k That_k(p|p*) w.r.t. p."""
-    return ctx.gradient_from_full(ctx.coupling @ _powers_of(p) + 1.0)
 
 
 def qom_gradient(params: QomParams, state: ChannelState, p, noise_power_w: float) -> np.ndarray:

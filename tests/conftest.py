@@ -4,8 +4,8 @@ from pathlib import Path
 
 import numpy as np
 
+from frames import MemoryItem
 from mcpa.channel import ChannelState, RadioConstants, RobotGeometry, draw_channels
-from mcpa.gae import MemoryItem
 from mcpa.qom import DatasetMeta, qom_weights
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -58,7 +58,7 @@ def random_feasible(rng, num_robots=10, budget=BUDGET_W):
 
 
 def random_memory(rng, num_items=40, num_tags=8, num_robots=4, tag_pool=None):
-    """A random tagged memory for GAE round-trip tests."""
+    """A random tagged memory for GAE round-trip tests, as ``MemoryItem``s."""
     if tag_pool is None:
         tag_pool = [f"event-{i}" for i in range(num_tags)]
     items = []

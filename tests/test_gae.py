@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_memory
-from mcpa.gae import (NOTHING_TAG, Exam, FrameStore, GaeError, MemoryIndex, MemoryItem,
-                      Question, SyntheticBackend, generate_exam, practice_test,
-                      run_gae, sample_pilot)
+from frames import MemoryItem, items, reference_caption, store
+from mcpa.gae import (NOTHING_TAG, Exam, FrameStore, GaeError, MemoryIndex, Question,
+                      SyntheticBackend, generate_exam, practice_test, run_gae,
+                      sample_pilot)
+from mcpa.remote import captions
 from reference_index import ReferenceIndex, grade
 
 
@@ -17,27 +19,27 @@ def item(tag_set, robot=0, ts=0.0, xy=(0.0, 0.0)):
 
 def test_sample_pilot_full_ratio_keeps_order():
     data = [item({f"t{i}"}, ts=float(i)) for i in range(7)]
-    pilot = sample_pilot(data, 1.0, 0)
-    assert pilot == data
+    pilot = sample_pilot(store(data), 1.0, 0)
+    assert items(pilot) == data
 
 
 def test_sample_pilot_rounding_and_determinism():
-    data = [item({f"t{i}"}, ts=float(i)) for i in range(1050)]
+    data = store([item({f"t{i}"}, ts=float(i)) for i in range(1050)])
     pilot = sample_pilot(data, 0.01, 123)
     assert len(pilot) == 11  # round(10.5) with halves up
     again = sample_pilot(data, 0.01, 123)
-    assert pilot == again
-    timestamps = [it.timestamp_s for it in pilot]
+    assert items(pilot) == items(again)
+    timestamps = pilot.timestamps.tolist()
     assert timestamps == sorted(timestamps)
 
 
 def test_sample_pilot_rejects_empty_dataset():
     with pytest.raises(GaeError):
-        sample_pilot([], 0.5, 0)
+        sample_pilot(store([]), 0.5, 0)
 
 
 def test_generate_exam_presence_question_format():
-    pilot = [item({"fire truck"})]
+    pilot = store([item({"fire truck"})])
     backend = SyntheticBackend()
     exam = generate_exam(pilot, 3, backend, 0)
     presence = [q for q in exam.qa_pairs if q.template == "presence"]
@@ -47,38 +49,38 @@ def test_generate_exam_presence_question_format():
 
 
 def test_generate_exam_empty_pilot_is_vacuous():
-    pilot = [item(set()), item(set())]
+    pilot = store([item(set()), item(set())])
     exam = generate_exam(pilot, 5, SyntheticBackend(), 7)
     assert len(exam) == 5
     assert all(q.template == "presence" and q.answer == "NO" for q in exam.qa_pairs)
     assert all(q.tag == NOTHING_TAG for q in exam.qa_pairs)
     # vacuous exams are answered correctly by any memory
-    assert practice_test(exam, [item({"bus"})], SyntheticBackend()) == 1.0
+    assert practice_test(exam, store([item({"bus"})]), SyntheticBackend()) == 1.0
 
 
 def test_generate_exam_deterministic_and_validates():
     pilot = [item({"a", "b"}, ts=1.0), item({"c"}, ts=2.0)]
     backend = SyntheticBackend()
-    one = generate_exam(pilot, 9, backend, 99)
-    two = generate_exam(pilot, 9, backend, 99)
+    one = generate_exam(store(pilot), 9, backend, 99)
+    two = generate_exam(store(pilot), 9, backend, 99)
     assert one == two
     # every question asks about content actually present in the pilot
     pilot_tags = {t for it in pilot for t in it.tags}
     assert all(q.tag in pilot_tags for q in one.qa_pairs)
     with pytest.raises(GaeError):
-        generate_exam(pilot, 0, backend, 1)
+        generate_exam(store(pilot), 0, backend, 1)
 
 
 def test_practice_test_self_identity_and_disjoint():
     backend = SyntheticBackend()
-    memory = random_memory(np.random.default_rng(5))
+    memory = store(random_memory(np.random.default_rng(5)))
     pilot = sample_pilot(memory, 0.3, 1)
     exam = generate_exam(pilot, 12, backend, 2)
     assert practice_test(exam, memory, backend) == 1.0
     # presence-YES questions about tags the memory has never seen all fail
     disjoint = Exam(robot_id=0, qa_pairs=tuple(
         Question("presence", t, f"Is there a {t}?", "YES") for t in ("ufo", "yeti")))
-    assert practice_test(disjoint, [item({"zebra"}), item({"qux"})], backend) == 0.0
+    assert practice_test(disjoint, store([item({"zebra"}), item({"qux"})]), backend) == 0.0
 
 
 def test_practice_test_half_overlap():
@@ -87,11 +89,11 @@ def test_practice_test_half_overlap():
         Question("presence", "a", "Is there a a?", "YES"),
         Question("presence", "b", "Is there a b?", "YES"),
     ))
-    assert practice_test(exam, [item({"a"})], backend) == 0.5
+    assert practice_test(exam, store([item({"a"})]), backend) == 0.5
 
 
-def index_of(items) -> MemoryIndex:
-    return SyntheticBackend().prepare_memory(items)
+def index_of(memory) -> MemoryIndex:
+    return SyntheticBackend().prepare_memory(store(memory))
 
 
 def test_location_grading_uses_fifty_metre_radius():
@@ -137,9 +139,9 @@ def test_first_answering_frame_per_template():
 def test_run_gae_duplicate_and_novel_extremes():
     backend = SyntheticBackend()
     rng = np.random.default_rng(8)
-    base = random_memory(rng, num_items=60)
-    duplicate = list(base)
-    novel = [item({"martian"}, ts=float(i)) for i in range(40)]
+    base = store(random_memory(rng, num_items=60))
+    duplicate = base
+    novel = store([item({"martian"}, ts=float(i)) for i in range(40)])
     report = run_gae([duplicate, novel], base, 0.25, 12, backend, 3)
     assert report.scores[0] == 1.0
     assert report.scores[1] == 0.0
@@ -154,12 +156,12 @@ def test_run_gae_monotone_in_novelty_staged():
               for i in range(60)]
     datasets = []
     for robot, extra in enumerate((0, 12, 36)):
-        items = [MemoryItem(it.timestamp_s, it.pose, it.tags, robot) for it in shared]
+        own = [MemoryItem(it.timestamp_s, it.pose, it.tags, robot) for it in shared]
         for j in range(extra):
-            items[j] = MemoryItem(items[j].timestamp_s, items[j].pose,
-                                  items[j].tags | {f"novel-{robot}-{j}"}, robot)
-        datasets.append(items)
-    report = run_gae(datasets, shared, 0.5, 300, backend, 0)
+            own[j] = MemoryItem(own[j].timestamp_s, own[j].pose,
+                                own[j].tags | {f"novel-{robot}-{j}"}, robot)
+        datasets.append(store(own))
+    report = run_gae(datasets, store(shared), 0.5, 300, backend, 0)
     assert report.scores[0] > report.scores[1] > report.scores[2]
 
 
@@ -167,13 +169,13 @@ def test_practice_test_monotone_under_memory_growth():
     backend = SyntheticBackend()
     rng = np.random.default_rng(21)
     for trial in range(100):
-        memory = random_memory(rng, num_items=30)
+        memory = store(random_memory(rng, num_items=30))
         pilot = sample_pilot(memory, 0.4, trial)
         exam = generate_exam(pilot, 9, backend, trial)
         base = random_memory(rng, num_items=10)
-        score = practice_test(exam, base, backend)
+        score = practice_test(exam, store(base), backend)
         grown = base + random_memory(rng, num_items=15)
-        assert practice_test(exam, grown, backend) >= score
+        assert practice_test(exam, store(grown), backend) >= score
 
 
 def test_merging_own_memory_recovers_full_score():
@@ -181,10 +183,10 @@ def test_merging_own_memory_recovers_full_score():
     rng = np.random.default_rng(33)
     base = random_memory(rng, num_items=25, tag_pool=[f"old-{i}" for i in range(6)])
     robot = random_memory(rng, num_items=25, tag_pool=[f"new-{i}" for i in range(6)])
-    pilot = sample_pilot(robot, 0.4, 2)
+    pilot = sample_pilot(store(robot), 0.4, 2)
     exam = generate_exam(pilot, 15, backend, 2)
-    gae_score = practice_test(exam, base, backend)
-    merged = practice_test(exam, base + robot, backend)
+    gae_score = practice_test(exam, store(base), backend)
+    merged = practice_test(exam, store(base + robot), backend)
     assert merged == 1.0
     assert merged - gae_score == pytest.approx(1.0 - gae_score)
 
@@ -192,16 +194,17 @@ def test_merging_own_memory_recovers_full_score():
 def test_run_gae_attaches_robot_index_to_errors():
     backend = SyntheticBackend()
     with pytest.raises(GaeError, match="robot 1"):
-        run_gae([[item({"a"})], []], [], 0.5, 3, backend, 0)
+        run_gae([store([item({"a"})]), store([])], store([]), 0.5, 3, backend, 0)
 
 
 def test_from_items_round_trips_items():
-    items = [item({"bus", "landmark-01"}, robot=2, ts=0.5, xy=(3.0, 4.0)), item(set(), ts=1.0),
-             item({"bus"}, robot=1, ts=2.0)]
-    frames = FrameStore.from_items(items)
-    assert list(frames) == items
+    # the test helpers' item-list conversion and its inverse
+    memory = [item({"bus", "landmark-01"}, robot=2, ts=0.5, xy=(3.0, 4.0)), item(set(), ts=1.0),
+              item({"bus"}, robot=1, ts=2.0)]
+    frames = store(memory)
+    assert items(frames) == memory
     assert frames.frames_with("bus").tolist() == [0, 2]
-    assert len(FrameStore.from_items([])) == 0
+    assert len(store([])) == 0
 
 
 @pytest.mark.parametrize("n", [1, 7, 1000, 2**31, 2**33])
@@ -257,19 +260,19 @@ def every_question():
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(frame_stores())
 def test_memory_index_answers_as_the_set_index(frames):
-    items = list(frames)
-    reference = ReferenceIndex(items)
-    index, from_items = MemoryIndex(frames), MemoryIndex(FrameStore.from_items(items))
-    singles = [ReferenceIndex([it]) for it in items]
+    memory = items(frames)
+    reference = ReferenceIndex(memory)
+    index, from_items = MemoryIndex(frames), MemoryIndex(store(memory))
+    singles = [ReferenceIndex([it]) for it in memory]
     for q in every_question():
         expected = grade(q, reference)
         assert index.answers(q) == from_items.answers(q) == expected, q
         if q.answer == "NO":
             continue
         # the first frame that alone answers q, as the set index sees it
-        first = next((i for i, one in enumerate(singles) if grade(q, one)), len(items))
+        first = next((i for i, one in enumerate(singles) if grade(q, one)), len(memory))
         assert index.first_answering_frame(q) == from_items.first_answering_frame(q) == first
-        assert (first < len(items)) == expected
+        assert (first < len(memory)) == expected
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -280,4 +283,39 @@ def test_self_test_identity_over_frame_stores(frames, ratio, num_questions, seed
     pilot = sample_pilot(frames, ratio, seed)
     exam = generate_exam(pilot, num_questions, backend, seed)
     assert practice_test(exam, frames, backend) == 1.0
-    assert practice_test(exam, list(frames), backend) == 1.0
+    assert practice_test(exam, store(items(frames)), backend) == 1.0
+
+
+def assert_same_store(a: FrameStore, b: FrameStore):
+    for column in ("robot_ids", "timestamps", "poses", "background"):
+        np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
+    assert (a.vocabulary, a.events) == (b.vocabulary, b.events)
+
+
+@st.composite
+def stores_and_indices(draw):
+    """A random store and an ascending set of its frame indices: none, one,
+    all or any of them."""
+    frames = draw(frame_stores())
+    n = len(frames)
+    if n == 0:
+        return frames, []
+    chosen = draw(st.one_of(st.just(set()), st.just(set(range(n))),
+                            st.sets(st.integers(0, n - 1), max_size=1),
+                            st.sets(st.integers(0, n - 1))))
+    return frames, sorted(chosen)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(stores_and_indices(), st.integers(0, 2**32))
+def test_column_ops_match_the_item_reference(case, seed):
+    frames, chosen = case
+    memory = items(frames)
+    assert items(frames.take(chosen)) == [memory[i] for i in chosen]
+    assert frames.tag_sets() == [it.tags for it in memory]
+    assert captions(frames) == "\n".join(reference_caption(it) for it in memory)
+    if memory:
+        assert_same_store(sample_pilot(frames, 1.0, seed), frames)
+    else:
+        with pytest.raises(GaeError):
+            sample_pilot(frames, 1.0, seed)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR
+from frames import items
 from mcpa.config import ConfigError, build_scenario, load_config
 from mcpa import harness
 from mcpa.harness import (CSV_COLUMNS, METHODS, aggregate, prepare_seed, run_campaign,
@@ -126,13 +127,14 @@ def test_staged_world_layout():
         counts[obj.host_robot] += 1
     assert counts == [0, 1, 2, 3, 4]
     assert world.base_robots == (4,)
-    assert all(item.robot_id == 4 for item in world.base_memory)
+    assert all(item.robot_id == 4 for item in items(world.base_memory))
     assert len(world.questions) == 3 * len(world.placed_objects)
     # identical background routes: same landmark tags frame by frame
+    datasets = [items(dataset) for dataset in world.datasets]
     for i in (0, 100, 700):
         landmarks_at_i = set()
         for r in range(5):
-            tags = {t for t in world.datasets[r][i].tags if t.startswith("landmark")}
+            tags = {t for t in datasets[r][i].tags if t.startswith("landmark")}
             landmarks_at_i.add(frozenset(tags))
         assert len(landmarks_at_i) == 1
 
@@ -143,7 +145,7 @@ def test_world_determinism():
     w2 = build_world(s, np.random.default_rng([2, 0]))
     assert w1.placed_objects == w2.placed_objects
     assert w1.base_robots == w2.base_robots
-    assert w1.datasets[0][:5] == w2.datasets[0][:5]
+    assert items(w1.datasets[0])[:5] == items(w2.datasets[0])[:5]
 
 
 # --- one method on one staged seed -----------------------------------------------
@@ -202,10 +204,10 @@ def test_methods_sharing_a_stage_match_a_fresh_stage_each():
 def test_stage_accuracy_joins_uploads_with_base_memory():
     s = small_city()
     stage = prepare_seed(s, 0)
-    datasets = stage.world.datasets
+    datasets = [items(dataset) for dataset in stage.world.datasets]
 
     def graded(counts):
-        merged = ReferenceIndex(stage.world.base_memory)
+        merged = ReferenceIndex(items(stage.world.base_memory))
         for dataset, count in zip(datasets, counts):
             merged.extend(dataset[:count])
         return sum(grade(q, merged) for q in stage.world.questions) \

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cli_env
+from frames import MemoryItem, reference_caption, store
 from mcpa import remote
 from mcpa.config import build_scenario
-from mcpa.gae import (Exam, GaeError, MemoryItem, Question, generate_exam, practice_test,
-                      run_gae)
+from mcpa.gae import Exam, GaeError, Question, generate_exam, practice_test, run_gae
 from mcpa.remote import (GaeParseError, GaeTransportError, RemoteBackend,
                          chat_completion, grade_text_answer)
 
@@ -214,8 +214,9 @@ def test_remote_backend_from_settings_carries_every_field(tmp_path):
 
 
 def test_cli_import_needs_no_http_package():
-    probe = ("import sys, mcpa.cli; "
-             "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))")
+    # the remote backend, and with it the stdlib HTTP client, loads only for --backend remote
+    probe = ("import sys, mcpa.cli; print(sorted(m for m in ('requests', 'urllib3', "
+             "'http.client', 'urllib.request') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=cli_env(), check=True).stdout
     assert out.strip() == "[]"
@@ -231,7 +232,7 @@ def test_remote_exam_generation_parses_json(server):
          "answer": "robot 3"},
     ])]
     backend = RemoteBackend(url=server.url, model="m", retries=1)
-    pilot = [MemoryItem(0.0, (1.0, 2.0, 10.0, 0, 0, 0), frozenset({"bus"}), 3)]
+    pilot = store([MemoryItem(0.0, (1.0, 2.0, 10.0, 0, 0, 0), frozenset({"bus"}), 3)])
     exam = generate_exam(pilot, 3, backend, 0)
     assert [q.template for q in exam.qa_pairs] == ["presence", "location", "reporter"]
     assert exam.qa_pairs[0].answer == "YES"
@@ -244,7 +245,7 @@ def test_remote_exam_generation_parses_json(server):
 def test_remote_exam_generation_rejects_garbage(server):
     server.replies = ["no json here at all"]
     backend = RemoteBackend(url=server.url, model="m", retries=1)
-    pilot = [MemoryItem(0.0, (0, 0, 10, 0, 0, 0), frozenset({"bus"}), 0)]
+    pilot = store([MemoryItem(0.0, (0, 0, 10, 0, 0, 0), frozenset({"bus"}), 0)])
     with pytest.raises(GaeParseError):
         generate_exam(pilot, 2, backend, 0)
 
@@ -263,7 +264,7 @@ def test_remote_practice_test_grades_answers(server):
         "mumble mumble",       # malformed: graded incorrect
     ]
     backend = RemoteBackend(url=server.url, model="m", retries=1)
-    memory = [MemoryItem(0.0, (10.0, 20.0, 10, 0, 0, 0), frozenset({"bus"}), 2)]
+    memory = store([MemoryItem(0.0, (10.0, 20.0, 10, 0, 0, 0), frozenset({"bus"}), 2)])
     assert practice_test(exam, memory, backend) == 0.75
 
 
@@ -286,8 +287,8 @@ def test_remote_concurrent_answers(server):
         Question("presence", f"t{i}", f"Is there a t{i}?", "YES") for i in range(6)))
     server.replies = ["YES"] * 6
     backend = RemoteBackend(url=server.url, model="m", retries=1, max_concurrency=3)
-    memory = [MemoryItem(0.0, (0, 0, 10, 0, 0, 0),
-                         frozenset({f"t{i}" for i in range(6)}), 0)]
+    memory = store([MemoryItem(0.0, (0, 0, 10, 0, 0, 0),
+                               frozenset({f"t{i}" for i in range(6)}), 0)])
     assert practice_test(exam, memory, backend) == 1.0
     assert len(server.requests) == 6
 
@@ -295,14 +296,16 @@ def test_remote_concurrent_answers(server):
 def test_run_gae_captions_the_base_memory_once(server, monkeypatch):
     captioned = []
 
-    def counted(item):
-        captioned.append(item)
-        return remote_caption(item)
-    remote_caption = remote.caption
-    monkeypatch.setattr(remote, "caption", counted)
-    base = [MemoryItem(float(i), (0, 0, 10, 0, 0, 0), frozenset({"bus"}), 0) for i in range(4)]
-    datasets = [[MemoryItem(float(i), (0, 0, 10, 0, 0, 0), frozenset({f"t{k}"}), k)
-                 for i in range(5)] for k in range(3)]
+    def counted(frames):
+        captioned.append(frames)
+        return remote_captions(frames)
+    remote_captions = remote.captions
+    monkeypatch.setattr(remote, "captions", counted)
+    base_items = [MemoryItem(float(i), (0, 0, 10, 0, 0, 0), frozenset({"bus"}), 0)
+                  for i in range(4)]
+    base = store(base_items)
+    datasets = [store([MemoryItem(float(i), (0, 0, 10, 0, 0, 0), frozenset({f"t{k}"}), k)
+                       for i in range(5)]) for k in range(3)]
     question = json.dumps([{"template": "presence", "tag": "bus",
                             "question": "Is there a bus?", "answer": "YES"}])
     # the robots' exams repeat one text, which is asked once against the base memory
@@ -310,12 +313,14 @@ def test_run_gae_captions_the_base_memory_once(server, monkeypatch):
     backend = RemoteBackend(url=server.url, model="m", retries=1)
     report = run_gae(datasets, base, 0.4, 1, backend, 0)
     assert list(report.scores) == [1.0] * 3
-    assert len(captioned) == len(base) + sum(report.pilot_sizes)
+    # one captioning of the base memory, then one per robot's pilot
+    assert len(captioned) == 1 + len(datasets)
+    assert captioned[0] is base
     systems = [r["body"]["messages"][0]["content"] for r in server.requests]
     asking, answering = remote._QUESTION_PROMPT.format(n=1), remote._ANSWER_PROMPT
     assert systems == [asking, answering, asking, asking]
     # the one answer request carried the whole base memory's captions
-    context = "\n".join(remote_caption(it) for it in base)
+    context = "\n".join(reference_caption(it) for it in base_items)
     assert server.requests[1]["body"]["messages"][1]["content"] == \
         f"{context}\n\nQuestion: Is there a bus?"
 
@@ -349,7 +354,7 @@ def offline_backend(max_concurrency=1):
                          max_concurrency=max_concurrency)
 
 
-BASE = [MemoryItem(0.0, (10.0, 20.0, 10, 0, 0, 0), frozenset({"bus"}), 2)]
+BASE = store([MemoryItem(0.0, (10.0, 20.0, 10, 0, 0, 0), frozenset({"bus"}), 2)])
 TEXTS = ("Is there a bus?", "Where is the bus?", "Which robot sees the bus?",
          "Is there a cat?", "Where is the cat?")
 REPLIES = ("YES", "NO", "30.0, 60.0, 0.0", "robot 2", "robots 1, 3", "unknown", MALFORMED)
@@ -414,7 +419,7 @@ def test_transport_failure_while_answering_fails_run_gae(monkeypatch):
                             "question": "Is there a t0?", "answer": "YES"}])
     text_keyed_chat(monkeypatch, {None: question,
                                   "Is there a t0?": GaeTransportError("HTTP 503")})
-    datasets = [[MemoryItem(0.0, (0, 0, 10, 0, 0, 0), frozenset({"t0"}), 0)]]
+    datasets = [store([MemoryItem(0.0, (0, 0, 10, 0, 0, 0), frozenset({"t0"}), 0)])]
     with pytest.raises(GaeError, match="robot 0: HTTP 503") as error:
         run_gae(datasets, BASE, 1.0, 1, offline_backend(), 0)
     assert isinstance(error.value.__cause__, GaeTransportError)

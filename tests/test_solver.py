@@ -9,10 +9,10 @@ from conftest import (BUDGET_W, NOISE_W, orthogonal_state, random_feasible,
 from mcpa.baselines import unit_rate_params
 from mcpa.qom import DatasetMeta, PowerVector, QomParams, qom_objective, qom_weights
 from mcpa.solver import (SolverOptions, SurrogateContext, _inner_ascent, qom_gradient,
-                         solve_mcpa, surrogate_gradient, surrogate_total,
-                         surrogate_value, waterfill)
+                         solve_mcpa, waterfill)
 from reference_solver import _inner_ascent as reference_inner_ascent
-from reference_solver import _project_array, project_feasible
+from reference_solver import (_project_array, project_feasible, surrogate_gradient,
+                              surrogate_total, surrogate_value)
 
 
 def make_ctx(rng, num_robots=6, num_antennas=16, anchor=None):

@@ -1,7 +1,7 @@
 """The columnar world against the per-frame builder it replaced.
 
 ``reference_build_world`` is that builder, kept as the reference: it makes
-one ``MemoryItem`` per frame. The property tests check that the columnar
+one ``frames.MemoryItem`` per frame. The property tests check that the columnar
 world materializes exactly the same items, base memory, objects and
 questions, that a ``MemoryIndex`` over the columns answers every probe
 question as the set index of ``reference_index`` does over the items, and
@@ -12,8 +12,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from frames import MemoryItem, items
 from mcpa.config import Scenario, build_scenario
-from mcpa.gae import MemoryIndex, MemoryItem, Question
+from mcpa.gae import MemoryIndex, Question
 from mcpa.harness import prepare_seed
 from reference_index import ReferenceIndex, grade
 from mcpa.world import (PlacedObject, WorldInstance, _staged_windows, build_world,
@@ -195,13 +196,11 @@ def assert_same_answers(frames, items):
 def test_columnar_world_materializes_the_reference_items(config):
     _, world, ref = _worlds(config)
     assert len(world.datasets) == len(ref.datasets)
-    for frames, items in zip(world.datasets, ref.datasets):
-        assert len(frames) == len(items)
-        assert list(frames) == list(items)
-        assert [frames[i] for i in range(len(items))] == list(items)
-        assert frames[-1] == items[-1] and frames[:3] == items[:3]
-        assert_same_answers(frames, items)
-    assert list(world.base_memory) == list(ref.base_memory)
+    for frames, ref_items in zip(world.datasets, ref.datasets):
+        assert len(frames) == len(ref_items)
+        assert items(frames) == list(ref_items)
+        assert_same_answers(frames, ref_items)
+    assert items(world.base_memory) == list(ref.base_memory)
     assert_same_answers(world.base_memory, ref.base_memory)
     assert world.base_robots == ref.base_robots
     assert world.placed_objects == ref.placed_objects
@@ -226,7 +225,7 @@ def test_accuracy_with_matches_index_grading(case):
     stage = prepare_seed(scenario, 0)
     for counts in prefixes:
         merged = ReferenceIndex(ref.base_memory)
-        for items, count in zip(ref.datasets, counts):
-            merged.extend(items[:count])
+        for ref_items, count in zip(ref.datasets, counts):
+            merged.extend(ref_items[:count])
         expected = sum(grade(q, merged) for q in ref.questions) / len(ref.questions)
         assert stage.accuracy_with(np.array(counts)) == expected
