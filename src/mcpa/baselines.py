@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelState
-from .qom import DatasetMeta, PowerVector, QomParams
+from .qom import DatasetMeta, PowerVector
 
 __all__ = [
     "BASELINE_KINDS",
@@ -24,10 +24,9 @@ __all__ = [
 BASELINE_KINDS = ("max_rate", "max_cov", "fairness", "greedy", "remember", "uniform")
 
 
-def unit_rate_params(num_robots: int) -> QomParams:
+def unit_rate_params(num_robots: int) -> np.ndarray:
     """Sum-log-rate weighting: lambda_k = 1 for every robot."""
-    return QomParams(weights=np.ones(num_robots), effective_time_s=1.0,
-                     gae_scores=np.zeros(num_robots))
+    return np.ones(num_robots)
 
 
 def _fairness_fixed_point(state: ChannelState, target_sinr: float, budget: float,

@@ -29,6 +29,7 @@ __all__ = [
     "GaeError",
     "MemoryIndex",
     "SyntheticBackend",
+    "make_question",
     "sample_pilot",
     "generate_exam",
     "practice_test",
@@ -200,7 +201,7 @@ class MemoryIndex:
         return self._answers[key]
 
 
-def _question(pose, robot: int, tag: str, template: str) -> Question:
+def make_question(pose, robot: int, tag: str, template: str) -> Question:
     """The ``template`` question about ``tag`` as a frame of ``robot`` at
     ``pose`` (x, y, z, roll, pitch, yaw) recorded it."""
     if template == "presence":
@@ -235,7 +236,7 @@ class SyntheticBackend:
                              "Is there anything notable on record?", "NO")] * num_questions
         picks = rng.integers(len(occurrences), size=num_questions).tolist()
         keys = [(pick, TEMPLATES[i % len(TEMPLATES)]) for i, pick in enumerate(picks)]
-        built = {key: _question(*occurrences[key[0]], key[1]) for key in dict.fromkeys(keys)}
+        built = {key: make_question(*occurrences[key[0]], key[1]) for key in dict.fromkeys(keys)}
         return [built[key] for key in keys]    # exams repeat questions: build each once
 
     def test(self, exam: Exam, index: MemoryIndex) -> float:

@@ -21,8 +21,8 @@ from . import baselines
 from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
 from .config import ConfigError, Scenario
 from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
-from .qom import (PilotPhaseInfeasible, PowerVector, QomParams,
-                  frames_uploaded, pilot_overhead, qom_objective, qom_weights)
+from .qom import (PilotPhaseInfeasible, PowerVector, frames_uploaded, pilot_overhead,
+                  qom_objective, qom_weights)
 from .solver import solve_mcpa
 from .world import WorldInstance, build_world
 
@@ -49,7 +49,8 @@ CSV_COLUMNS = ("method", "seed", "p_sum_mw", "eqa_accuracy", "qom",
 @dataclass(frozen=True)
 class ExternalWeights:
     """Externally supplied per-robot value weights (e.g. a semantic-similarity
-    scorer) run through the same MM machinery as the native allocator."""
+    scorer) run through the same MM machinery as the native allocator: one
+    finite, nonnegative weight per robot."""
 
     weights: tuple
     name: str = "external"
@@ -165,11 +166,12 @@ def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
 
 @dataclass(frozen=True)
 class _RunContext:
-    """A staged seed at one power budget; ``params`` carry T minus its dT."""
+    """A staged seed at one power budget: T minus its dT, and the QoM weights."""
 
     stage: SeedContext
     power_w: float
-    params: QomParams
+    effective_time_s: float
+    weights: np.ndarray
 
 
 def _at_budget(stage: SeedContext, scenario: Scenario, power_w: float) -> _RunContext:
@@ -177,9 +179,10 @@ def _at_budget(stage: SeedContext, scenario: Scenario, power_w: float) -> _RunCo
     :class:`PilotPhaseInfeasible` when the pilot phase overruns the time budget."""
     delta_t = pilot_overhead(stage.state, scenario.dataset, scenario.radio, power_w,
                              time_budget_s=scenario.time_budget_s)
-    params = qom_weights(stage.gae_scores, scenario.dataset,
-                         scenario.time_budget_s - delta_t, scenario.radio.bandwidth_hz)
-    return _RunContext(stage=stage, power_w=power_w, params=params)
+    effective_time_s = scenario.time_budget_s - delta_t
+    weights = qom_weights(stage.gae_scores, scenario.dataset, effective_time_s,
+                          scenario.radio.bandwidth_hz)
+    return _RunContext(stage, power_w, effective_time_s, weights)
 
 
 def _allocate(ctx: _RunContext, scenario: Scenario, method) -> tuple[PowerVector, int]:
@@ -187,30 +190,27 @@ def _allocate(ctx: _RunContext, scenario: Scenario, method) -> tuple[PowerVector
     MM outer iterations, 0 for the fixed rules. mcpa, max_rate and external
     weights are the same MM solve with different weights."""
     state, budget = ctx.stage.state, ctx.power_w
-    effective_time_s = ctx.params.effective_time_s
     noise = scenario.radio.noise_power_w
-    params = None
+    weights = None
     if isinstance(method, ExternalWeights):
-        w = np.asarray(method.weights, dtype=float)
-        params = QomParams(weights=w, effective_time_s=effective_time_s,
-                           gae_scores=np.where(w > 0.0, 0.0, 1.0))
+        weights = method.weights
     elif method == "mcpa":
-        params = ctx.params
+        weights = ctx.weights
     elif method == "max_rate":
-        params = baselines.unit_rate_params(state.num_robots)
-    if params is not None:
-        trace = solve_mcpa(params, state, budget, noise, scenario.solver)
+        weights = baselines.unit_rate_params(state.num_robots)
+    if weights is not None:
+        trace = solve_mcpa(weights, state, budget, noise, scenario.solver)
         return trace.final, trace.outer_iterations
     if method == "max_cov":
         return baselines.allocate_max_cov(
-            state, budget, noise, _default_cov_threshold(scenario, effective_time_s),
+            state, budget, noise, _default_cov_threshold(scenario, ctx.effective_time_s),
             scenario.radio.bandwidth_hz), 0
     if method == "fairness":
         return baselines.allocate_fairness(state, budget, noise), 0
     if method == "greedy":
         return baselines.allocate_greedy(
-            state, ctx.params.gae_scores, scenario.dataset, budget, noise,
-            effective_time_s, scenario.radio.bandwidth_hz), 0
+            state, ctx.stage.gae_scores, scenario.dataset, budget, noise,
+            ctx.effective_time_s, scenario.radio.bandwidth_hz), 0
     if method == "remember":
         return baselines.allocate_remember(state.num_robots, budget), 0
     return baselines.allocate_uniform(state.num_robots, budget), 0
@@ -225,10 +225,10 @@ def _score_allocation(ctx: _RunContext, scenario: Scenario,
 
     # math.floor raises on NaN, so a broken allocation becomes a failed row
     frames = np.array([math.floor(f) for f in frames_uploaded(
-        stage.state, allocation, meta, noise, ctx.params.effective_time_s, bandwidth)])
+        stage.state, allocation, meta, noise, ctx.effective_time_s, bandwidth)])
     accuracy = stage.accuracy_with(frames)
 
-    qom = qom_objective(ctx.params, stage.state, allocation, noise)
+    qom = qom_objective(ctx.weights, stage.state, allocation, noise)
     rates = bandwidth * np.log2(1.0 + sinr_vector(stage.state, allocation.powers, noise))
     connected = int(np.sum(frames / meta.num_items > 0.5))
     return accuracy, qom, float(rates.sum() / 1e6), connected

@@ -14,7 +14,6 @@ from .channel import ChannelState, RadioConstants, sinr_vector
 
 __all__ = [
     "DatasetMeta",
-    "QomParams",
     "PowerVector",
     "PilotPhaseInfeasible",
     "frames_uploaded",
@@ -119,33 +118,6 @@ class PowerVector:
         return cls(np.zeros(num_robots), budget)
 
 
-@dataclass(frozen=True)
-class QomParams:
-    """QoM weights lambda_k plus the inputs they were derived from."""
-
-    weights: np.ndarray
-    effective_time_s: float
-    gae_scores: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        g = np.asarray(self.gae_scores, dtype=float)
-        if w.shape != g.shape:
-            raise ValueError("weights and gae_scores must have matching shapes")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if np.any((w == 0.0) != (g == 1.0)):
-            raise ValueError("a weight is zero exactly when its GAE score is 1")
-        if self.effective_time_s <= 0.0:
-            raise ValueError("effective_time_s must be strictly positive")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "gae_scores", g)
-
-    @property
-    def num_robots(self) -> int:
-        return self.weights.size
-
-
 def _powers_of(p) -> np.ndarray:
     return np.asarray(getattr(p, "powers", p), dtype=float)
 
@@ -188,34 +160,33 @@ def pilot_overhead(state: ChannelState, meta: DatasetMeta, constants: RadioConst
 
 
 def qom_weights(gae_scores, meta: DatasetMeta, effective_time_s: float,
-                bandwidth_hz: float) -> QomParams:
+                bandwidth_hz: float) -> np.ndarray:
     """lambda_k = (1 - GAE_k) * T_eff * B / (Z_k * sum_j |D_j|)."""
     scores = np.asarray(gae_scores, dtype=float)
     if np.any(scores < 0.0) or np.any(scores > 1.0):
         raise ValueError("GAE scores must lie in [0, 1]")
-    weights = ((1.0 - scores) * effective_time_s * bandwidth_hz
-               / (meta.item_volume_bits * meta.total_items))
-    return QomParams(weights=weights, effective_time_s=effective_time_s,
-                     gae_scores=scores)
+    if effective_time_s <= 0.0:
+        raise ValueError("effective_time_s must be strictly positive")
+    return ((1.0 - scores) * effective_time_s * bandwidth_hz
+            / (meta.item_volume_bits * meta.total_items))
 
 
-def qom_terms(params: QomParams, state: ChannelState, p, noise_power_w: float) -> np.ndarray:
+def qom_terms(weights, state: ChannelState, p, noise_power_w: float) -> np.ndarray:
     """Per-robot contributions Theta_k(p) = lambda_k log2(1 + SINR_k(p))."""
     powers = _powers_of(p)
-    return params.weights * np.log2(1.0 + sinr_vector(state, powers, noise_power_w))
+    return weights * np.log2(1.0 + sinr_vector(state, powers, noise_power_w))
 
 
-def qom_objective(params: QomParams, state: ChannelState, p, noise_power_w: float) -> float:
+def qom_objective(weights, state: ChannelState, p, noise_power_w: float) -> float:
     """QoM(p) = sum_k Theta_k(p); zero at p = 0 and whenever every weight is zero."""
-    return float(qom_terms(params, state, p, noise_power_w).sum())
+    return float(qom_terms(weights, state, p, noise_power_w).sum())
 
 
-def accuracy_estimate(params: QomParams, frames, meta: DatasetMeta,
-                      base_accuracy: float) -> float:
+def accuracy_estimate(gae_scores, frames, meta: DatasetMeta, base_accuracy: float) -> float:
     """Model-predicted answer accuracy for a given upload outcome.
 
     base + sum_k (1 - GAE_k) F_k / sum_j |D_j|, clamped to [0, 1].
     """
     f = np.asarray(frames, dtype=float)
-    gain = float(np.sum((1.0 - params.gae_scores) * f) / meta.total_items)
+    gain = float(np.sum((1.0 - np.asarray(gae_scores, dtype=float)) * f) / meta.total_items)
     return float(np.clip(base_accuracy + gain, 0.0, 1.0))

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelState
-from .qom import PowerVector, QomParams, _powers_of, qom_objective
+from .qom import PowerVector, _powers_of, qom_objective
 
 __all__ = [
     "SurrogateContext",
@@ -71,7 +71,7 @@ class SurrogateContext:
     """
 
     anchor: PowerVector
-    params: QomParams
+    weights: np.ndarray
     state: ChannelState
     noise_power_w: float
     coupling: np.ndarray = field(init=False, repr=False)
@@ -89,10 +89,9 @@ class SurrogateContext:
         np.fill_diagonal(self.coupling_offdiag, 0.0)
         self.anchor_denominators = self.coupling_offdiag @ self.anchor.powers + 1.0
         self.log_anchor_denominators = np.log(self.anchor_denominators)
-        weights = self.params.weights
-        self.scaled_weights = weights / _LN2
+        self.scaled_weights = self.weights / _LN2
         self.anchor_gradient = self.coupling_offdiag.T @ (
-            weights / (_LN2 * self.anchor_denominators))
+            self.weights / (_LN2 * self.anchor_denominators))
 
     @property
     def num_robots(self) -> int:
@@ -108,11 +107,11 @@ class SurrogateContext:
 
     def gradient_from_full(self, full: np.ndarray) -> np.ndarray:
         """Surrogate gradient at the point p whose A p + 1 is ``full``."""
-        return (self.coupling.T.dot(self.params.weights / (_LN2 * full))
+        return (self.coupling.T.dot(self.weights / (_LN2 * full))
                 - self.anchor_gradient)
 
 
-def qom_gradient(params: QomParams, state: ChannelState, p, noise_power_w: float) -> np.ndarray:
+def qom_gradient(weights, state: ChannelState, p, noise_power_w: float) -> np.ndarray:
     """Analytic gradient of the true objective sum_k Theta_k(p)."""
     powers = _powers_of(p)
     coupling = state.interference / noise_power_w
@@ -120,8 +119,8 @@ def qom_gradient(params: QomParams, state: ChannelState, p, noise_power_w: float
     np.fill_diagonal(offdiag, 0.0)
     full = coupling @ powers + 1.0
     cross = offdiag @ powers + 1.0
-    w_full = params.weights / (_LN2 * full)
-    w_cross = params.weights / (_LN2 * cross)
+    w_full = weights / (_LN2 * full)
+    w_cross = weights / (_LN2 * cross)
     return coupling.T @ w_full - offdiag.T @ w_cross
 
 
@@ -278,7 +277,7 @@ class SolveTrace:
         return len(self.iterates) - 1
 
 
-def solve_mcpa(params: QomParams, state: ChannelState, budget: float,
+def solve_mcpa(weights, state: ChannelState, budget: float,
                noise_power_w: float, opts: SolverOptions | None = None) -> SolveTrace:
     """MM/SCA loop from the uniform split: re-anchor the surrogate at each
     iterate and maximize it.
@@ -289,22 +288,27 @@ def solve_mcpa(params: QomParams, state: ChannelState, budget: float,
     ``max_inner``), after ``max_outer`` iterations (``max_iterations``), or
     if the true objective ever slips below the ascent slack (``stalled``;
     defensive, the minorization property rules it out analytically).
+    ``weights`` must be K finite, nonnegative numbers, one per robot.
     """
     if budget <= 0.0:
         raise ValueError("budget must be strictly positive")
+    k = state.num_robots
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (k,) or not np.all((w >= 0.0) & (w < np.inf)):
+        raise ValueError(f"weights must be K = {k} finite, nonnegative numbers, one per robot")
     opts = opts or SolverOptions()
-    current = PowerVector.uniform(state.num_robots, budget)
-    obj = qom_objective(params, state, current, noise_power_w)
+    current = PowerVector.uniform(k, budget)
+    obj = qom_objective(w, state, current, noise_power_w)
     iterates = [(current, obj, obj)]
     inner_counts: list[int] = []
     inner_flags: list[bool] = []
     reason = "max_iterations"
     for _ in range(opts.max_outer):
-        ctx = SurrogateContext(anchor=current, params=params, state=state,
+        ctx = SurrogateContext(anchor=current, weights=w, state=state,
                                noise_power_w=noise_power_w)
         inner = _inner_ascent(ctx, budget, opts.inner_tol, opts.max_inner)
         candidate = PowerVector(inner.powers, budget)
-        new_obj = qom_objective(params, state, candidate, noise_power_w)
+        new_obj = qom_objective(w, state, candidate, noise_power_w)
         iterates.append((candidate, new_obj, inner.objective))
         inner_counts.append(inner.iterations)
         inner_flags.append(inner.converged)
@@ -328,44 +332,33 @@ class WaterfillResult(NamedTuple):
     level: float | None
 
 
-def waterfill(params: QomParams, gains, noise_power_w: float, budget: float,
-              tol: float = 1e-10) -> WaterfillResult:
-    """Asymptotic (interference-free) optimum p_k = [nu lambda_k - s2/H_k]^+.
+def waterfill(weights, gains, noise_power_w: float, budget: float) -> WaterfillResult:
+    """Asymptotic (interference-free) optimum p_k = [nu lambda_k - s2/H_k]^+,
+    in the exact finite-step form (Palomar & Fonollosa, "Practical
+    algorithms for a family of waterfilling solutions", IEEE Trans. Signal
+    Process. 2005).
 
-    The water level nu solves sum_k max(0, nu lambda_k - s2/H_k) = budget by
-    bisection; the mapping is nondecreasing in nu and strictly increasing
-    once any user is active, so the bracket
-    [0, (budget + sum_k s2/H_k) / min_{lambda_k>0} lambda_k] pins it down.
+    With the usable robots (lambda_k > 0, H_k > 0) sorted by threshold
+    t_k = s2 / (H_k lambda_k), the level that spends the budget on the first
+    m of them is nu_m = (budget + sum_{i<=m} s2/H_i) / sum_{i<=m} lambda_i,
+    and nu is the nu_m of the largest m whose nu_m clears t_m. Levels are
+    taken relative to the lowest threshold, so powers far below the floors
+    s2/H_k keep their precision.
     """
     h = np.asarray(gains, dtype=float)
-    lam = params.weights
+    lam = np.asarray(weights, dtype=float)
     if lam.shape != h.shape:
         raise ValueError("weights and gains must have matching shapes")
-    floors = np.where(h > 0.0, noise_power_w / np.where(h > 0.0, h, 1.0), np.inf)
-    usable = (lam > 0.0) & np.isfinite(floors)
+    usable = (lam > 0.0) & (h > 0.0)
     if not np.any(usable):
         return WaterfillResult(PowerVector.zeros(h.size, budget), None)
-
-    def spent(nu: float) -> np.ndarray:
-        return np.maximum(0.0, nu * lam - floors)
-
-    lo = 0.0
-    hi = (budget + floors[np.isfinite(floors)].sum()) / lam[usable].min()
-    for _ in range(200):
-        if spent(hi).sum() >= budget:
-            break
-        hi *= 2.0
-    nu = hi
-    for _ in range(500):
-        mid = 0.5 * (lo + hi)
-        total = spent(mid).sum()
-        if abs(total - budget) <= tol * budget:
-            nu = mid
-            break
-        if total < budget:
-            lo = mid
-        else:
-            hi = mid
-        nu = mid
-    powers = spent(nu)
-    return WaterfillResult(PowerVector(powers, budget), float(nu))
+    lam = lam[usable]
+    thresholds = noise_power_w / (h[usable] * lam)
+    lowest = thresholds.min()
+    rise = thresholds - lowest
+    order = np.argsort(rise, kind="stable")
+    levels = (budget + np.cumsum((lam * rise)[order])) / np.cumsum(lam[order])
+    level = levels[np.flatnonzero(levels > rise[order])[-1]]
+    powers = np.zeros(h.size)
+    powers[usable] = lam * np.maximum(0.0, level - rise)
+    return WaterfillResult(PowerVector(powers, budget), float(lowest + level))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Scenario
-from .gae import FrameStore, Question
+from .gae import TEMPLATES, FrameStore, Question, make_question
 
 __all__ = ["PlacedObject", "WorldInstance", "build_world", "landmark_tag"]
 
@@ -129,15 +129,10 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
             k, size=scenario.num_base_robots, replace=False)))
     base_memory = frame_store(base_robots)
 
-    # ground-truth exam: presence / location / reporter per placed object
-    questions = []
-    for o in placed:
-        x, y = o.position
-        questions.append(Question("presence", o.name, f"Is there a {o.name}?", "YES"))
-        questions.append(Question("location", o.name, f"Where is the {o.name}?",
-                                  (x, y, 0.0)))
-        questions.append(Question("reporter", o.name, f"Which robot sees the {o.name}?",
-                                  o.host_robot))
+    # ground-truth exam: every template about each placed object, asked as
+    # its host recorded it at the window start
+    questions = [make_question(poses[o.host_robot, o.window_start].tolist(), o.host_robot,
+                               o.name, template) for o in placed for template in TEMPLATES]
 
     return WorldInstance(
         datasets=datasets,

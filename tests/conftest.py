@@ -3,10 +3,16 @@ import os
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 from frames import MemoryItem
 from mcpa.channel import ChannelState, RadioConstants, RobotGeometry, draw_channels
 from mcpa.qom import DatasetMeta, qom_weights
+
+# property tests replay the same examples on every run and keep no example
+# database; each test sets only its own max_examples
+settings.register_profile("mcpa", derandomize=True, database=None, deadline=None)
+settings.load_profile("mcpa")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -41,14 +47,19 @@ def orthogonal_state(gains) -> ChannelState:
     return ChannelState(gains=gains, interference=np.diag(gains))
 
 
-def random_params(rng, num_robots=10, effective_time_s=550.0, zero_fraction=0.0):
-    """GAE-derived weights at reference dataset scales."""
+def random_gae(rng, num_robots=10, zero_fraction=0.0):
+    """GAE scores in [0, 1), of which about ``zero_fraction`` are a perfect 1."""
     gae = rng.uniform(0.0, 1.0, size=num_robots)
     if zero_fraction > 0.0:
         dead = rng.random(num_robots) < zero_fraction
         gae[dead] = 1.0
-    meta = DatasetMeta.uniform(num_robots)
-    return qom_weights(gae, meta, effective_time_s, 1e7)
+    return gae
+
+
+def random_params(rng, num_robots=10, effective_time_s=550.0, zero_fraction=0.0):
+    """GAE-derived weights at reference dataset scales."""
+    return qom_weights(random_gae(rng, num_robots, zero_fraction),
+                       DatasetMeta.uniform(num_robots), effective_time_s, 1e7)
 
 
 def random_feasible(rng, num_robots=10, budget=BUDGET_W):

@@ -12,20 +12,21 @@ The Euclidean projection onto the feasible set that it steps through lives
 here too: no solve in ``mcpa`` projects. So do the surrogate's value and
 gradient evaluated straight from their definitions, which the tests check
 the solver's fused ``SurrogateContext`` evaluations and the minorization
-property against.
+property against, and the bisection on the water level that
+``mcpa.solver.waterfill``'s finite-step form replaced.
 """
 import math
 
 import numpy as np
 
 from mcpa.qom import PowerVector, _powers_of
-from mcpa.solver import _LN2, SurrogateContext, _InnerResult
+from mcpa.solver import _LN2, SurrogateContext, WaterfillResult, _InnerResult
 
 
 def surrogate_value(ctx: SurrogateContext, p, k: int) -> float:
     """That_k(p|p*) evaluated exactly as defined in ``mcpa.solver``."""
     powers = _powers_of(p)
-    lam = ctx.params.weights[k]
+    lam = ctx.weights[k]
     full = ctx.coupling[k] @ powers + 1.0
     cross = ctx.coupling_offdiag[k] @ powers + 1.0
     s_star = ctx.anchor_denominators[k]
@@ -110,3 +111,46 @@ def _inner_ascent(ctx: SurrogateContext, budget: float, tol: float,
             # line search cannot improve: numerically stationary
             return _InnerResult(p, f, iterations, True)
     return _InnerResult(p, f, iterations, False)
+
+
+def bisection_waterfill(weights, gains, noise_power_w: float, budget: float,
+                        tol: float = 1e-10) -> WaterfillResult:
+    """Asymptotic (interference-free) optimum p_k = [nu lambda_k - s2/H_k]^+.
+
+    The water level nu solves sum_k max(0, nu lambda_k - s2/H_k) = budget by
+    bisection; the mapping is nondecreasing in nu and strictly increasing
+    once any user is active, so the bracket
+    [0, (budget + sum_k s2/H_k) / min_{lambda_k>0} lambda_k] pins it down.
+    """
+    h = np.asarray(gains, dtype=float)
+    lam = np.asarray(weights, dtype=float)
+    if lam.shape != h.shape:
+        raise ValueError("weights and gains must have matching shapes")
+    floors = np.where(h > 0.0, noise_power_w / np.where(h > 0.0, h, 1.0), np.inf)
+    usable = (lam > 0.0) & np.isfinite(floors)
+    if not np.any(usable):
+        return WaterfillResult(PowerVector.zeros(h.size, budget), None)
+
+    def spent(nu: float) -> np.ndarray:
+        return np.maximum(0.0, nu * lam - floors)
+
+    lo = 0.0
+    hi = (budget + floors[np.isfinite(floors)].sum()) / lam[usable].min()
+    for _ in range(200):
+        if spent(hi).sum() >= budget:
+            break
+        hi *= 2.0
+    nu = hi
+    for _ in range(500):
+        mid = 0.5 * (lo + hi)
+        total = spent(mid).sum()
+        if abs(total - budget) <= tol * budget:
+            nu = mid
+            break
+        if total < budget:
+            lo = mid
+        else:
+            hi = mid
+        nu = mid
+    powers = spent(nu)
+    return WaterfillResult(PowerVector(powers, budget), float(nu))

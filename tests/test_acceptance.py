@@ -19,7 +19,7 @@ from frames import store
 from mcpa.config import build_scenario, load_config
 from mcpa.gae import SyntheticBackend, generate_exam, practice_test, sample_pilot, run_gae
 from mcpa.harness import METHODS, run_campaign, run_sweep
-from mcpa.qom import PowerVector, QomParams, qom_objective
+from mcpa.qom import PowerVector, qom_objective
 from mcpa.solver import SurrogateContext, solve_mcpa, waterfill
 from mcpa.world import build_world
 from reference_solver import surrogate_gradient, surrogate_total, surrogate_value
@@ -46,13 +46,13 @@ def instance_grid(count=200):
         state = random_state(rng, num_robots=k, num_antennas=n)
         params = random_params(rng, num_robots=k)
         anchor = PowerVector(random_feasible(rng, k), BUDGET_W)
-        instances.append((SurrogateContext(anchor=anchor, params=params,
+        instances.append((SurrogateContext(anchor=anchor, weights=params,
                                            state=state, noise_power_w=NOISE_W), rng))
     return instances
 
 
 def true_objective(ctx, p):
-    return qom_objective(ctx.params, ctx.state, p, NOISE_W)
+    return qom_objective(ctx.weights, ctx.state, p, NOISE_W)
 
 
 def test_criterion_01_local_equivalence():
@@ -88,7 +88,7 @@ def test_criterion_02_minorization_and_concavity():
             q = random_feasible(rng, k)
             for idx in range(k):
                 interf = ctx.coupling_offdiag[idx] @ p * NOISE_W
-                theta = ctx.params.weights[idx] * np.log2(
+                theta = ctx.weights[idx] * np.log2(
                     1.0 + ctx.state.gains[idx] * p[idx] / (interf + NOISE_W))
                 worst_bound = max(worst_bound, surrogate_value(ctx, p, idx) - theta)
             gap = 0.5 * (surrogate_total(ctx, p) + surrogate_total(ctx, q)) \
@@ -133,10 +133,8 @@ def test_criterion_04_waterfill_consistency():
     for _ in range(20):
         lam = rng.uniform(0.1, 1.0, 10)
         lam[rng.integers(10)] = 0.0
-        params = QomParams(weights=lam, effective_time_s=1.0,
-                           gae_scores=(lam == 0.0).astype(float))
         gains = rng.uniform(1e-13, 1e-11, 10)
-        result, nu = waterfill(params, gains, NOISE_W, BUDGET_W)
+        result, nu = waterfill(lam, gains, NOISE_W, BUDGET_W)
         p, floors = result.powers, NOISE_W / gains
         tight_ok &= abs(p.sum() - BUDGET_W) <= 1e-9 * BUDGET_W
         active = p > 0
@@ -144,11 +142,10 @@ def test_criterion_04_waterfill_consistency():
                               <= 1e-9 * BUDGET_W))
         kkt_ok &= bool(np.all(nu * lam[~active] <= floors[~active] + 1e-9 * BUDGET_W))
 
-    # dense grid oracle over the bisection bracket
+    # dense grid oracle over [0, (P_sum + sum floors) / min lambda]
     lam = rng.uniform(0.8, 1.0, 10)
-    params = QomParams(weights=lam, effective_time_s=1.0, gae_scores=1.0 - lam)
     gains = rng.uniform(1e-6, 1e-5, 10)
-    result, _ = waterfill(params, gains, NOISE_W, BUDGET_W)
+    result, _ = waterfill(lam, gains, NOISE_W, BUDGET_W)
     floors = NOISE_W / gains
     hi = (BUDGET_W + floors.sum()) / lam.min()
     grid = np.linspace(0.0, hi, 1_000_000)

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BUDGET_W, NOISE_W, orthogonal_state, random_params, random_state
+from conftest import (BUDGET_W, NOISE_W, orthogonal_state, random_gae, random_params,
+                      random_state)
 from mcpa.baselines import (allocate_fairness, allocate_greedy, allocate_max_cov,
                             allocate_remember, allocate_uniform, unit_rate_params)
 from mcpa.channel import sinr_vector
-from mcpa.qom import DatasetMeta, qom_objective
+from mcpa.qom import DatasetMeta, qom_objective, qom_weights
 from mcpa.solver import solve_mcpa, waterfill
 
 
@@ -153,7 +154,8 @@ def test_remember_is_all_zero():
 def allocator_cases(draw):
     """A channel over K 1-12 robots and N 1-256 antennas at high-SNR
     (50-250 m) or low-SNR (800-4000 m) geometry, with GAE-derived weights
-    of which none, some or all robots score a perfect GAE of 1."""
+    of which none, some or all robots score a perfect GAE of 1. Returns the
+    channel, the GAE scores and the weights."""
     k = draw(st.integers(1, 12))
     n = draw(st.integers(1, 256))
     low_snr = draw(st.booleans())
@@ -161,20 +163,20 @@ def allocator_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     state = random_state(rng, num_robots=k, num_antennas=n,
                          d_range=(800.0, 4000.0) if low_snr else (50.0, 250.0))
-    return state, random_params(rng, k, zero_fraction=perfect_fraction)
+    gae = random_gae(rng, k, zero_fraction=perfect_fraction)
+    return state, gae, qom_weights(gae, DatasetMeta.uniform(k), 550.0, 1e7)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=50)
 @given(allocator_cases())
 def test_every_allocator_is_feasible(case):
-    state, params = case
+    state, gae, weights = case
     k = state.num_robots
     allocations = [
-        solve_mcpa(params, state, BUDGET_W, NOISE_W).final,
+        solve_mcpa(weights, state, BUDGET_W, NOISE_W).final,
         max_rate(state),
         allocate_fairness(state, BUDGET_W, NOISE_W),
-        allocate_greedy(state, params.gae_scores, DatasetMeta.uniform(k), BUDGET_W,
-                        NOISE_W, params.effective_time_s, 1e7),
+        allocate_greedy(state, gae, DatasetMeta.uniform(k), BUDGET_W, NOISE_W, 550.0, 1e7),
         allocate_max_cov(state, BUDGET_W, NOISE_W, 2e6, 1e7),
         allocate_remember(k, BUDGET_W),
         allocate_uniform(k, BUDGET_W),
@@ -191,7 +193,6 @@ def test_max_rate_and_mcpa_win_their_own_metrics():
     for seed in range(8):
         state = random_state(rng, num_robots=8, num_antennas=256,
                              d_range=(800.0, 4000.0))
-        from mcpa.qom import qom_weights
         params = qom_weights(rng.uniform(0, 1, 8), meta, 500.0, 1e7)
         mcpa = solve_mcpa(params, state, BUDGET_W, NOISE_W).final
         maxrate = max_rate(state)

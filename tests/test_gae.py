@@ -257,7 +257,7 @@ def every_question():
                 yield Question("location", tag, "?", (x, y, 0.0))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(frame_stores())
 def test_memory_index_answers_as_the_set_index(frames):
     memory = items(frames)
@@ -275,7 +275,7 @@ def test_memory_index_answers_as_the_set_index(frames):
         assert (first < len(memory)) == expected
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(frame_stores(min_frames=1), st.floats(0.05, 1.0), st.integers(1, 20),
        st.integers(0, 2**32))
 def test_self_test_identity_over_frame_stores(frames, ratio, num_questions, seed):
@@ -306,7 +306,7 @@ def stores_and_indices(draw):
     return frames, sorted(chosen)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(stores_and_indices(), st.integers(0, 2**32))
 def test_column_ops_match_the_item_reference(case, seed):
     frames, chosen = case

@@ -380,6 +380,25 @@ def test_external_weights_slot_runs_through_solver():
     assert {r.method for r in rows} == {"remember", "semcom"}
 
 
+def test_external_weights_need_one_finite_nonnegative_weight_per_robot():
+    from mcpa.harness import ExternalWeights
+    s = small_city()
+    stage = prepare_seed(s, 0)
+    bad = [ExternalWeights(weights, name)
+           for weights, name in [((0.5,), "one"), ((1.0, 0.5, 0.2), "three"),
+                                 ((1.0,) * 9 + (float("nan"),), "nan"),
+                                 ((1.0,) * 9 + (-0.5,), "negative"),
+                                 ((1.0,) * 9 + (float("inf"),), "infinite")]]
+    for method in bad:
+        with pytest.raises(ValueError, match="K = 10 finite, nonnegative"):
+            run_method(stage, s, method)
+    rows, _ = run_campaign(s, ["remember"] + bad, 1)
+    assert rows[0].failure == ""
+    for row in rows[1:]:
+        assert row.failure.startswith("ValueError: weights must be K = 10 ")
+        assert np.isnan(row.qom)
+
+
 def test_campaign_records_pilot_failures_and_continues():
     cfg = json.loads(json.dumps(CITY))
     # links this long cannot even finish the pilot phase within T

@@ -3,9 +3,9 @@ import pytest
 
 from conftest import NOISE_W, orthogonal_state, radio, random_state
 from mcpa.channel import sinr_vector
-from mcpa.qom import (DatasetMeta, PilotPhaseInfeasible, PowerVector, QomParams,
-                      accuracy_estimate, frames_uploaded, pilot_overhead,
-                      qom_objective, qom_terms, qom_weights, round_half_up)
+from mcpa.qom import (DatasetMeta, PilotPhaseInfeasible, PowerVector, accuracy_estimate,
+                      frames_uploaded, pilot_overhead, qom_objective, qom_terms, qom_weights,
+                      round_half_up)
 
 
 def test_power_vector_feasibility():
@@ -116,18 +116,18 @@ def test_pilot_overhead_signals_infeasible_phase():
 
 def test_qom_weights_zero_at_perfect_score_and_paper_ratio():
     meta = DatasetMeta.uniform(2)
-    params = qom_weights([1.0, 0.5], meta, 550.0, 1e7)
-    assert params.weights[0] == 0.0
-    assert params.weights[1] > 0.0
+    weights = qom_weights([1.0, 0.5], meta, 550.0, 1e7)
+    assert weights[0] == 0.0
+    assert weights[1] > 0.0
     # scores 0.27 / 0.79 with equal Z and |D|: weight ratio (1-g1)/(1-g2)
-    params = qom_weights([0.27, 0.79], meta, 550.0, 1e7)
-    assert params.weights[0] / params.weights[1] == pytest.approx(0.73 / 0.21, rel=1e-12)
+    weights = qom_weights([0.27, 0.79], meta, 550.0, 1e7)
+    assert weights[0] / weights[1] == pytest.approx(0.73 / 0.21, rel=1e-12)
 
 
 def test_qom_weights_scale_inverse_in_item_volume():
     full = DatasetMeta(np.array([100, 100]), np.array([1.6e6, 0.8e6]), 0.1)
-    params = qom_weights([0.5, 0.5], full, 550.0, 1e7)
-    assert params.weights[1] == pytest.approx(2.0 * params.weights[0], rel=1e-12)
+    weights = qom_weights([0.5, 0.5], full, 550.0, 1e7)
+    assert weights[1] == pytest.approx(2.0 * weights[0], rel=1e-12)
 
 
 def test_qom_weights_reject_bad_scores():
@@ -136,6 +136,11 @@ def test_qom_weights_reject_bad_scores():
         qom_weights([-0.1, 0.5], meta, 550.0, 1e7)
     with pytest.raises(ValueError):
         qom_weights([0.1, 1.0001], meta, 550.0, 1e7)
+
+
+def test_qom_weights_reject_nonpositive_effective_time():
+    with pytest.raises(ValueError, match="effective_time_s"):
+        qom_weights([0.1, 0.5], DatasetMeta.uniform(2), 0.0, 1e7)
 
 
 def test_qom_objective_zero_cases_and_recomposition():
@@ -151,7 +156,7 @@ def test_qom_objective_zero_cases_and_recomposition():
     total = 0.0
     for k in range(5):
         interf = sum(state.interference[k, j] * p[j] for j in range(5) if j != k)
-        total += params.weights[k] * np.log2(1 + state.gains[k] * p[k] / (interf + NOISE_W))
+        total += params[k] * np.log2(1 + state.gains[k] * p[k] / (interf + NOISE_W))
     assert qom_objective(params, state, p, NOISE_W) == pytest.approx(total, rel=1e-12)
     assert qom_terms(params, state, p, NOISE_W).sum() == \
         pytest.approx(qom_objective(params, state, p, NOISE_W), rel=1e-15)
@@ -168,10 +173,7 @@ def test_qom_objective_permutation_invariant():
     from mcpa.channel import ChannelState
     permuted_state = ChannelState(gains=state.gains[perm],
                                   interference=state.interference[np.ix_(perm, perm)])
-    permuted_params = QomParams(weights=params.weights[perm],
-                                effective_time_s=params.effective_time_s,
-                                gae_scores=params.gae_scores[perm])
-    assert qom_objective(permuted_params, permuted_state, p[perm], NOISE_W) == \
+    assert qom_objective(params[perm], permuted_state, p[perm], NOISE_W) == \
         pytest.approx(value, rel=1e-12)
 
 
@@ -191,19 +193,18 @@ def test_qom_objective_monotone_on_orthogonal_channels():
 
 def test_accuracy_estimate_cases():
     meta = DatasetMeta.uniform(3, num_items=100)
-    params = qom_weights([0.2, 0.5, 0.8], meta, 550.0, 1e7)
-    assert accuracy_estimate(params, np.zeros(3), meta, 0.4) == 0.4
+    assert accuracy_estimate([0.2, 0.5, 0.8], np.zeros(3), meta, 0.4) == 0.4
     # full upload with equal scores g: base + (1 - g), clamped into [0, 1]
-    equal = qom_weights([0.5, 0.5, 0.5], meta, 550.0, 1e7)
+    equal = np.array([0.5, 0.5, 0.5])
     full = meta.num_items.astype(float)
     assert accuracy_estimate(equal, full, meta, 0.4) == pytest.approx(0.9, rel=1e-12)
     assert accuracy_estimate(equal, full, meta, 0.8) == 1.0  # clamped
     # full-dataset case equals base + sum eta_k (1 - g_k)
-    mixed = qom_weights([0.2, 0.5, 0.8], meta, 550.0, 1e7)
+    mixed = np.array([0.2, 0.5, 0.8])
     eta = meta.num_items / meta.total_items
-    expected = 0.3 + float(np.sum(eta * (1 - mixed.gae_scores)))
+    expected = 0.3 + float(np.sum(eta * (1 - mixed)))
     assert accuracy_estimate(mixed, full, meta, 0.3) == pytest.approx(expected, rel=1e-12)
     # mixed partial case against independent summation
     frames = np.array([10.0, 40.0, 70.0])
-    expected = 0.3 + float(np.sum((1 - mixed.gae_scores) * frames) / meta.total_items)
+    expected = 0.3 + float(np.sum((1 - mixed) * frames) / meta.total_items)
     assert accuracy_estimate(mixed, frames, meta, 0.3) == pytest.approx(expected, rel=1e-12)

@@ -367,7 +367,7 @@ QUESTIONS = st.one_of(
               st.integers(0, 3)))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(replies=st.fixed_dictionaries({text: st.sampled_from(REPLIES) for text in TEXTS}),
        exams=st.lists(st.lists(QUESTIONS, min_size=1, max_size=12), min_size=1, max_size=4),
        max_concurrency=st.sampled_from([1, 3]))

@@ -186,7 +186,7 @@ def assert_same_answers(frames, items):
         assert index.answers(q) == grade(q, reference), q
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(world_configs())
 @example({"num_robots": 3,
           "world": {"objects": ["bus", "taxi"], "object_dwell_frames": 7,
@@ -217,7 +217,7 @@ def prefix_cases(draw):
     return config, [[0] * k, [frames] * k] + counts
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(prefix_cases())
 def test_accuracy_with_matches_index_grading(case):
     config, prefixes = case
