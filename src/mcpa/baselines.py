@@ -29,20 +29,18 @@ def unit_rate_params(num_robots: int) -> np.ndarray:
     return np.ones(num_robots)
 
 
-def _fairness_fixed_point(state: ChannelState, target_sinr: float, budget: float,
-                          noise_power_w: float, max_iter: int = 30000):
+def _fairness_fixed_point(offdiag: np.ndarray, gains: np.ndarray, target_sinr: float,
+                          budget: float, noise_power_w: float, max_iter: int = 30000):
     """Standard power-control update p <- gamma (I_offdiag p + s2) / H from
     zero. Returns the fixed point if it converges within budget, else None.
     The iteration is monotone from zero, so crossing the budget proves the
     target infeasible."""
-    offdiag = state.interference.copy()
-    np.fill_diagonal(offdiag, 0.0)
-    p = np.zeros(state.num_robots)
+    p = np.zeros(gains.size)
     for _ in range(max_iter):
-        p_new = target_sinr * (offdiag @ p + noise_power_w) / state.gains
+        p_new = target_sinr * (offdiag @ p + noise_power_w) / gains
         if p_new.sum() > budget:
             return None
-        if np.max(np.abs(p_new - p)) <= 1e-12 * (1.0 + np.max(p_new)):
+        if np.abs(p_new - p).max() <= 1e-12 * (1.0 + p_new.max()):
             return p_new
         p = p_new
     return None
@@ -56,14 +54,15 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
     update converges with sum p <= budget; the returned allocation is the
     fixed point at the largest feasible gamma (interval width <= tol * gamma).
     """
-    k = state.num_robots
-    best = np.zeros(k)
+    offdiag = state.interference.copy()
+    np.fill_diagonal(offdiag, 0.0)
+    best = np.zeros(state.num_robots)
     # ignoring interference each user needs gamma s2 / H, so this gamma
     # saturates the budget and everything feasible lies below it
     hi = budget / (noise_power_w * np.sum(1.0 / state.gains))
     lo = 0.0
     for _ in range(60):
-        candidate = _fairness_fixed_point(state, hi, budget, noise_power_w)
+        candidate = _fairness_fixed_point(offdiag, state.gains, hi, budget, noise_power_w)
         if candidate is None:
             break
         best, lo = candidate, hi
@@ -72,7 +71,7 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
         if hi - lo <= tol * max(hi, 1e-300):
             break
         mid = 0.5 * (lo + hi)
-        candidate = _fairness_fixed_point(state, mid, budget, noise_power_w)
+        candidate = _fairness_fixed_point(offdiag, state.gains, mid, budget, noise_power_w)
         if candidate is None:
             hi = mid
         else:

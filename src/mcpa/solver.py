@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_NO_STEP = np.zeros(0)   # the Newton step when every robot is held at zero
 
 
 @dataclass
@@ -144,27 +145,34 @@ def _newton_direction(ctx: SurrogateContext, full: np.ndarray, g_free: np.ndarra
     until a Cholesky factorization succeeds. The shift bends the path, not
     the fixed point d = 0.
     """
+    n = free.size
     cols = ctx.coupling[:, free]
     curvature = cols.T.dot(cols * (ctx.scaled_weights / (full * full))[:, None])
     # a zero diagonal entry has a zero row and a zero gradient: any scale serves it
     scale = np.sqrt(curvature.diagonal())
     scale[scale == 0.0] = 1.0
-    scaled = curvature / np.multiply.outer(scale, scale)
+    # one buffer holds the bordered KKT matrix [[M_s + shift I, b], [b^T, 0]],
+    # b = 1/scale; the block's diagonal is every (n + 2)-th entry of the buffer
+    kkt = np.zeros((n + 1, n + 1))
+    shifted = np.divide(curvature, np.multiply.outer(scale, scale), out=kkt[:n, :n])
+    diagonal = kkt.reshape(-1)[:n * (n + 2):n + 2]
+    scaled_diagonal = diagonal.copy()
     shift = 1e-10
     while True:
-        shifted = scaled + shift * np.eye(free.size)
+        np.add(scaled_diagonal, shift, out=diagonal)
         try:
             np.linalg.cholesky(shifted)
             break
         except np.linalg.LinAlgError:
-            if shift >= 1.0:   # a unit diagonal: only a non-finite M gets here
+            if shift >= 1.0:   # a unit diagonal: only an indefinite M gets here
                 raise
             shift *= 100.0
+    rhs = np.zeros(n + 1)
+    np.divide(g_free, scale, out=rhs[:n])
     if not on_budget:
-        return np.linalg.solve(shifted, g_free / scale) / scale, 0.0
-    border = 1.0 / scale
-    kkt = np.block([[shifted, border[:, None]], [border, 0.0]])
-    solution = np.linalg.solve(kkt, np.append(g_free / scale, 0.0))
+        return np.linalg.solve(shifted, rhs[:n]) / scale, 0.0
+    kkt[:n, n] = kkt[n, :n] = 1.0 / scale
+    solution = np.linalg.solve(kkt, rhs)
     return solution[:-1] / scale, float(solution[-1])
 
 
@@ -193,10 +201,11 @@ def _inner_ascent(ctx: SurrogateContext, budget: float, tol: float,
     for iterations in range(1, max_iter + 1):
         g = ctx.gradient_from_full(full)
         free = (~at_zero).nonzero()[0]
-        d, nu, decrement = np.zeros(0), 0.0, 0.0
+        d, nu, decrement = _NO_STEP, 0.0, 0.0
         if free.size:
-            d, nu = _newton_direction(ctx, full, g[free], free, on_budget)
-            decrement = float(g[free].dot(d))
+            g_free = g[free]
+            d, nu = _newton_direction(ctx, full, g_free, free, on_budget)
+            decrement = float(g_free.dot(d))
         if (math.sqrt(d.dot(d)) <= tol * budget
                 or decrement <= 1e-15 * (1.0 + abs(f))):
             # the working-set problem is solved: check the multipliers
@@ -277,6 +286,13 @@ class SolveTrace:
         return len(self.iterates) - 1
 
 
+def _checked_weights(weights, k: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (k,) or not np.all((w >= 0.0) & (w < np.inf)):
+        raise ValueError(f"weights must be K = {k} finite, nonnegative numbers, one per robot")
+    return w
+
+
 def solve_mcpa(weights, state: ChannelState, budget: float,
                noise_power_w: float, opts: SolverOptions | None = None) -> SolveTrace:
     """MM/SCA loop from the uniform split: re-anchor the surrogate at each
@@ -293,9 +309,7 @@ def solve_mcpa(weights, state: ChannelState, budget: float,
     if budget <= 0.0:
         raise ValueError("budget must be strictly positive")
     k = state.num_robots
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (k,) or not np.all((w >= 0.0) & (w < np.inf)):
-        raise ValueError(f"weights must be K = {k} finite, nonnegative numbers, one per robot")
+    w = _checked_weights(weights, k)
     opts = opts or SolverOptions()
     current = PowerVector.uniform(k, budget)
     obj = qom_objective(w, state, current, noise_power_w)
@@ -317,7 +331,6 @@ def solve_mcpa(weights, state: ChannelState, budget: float,
             break
         if abs(new_obj - obj) <= opts.outer_tol * (1.0 + abs(new_obj)):
             reason = "converged" if all(inner_flags) else "inexact"
-            current, obj = candidate, new_obj
             break
         current, obj = candidate, new_obj
     return SolveTrace(iterates=iterates, stop_reason=reason,
@@ -346,9 +359,7 @@ def waterfill(weights, gains, noise_power_w: float, budget: float) -> WaterfillR
     s2/H_k keep their precision.
     """
     h = np.asarray(gains, dtype=float)
-    lam = np.asarray(weights, dtype=float)
-    if lam.shape != h.shape:
-        raise ValueError("weights and gains must have matching shapes")
+    lam = _checked_weights(weights, h.size)
     usable = (lam > 0.0) & (h > 0.0)
     if not np.any(usable):
         return WaterfillResult(PowerVector.zeros(h.size, budget), None)

@@ -66,22 +66,6 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
     else:
         routes = rng.integers(0, scenario.num_landmarks, size=(k, num_segments))
 
-    # object placement: host robot and dwell window per object
-    placed: list[PlacedObject] = []
-    if scenario.staged_novel_counts is not None:
-        next_obj = 0
-        for robot, count in enumerate(scenario.staged_novel_counts):
-            for start, width in _staged_windows(count, frames, scenario.object_dwell_frames):
-                placed.append(PlacedObject(scenario.objects[next_obj], robot, start, width,
-                                           position=(0.0, 0.0)))
-                next_obj += 1
-    else:
-        dwell = scenario.object_dwell_frames
-        for name in scenario.objects:
-            host = int(rng.integers(0, k))
-            start = int(rng.integers(0, frames - dwell + 1))
-            placed.append(PlacedObject(name, host, start, dwell, position=(0.0, 0.0)))
-
     # every robot's frames as columns: the landmark each frame passes, its
     # position there, and its timestamp
     route_at = routes[:, np.arange(frames) // seg]                 # (k, frames)
@@ -90,12 +74,21 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
     poses[:, :, 2] = 10.0
     timestamps = np.arange(frames) / scenario.frame_rate_fps
 
-    # resolve object positions to the host's pose at the window start
-    placed = [
-        PlacedObject(o.name, o.host_robot, o.window_start, o.window_len,
-                     position=tuple(poses[o.host_robot, o.window_start, :2].tolist()))
-        for o in placed
-    ]
+    # object placement: host robot, dwell window and the host's position at its start
+    placed: list[PlacedObject] = []
+    if scenario.staged_novel_counts is not None:
+        names = iter(scenario.objects)
+        for robot, count in enumerate(scenario.staged_novel_counts):
+            for start, width in _staged_windows(count, frames, scenario.object_dwell_frames):
+                placed.append(PlacedObject(next(names), robot, start, width,
+                                           position=tuple(poses[robot, start, :2].tolist())))
+    else:
+        dwell = scenario.object_dwell_frames
+        for name in scenario.objects:
+            host = int(rng.integers(0, k))
+            start = int(rng.integers(0, frames - dwell + 1))
+            placed.append(PlacedObject(name, host, start, dwell,
+                                       position=tuple(poses[host, start, :2].tolist())))
 
     # which ordinary frames get captioned with their landmark: a rate of 1
     # tags everything; sparse rates model a captioner that only remarks on

@@ -14,11 +14,17 @@ gradient evaluated straight from their definitions, which the tests check
 the solver's fused ``SurrogateContext`` evaluations and the minorization
 property against, and the bisection on the water level that
 ``mcpa.solver.waterfill``'s finite-step form replaced.
+
+Two kernels are kept as bit-level oracles for their faster versions in
+``mcpa``: the Newton step that assembles its bordered KKT system with
+``np.block``, and the max-min fairness bisection whose every fixed-point
+probe copies the interference matrix and zeroes its diagonal.
 """
 import math
 
 import numpy as np
 
+from mcpa.channel import ChannelState
 from mcpa.qom import PowerVector, _powers_of
 from mcpa.solver import _LN2, SurrogateContext, WaterfillResult, _InnerResult
 
@@ -154,3 +160,80 @@ def bisection_waterfill(weights, gains, noise_power_w: float, budget: float,
         nu = mid
     powers = spent(nu)
     return WaterfillResult(PowerVector(powers, budget), float(nu))
+
+
+def newton_direction(ctx: SurrogateContext, full: np.ndarray, g_free: np.ndarray,
+                     free: np.ndarray, on_budget: bool) -> tuple[np.ndarray, float]:
+    """``mcpa.solver._newton_direction`` as it was before its KKT system
+    moved into one buffer: the shifted block is rebuilt with ``np.eye`` on
+    every Cholesky retry and the bordered system with ``np.block``."""
+    cols = ctx.coupling[:, free]
+    curvature = cols.T.dot(cols * (ctx.scaled_weights / (full * full))[:, None])
+    # a zero diagonal entry has a zero row and a zero gradient: any scale serves it
+    scale = np.sqrt(curvature.diagonal())
+    scale[scale == 0.0] = 1.0
+    scaled = curvature / np.multiply.outer(scale, scale)
+    shift = 1e-10
+    while True:
+        shifted = scaled + shift * np.eye(free.size)
+        try:
+            np.linalg.cholesky(shifted)
+            break
+        except np.linalg.LinAlgError:
+            if shift >= 1.0:   # a unit diagonal: only a non-finite M gets here
+                raise
+            shift *= 100.0
+    if not on_budget:
+        return np.linalg.solve(shifted, g_free / scale) / scale, 0.0
+    border = 1.0 / scale
+    kkt = np.block([[shifted, border[:, None]], [border, 0.0]])
+    solution = np.linalg.solve(kkt, np.append(g_free / scale, 0.0))
+    return solution[:-1] / scale, float(solution[-1])
+
+
+def _fairness_fixed_point(state: ChannelState, target_sinr: float, budget: float,
+                          noise_power_w: float, max_iter: int = 30000):
+    """Standard power-control update p <- gamma (I_offdiag p + s2) / H from
+    zero. Returns the fixed point if it converges within budget, else None.
+    The iteration is monotone from zero, so crossing the budget proves the
+    target infeasible."""
+    offdiag = state.interference.copy()
+    np.fill_diagonal(offdiag, 0.0)
+    p = np.zeros(state.num_robots)
+    for _ in range(max_iter):
+        p_new = target_sinr * (offdiag @ p + noise_power_w) / state.gains
+        if p_new.sum() > budget:
+            return None
+        if np.max(np.abs(p_new - p)) <= 1e-12 * (1.0 + np.max(p_new)):
+            return p_new
+        p = p_new
+    return None
+
+
+def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
+                      tol: float = 1e-4) -> PowerVector:
+    """``mcpa.baselines.allocate_fairness`` as it was when each probe built
+    its own zero-diagonal interference matrix: max-min rate by bisection on
+    a common SINR target gamma."""
+    k = state.num_robots
+    best = np.zeros(k)
+    # ignoring interference each user needs gamma s2 / H, so this gamma
+    # saturates the budget and everything feasible lies below it
+    hi = budget / (noise_power_w * np.sum(1.0 / state.gains))
+    lo = 0.0
+    for _ in range(60):
+        candidate = _fairness_fixed_point(state, hi, budget, noise_power_w)
+        if candidate is None:
+            break
+        best, lo = candidate, hi
+        hi *= 2.0
+    for _ in range(200):
+        if hi - lo <= tol * max(hi, 1e-300):
+            break
+        mid = 0.5 * (lo + hi)
+        candidate = _fairness_fixed_point(state, mid, budget, noise_power_w)
+        if candidate is None:
+            hi = mid
+        else:
+            best, lo = candidate, mid
+    return PowerVector(best, budget)

@@ -10,6 +10,7 @@ from mcpa.baselines import (allocate_fairness, allocate_greedy, allocate_max_cov
 from mcpa.channel import sinr_vector
 from mcpa.qom import DatasetMeta, qom_objective, qom_weights
 from mcpa.solver import solve_mcpa, waterfill
+from reference_solver import allocate_fairness as reference_allocate_fairness
 
 
 def max_rate(state):
@@ -185,6 +186,18 @@ def test_every_allocator_is_feasible(case):
         assert alloc.powers.shape == (k,)
         assert np.all(alloc.powers >= 0.0)
         assert alloc.powers.sum() <= BUDGET_W * (1.0 + 1e-9)
+
+
+@settings(max_examples=25)
+@given(allocator_cases(), st.floats(-3.0, 1.0), st.sampled_from([1e-4, 1e-6]))
+def test_fairness_is_bit_identical_to_the_per_probe_copy(case, log_budget, tol):
+    """One zero-diagonal interference matrix per bisection feeds every
+    fixed-point probe the numbers the per-probe copy fed it."""
+    state, _, _ = case
+    budget = 10.0 ** log_budget
+    fair = allocate_fairness(state, budget, NOISE_W, tol)
+    reference = reference_allocate_fairness(state, budget, NOISE_W, tol)
+    assert fair.powers.tobytes() == reference.powers.tobytes()
 
 
 def test_max_rate_and_mcpa_win_their_own_metrics():

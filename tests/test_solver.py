@@ -1,3 +1,6 @@
+import contextlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,10 +10,12 @@ import mcpa.solver
 from conftest import (BUDGET_W, NOISE_W, orthogonal_state, random_feasible,
                       random_params, random_state)
 from mcpa.baselines import unit_rate_params
+from mcpa.channel import ChannelState
 from mcpa.qom import DatasetMeta, PowerVector, qom_objective, qom_weights
 from mcpa.solver import (SolverOptions, SurrogateContext, _inner_ascent, qom_gradient,
                          solve_mcpa, waterfill)
 from reference_solver import _inner_ascent as reference_inner_ascent
+from reference_solver import newton_direction as reference_newton_direction
 from reference_solver import (_project_array, bisection_waterfill, project_feasible,
                               surrogate_gradient, surrogate_total, surrogate_value)
 
@@ -269,6 +274,77 @@ def test_inner_solve_is_exact_on_random_surrogates(case):
             - SolverOptions().outer_tol * (1.0 + abs(trace.objective))
 
 
+# --- Newton step --------------------------------------------------------------
+
+@st.composite
+def newton_cases(draw):
+    """The arguments of one Newton step: a surrogate from
+    :func:`surrogate_cases`, A p + 1 and the gradient at a random interior
+    point p, a random nonempty free subset, and whether the budget binds."""
+    ctx, _ = draw(surrogate_cases())
+    k = ctx.num_robots
+    p = random_feasible(np.random.default_rng(draw(st.integers(0, 99))), k)
+    full = ctx.coupling.dot(p) + 1.0
+    free = np.array(sorted(draw(st.sets(st.integers(0, k - 1), min_size=1))), dtype=np.intp)
+    return ctx, full, ctx.gradient_from_full(full)[free], free, draw(st.booleans())
+
+
+def indefinite_case(second_weight):
+    """Newton-step arguments on two coupled robots whose second weight is
+    negative: the curvature is indefinite, so the shift has to grow past
+    1e-10 before a Cholesky factorization succeeds. Near -1/4 the scaled
+    curvature is so indefinite that no shift up to 100 serves, and the step
+    raises."""
+    gain = 1e-9
+    state = ChannelState(gains=np.array([gain, gain]),
+                         interference=np.array([[gain, gain / 2], [gain / 2, gain]]))
+    ctx = SurrogateContext(anchor=PowerVector.zeros(2, BUDGET_W),
+                           weights=np.array([1.0, second_weight]), state=state,
+                           noise_power_w=gain)
+    full = np.ones(2)
+    return ctx, full, ctx.gradient_from_full(full), np.arange(2), True
+
+
+@settings(max_examples=250)
+@given(newton_cases())
+@example(indefinite_case(-1e-5))
+@example(indefinite_case(-0.249999))
+def test_newton_direction_is_bit_identical_to_the_block_assembly(case):
+    """One KKT buffer gives LAPACK the matrices np.block gave it, so the
+    step and the budget multiplier keep every bit (or both raise)."""
+    try:
+        expected_d, expected_nu = reference_newton_direction(*case)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            mcpa.solver._newton_direction(*case)
+        return
+    d, nu = mcpa.solver._newton_direction(*case)
+    assert d.tobytes() == expected_d.tobytes()
+    assert nu.hex() == expected_nu.hex()
+
+
+def test_indefinite_case_resets_the_shift_on_each_retry(monkeypatch):
+    """The first example above retries three times and the second six, and on
+    each retry Cholesky sees the scaled curvature plus the new shift alone,
+    as np.eye built it."""
+    tried = []
+    cholesky = np.linalg.cholesky
+
+    def recording_cholesky(matrix):
+        tried[-1].append(matrix.copy())
+        return cholesky(matrix)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    for weight, attempts in ((-1e-5, 4), (-0.249999, 7)):
+        for direction in (mcpa.solver._newton_direction, reference_newton_direction):
+            tried.append([])
+            with contextlib.suppress(np.linalg.LinAlgError):
+                direction(*indefinite_case(weight))
+        buffered, rebuilt = tried[-2:]
+        assert len(buffered) == len(rebuilt) == attempts
+        assert [m.tobytes() for m in buffered] == [m.tobytes() for m in rebuilt]
+
+
 # --- outer MM loop ------------------------------------------------------------
 
 def test_solve_mcpa_all_weights_zero_converges_immediately():
@@ -429,6 +505,16 @@ def test_waterfill_shutoff_single_user_and_symmetry():
     single = qom_weights([0.5], DatasetMeta.uniform(1), 550.0, 1e7)
     result, _ = waterfill(single, np.array([1e-9]), NOISE_W, BUDGET_W)
     assert result.powers[0] == pytest.approx(BUDGET_W, rel=1e-9)
+
+
+@pytest.mark.parametrize("weights", [[math.nan, 1.0], [-1.0, 1.0], [math.inf, 1.0],
+                                     [1.0, 1.0, 1.0]])
+def test_waterfill_rejects_the_weights_solve_mcpa_rejects(weights):
+    gains = np.full(2, 1e-10)
+    with pytest.raises(ValueError, match="K = 2 finite, nonnegative"):
+        waterfill(weights, gains, NOISE_W, BUDGET_W)
+    with pytest.raises(ValueError, match="K = 2 finite, nonnegative"):
+        solve_mcpa(weights, orthogonal_state(gains), BUDGET_W, NOISE_W)
 
 
 def test_waterfill_all_zero_weights_flagged():
