@@ -29,40 +29,39 @@ def unit_rate_params(num_robots: int) -> np.ndarray:
     return np.ones(num_robots)
 
 
-def _fairness_fixed_point(offdiag: np.ndarray, gains: np.ndarray, target_sinr: float,
-                          budget: float, noise_power_w: float, max_iter: int = 30000):
-    """Standard power-control update p <- gamma (I_offdiag p + s2) / H from
-    zero. Returns the fixed point if it converges within budget, else None.
-    The iteration is monotone from zero, so crossing the budget proves the
-    target infeasible."""
-    p = np.zeros(gains.size)
-    for _ in range(max_iter):
-        p_new = target_sinr * (offdiag @ p + noise_power_w) / gains
-        if p_new.sum() > budget:
-            return None
-        if np.abs(p_new - p).max() <= 1e-12 * (1.0 + p_new.max()):
-            return p_new
-        p = p_new
-    return None
+def _fairness_powers(state: ChannelState, target_sinr: float, budget: float,
+                     noise_power_w: float):
+    """Fixed point of the standard power-control update p <- gamma (I_offdiag p
+    + s2) / H (Yates 1995) by one solve of (diag(H) - gamma I_offdiag) p =
+    gamma s2 1. Its solution is positive iff the update converges from zero;
+    returns it if so and sum p <= budget, else None."""
+    system = -target_sinr * state.interference
+    system.flat[::state.num_robots + 1] = state.gains
+    try:
+        p = np.linalg.solve(system, np.full(state.num_robots, target_sinr * noise_power_w))
+    except np.linalg.LinAlgError:
+        return None
+    return p if np.all(p > 0.0) and p.sum() <= budget else None
 
 
 def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
                       tol: float = 1e-4) -> PowerVector:
     """Max-min rate via bisection on a common SINR target gamma.
 
-    gamma is feasible iff the fixed point of the standard power-control
-    update converges with sum p <= budget; the returned allocation is the
-    fixed point at the largest feasible gamma (interval width <= tol * gamma).
+    gamma is feasible iff its power-control fixed point is positive with
+    sum p <= budget; the returned allocation is the fixed point at the largest
+    feasible gamma (interval width <= tol * gamma). A zero gain makes every
+    max-min rate 0, so that channel gets all-zero powers.
     """
-    offdiag = state.interference.copy()
-    np.fill_diagonal(offdiag, 0.0)
+    if not np.all(state.gains > 0.0):
+        return PowerVector.zeros(state.num_robots, budget)
     best = np.zeros(state.num_robots)
     # ignoring interference each user needs gamma s2 / H, so this gamma
     # saturates the budget and everything feasible lies below it
     hi = budget / (noise_power_w * np.sum(1.0 / state.gains))
     lo = 0.0
     for _ in range(60):
-        candidate = _fairness_fixed_point(offdiag, state.gains, hi, budget, noise_power_w)
+        candidate = _fairness_powers(state, hi, budget, noise_power_w)
         if candidate is None:
             break
         best, lo = candidate, hi
@@ -71,7 +70,7 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
         if hi - lo <= tol * max(hi, 1e-300):
             break
         mid = 0.5 * (lo + hi)
-        candidate = _fairness_fixed_point(offdiag, state.gains, mid, budget, noise_power_w)
+        candidate = _fairness_powers(state, mid, budget, noise_power_w)
         if candidate is None:
             hi = mid
         else:

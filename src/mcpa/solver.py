@@ -85,6 +85,7 @@ class SurrogateContext:
     def __post_init__(self):
         if self.anchor.num_robots != self.state.num_robots:
             raise ValueError("anchor and channel state disagree on the number of robots")
+        self.weights = _checked_weights(self.weights, self.state.num_robots)
         self.coupling = self.state.interference / self.noise_power_w
         self.coupling_offdiag = self.coupling.copy()
         np.fill_diagonal(self.coupling_offdiag, 0.0)

@@ -15,10 +15,12 @@ the solver's fused ``SurrogateContext`` evaluations and the minorization
 property against, and the bisection on the water level that
 ``mcpa.solver.waterfill``'s finite-step form replaced.
 
-Two kernels are kept as bit-level oracles for their faster versions in
-``mcpa``: the Newton step that assembles its bordered KKT system with
-``np.block``, and the max-min fairness bisection whose every fixed-point
-probe copies the interference matrix and zeroes its diagonal.
+The Newton step that assembles its bordered KKT system with ``np.block`` is
+kept as a bit-level oracle for its faster version in ``mcpa``. The max-min
+fairness bisection whose every probe runs the standard power-control
+iteration sweep by sweep, up to 30,000 sweeps, is kept as the reference that
+``mcpa.baselines.allocate_fairness``'s one-solve probes must agree with on
+the shipped scenarios.
 """
 import math
 
@@ -212,9 +214,10 @@ def _fairness_fixed_point(state: ChannelState, target_sinr: float, budget: float
 
 def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
                       tol: float = 1e-4) -> PowerVector:
-    """``mcpa.baselines.allocate_fairness`` as it was when each probe built
-    its own zero-diagonal interference matrix: max-min rate by bisection on
-    a common SINR target gamma."""
+    """``mcpa.baselines.allocate_fairness`` as it was when each probe
+    iterated the power-control update: max-min rate by bisection on a common
+    SINR target gamma. A probe that hits the sweep cap counts as infeasible,
+    so at high SNR the answer can fall more than ``tol`` below the optimum."""
     k = state.num_robots
     best = np.zeros(k)
     # ignoring interference each user needs gamma s2 / H, so this gamma

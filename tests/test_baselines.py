@@ -1,13 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (BUDGET_W, NOISE_W, orthogonal_state, random_gae, random_params,
-                      random_state)
+from conftest import (BUDGET_W, CONFIG_DIR, NOISE_W, orthogonal_state, random_gae,
+                      random_params, random_state)
 from mcpa.baselines import (allocate_fairness, allocate_greedy, allocate_max_cov,
                             allocate_remember, allocate_uniform, unit_rate_params)
-from mcpa.channel import sinr_vector
+from mcpa.channel import ChannelState, sinr_vector
+from mcpa.config import build_scenario, load_config
+from mcpa.harness import prepare_seed
 from mcpa.qom import DatasetMeta, qom_objective, qom_weights
 from mcpa.solver import solve_mcpa, waterfill
 from reference_solver import allocate_fairness as reference_allocate_fairness
@@ -188,16 +192,92 @@ def test_every_allocator_is_feasible(case):
         assert alloc.powers.sum() <= BUDGET_W * (1.0 + 1e-9)
 
 
-@settings(max_examples=25)
-@given(allocator_cases(), st.floats(-3.0, 1.0), st.sampled_from([1e-4, 1e-6]))
-def test_fairness_is_bit_identical_to_the_per_probe_copy(case, log_budget, tol):
-    """One zero-diagonal interference matrix per bisection feeds every
-    fixed-point probe the numbers the per-probe copy fed it."""
-    state, _, _ = case
+def without_channel(state, robot):
+    """``state`` with robot ``robot``'s channel vector zeroed: its gain and
+    its row and column of couplings are 0."""
+    interference = state.interference.copy()
+    interference[robot, :] = 0.0
+    interference[:, robot] = 0.0
+    return ChannelState(gains=np.diagonal(interference).copy(), interference=interference)
+
+
+def perron_sinr(state, budget):
+    """The max-min SINR under sum p <= budget, solver-independently: SINR_k =
+    gamma for all k with sum p = budget is p = gamma D (I_offdiag + s2/P 11^T) p
+    with D = diag(1/H), so gamma is 1 over that matrix's Perron root. Any zero
+    gain makes it 0."""
+    if np.any(state.gains == 0.0):
+        return 0.0
+    offdiag = state.interference - np.diag(state.gains)
+    matrix = (offdiag + NOISE_W / budget) / state.gains[:, None]
+    return 1.0 / np.max(np.abs(np.linalg.eigvals(matrix)))
+
+
+@st.composite
+def fairness_states(draw):
+    """The channel of :func:`allocator_cases`, or one at very high SNR
+    (10-60 m) with fewer antennas than robots; in about one draw in eight a
+    robot's channel is zeroed."""
+    if draw(st.booleans()):
+        state = draw(allocator_cases())[0]
+    else:
+        k = draw(st.integers(2, 12))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        state = random_state(rng, num_robots=k, num_antennas=draw(st.integers(1, k - 1)),
+                             d_range=(10.0, 60.0))
+    if draw(st.integers(0, 7)) == 0:
+        state = without_channel(state, draw(st.integers(0, state.num_robots - 1)))
+    return state
+
+
+@settings(max_examples=60)
+@given(fairness_states(), st.floats(-3.0, 1.0), st.sampled_from([1e-4, 1e-6]))
+@example(random_state(np.random.default_rng(0), num_robots=1, num_antennas=1), -0.7, 1e-4)
+@example(without_channel(random_state(np.random.default_rng(1), num_robots=4), 2), 0.0, 1e-4)
+def test_fairness_is_within_tol_of_the_perron_optimum(state, log_budget, tol):
+    """Every robot's SINR lies in [gamma* (1 - tol), gamma*] (up to roundoff
+    at the top), within the budget, over 1 mW-10 W."""
     budget = 10.0 ** log_budget
     fair = allocate_fairness(state, budget, NOISE_W, tol)
-    reference = reference_allocate_fairness(state, budget, NOISE_W, tol)
-    assert fair.powers.tobytes() == reference.powers.tobytes()
+    optimum = perron_sinr(state, budget)
+    sinr = sinr_vector(state, fair.powers, NOISE_W)
+    assert np.all(sinr >= optimum * (1.0 - tol))
+    assert np.all(sinr <= optimum * (1.0 + 1e-9))
+    assert np.all(fair.powers >= 0.0)
+    assert fair.powers.sum() <= budget * (1.0 + 1e-9)
+
+
+def test_fairness_matches_the_power_control_iteration_on_the_shipped_scenarios():
+    """On town and city_desk seeds 0-3 at 100-300 mW, and town K=50 seed 0 at
+    200 mW, the powers agree with the old sweep-by-sweep iteration's."""
+    instances = []
+    for name, robots, seeds, budgets in (("town", 10, range(4), (0.1, 0.2, 0.3)),
+                                         ("city_desk", 10, range(4), (0.1, 0.2, 0.3)),
+                                         ("town", 50, range(1), (0.2,))):
+        scenario = build_scenario({**load_config(CONFIG_DIR / f"{name}.json"),
+                                   "num_robots": robots})
+        noise = scenario.radio.noise_power_w
+        instances += [(prepare_seed(scenario, seed).state, budget, noise)
+                      for seed in seeds for budget in budgets]
+    for state, budget, noise in instances:
+        np.testing.assert_allclose(allocate_fairness(state, budget, noise).powers,
+                                   reference_allocate_fairness(state, budget, noise).powers,
+                                   rtol=1e-9, atol=0.0)
+
+
+def test_fairness_zero_gain_gives_zeros_without_warnings():
+    """A robot without a channel has rate 0 whatever the powers, so the
+    max-min answer is all zeros, found without dividing by its gain. A lone
+    robot takes the whole budget."""
+    rng = np.random.default_rng(3)
+    state = without_channel(random_state(rng, num_robots=5, num_antennas=8), 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = allocate_fairness(state, BUDGET_W, NOISE_W)
+    assert out.powers.tobytes() == np.zeros(5).tobytes()
+    alone = allocate_fairness(random_state(rng, num_robots=1, num_antennas=1), BUDGET_W, NOISE_W)
+    assert alone.powers == pytest.approx([BUDGET_W], rel=1e-4)
+    assert alone.powers.sum() <= BUDGET_W
 
 
 def test_max_rate_and_mcpa_win_their_own_metrics():

@@ -1,5 +1,6 @@
 import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -289,18 +290,24 @@ def newton_cases(draw):
     return ctx, full, ctx.gradient_from_full(full)[free], free, draw(st.booleans())
 
 
+def coupled_pair(gain=1e-9):
+    """Two robots with equal gains, each seeing half the other's gain."""
+    return ChannelState(gains=np.array([gain, gain]),
+                        interference=np.array([[gain, gain / 2], [gain / 2, gain]]))
+
+
 def indefinite_case(second_weight):
     """Newton-step arguments on two coupled robots whose second weight is
     negative: the curvature is indefinite, so the shift has to grow past
     1e-10 before a Cholesky factorization succeeds. Near -1/4 the scaled
     curvature is so indefinite that no shift up to 100 serves, and the step
-    raises."""
-    gain = 1e-9
-    state = ChannelState(gains=np.array([gain, gain]),
-                         interference=np.array([[gain, gain / 2], [gain / 2, gain]]))
-    ctx = SurrogateContext(anchor=PowerVector.zeros(2, BUDGET_W),
-                           weights=np.array([1.0, second_weight]), state=state,
-                           noise_power_w=gain)
+    raises. The context rejects a negative weight, so it is built with its
+    weight check switched off: the weights it accepts give a concave
+    surrogate."""
+    with mock.patch.object(mcpa.solver, "_checked_weights", lambda w, k: w):
+        ctx = SurrogateContext(anchor=PowerVector.zeros(2, BUDGET_W),
+                               weights=np.array([1.0, second_weight]),
+                               state=coupled_pair(), noise_power_w=1e-9)
     full = np.ones(2)
     return ctx, full, ctx.gradient_from_full(full), np.arange(2), True
 
@@ -515,6 +522,15 @@ def test_waterfill_rejects_the_weights_solve_mcpa_rejects(weights):
         waterfill(weights, gains, NOISE_W, BUDGET_W)
     with pytest.raises(ValueError, match="K = 2 finite, nonnegative"):
         solve_mcpa(weights, orthogonal_state(gains), BUDGET_W, NOISE_W)
+
+
+@pytest.mark.parametrize("weights", [[1.0, math.inf], [1.0, -0.3]])
+def test_surrogate_context_rejects_the_weights_solve_mcpa_rejects(weights):
+    """An infinite weight would give a NaN Newton step and a negative one an
+    indefinite surrogate that the inner loop reports as converged."""
+    with pytest.raises(ValueError, match="K = 2 finite, nonnegative"):
+        SurrogateContext(anchor=PowerVector.uniform(2, BUDGET_W), weights=np.array(weights),
+                         state=coupled_pair(), noise_power_w=1e-9)
 
 
 def test_waterfill_all_zero_weights_flagged():
