@@ -50,22 +50,20 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
 
     gamma is feasible iff its power-control fixed point is positive with
     sum p <= budget; the returned allocation is the fixed point at the largest
-    feasible gamma (interval width <= tol * gamma). A zero gain makes every
-    max-min rate 0, so that channel gets all-zero powers.
+    feasible gamma (interval width <= tol * gamma). Without interference
+    gamma_hi = budget / (s2 sum 1/H_k) spends the whole budget, and
+    interference only raises the powers, so gamma_hi bounds every feasible
+    gamma: it is probed first and returned if feasible (orthogonal channels,
+    roundoff permitting), else the bisection runs on [0, gamma_hi]. A zero
+    gain makes every max-min rate 0, so that channel gets all-zero powers.
     """
     if not np.all(state.gains > 0.0):
         return PowerVector.zeros(state.num_robots, budget)
-    best = np.zeros(state.num_robots)
-    # ignoring interference each user needs gamma s2 / H, so this gamma
-    # saturates the budget and everything feasible lies below it
     hi = budget / (noise_power_w * np.sum(1.0 / state.gains))
-    lo = 0.0
-    for _ in range(60):
-        candidate = _fairness_powers(state, hi, budget, noise_power_w)
-        if candidate is None:
-            break
-        best, lo = candidate, hi
-        hi *= 2.0
+    best = _fairness_powers(state, hi, budget, noise_power_w)
+    if best is not None:
+        return PowerVector(best, budget)
+    best, lo = np.zeros(state.num_robots), 0.0
     for _ in range(200):
         if hi - lo <= tol * max(hi, 1e-300):
             break

@@ -178,12 +178,15 @@ def _number(cfg: dict, section: str, key: str, positive: bool = False) -> float:
     return float(value)
 
 
+def _is_int(value) -> bool:
+    """An integer, not a fraction, string or boolean to be truncated."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer(cfg: dict, section: str, key: str) -> int:
-    """A positive integer field; a fractional or non-numeric value is an
-    error rather than something to truncate."""
+    """A positive integer field."""
     value = cfg[section][key]
-    _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
-             f"{section}.{key}", "must be an integer >= 1")
+    _require(_is_int(value) and value >= 1, f"{section}.{key}", "must be an integer >= 1")
     return value
 
 
@@ -243,18 +246,21 @@ def build_scenario(config: dict | None = None) -> Scenario:
 
     base_robots = world["base_robots"]
     if base_robots is not None:
-        base_robots = tuple(int(b) for b in base_robots)
-        _require(all(0 <= b < num_robots for b in base_robots),
-                 "world.base_robots", f"indices must lie in [0, {num_robots})")
+        _require(isinstance(base_robots, (list, tuple))
+                 and all(_is_int(b) and 0 <= b < num_robots for b in base_robots)
+                 and len(set(base_robots)) == len(base_robots),
+                 "world.base_robots", f"must be distinct integers in [0, {num_robots})")
+        base_robots = tuple(base_robots)
     num_base = world["num_base_robots"]
     _require(isinstance(num_base, int) and 0 <= num_base <= num_robots,
              "world.num_base_robots", f"must lie in [0, {num_robots}]")
 
     staged = world["staged_novel_counts"]
     if staged is not None:
-        staged = tuple(int(c) for c in staged)
-        _require(len(staged) == num_robots,
-                 "world.staged_novel_counts", f"needs one count per robot ({num_robots})")
+        _require(isinstance(staged, (list, tuple)) and len(staged) == num_robots
+                 and all(_is_int(c) and c >= 0 for c in staged), "world.staged_novel_counts",
+                 f"needs one nonnegative integer count per robot ({num_robots})")
+        staged = tuple(staged)
         _require(sum(staged) == len(objects),
                  "world.staged_novel_counts",
                  f"counts must sum to the number of objects ({len(objects)})")
@@ -281,9 +287,13 @@ def build_scenario(config: dict | None = None) -> Scenario:
     )
 
     remote_cfg = cfg["remote"]
+    for key in ("url", "transcript_path"):
+        _require(remote_cfg[key] is None or isinstance(remote_cfg[key], str),
+                 f"remote.{key}", "must be a string or null")
+    _require(isinstance(remote_cfg["model"], str), "remote.model", "must be a string")
     remote = RemoteSettings(
         url=remote_cfg["url"],
-        model=str(remote_cfg["model"]),
+        model=remote_cfg["model"],
         timeout_s=_number(cfg, "remote", "timeout_s", positive=True),
         retries=_integer(cfg, "remote", "retries"),
         max_concurrency=_integer(cfg, "remote", "max_concurrency"),

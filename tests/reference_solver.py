@@ -15,17 +15,20 @@ the solver's fused ``SurrogateContext`` evaluations and the minorization
 property against, and the bisection on the water level that
 ``mcpa.solver.waterfill``'s finite-step form replaced.
 
-The Newton step that assembles its bordered KKT system with ``np.block`` is
-kept as a bit-level oracle for its faster version in ``mcpa``. The max-min
-fairness bisection whose every probe runs the standard power-control
-iteration sweep by sweep, up to 30,000 sweeps, is kept as the reference that
+The Newton step that probes definiteness with a Cholesky retry loop and
+assembles its bordered KKT system with ``np.block`` is kept as a bit-level
+oracle for its one-solve version in ``mcpa``. The max-min fairness
+bisection whose every probe runs the standard power-control iteration sweep
+by sweep, up to 30,000 sweeps, is kept as the reference that
 ``mcpa.baselines.allocate_fairness``'s one-solve probes must agree with on
-the shipped scenarios.
+the shipped scenarios; the one with one-solve probes that doubled its upper
+bound until infeasible is its bit-level oracle.
 """
 import math
 
 import numpy as np
 
+from mcpa.baselines import _fairness_powers
 from mcpa.channel import ChannelState
 from mcpa.qom import PowerVector, _powers_of
 from mcpa.solver import _LN2, SurrogateContext, WaterfillResult, _InnerResult
@@ -235,6 +238,34 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
             break
         mid = 0.5 * (lo + hi)
         candidate = _fairness_fixed_point(state, mid, budget, noise_power_w)
+        if candidate is None:
+            hi = mid
+        else:
+            best, lo = candidate, mid
+    return PowerVector(best, budget)
+
+
+def doubling_allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
+                               tol: float = 1e-4) -> PowerVector:
+    """``mcpa.baselines.allocate_fairness`` as it was before it returned at
+    its proven upper bound: when that bound is feasible, the target doubles
+    until a probe fails, and the bisection then runs on the last doubling."""
+    if not np.all(state.gains > 0.0):
+        return PowerVector.zeros(state.num_robots, budget)
+    best = np.zeros(state.num_robots)
+    hi = budget / (noise_power_w * np.sum(1.0 / state.gains))
+    lo = 0.0
+    for _ in range(60):
+        candidate = _fairness_powers(state, hi, budget, noise_power_w)
+        if candidate is None:
+            break
+        best, lo = candidate, hi
+        hi *= 2.0
+    for _ in range(200):
+        if hi - lo <= tol * max(hi, 1e-300):
+            break
+        mid = 0.5 * (lo + hi)
+        candidate = _fairness_powers(state, mid, budget, noise_power_w)
         if candidate is None:
             hi = mid
         else:

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,14 +8,17 @@ from hypothesis import strategies as st
 
 from conftest import (BUDGET_W, CONFIG_DIR, NOISE_W, orthogonal_state, random_gae,
                       random_params, random_state)
-from mcpa.baselines import (allocate_fairness, allocate_greedy, allocate_max_cov,
-                            allocate_remember, allocate_uniform, unit_rate_params)
+import mcpa.baselines
+from mcpa.baselines import (_fairness_powers, allocate_fairness, allocate_greedy,
+                            allocate_max_cov, allocate_remember, allocate_uniform,
+                            unit_rate_params)
 from mcpa.channel import ChannelState, sinr_vector
 from mcpa.config import build_scenario, load_config
 from mcpa.harness import prepare_seed
 from mcpa.qom import DatasetMeta, qom_objective, qom_weights
 from mcpa.solver import solve_mcpa, waterfill
 from reference_solver import allocate_fairness as reference_allocate_fairness
+from reference_solver import doubling_allocate_fairness
 
 
 def max_rate(state):
@@ -245,6 +249,38 @@ def test_fairness_is_within_tol_of_the_perron_optimum(state, log_budget, tol):
     assert np.all(sinr <= optimum * (1.0 + 1e-9))
     assert np.all(fair.powers >= 0.0)
     assert fair.powers.sum() <= budget * (1.0 + 1e-9)
+
+
+@st.composite
+def bound_states(draw):
+    """The channel of :func:`allocator_cases` (K 1-12, N 1-256), a lone
+    robot's, or orthogonal channels with the gains of such a draw: the last
+    two are where the upper bound gamma_hi can be feasible."""
+    kind = draw(st.sampled_from(["drawn", "single", "orthogonal"]))
+    if kind == "drawn":
+        return draw(allocator_cases())[0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = 1 if kind == "single" else draw(st.integers(1, 12))
+    state = random_state(rng, num_robots=k, num_antennas=draw(st.integers(1, 256)),
+                         d_range=draw(st.sampled_from([(50.0, 250.0), (800.0, 4000.0)])))
+    return state if kind == "single" else orthogonal_state(state.gains)
+
+
+@settings(max_examples=150)
+@given(bound_states(), st.floats(-3.0, 1.0), st.sampled_from([1e-4, 1e-6]))
+def test_fairness_is_bit_identical_to_the_doubling_bisection(state, log_budget, tol):
+    """Nothing above gamma_hi is feasible, so returning at a feasible gamma_hi
+    after one probe keeps every bit of the doubling loop's answer."""
+    budget = 10.0 ** log_budget
+    hi = budget / (NOISE_W * np.sum(1.0 / state.gains))
+    bound_feasible = _fairness_powers(state, hi, budget, NOISE_W) is not None
+    with mock.patch.object(mcpa.baselines, "_fairness_powers",
+                           wraps=_fairness_powers) as probe:
+        fair = allocate_fairness(state, budget, NOISE_W, tol)
+    expected = doubling_allocate_fairness(state, budget, NOISE_W, tol)
+    assert fair.powers.tobytes() == expected.powers.tobytes()
+    if bound_feasible:
+        assert probe.call_count == 1
 
 
 def test_fairness_matches_the_power_control_iteration_on_the_shipped_scenarios():

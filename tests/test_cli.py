@@ -130,8 +130,22 @@ def test_fractional_solver_limit_is_rejected(tmp_path):
     ({"radio": {"noise_dbm": float("nan")}}, "radio.noise_dbm"),
     ({"radio": {"pathloss_exponent": 0.5}}, "radio.pathloss_exponent"),
     ({"budgets": {"time_s": float("inf")}}, "budgets.time_s"),
+    ({"num_robots": 5, "world": {"staged_novel_counts": [-1, 2, 3, 3, 3]}},
+     "world.staged_novel_counts"),
+    ({"num_robots": 5, "world": {"staged_novel_counts": [2.5, 2, 2, 2, 2]}},
+     "world.staged_novel_counts"),
+    ({"world": {"base_robots": [1.7]}}, "world.base_robots"),
+    ({"world": {"base_robots": ["3"]}}, "world.base_robots"),
+    ({"world": {"base_robots": [True]}}, "world.base_robots"),
+    ({"world": {"base_robots": [2, 2]}}, "world.base_robots"),
+    ({"remote": {"url": 7}}, "remote.url"),
+    ({"remote": {"transcript_path": 5}}, "remote.transcript_path"),
+    ({"remote": {"model": 3}}, "remote.model"),
 ])
 def test_non_finite_or_out_of_range_values_are_rejected(tmp_path, config, field):
+    """A non-finite or out-of-range number, a count or robot index that is
+    not a nonnegative integer (never truncated), a repeated base robot, or a
+    remote endpoint, transcript or model that is not a string."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))   # NaN and Infinity as JSON literals
     out = run_cli("simulate", "--config", str(bad), "--seeds", "1",

@@ -1,4 +1,3 @@
-import contextlib
 import math
 from unittest import mock
 
@@ -8,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mcpa.solver
-from conftest import (BUDGET_W, NOISE_W, orthogonal_state, random_feasible,
+from conftest import (BUDGET_W, CONFIG_DIR, NOISE_W, orthogonal_state, random_feasible,
                       random_params, random_state)
 from mcpa.baselines import unit_rate_params
 from mcpa.channel import ChannelState
+from mcpa.config import build_scenario, load_config
+from mcpa.harness import prepare_seed, run_method
 from mcpa.qom import DatasetMeta, PowerVector, qom_objective, qom_weights
 from mcpa.solver import (SolverOptions, SurrogateContext, _inner_ascent, qom_gradient,
                          solve_mcpa, waterfill)
@@ -296,60 +297,41 @@ def coupled_pair(gain=1e-9):
                         interference=np.array([[gain, gain / 2], [gain / 2, gain]]))
 
 
-def indefinite_case(second_weight):
-    """Newton-step arguments on two coupled robots whose second weight is
-    negative: the curvature is indefinite, so the shift has to grow past
-    1e-10 before a Cholesky factorization succeeds. Near -1/4 the scaled
-    curvature is so indefinite that no shift up to 100 serves, and the step
-    raises. The context rejects a negative weight, so it is built with its
-    weight check switched off: the weights it accepts give a concave
-    surrogate."""
-    with mock.patch.object(mcpa.solver, "_checked_weights", lambda w, k: w):
-        ctx = SurrogateContext(anchor=PowerVector.zeros(2, BUDGET_W),
-                               weights=np.array([1.0, second_weight]),
-                               state=coupled_pair(), noise_power_w=1e-9)
-    full = np.ones(2)
-    return ctx, full, ctx.gradient_from_full(full), np.arange(2), True
-
-
-@settings(max_examples=250)
-@given(newton_cases())
-@example(indefinite_case(-1e-5))
-@example(indefinite_case(-0.249999))
-def test_newton_direction_is_bit_identical_to_the_block_assembly(case):
-    """One KKT buffer gives LAPACK the matrices np.block gave it, so the
-    step and the budget multiplier keep every bit (or both raise)."""
-    try:
+def assert_matches_reference(case):
+    """The reference step's Cholesky probe succeeds at its first 1e-10
+    shift, so one shifted solve gives LAPACK the matrices the retry loop and
+    np.block gave it: the step and the budget multiplier keep every bit."""
+    with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as cholesky:
         expected_d, expected_nu = reference_newton_direction(*case)
-    except np.linalg.LinAlgError:
-        with pytest.raises(np.linalg.LinAlgError):
-            mcpa.solver._newton_direction(*case)
-        return
+    assert cholesky.call_count == 1
     d, nu = mcpa.solver._newton_direction(*case)
     assert d.tobytes() == expected_d.tobytes()
     assert nu.hex() == expected_nu.hex()
 
 
-def test_indefinite_case_resets_the_shift_on_each_retry(monkeypatch):
-    """The first example above retries three times and the second six, and on
-    each retry Cholesky sees the scaled curvature plus the new shift alone,
-    as np.eye built it."""
-    tried = []
-    cholesky = np.linalg.cholesky
+@settings(max_examples=250)
+@given(newton_cases())
+def test_newton_direction_is_bit_identical_to_the_block_assembly(case):
+    assert_matches_reference(case)
 
-    def recording_cholesky(matrix):
-        tried[-1].append(matrix.copy())
-        return cholesky(matrix)
 
-    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
-    for weight, attempts in ((-1e-5, 4), (-0.249999, 7)):
-        for direction in (mcpa.solver._newton_direction, reference_newton_direction):
-            tried.append([])
-            with contextlib.suppress(np.linalg.LinAlgError):
-                direction(*indefinite_case(weight))
-        buffered, rebuilt = tried[-2:]
-        assert len(buffered) == len(rebuilt) == attempts
-        assert [m.tobytes() for m in buffered] == [m.tobytes() for m in rebuilt]
+def test_every_newton_step_of_a_town_solve_is_bit_identical_to_the_reference(monkeypatch):
+    """The same on each Newton step of the town K=50 seed 0 mcpa solve."""
+    scenario = build_scenario({**load_config(CONFIG_DIR / "town.json"), "num_robots": 50})
+    stage = prepare_seed(scenario, 0)
+    newton_direction = mcpa.solver._newton_direction
+    steps = []
+
+    def recording_direction(*case):
+        steps.append(case)
+        return newton_direction(*case)
+
+    monkeypatch.setattr(mcpa.solver, "_newton_direction", recording_direction)
+    assert not run_method(stage, scenario, "mcpa").failure
+    monkeypatch.undo()
+    assert len(steps) > 50
+    for case in steps:
+        assert_matches_reference(case)
 
 
 # --- outer MM loop ------------------------------------------------------------
