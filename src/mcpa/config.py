@@ -207,8 +207,7 @@ def build_scenario(config: dict | None = None) -> Scenario:
     cfg = _merge(DEFAULT_CONFIG, config or {})
 
     num_robots = cfg["num_robots"]
-    _require(isinstance(num_robots, int) and num_robots >= 1,
-             "num_robots", "must be an integer >= 1")
+    _require(_is_int(num_robots) and num_robots >= 1, "num_robots", "must be an integer >= 1")
 
     exponent = _number(cfg, "radio", "pathloss_exponent")
     _require(exponent >= 1.0, "radio.pathloss_exponent", "must be at least 1")
@@ -240,9 +239,11 @@ def build_scenario(config: dict | None = None) -> Scenario:
              "gae.backend", "must be 'synthetic' or 'remote'")
 
     world = cfg["world"]
-    objects = tuple(world["objects"])
-    _require(len(objects) >= 1 and all(isinstance(o, str) for o in objects),
+    objects = world["objects"]
+    _require(isinstance(objects, (list, tuple)) and len(objects) >= 1
+             and all(isinstance(o, str) for o in objects),
              "world.objects", "must be a nonempty list of strings")
+    objects = tuple(objects)
 
     base_robots = world["base_robots"]
     if base_robots is not None:
@@ -252,7 +253,7 @@ def build_scenario(config: dict | None = None) -> Scenario:
                  "world.base_robots", f"must be distinct integers in [0, {num_robots})")
         base_robots = tuple(base_robots)
     num_base = world["num_base_robots"]
-    _require(isinstance(num_base, int) and 0 <= num_base <= num_robots,
+    _require(_is_int(num_base) and 0 <= num_base <= num_robots,
              "world.num_base_robots", f"must lie in [0, {num_robots}]")
 
     staged = world["staged_novel_counts"]
@@ -266,14 +267,14 @@ def build_scenario(config: dict | None = None) -> Scenario:
                  f"counts must sum to the number of objects ({len(objects)})")
 
     dwell = world["object_dwell_frames"]
-    _require(isinstance(dwell, int) and 1 <= dwell <= items,
+    _require(_is_int(dwell) and 1 <= dwell <= items,
              "world.object_dwell_frames", f"must lie in [1, {items}]")
     tag_rate = _number(cfg, "world", "background_tag_rate")
     _require(0.0 <= tag_rate <= 1.0, "world.background_tag_rate", "must lie in [0, 1]")
 
     seeds = cfg["seeds"]
     for name in ("channel", "placement", "pilot", "run"):
-        _require(isinstance(seeds[name], int) and seeds[name] >= 0,
+        _require(_is_int(seeds[name]) and seeds[name] >= 0,
                  f"seeds.{name}", "must be a nonnegative integer")
 
     margin = _number(cfg, "metrics", "coverage_margin")

@@ -2,10 +2,13 @@
 
 The synthetic backend stands in for the VLM/LLM stack: each recorded frame
 carries a set of event tags (the caption surrogate) and exams are graded by
-exact tag lookup (:class:`MemoryIndex`), so a memory scores 1.0 on any exam
-generated from its own content. Recorded frames are held as columns
-(:class:`FrameStore`) end to end: a pilot is a sub-store of its dataset, and
-questions and captions read the columns. The remote backend (see
+exact tag lookup, so a memory scores 1.0 on any exam generated from its own
+content. The path is columnar end to end: frames are columns
+(:class:`FrameStore`), a pilot is a sub-store of its dataset, an exam holds
+its questions as columns (template, tag id, ground truth) and builds
+:class:`Question` objects only when asked (the remote backend, ``repr``),
+and a store's :class:`MemoryIndex` holds each tag's hits once for every
+exam and first-frame table graded against it. The remote backend (see
 :mod:`mcpa.remote`) delegates questioning and answering to a
 chat-completion service but is graded by the same rules.
 """
@@ -13,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,6 +38,7 @@ __all__ = [
     "sample_pilot",
     "generate_exam",
     "practice_test",
+    "per_robot",
     "run_gae",
 ]
 
@@ -78,33 +84,37 @@ class FrameStore:
         """The frames at the ascending ``indices``, as a store of their own.
         An event window maps to the contiguous run of kept frames it covers."""
         indices = np.asarray(indices, dtype=np.intp)
-        events = [(tag, *np.searchsorted(indices, (start, stop)).tolist())
-                  for tag, start, stop in self.events]
+        bounds = np.searchsorted(indices, [window for _, *window in self.events]).tolist()
         return FrameStore(self.robot_ids[indices], self.timestamps[indices],
-                          self.poses[indices], self.background[indices],
-                          self.vocabulary, events)
+                          self.poses[indices], self.background[indices], self.vocabulary,
+                          [(tag, *window) for (tag, _, _), window in zip(self.events, bounds)])
 
-    def tag_sets(self) -> list[frozenset[str]]:
-        """Each frame's set of tags: its background tag and every covering
-        event's. Frames with equal tags share one set, so the list costs
-        memory per distinct set rather than per frame."""
-        background = [frozenset([tag]) for tag in self.vocabulary] + [frozenset()]  # [-1]: none
-        sets = [background[b] for b in self.background.tolist()]
-        distinct: dict[frozenset[str], frozenset[str]] = {}
-        for tag, start, stop in self.events:
-            sets[start:stop] = [distinct.setdefault(joined, joined)
-                                for joined in (tags | {tag} for tags in sets[start:stop])]
-        return sets
+    def occurrences(self, names=None) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+        """``(frames, tag_ids, names)``: tag ``names[tag_ids[i]]`` is on frame
+        ``frames[i]``, each pair once, frame by frame and in tag order within a
+        frame. ``names`` defaults to the store's tags, sorted; given, others are left out."""
+        if names is None:
+            names = tuple(sorted({*self.vocabulary, *(tag for tag, _, _ in self.events)}))
+        ids = {name: i for i, name in enumerate(names)}
+        background = np.array([ids.get(tag, -1) for tag in self.vocabulary] + [-1],
+                              dtype=np.intp)[self.background]      # [-1]: untagged
+        tagged = (background >= 0).nonzero()[0]
+        tag, start, length = np.array([(ids[tag], start, stop - start)
+                                       for tag, start, stop in self.events
+                                       if tag in ids and stop > start],
+                                      dtype=np.intp).reshape(-1, 3).T
+        ends = length.cumsum()
+        in_windows = np.arange(ends[-1] if len(ends) else 0) + (start - ends + length).repeat(length)
+        keys = np.concatenate([tagged * len(names) + background[tagged],
+                               in_windows * len(names) + tag.repeat(length)])
+        keys.sort()
+        frames, tag_ids = np.divmod(keys[_run_starts(keys)], max(len(names), 1))
+        return frames, tag_ids, names
 
-    def frames_with(self, tag: str) -> np.ndarray:
-        """Ascending indices of the frames that carry ``tag``."""
-        hit = np.zeros(len(self), dtype=bool)
-        if tag in self.vocabulary:
-            hit |= self.background == self.vocabulary.index(tag)
-        for event, start, stop in self.events:
-            if event == tag:
-                hit[start:stop] = True
-        return np.flatnonzero(hit)
+    @cached_property
+    def index(self) -> "MemoryIndex":
+        """The :class:`MemoryIndex` over all the store's tags, built once."""
+        return MemoryIndex(self)
 
 
 @dataclass(frozen=True)
@@ -125,17 +135,60 @@ class Question:
             raise ValueError(f"unknown question template {self.template!r}")
 
 
-@dataclass(frozen=True)
-class Exam:
-    robot_id: int
-    qa_pairs: tuple[Question, ...]
+def make_question(template: str, tag: str, truth) -> Question:
+    """The question an exam column row holds (see :class:`Exam`); presence
+    is answered YES for every tag but :data:`NOTHING_TAG`."""
+    if tag == NOTHING_TAG:
+        return Question("presence", tag, "Is there anything notable on record?", "NO")
+    if template == "presence":
+        return Question(template, tag, f"Is there a {tag}?", "YES")
+    if template == "location":
+        return Question(template, tag, f"Where is the {tag}?", tuple(truth))
+    return Question(template, tag, f"Which robot sees the {tag}?", int(truth[0]))
 
-    def __post_init__(self):
-        if len(self.qa_pairs) < 1:
+
+class Exam:
+    """Robot ``robot_id``'s exam as ``columns = (templates, tags, tag_ids,
+    truth)``: question ``i`` asks ``TEMPLATES[templates[i]]`` about
+    ``tags[tag_ids[i]]`` with ground truth ``truth[i]``, (x, y, yaw) for
+    location and, in column 0, the robot for reporter and 1.0 (YES) or 0.0
+    (NO) for presence. Either ``columns`` or ``qa_pairs`` is derived from
+    the other on first use."""
+
+    def __init__(self, robot_id: int, qa_pairs=None, *, columns=None):
+        self.robot_id = robot_id
+        if columns is None:
+            self.qa_pairs = tuple(qa_pairs)
+        else:
+            self.columns = columns
+        if len(self) < 1:
             raise ValueError("an exam needs at least one question")
 
     def __len__(self) -> int:
-        return len(self.qa_pairs)
+        return len(self.columns[0]) if "columns" in vars(self) else len(self.qa_pairs)
+
+    @cached_property
+    def qa_pairs(self) -> tuple[Question, ...]:
+        templates, tags, tag_ids, truth = self.columns
+        return tuple(make_question(TEMPLATES[t], tags[i], row) for t, i, row
+                     in zip(templates.tolist(), tag_ids.tolist(), truth.tolist()))
+
+    @cached_property
+    def columns(self) -> tuple:
+        questions = self.qa_pairs
+        tags = tuple(dict.fromkeys(q.tag for q in questions))
+        truth = [q.answer if q.template == "location" else
+                 (float(q.answer == "YES") if q.template == "presence" else q.answer, 0.0, 0.0)
+                 for q in questions]
+        return (np.array([TEMPLATES.index(q.template) for q in questions], dtype=np.intp), tags,
+                np.array([tags.index(q.tag) for q in questions], dtype=np.intp),
+                np.array(truth, dtype=float).reshape(-1, 3))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Exam) and repr(self) == repr(other)
+
+    def __repr__(self) -> str:
+        return f"Exam(robot_id={self.robot_id!r}, qa_pairs={self.qa_pairs!r})"
 
 
 @dataclass(frozen=True)
@@ -152,63 +205,71 @@ class GaeReport:
         object.__setattr__(self, "pilot_sizes", np.asarray(self.pilot_sizes, dtype=int))
 
 
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries of the sorted ``values`` that differ from the one before."""
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = values[1:] != values[:-1]
+    return new
+
+
+def _within_radius(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``math.hypot(dx, dy) <= LOCATION_RADIUS_M`` elementwise, bit for bit: the
+    squared distance decides but near the radius, where ``math.hypot`` does."""
+    squared = dx * dx + dy * dy
+    near = squared <= LOCATION_RADIUS_M ** 2
+    for i in (abs(squared - LOCATION_RADIUS_M ** 2) <= 1e-6).nonzero()[0].tolist():
+        near[i] = math.hypot(dx[i], dy[i]) <= LOCATION_RADIUS_M
+    return near
+
+
 class MemoryIndex:
-    """The synthetic oracle's grading rule over one :class:`FrameStore`. Each
-    tag's frames are read once, when a question first asks about it."""
+    """One store's tag hits (for all its tags, or only the listed ``tags``),
+    grouped by runs of consecutive frames taken at one place (x, y, robot),
+    which answer every question alike: ``first[offsets[j]:offsets[j + 1]]``
+    are the first frames of the groups of ``tags[j]``, at ``x``, ``y``, ``robots``."""
 
-    def __init__(self, frames: FrameStore):
-        self.frames = frames
-        self._hits: dict[str, np.ndarray] = {}
-        self._answers: dict[tuple, bool] = {}
+    def __init__(self, frames: FrameStore, tags=None):
+        self.size = len(frames)       # no reference back: the store caches its index
+        hits, tag_ids, self.tags = frames.occurrences(tags)
+        moved = np.ones(len(frames) + 1, dtype=np.intp)       # [-1]: bounds the run ids
+        moved[1:-1] = ((frames.poses[1:, :2] != frames.poses[:-1, :2]).any(axis=1)
+                       | (frames.robot_ids[1:] != frames.robot_ids[:-1]))
+        run = moved.cumsum()
+        keys = (tag_ids * run[-1] + run[hits]) * (self.size + 1) + hits
+        keys.sort()
+        groups, self.first = np.divmod(keys[_run_starts(keys // (self.size + 1))], self.size + 1)
+        self.x, self.y = frames.poses[self.first, :2].T.copy()
+        self.robots = frames.robot_ids[self.first]
+        # row len(tags) is empty: the row of every tag the store lacks
+        self.offsets = (groups // run[-1]).searchsorted(np.arange(len(self.tags) + 2))
+        self._rows = {tag: j for j, tag in enumerate(self.tags)}
 
-    def _frames_with(self, tag: str) -> np.ndarray:
-        hits = self._hits.get(tag)
-        if hits is None:
-            hits = self._hits[tag] = self.frames.frames_with(tag)
-        return hits
+    def first_frames(self, columns) -> np.ndarray:
+        """The first frame that alone answers each question of exam ``columns``
+        (presence counted as YES), or the store's length. Such questions are
+        answered by single frames, so a memory joined with a prefix of ``n``
+        frames answers one exactly when it alone does or ``n`` exceeds this."""
+        templates, tags, tag_ids, truth = columns
+        rows = np.array([self._rows.get(tag, len(self.tags)) for tag in tags],
+                        dtype=np.intp)[tag_ids]
+        lo = self.offsets[rows]
+        count = self.offsets[rows + 1] - lo
+        question = np.arange(len(rows)).repeat(count)      # one entry per candidate group
+        group = np.arange(len(question)) + (lo - count.cumsum() + count).repeat(count)
+        answer = truth[question]
+        ok = np.choose(templates[question], (True, _within_radius(self.x[group] - answer[:, 0],
+                                                                  self.y[group] - answer[:, 1]),
+                                             self.robots[group] == answer[:, 0]))
+        first = np.full(len(rows), self.size)
+        np.minimum.at(first, question[ok], self.first[group[ok]])
+        return first
 
-    def first_answering_frame(self, question: Question) -> int:
-        """Index of the first frame that alone answers ``question``, or
-        ``len(frames)`` when none does.
-
-        A positive question is answered by single frames (the tag is on some
-        frame; on some frame within the radius; on some frame of the
-        reporter), so a memory joined with the prefix ``frames[:n]`` answers
-        it exactly when the memory alone does or ``n`` exceeds this index.
-        """
-        if question.template == "presence" and question.answer != "YES":
-            raise ValueError("only questions answered YES grade as a test over single frames")
-        frames = self.frames
-        hits = self._frames_with(question.tag)
-        if question.template == "location":
-            x, y, _ = question.answer
-            xy = frames.poses[hits, :2].tolist()
-            return next((int(i) for i, (px, py) in zip(hits, xy)
-                         if math.hypot(px - x, py - y) <= LOCATION_RADIUS_M), len(frames))
-        if question.template == "reporter":
-            hits = hits[frames.robot_ids[hits] == question.answer]
-        return int(hits[0]) if len(hits) else len(frames)
-
-    def answers(self, question: Question) -> bool:
-        """Would a retriever over the memory answer ``question`` correctly?
-        A presence question answered NO is right when no frame has the tag."""
-        key = (question.template, question.tag, question.answer)
-        if key not in self._answers:    # exams repeat questions
-            if question.template == "presence" and question.answer == "NO":
-                self._answers[key] = len(self._frames_with(question.tag)) == 0
-            else:
-                self._answers[key] = self.first_answering_frame(question) < len(self.frames)
-        return self._answers[key]
-
-
-def make_question(pose, robot: int, tag: str, template: str) -> Question:
-    """The ``template`` question about ``tag`` as a frame of ``robot`` at
-    ``pose`` (x, y, z, roll, pitch, yaw) recorded it."""
-    if template == "presence":
-        return Question(template, tag, f"Is there a {tag}?", "YES")
-    if template == "location":
-        return Question(template, tag, f"Where is the {tag}?", (pose[0], pose[1], pose[5]))
-    return Question(template, tag, f"Which robot sees the {tag}?", robot)
+    def answers(self, columns) -> np.ndarray:
+        """Whether the memory answers each question of exam ``columns``; a
+        presence question answered NO is right when no frame has the tag."""
+        templates, _, _, truth = columns
+        answered = self.first_frames(columns) < self.size
+        return answered != ((templates == 0) & (truth[:, 0] == 0.0))     # flip answered NO
 
 
 class SyntheticBackend:
@@ -217,30 +278,55 @@ class SyntheticBackend:
     name = "synthetic"
 
     def prepare_memory(self, memory: FrameStore) -> MemoryIndex:
-        """The index every exam is graded against."""
-        return MemoryIndex(memory)
+        return memory.index
 
-    def make_questions(self, pilot: FrameStore, num_questions: int, rng: np.random.Generator):
-        """Sample (tag, template) questions from the pilot's tag multiset.
-
-        Tags are drawn uniformly (with replacement) from the occurrences in
-        the pilot, so every question is answerable from the pilot itself;
-        templates cycle round-robin. A tagless pilot produces
-        nothing-observed presence questions whose ground truth is NO.
-        """
-        occurrences = [(pose, robot, tag) for pose, robot, tags
-                       in zip(pilot.poses.tolist(), pilot.robot_ids.tolist(), pilot.tag_sets())
-                       for tag in sorted(tags)]
-        if not occurrences:
-            return [Question("presence", NOTHING_TAG,
-                             "Is there anything notable on record?", "NO")] * num_questions
-        picks = rng.integers(len(occurrences), size=num_questions).tolist()
-        keys = [(pick, TEMPLATES[i % len(TEMPLATES)]) for i, pick in enumerate(picks)]
-        built = {key: make_question(*occurrences[key[0]], key[1]) for key in dict.fromkeys(keys)}
-        return [built[key] for key in keys]    # exams repeat questions: build each once
+    def make_exam(self, pilot: FrameStore, num_questions: int, rng, robot_id: int) -> Exam:
+        return Exam(robot_id, columns=_draw_questions([pilot], num_questions, [rng]))
 
     def test(self, exam: Exam, index: MemoryIndex) -> float:
-        return sum(index.answers(q) for q in exam.qa_pairs) / len(exam)
+        return int(np.count_nonzero(index.answers(exam.columns))) / len(exam)
+
+    def run_exams(self, pilots, num_questions: int, seeds, index: MemoryIndex):
+        """Every robot's exam and score, drawn and graded in one batch."""
+        columns = _draw_questions(pilots, num_questions,
+                                  [np.random.default_rng(seed) for seed in seeds])
+        templates, tags, tag_ids, truth = columns
+        exams = [Exam(k, columns=(templates[rows], tags, tag_ids[rows], truth[rows]))
+                 for k, rows in enumerate(np.split(np.arange(len(templates)), len(pilots)))]
+        return exams, index.answers(columns).reshape(len(pilots), -1).sum(axis=1) / num_questions
+
+
+def _draw_questions(pilots, num_questions: int, rngs) -> tuple:
+    """Exam columns, ``num_questions`` rows per pilot. Each pilot's generator
+    draws its tags uniformly, with replacement, from the pilot's (frame, tag)
+    occurrences, so each question is answerable from the pilot itself;
+    templates cycle round-robin. A tagless pilot draws nothing: its
+    questions are nothing-observed presence questions answered NO."""
+    vocabulary = tuple(dict.fromkeys(tag for pilot in pilots for tag in pilot.vocabulary))
+    starts = list(accumulate((len(pilot) for pilot in pilots), initial=0))
+    joined = pilots[0] if len(pilots) == 1 else FrameStore(   # the pilots, one after another
+        np.concatenate([pilot.robot_ids for pilot in pilots]), np.zeros(starts[-1]),
+        np.concatenate([pilot.poses for pilot in pilots]),
+        np.concatenate([np.array([vocabulary.index(tag) for tag in pilot.vocabulary] + [-1],
+                                 dtype=np.intp)[pilot.background] for pilot in pilots]),
+        vocabulary, [(tag, begin + start, end + start) for pilot, start in zip(pilots, starts)
+                     for tag, begin, end in pilot.events])
+    frames, tag_ids, tags = joined.occurrences()
+    bounds = np.searchsorted(frames, starts).tolist()
+    picks = np.concatenate([lo + rng.integers(hi - lo, size=num_questions) if hi > lo
+                            else np.full(num_questions, -1)
+                            for rng, lo, hi in zip(rngs, bounds, bounds[1:])])
+    drawn = (picks >= 0).nonzero()[0]
+    templates = np.arange(len(picks)) % num_questions % len(TEMPLATES)
+    templates[picks < 0] = 0
+    at, kind = frames[picks[drawn]], templates[drawn]
+    truth = np.zeros((len(picks), 3))
+    truth[drawn] = np.where((kind == 1)[:, None], joined.poses[at[:, None], [0, 1, 5]], 0.0)
+    truth[drawn, 0] = np.where(kind == 0, 1.0,
+                               np.where(kind == 2, joined.robot_ids[at], truth[drawn, 0]))
+    tag_id = np.full(len(picks), len(tags))             # the NOTHING_TAG row
+    tag_id[drawn] = tag_ids[picks[drawn]]
+    return templates, (*tags, NOTHING_TAG), tag_id, truth
 
 
 def sample_pilot(dataset: FrameStore, ratio: float, seed) -> FrameStore:
@@ -263,14 +349,23 @@ def generate_exam(pilot, num_questions: int, backend, seed, robot_id: int = 0) -
     """Build an exam of ``num_questions`` QA pairs from the pilot memory."""
     if num_questions < 1:
         raise GaeError("at least one exam question is required")
-    rng = np.random.default_rng(seed)
-    questions = backend.make_questions(pilot, num_questions, rng)
-    return Exam(robot_id=robot_id, qa_pairs=tuple(questions))
+    return backend.make_exam(pilot, num_questions, np.random.default_rng(seed), robot_id)
 
 
 def practice_test(exam: Exam, base_memory, backend) -> float:
     """Fraction of the exam the base memory answers correctly."""
     return float(backend.test(exam, backend.prepare_memory(base_memory)))
+
+
+def per_robot(task, num_robots: int) -> list:
+    """``task(k)`` for each robot ``k`` in turn; an error names its robot."""
+    results = []
+    for k in range(num_robots):
+        try:
+            results.append(task(k))
+        except Exception as exc:
+            raise GaeError(f"robot {k}: {exc}") from exc
+    return results
 
 
 def run_gae(datasets, base_memory, ratio, questions_per_robot: int, backend, seed) -> GaeReport:
@@ -283,21 +378,13 @@ def run_gae(datasets, base_memory, ratio, questions_per_robot: int, backend, see
     num_robots = len(datasets)
     if num_robots < 1:
         raise GaeError("run_gae needs at least one robot dataset")
+    if questions_per_robot < 1:
+        raise GaeError("at least one exam question is required")
     ratios = np.broadcast_to(np.asarray(ratio, dtype=float), (num_robots,))
     prepared = backend.prepare_memory(base_memory)
-
-    scores = np.zeros(num_robots)
-    pilot_sizes = np.zeros(num_robots, dtype=int)
-    exams = []
-    children = np.random.SeedSequence(seed).spawn(num_robots)
-    for k in range(num_robots):
-        try:
-            pilot_seed, exam_seed = children[k].spawn(2)
-            pilot = sample_pilot(datasets[k], float(ratios[k]), pilot_seed)
-            exam = generate_exam(pilot, questions_per_robot, backend, exam_seed, robot_id=k)
-            scores[k] = backend.test(exam, prepared)
-        except Exception as exc:
-            raise GaeError(f"robot {k}: {exc}") from exc
-        pilot_sizes[k] = len(pilot)
-        exams.append(exam)
-    return GaeReport(scores=scores, pilot_sizes=pilot_sizes, exams=tuple(exams))
+    seeds = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(num_robots)]
+    pilots = per_robot(lambda k: sample_pilot(datasets[k], float(ratios[k]), seeds[k][0]),
+                       num_robots)
+    exams, scores = backend.run_exams(pilots, questions_per_robot, [s[1] for s in seeds],
+                                      prepared)
+    return GaeReport(scores=scores, pilot_sizes=[len(p) for p in pilots], exams=tuple(exams))

@@ -20,7 +20,7 @@ import numpy as np
 from . import baselines
 from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
 from .config import ConfigError, Scenario
-from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
+from .gae import Exam, GaeError, MemoryIndex, SyntheticBackend, run_gae
 from .qom import (PilotPhaseInfeasible, PowerVector, frames_uploaded, pilot_overhead,
                   qom_objective, qom_weights)
 from .solver import solve_mcpa
@@ -156,12 +156,17 @@ def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
                      scenario.questions_per_robot, backend,
                      seed=[scenario.seeds["pilot"], seed])
 
-    indexes = [MemoryIndex(frames) for frames in (world.base_memory, *world.datasets)]
-    first = np.array([[index.first_answering_frame(q) for index in indexes]
-                      for q in world.questions])
+    # a dataset holding none of the asked tags answers nothing: its entries
+    # stay at its length and it needs no index
+    columns = Exam(0, world.questions).columns
+    asked = set(columns[1])
+    first = np.array([[len(frames) for frames in world.datasets]] * len(world.questions))
+    for k, frames in enumerate(world.datasets):
+        if not asked.isdisjoint([*frames.vocabulary, *(tag for tag, _, _ in frames.events)]):
+            first[:, k] = MemoryIndex(frames, columns[1]).first_frames(columns)
     return SeedContext(seed=seed, world=world, state=state, gae_scores=report.scores,
-                       base_answers=first[:, 0] < len(world.base_memory),
-                       first_frames=first[:, 1:])
+                       base_answers=world.base_memory.index.answers(columns),
+                       first_frames=first)
 
 
 @dataclass(frozen=True)
@@ -223,7 +228,6 @@ def _score_allocation(ctx: _RunContext, scenario: Scenario,
     meta = scenario.dataset
     stage = ctx.stage
 
-    # math.floor raises on NaN, so a broken allocation becomes a failed row
     frames = np.array([math.floor(f) for f in frames_uploaded(
         stage.state, allocation, meta, noise, ctx.effective_time_s, bandwidth)])
     accuracy = stage.accuracy_with(frames)

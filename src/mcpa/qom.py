@@ -98,6 +98,8 @@ class PowerVector:
         p = np.asarray(self.powers, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("powers must be a nonempty 1-D array")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("non-finite powers: every power must be a finite number")
         if np.any(p < 0.0):
             raise ValueError("powers must be nonnegative")
         if p.sum() > self.budget * (1.0 + 1e-9):

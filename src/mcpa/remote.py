@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gae import LOCATION_RADIUS_M, TEMPLATES, FrameStore, GaeError, Question
+from .gae import (LOCATION_RADIUS_M, TEMPLATES, Exam, FrameStore, GaeError, Question,
+                  generate_exam, per_robot)
 
 __all__ = [
     "URL_ENV_VAR",
@@ -108,12 +109,15 @@ _OPENER = urllib.request.build_opener(_NoRedirect)
 
 def captions(frames: FrameStore) -> str:
     """Render each frame the way a captioner would describe it, one line each."""
+    hit_frames, tag_ids, names = frames.occurrences()
+    tags = [names[i] for i in tag_ids.tolist()]
+    bounds = np.searchsorted(hit_frames, np.arange(len(frames) + 1)).tolist()
     return "\n".join(
         f"[t={t:.2f}s robot={robot} pos=({x:.1f}, {y:.1f})] saw: "
-        + (", ".join(sorted(tags)) if tags else "nothing notable")
-        for t, robot, x, y, tags in zip(frames.timestamps.tolist(), frames.robot_ids.tolist(),
+        + (", ".join(tags[a:b]) or "nothing notable")
+        for t, robot, x, y, a, b in zip(frames.timestamps.tolist(), frames.robot_ids.tolist(),
                                         frames.poses[:, 0].tolist(), frames.poses[:, 1].tolist(),
-                                        frames.tag_sets()))
+                                        bounds, bounds[1:]))
 
 
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?")
@@ -231,11 +235,11 @@ class RemoteBackend:
         empty reply memo."""
         return _AnsweringMemory(captions(memory))
 
-    def make_questions(self, pilot: FrameStore, num_questions: int,
-                       rng: np.random.Generator) -> list[Question]:
+    def make_exam(self, pilot: FrameStore, num_questions: int, rng: np.random.Generator,
+                  robot_id: int) -> Exam:
         del rng  # the service owns question sampling
         reply = self._chat(_QUESTION_PROMPT.format(n=num_questions), captions(pilot))
-        return self._parse_questions(reply, num_questions)
+        return Exam(robot_id, self._parse_questions(reply, num_questions))
 
     @staticmethod
     def _parse_questions(reply: str, num_questions: int) -> list[Question]:
@@ -269,6 +273,14 @@ class RemoteBackend:
         if not questions:
             raise GaeParseError("question reply parsed to an empty exam")
         return questions
+
+    def run_exams(self, pilots, num_questions: int, seeds, memory: _AnsweringMemory):
+        """Each robot's exam, asked and then answered, one robot after another."""
+        def sit(k):
+            exam = generate_exam(pilots[k], num_questions, self, seeds[k], robot_id=k)
+            return exam, self.test(exam, memory)
+        exams, scores = zip(*per_robot(sit, len(pilots)))
+        return exams, scores
 
     def test(self, exam, memory: _AnsweringMemory) -> float:
         """Ask every question text the memory has no reply for yet, with its

@@ -124,8 +124,10 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
 
     # ground-truth exam: every template about each placed object, asked as
     # its host recorded it at the window start
-    questions = [make_question(poses[o.host_robot, o.window_start].tolist(), o.host_robot,
-                               o.name, template) for o in placed for template in TEMPLATES]
+    questions = [make_question(template, o.name, truth) for o in placed
+                 for template, truth in zip(TEMPLATES, (
+                     (1.0,), poses[o.host_robot, o.window_start, [0, 1, 5]].tolist(),
+                     (o.host_robot,)))]
 
     return WorldInstance(
         datasets=datasets,

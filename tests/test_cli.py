@@ -141,11 +141,12 @@ def test_fractional_solver_limit_is_rejected(tmp_path):
     ({"remote": {"url": 7}}, "remote.url"),
     ({"remote": {"transcript_path": 5}}, "remote.transcript_path"),
     ({"remote": {"model": 3}}, "remote.model"),
+    ({"num_robots": True}, "num_robots"),
 ])
 def test_non_finite_or_out_of_range_values_are_rejected(tmp_path, config, field):
     """A non-finite or out-of-range number, a count or robot index that is
-    not a nonnegative integer (never truncated), a repeated base robot, or a
-    remote endpoint, transcript or model that is not a string."""
+    not a nonnegative integer (never truncated, never a boolean), a repeated
+    base robot, or a remote endpoint, transcript or model that is not a string."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))   # NaN and Infinity as JSON literals
     out = run_cli("simulate", "--config", str(bad), "--seeds", "1",

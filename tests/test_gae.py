@@ -1,15 +1,18 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_memory
 from frames import MemoryItem, items, reference_caption, store
+import reference_index
 from mcpa.gae import (NOTHING_TAG, Exam, FrameStore, GaeError, MemoryIndex, Question,
                       SyntheticBackend, generate_exam, practice_test, run_gae,
                       sample_pilot)
 from mcpa.remote import captions
-from reference_index import ReferenceIndex, grade
+from reference_index import QuestionIndex, ReferenceIndex, grade
 
 
 def item(tag_set, robot=0, ts=0.0, xy=(0.0, 0.0)):
@@ -92,25 +95,54 @@ def test_practice_test_half_overlap():
     assert practice_test(exam, store([item({"a"})]), backend) == 0.5
 
 
-def index_of(memory) -> MemoryIndex:
-    return SyntheticBackend().prepare_memory(store(memory))
+def answers(memory, question) -> bool:
+    """Does the prepared ``memory`` (a list of items) answer ``question``?"""
+    index = SyntheticBackend().prepare_memory(store(memory))
+    return bool(index.answers(Exam(0, [question]).columns)[0])
 
 
 def test_location_grading_uses_fifty_metre_radius():
     q_near = Question("location", "cone", "Where is the cone?", (0.0, 0.0, 0.0))
     memory_near = [item({"cone"}, xy=(30.0, 40.0))]   # 50 m exactly
     memory_far = [item({"cone"}, xy=(30.1, 40.0))]    # just outside
-    assert index_of(memory_near).answers(q_near)
-    assert not index_of(memory_far).answers(q_near)
+    assert answers(memory_near, q_near)
+    assert not answers(memory_far, q_near)
+
+
+# (px, py, x, y) where math.hypot(px - x, py - y) <= 50 disagrees with
+# numpy's hypot or with the squared distance <= 2500: both ways for each
+HYPOT_ULP_CASES = [tuple(map(float.fromhex, case)) for case in (
+    ("-0x1.36402803f5eabp+7", "-0x1.3f1b3a07f563cp+7", "-0x1.4cc1a95c25224p+7",
+     "-0x1.bb57fadec08e4p+6"),
+    ("0x1.fda7affd1a0e0p+5", "-0x1.32a1eb3fdc37dp+5", "0x1.684a0413418f0p+5",
+     "0x1.01bbb39ab6340p+3"),
+    ("-0x1.0583ba14d1320p+7", "-0x1.8ee66a6cb0455p+7", "-0x1.28ca3121bff14p+7",
+     "-0x1.315411cd1eefap+7"),
+    ("0x1.606a754c25c73p+8", "-0x1.9fc4d5e23fa58p+6", "0x1.8ab742beb1020p+8",
+     "-0x1.3521e3254c494p+6"),
+)]
+
+
+def test_location_radius_is_math_hypot_to_the_last_ulp():
+    expected = [math.hypot(px - x, py - y) <= 50.0 for px, py, x, y in HYPOT_ULP_CASES]
+    # the cases tell math.hypot from both shortcuts, in both directions
+    numpy_hypot = [bool(np.hypot(px - x, py - y) <= 50.0) for px, py, x, y in HYPOT_ULP_CASES]
+    squared = [(px - x) ** 2 + (py - y) ** 2 <= 2500.0 for px, py, x, y in HYPOT_ULP_CASES]
+    assert expected[:2] != numpy_hypot[:2] and sorted(expected[:2]) == [False, True]
+    assert expected[2:] != squared[2:] and sorted(expected[2:]) == [False, True]
+    memory = [item({"cone"}, robot=1, xy=(px, py)) for px, py, _, _ in HYPOT_ULP_CASES]
+    for i, (_, _, x, y) in enumerate(HYPOT_ULP_CASES):
+        q = Question("location", "cone", "?", (x, y, 0.0))
+        assert answers([memory[i]], q) == expected[i] == QuestionIndex(store([memory[i]])).answers(q)
 
 
 def test_reporter_grading_requires_attribution():
     q = Question("reporter", "bus", "Which robot sees the bus?", 2)
-    assert index_of([item({"bus"}, robot=2)]).answers(q)
-    assert not index_of([item({"bus"}, robot=1)]).answers(q)
+    assert answers([item({"bus"}, robot=2)], q)
+    assert not answers([item({"bus"}, robot=1)], q)
     # any attribution set containing the ground-truth robot counts
-    both = index_of([item({"bus"}, robot=1), item({"bus"}, robot=2)])
-    assert both.answers(q)
+    both = [item({"bus"}, robot=1), item({"bus"}, robot=2)]
+    assert answers(both, q)
 
 
 def test_first_answering_frame_per_template():
@@ -123,7 +155,7 @@ def test_first_answering_frame_per_template():
     index = MemoryIndex(frames)
 
     def first(template, answer, tag="bus"):
-        return index.first_answering_frame(Question(template, tag, "?", answer))
+        return index.first_frames(Exam(0, [Question(template, tag, "?", answer)]).columns)[0]
     assert first("presence", "YES") == 0
     assert first("presence", "YES", tag="taxi") == 3
     assert first("location", (70.0, 0.0, 0.0)) == 0
@@ -132,8 +164,9 @@ def test_first_answering_frame_per_template():
     assert first("reporter", 1) == 0
     assert first("reporter", 0) == 2
     assert first("reporter", 3) == 3
-    with pytest.raises(ValueError):
-        first("presence", "NO")
+    # a presence question answered NO is right when no frame has the tag
+    no = Exam(0, [Question("presence", tag, "?", "NO") for tag in ("bus", "taxi")])
+    assert index.answers(no.columns).tolist() == [False, True]
 
 
 def test_run_gae_duplicate_and_novel_extremes():
@@ -203,14 +236,14 @@ def test_from_items_round_trips_items():
               item({"bus"}, robot=1, ts=2.0)]
     frames = store(memory)
     assert items(frames) == memory
-    assert frames.frames_with("bus").tolist() == [0, 2]
+    assert frames.occurrences(["bus"])[0].tolist() == [0, 2]
     assert len(store([])) == 0
 
 
 @pytest.mark.parametrize("n", [1, 7, 1000, 2**31, 2**33])
 @pytest.mark.parametrize("m", [1, 999])
 def test_vector_draw_equals_scalar_draws(n, m):
-    # make_questions draws an exam's picks in one call; the exams pinned in
+    # make_exam draws an exam's picks in one call; the exams pinned in
     # tests/golden were drawn one pick per call, so the streams must agree
     vector, scalar = np.random.default_rng(42), np.random.default_rng(42)
     values = vector.integers(n, size=m).tolist()
@@ -218,7 +251,7 @@ def test_vector_draw_equals_scalar_draws(n, m):
     assert vector.bit_generator.state == scalar.bit_generator.state
 
 
-# --- MemoryIndex against the set index it replaced ------------------------------
+# --- MemoryIndex and columnar exams against the code they replaced --------------
 
 VOCABULARY = ("bus", "landmark-00", "landmark-01")
 EVENT_TAGS = ("taxi", "cone", "landmark-01")     # one named like a vocabulary tag
@@ -257,22 +290,60 @@ def every_question():
                 yield Question("location", tag, "?", (x, y, 0.0))
 
 
+QUESTIONS = Exam(0, list(every_question()))
+POSITIVE = Exam(0, [q for q in QUESTIONS.qa_pairs if q.answer != "NO"])
+
+
 @settings(max_examples=100)
 @given(frame_stores())
 def test_memory_index_answers_as_the_set_index(frames):
     memory = items(frames)
     reference = ReferenceIndex(memory)
-    index, from_items = MemoryIndex(frames), MemoryIndex(store(memory))
     singles = [ReferenceIndex([it]) for it in memory]
-    for q in every_question():
-        expected = grade(q, reference)
-        assert index.answers(q) == from_items.answers(q) == expected, q
-        if q.answer == "NO":
-            continue
-        # the first frame that alone answers q, as the set index sees it
-        first = next((i for i, one in enumerate(singles) if grade(q, one)), len(memory))
-        assert index.first_answering_frame(q) == from_items.first_answering_frame(q) == first
-        assert (first < len(memory)) == expected
+    expected = [grade(q, reference) for q in QUESTIONS.qa_pairs]
+    # the first frame that alone answers q, as the set index sees it
+    first = [next((i for i, one in enumerate(singles) if grade(q, one)), len(memory))
+             for q in POSITIVE.qa_pairs]
+    for index in (MemoryIndex(frames), MemoryIndex(store(memory)),
+                  MemoryIndex(frames, QUESTIONS.columns[1])):
+        assert index.answers(QUESTIONS.columns).tolist() == expected
+        assert index.first_frames(POSITIVE.columns).tolist() == first
+
+
+@settings(max_examples=60)
+@given(frame_stores(), frame_stores(), st.integers(1, 12), st.integers(0, 2**32),
+       st.booleans())
+@example(FrameStore([], [], [], [], ()), FrameStore([0], [0.0], np.zeros(6), [-1], ()), 4, 0,
+         False)
+def test_columnar_exams_match_the_per_question_path(pilot, memory, num_questions, seed,
+                                                    from_items):
+    """Exams (columns, questions and repr), practice-test scores and first
+    answering frames equal those of the per-question code they replaced, on
+    column-built and item-built stores: empty and tagless pilots, overlapping,
+    duplicate and empty windows, an event named like a vocabulary tag."""
+    if from_items:
+        pilot, memory = store(items(pilot)), store(items(memory))
+    backend = SyntheticBackend()
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    exam = backend.make_exam(pilot, num_questions, rng, 3)
+    questions = tuple(reference_index.make_questions(pilot, num_questions, reference_rng))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert exam.qa_pairs == questions
+    assert repr(exam) == f"Exam(robot_id=3, qa_pairs={questions!r})"
+    templates, tags, tag_ids, truth = exam.columns
+    rebuilt = Exam(3, questions).columns
+    assert templates.tolist() == rebuilt[0].tolist()
+    assert [tags[i] for i in tag_ids] == [rebuilt[1][i] for i in rebuilt[2]]
+    assert truth.tolist() == rebuilt[3].tolist()
+
+    oracle = QuestionIndex(memory)
+    assert backend.test(exam, memory.index) == sum(map(oracle.answers, questions)) / len(exam)
+    positive = [q for q in questions if q.answer != "NO"]
+    if positive:
+        first = [oracle.first_answering_frame(q) for q in positive]
+        columns = Exam(3, positive).columns
+        assert memory.index.first_frames(columns).tolist() == first
+        assert MemoryIndex(memory, columns[1]).first_frames(columns).tolist() == first
 
 
 @settings(max_examples=100)
@@ -312,7 +383,11 @@ def test_column_ops_match_the_item_reference(case, seed):
     frames, chosen = case
     memory = items(frames)
     assert items(frames.take(chosen)) == [memory[i] for i in chosen]
-    assert frames.tag_sets() == [it.tags for it in memory]
+    hit_frames, tag_ids, names = frames.occurrences()
+    assert list(zip(hit_frames.tolist(), [names[i] for i in tag_ids.tolist()])) == \
+        [(i, tag) for i, it in enumerate(memory) for tag in sorted(it.tags)]
+    bus = frames.occurrences(["bus", "unseen"])
+    assert list(zip(*bus[:2])) == [(i, 0) for i, it in enumerate(memory) if "bus" in it.tags]
     assert captions(frames) == "\n".join(reference_caption(it) for it in memory)
     if memory:
         assert_same_store(sample_pilot(frames, 1.0, seed), frames)

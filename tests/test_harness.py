@@ -1,8 +1,6 @@
-import copy
 import csv
 import dataclasses
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -86,6 +84,26 @@ def test_integer_fields_reject_non_integers():
         for value in (0.5, 3.0, 0, True, "3"):
             with pytest.raises(ConfigError, match=f"{section}.{key}"):
                 build_scenario({section: {key: value}})
+
+
+@pytest.mark.parametrize("config, field", [
+    ({"num_robots": True}, "num_robots"),
+    ({"world": {"num_base_robots": True}}, "world.num_base_robots"),
+    ({"world": {"object_dwell_frames": True}}, "world.object_dwell_frames"),
+    *[({"seeds": {name: True}}, f"seeds.{name}")
+      for name in ("channel", "placement", "pilot", "run")],
+])
+def test_count_and_seed_leaves_reject_booleans(config, field):
+    # a boolean is an int to isinstance, and would be read as 0 or 1
+    with pytest.raises(ConfigError, match=field):
+        build_scenario(config)
+
+
+@pytest.mark.parametrize("objects", ["bus", {"bus": 1}, ["bus", 3], []])
+def test_objects_must_be_a_list_of_strings(objects):
+    # a string would otherwise be split into one-letter objects
+    with pytest.raises(ConfigError, match="world.objects"):
+        build_scenario({"world": {"objects": objects}})
 
 
 def test_number_fields_reject_strings_and_non_finite_values():
@@ -223,27 +241,28 @@ def test_stage_accuracy_joins_uploads_with_base_memory():
         assert stage.accuracy_with(counts) == graded(counts)
 
 
-def test_prepare_seed_reads_each_tag_once_per_index(monkeypatch):
-    # every index reads a copy of its store whose frames_with counts the
-    # reads: one index for the GAE practice tests, one per store for scoring
-    stores, reads = [], Counter()
+def test_prepare_seed_indexes_the_base_memory_once(monkeypatch):
+    # the GAE practice tests and the first-frame table share one index of the
+    # base memory over all its tags; a dataset is indexed, on the asked tags
+    # only, when it holds one of them
+    built = []
     original = MemoryIndex.__init__
 
-    def counted(self, frames):
-        own = copy.copy(frames)
-        number = len(stores)
-        stores.append(own)
-
-        def frames_with(tag, _read=frames.frames_with):
-            reads[number, tag] += 1
-            return _read(tag)
-        own.frames_with = frames_with
-        original(self, own)
+    def counted(self, frames, tags=None):
+        built.append((frames, tags))
+        original(self, frames, tags)
     monkeypatch.setattr(MemoryIndex, "__init__", counted)
     s = small_city()
-    prepare_seed(s, 0)
-    assert len(stores) == 2 + s.num_robots
-    assert reads and max(reads.values()) == 1
+    world = prepare_seed(s, 0).world
+    asked = {q.tag for q in world.questions}
+    assert [tags for frames, tags in built if frames is world.base_memory] == [None]
+    hosts = [frames for frames in world.datasets
+             if asked & {*frames.vocabulary, *(tag for tag, _, _ in frames.events)}]
+    assert 0 < len(hosts) < s.num_robots
+    for frames in world.datasets:
+        indexed = [set(tags) for store, tags in built if store is frames]
+        assert indexed == ([asked] if any(frames is host for host in hosts) else [])
+    assert len(built) == 1 + len(hosts)
 
 
 # --- campaigns & sweeps ---------------------------------------------------------
@@ -420,16 +439,17 @@ def test_programming_errors_propagate(monkeypatch):
 
 
 def test_nan_allocation_is_a_failed_row_with_reason(monkeypatch):
-    monkeypatch.setattr(harness.baselines, "allocate_uniform",
-                        lambda num_robots, budget: PowerVector(np.full(num_robots, np.nan),
-                                                               budget))
-    rows, _ = run_campaign(small_city(), ["remember", "uniform"], 1)
-    remember, uniform = rows
-    assert not remember.failure and not np.isnan(remember.eqa_accuracy)
-    assert np.isnan(uniform.eqa_accuracy) and np.isnan(uniform.qom)
-    assert uniform.failure.startswith("ValueError: ")
-    # the reason is not a CSV column
-    assert len(uniform.row()) == len(CSV_COLUMNS)
+    for bad in (np.nan, np.inf, -np.inf):
+        monkeypatch.setattr(harness.baselines, "allocate_uniform",
+                            lambda num_robots, budget: PowerVector(np.full(num_robots, bad),
+                                                                   budget))
+        rows, _ = run_campaign(small_city(), ["remember", "uniform"], 1)
+        remember, uniform = rows
+        assert not remember.failure and not np.isnan(remember.eqa_accuracy)
+        assert np.isnan(uniform.eqa_accuracy) and np.isnan(uniform.qom)
+        assert uniform.failure.startswith("ValueError: non-finite powers")
+        # the reason is not a CSV column
+        assert len(uniform.row()) == len(CSV_COLUMNS)
 
 
 def test_aggregate_skips_nan_rows():

@@ -14,6 +14,9 @@ def test_power_vector_feasibility():
         PowerVector(np.array([0.15, 0.1]), 0.2)
     with pytest.raises(ValueError):
         PowerVector(np.array([-0.01, 0.1]), 0.2)
+    for bad in (np.nan, np.inf, -np.inf):     # NaN passes both the sign and budget tests
+        with pytest.raises(ValueError, match="non-finite powers"):
+            PowerVector(np.array([bad, 0.1]), 0.2)
 
 
 def test_dataset_meta_validation_and_pilot_counts():

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from frames import MemoryItem, items
 from mcpa.config import Scenario, build_scenario
-from mcpa.gae import MemoryIndex, Question
+from mcpa.gae import Exam, MemoryIndex, Question
 from mcpa.harness import prepare_seed
-from reference_index import ReferenceIndex, grade
+from reference_index import ReferenceIndex, first_frame_table, grade
 from mcpa.world import (PlacedObject, WorldInstance, _staged_windows, build_world,
                         landmark_tag)
 
@@ -181,9 +181,10 @@ def probe_questions(index: ReferenceIndex) -> list[Question]:
 
 
 def assert_same_answers(frames, items):
-    reference, index = ReferenceIndex(items), MemoryIndex(frames)
-    for q in probe_questions(reference):
-        assert index.answers(q) == grade(q, reference), q
+    reference = ReferenceIndex(items)
+    questions = probe_questions(reference)
+    assert MemoryIndex(frames).answers(Exam(0, questions).columns).tolist() == \
+        [grade(q, reference) for q in questions]
 
 
 @settings(max_examples=200)
@@ -223,6 +224,9 @@ def test_accuracy_with_matches_index_grading(case):
     config, prefixes = case
     scenario, _, ref = _worlds(config)
     stage = prepare_seed(scenario, 0)
+    base_answers, first_frames = first_frame_table(stage.world)
+    np.testing.assert_array_equal(stage.base_answers, base_answers)
+    np.testing.assert_array_equal(stage.first_frames, first_frames)
     for counts in prefixes:
         merged = ReferenceIndex(ref.base_memory)
         for ref_items, count in zip(ref.datasets, counts):
