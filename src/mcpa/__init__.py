@@ -9,8 +9,8 @@ from .gae import (Exam, FrameStore, GaeReport, MemoryIndex, Question,
                   SyntheticBackend, generate_exam, practice_test, run_gae,
                   sample_pilot)
 from .harness import RunMetrics, run_campaign, run_sweep, write_csv
-from .qom import (DatasetMeta, PilotPhaseInfeasible, PowerVector, accuracy_estimate,
-                  frames_uploaded, pilot_overhead, qom_objective, qom_terms, qom_weights)
+from .qom import (DatasetMeta, PilotPhaseInfeasible, accuracy_estimate, frames_uploaded,
+                  pilot_overhead, qom_objective, qom_terms, qom_weights)
 from .solver import (SolveTrace, SolverOptions, SurrogateContext, solve_mcpa,
                      waterfill)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelState
-from .qom import DatasetMeta, PowerVector
+from .qom import DatasetMeta
 
 __all__ = [
     "BASELINE_KINDS",
@@ -45,7 +45,7 @@ def _fairness_powers(state: ChannelState, target_sinr: float, budget: float,
 
 
 def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
-                      tol: float = 1e-4) -> PowerVector:
+                      tol: float = 1e-4) -> np.ndarray:
     """Max-min rate via bisection on a common SINR target gamma.
 
     gamma is feasible iff its power-control fixed point is positive with
@@ -58,11 +58,11 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
     gain makes every max-min rate 0, so that channel gets all-zero powers.
     """
     if not np.all(state.gains > 0.0):
-        return PowerVector.zeros(state.num_robots, budget)
+        return np.zeros(state.num_robots)
     hi = budget / (noise_power_w * np.sum(1.0 / state.gains))
     best = _fairness_powers(state, hi, budget, noise_power_w)
     if best is not None:
-        return PowerVector(best, budget)
+        return best
     best, lo = np.zeros(state.num_robots), 0.0
     for _ in range(200):
         if hi - lo <= tol * max(hi, 1e-300):
@@ -73,11 +73,11 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
             hi = mid
         else:
             best, lo = candidate, mid
-    return PowerVector(best, budget)
+    return best
 
 
 def allocate_greedy(state: ChannelState, gae_scores, meta: DatasetMeta, budget: float,
-                    noise_power_w: float, time_s: float, bandwidth_hz: float) -> PowerVector:
+                    noise_power_w: float, time_s: float, bandwidth_hz: float) -> np.ndarray:
     """Highest-novelty-first: fund full uploads in (1 - GAE_k) order.
 
     Each robot in turn gets the zero-interference power needed to push its
@@ -97,11 +97,11 @@ def allocate_greedy(state: ChannelState, gae_scores, meta: DatasetMeta, budget: 
         remaining -= give
         if remaining <= 0.0:
             break
-    return PowerVector(powers, budget)
+    return powers
 
 
 def allocate_max_cov(state: ChannelState, budget: float, noise_power_w: float,
-                     rate_threshold_bps, bandwidth_hz: float) -> PowerVector:
+                     rate_threshold_bps, bandwidth_hz: float) -> np.ndarray:
     """Admit as many robots as possible at a target rate.
 
     Computes each robot's zero-interference power for the threshold rate,
@@ -121,14 +121,14 @@ def allocate_max_cov(state: ChannelState, budget: float, noise_power_w: float,
             break
         powers[k] = required[k]
         remaining -= required[k]
-    return PowerVector(powers, budget)
+    return powers
 
 
-def allocate_remember(num_robots: int, budget: float) -> PowerVector:
+def allocate_remember(num_robots: int, budget: float) -> np.ndarray:
     """No aggregation at all: every robot stays silent."""
-    return PowerVector.zeros(num_robots, budget)
+    return np.zeros(num_robots)
 
 
-def allocate_uniform(num_robots: int, budget: float) -> PowerVector:
+def allocate_uniform(num_robots: int, budget: float) -> np.ndarray:
     """Even split reference point."""
-    return PowerVector.uniform(num_robots, budget)
+    return np.full(num_robots, budget / num_robots)

@@ -7,6 +7,7 @@ across platforms.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,9 @@ class RadioConstants:
                 raise ValueError(f"RadioConstants.{name} must be strictly positive")
         if self.pathloss_exponent < 1.0:
             raise ValueError("RadioConstants.pathloss_exponent must be >= 1")
-        if int(self.num_antennas) < 1:
-            raise ValueError("RadioConstants.num_antennas must be >= 1")
+        n = self.num_antennas
+        if isinstance(n, bool) or not hasattr(n, "__index__") or operator.index(n) < 1:
+            raise ValueError("RadioConstants.num_antennas must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -120,18 +122,13 @@ def draw_channels(constants: RadioConstants, geometry: RobotGeometry, seed) -> C
     ``seed`` is anything ``numpy.random.default_rng`` accepts; identical
     (constants, geometry, seed) triples give bit-identical output.
     """
-    n_ant = int(constants.num_antennas)
-    if n_ant < 1:
-        raise ValueError("num_antennas must be >= 1")
     d = geometry.distance_m
-    if np.any(d <= 0.0):
-        raise ValueError("all robot distances must be strictly positive")
     k = d.size
 
     rng = np.random.default_rng(seed)
     large_scale = (constants.ref_pathloss_linear * constants.shadow_fading_linear
                    * d ** (-constants.pathloss_exponent))
-    parts = rng.standard_normal((2, k, n_ant))
+    parts = rng.standard_normal((2, k, constants.num_antennas))
     g = (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
     h = np.sqrt(large_scale)[:, None] * g
 

@@ -34,6 +34,8 @@ def _methods(args):
 
 
 def _cmd_solve(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed: {args.seed} is not a nonnegative integer")
     scenario = _load_scenario(args)
     stage = prepare_seed(scenario, args.seed, _backend_for(scenario))
     metrics = run_method(stage, scenario, args.method)
@@ -53,14 +55,20 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
-    budgets = [float(b) for b in args.budgets_mw.split(",")] if args.budgets_mw \
-        else list(DEFAULT_SWEEP_MW)
+    try:
+        budgets = [float(b) for b in args.budgets_mw.split(",")] if args.budgets_mw \
+            else list(DEFAULT_SWEEP_MW)
+    except ValueError:
+        raise ConfigError(f"--budgets-mw: {args.budgets_mw!r} is not a comma list of numbers") \
+            from None
     return _report(args, *run_sweep(scenario, _methods(args), budgets, args.seeds,
                                     _backend_for(scenario)))
 
 
 def _cmd_gae_test(args) -> int:
     """Staged-scenario table: per-robot GAE score and merged-memory accuracy."""
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds: {args.seeds} is not an integer >= 1")
     scenario = _load_scenario(args)
     backend = _backend_for(scenario)
     k = scenario.num_robots

@@ -119,7 +119,8 @@ class RemoteSettings:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Fully resolved experiment description (all linear units)."""
+    """Fully resolved experiment description (all linear units). The
+    geometry and world fields keep the names of their config leaves."""
 
     num_robots: int
     radio: RadioConstants
@@ -168,14 +169,10 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise ConfigError(f"{where}: {message}")
 
 
-def _number(cfg: dict, section: str, key: str, positive: bool = False) -> float:
-    value = cfg[section][key]
-    where = f"{section}.{key}"
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and abs(value) <= sys.float_info.max, where, "must be a finite number")
-    if positive:
-        _require(value > 0, where, "must be strictly positive")
-    return float(value)
+def _is_number(value) -> bool:
+    """A finite number, not a boolean, string or overflowing integer."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _is_int(value) -> bool:
@@ -183,11 +180,47 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _integer(cfg: dict, section: str, key: str) -> int:
-    """A positive integer field."""
-    value = cfg[section][key]
-    _require(_is_int(value) and value >= 1, f"{section}.{key}", "must be an integer >= 1")
+def _same(value):
     return value
+
+
+# rule kinds: (test, message, conversion); numbers become floats, lists tuples
+_NUMBER = (_is_number, "must be a finite number", float)
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "must be a strictly positive finite number", float)
+_FRACTION = (lambda v: _is_number(v) and 0 <= v <= 1, "must be a number in [0, 1]", float)
+_COUNT = (lambda v: _is_int(v) and v >= 1, "must be an integer >= 1", _same)
+_INDEX = (lambda v: _is_int(v) and v >= 0, "must be a nonnegative integer", _same)
+_STRING = (lambda v: isinstance(v, str), "must be a string", _same)
+_OPTIONAL_STRING = (lambda v: v is None or isinstance(v, str), "must be a string or null", _same)
+_NAMES = (lambda v: isinstance(v, (list, tuple)) and len(v) >= 1
+          and all(isinstance(o, str) for o in v), "must be a nonempty list of strings", tuple)
+_OPTIONAL_INDICES = (lambda v: v is None or isinstance(v, (list, tuple))
+                     and all(_is_int(i) and i >= 0 for i in v),
+                     "must be null or a list of nonnegative integers",
+                     lambda v: v if v is None else tuple(v))
+
+# one rule per leaf of DEFAULT_CONFIG, by section ("" is the top level)
+_RULES = {
+    "": dict(num_robots=_COUNT),
+    "radio": dict(bandwidth_hz=_POSITIVE, noise_dbm=_NUMBER, ref_pathloss_db=_NUMBER,
+                  shadow_fading_db=_NUMBER, pathloss_exponent=_NUMBER, num_antennas=_COUNT),
+    "geometry": dict(distance_min_m=_POSITIVE, distance_max_m=_POSITIVE,
+                     server_height_m=_POSITIVE),
+    "budgets": dict(power_sum_mw=_POSITIVE, time_s=_POSITIVE),
+    "dataset": dict(items_per_robot=_COUNT, item_volume_bits=_POSITIVE,
+                    frame_rate_fps=_POSITIVE),
+    "gae": dict(pilot_ratio=_POSITIVE, questions_per_robot=_COUNT, backend=_STRING),
+    "world": dict(objects=_NAMES, num_base_robots=_INDEX, base_robots=_OPTIONAL_INDICES,
+                  staged_novel_counts=_OPTIONAL_INDICES, object_dwell_frames=_COUNT,
+                  num_landmarks=_COUNT, segment_frames=_COUNT,
+                  background_tag_rate=_FRACTION, town_extent_m=_POSITIVE),
+    "metrics": dict(coverage_margin=_NUMBER),
+    "seeds": dict(channel=_INDEX, placement=_INDEX, pilot=_INDEX, run=_INDEX),
+    "solver": dict(inner_tol=_POSITIVE, outer_tol=_POSITIVE, max_outer=_COUNT,
+                   max_inner=_COUNT),
+    "remote": dict(url=_OPTIONAL_STRING, model=_STRING, timeout_s=_POSITIVE, retries=_COUNT,
+                   max_concurrency=_COUNT, transcript_path=_OPTIONAL_STRING),
+}
 
 
 def load_config(path: str | Path) -> dict:
@@ -201,130 +234,69 @@ def load_config(path: str | Path) -> dict:
 def build_scenario(config: dict | None = None) -> Scenario:
     """Resolve a (possibly partial) config dict against the defaults.
 
-    Deterministic: the same dict always produces the same Scenario. Schema
-    violations raise :class:`ConfigError` naming the offending field.
+    Deterministic: the same dict always produces the same Scenario. Every
+    leaf is first checked by its rule in ``_RULES`` (numbers become floats,
+    lists tuples), then the checks that relate fields run; violations raise
+    :class:`ConfigError` naming the offending field.
     """
+    _require(config is None or isinstance(config, dict), "config", "must be a JSON object")
     cfg = _merge(DEFAULT_CONFIG, config or {})
+    for section, rules in _RULES.items():
+        leaves = cfg[section] if section else cfg
+        for key, (accepts, message, convert) in rules.items():
+            _require(accepts(leaves[key]), f"{section}.{key}".lstrip("."), message)
+            leaves[key] = convert(leaves[key])
 
-    num_robots = cfg["num_robots"]
-    _require(_is_int(num_robots) and num_robots >= 1, "num_robots", "must be an integer >= 1")
-
-    exponent = _number(cfg, "radio", "pathloss_exponent")
-    _require(exponent >= 1.0, "radio.pathloss_exponent", "must be at least 1")
-    radio = RadioConstants(
-        bandwidth_hz=_number(cfg, "radio", "bandwidth_hz", positive=True),
-        noise_power_w=dbm_to_watts(_number(cfg, "radio", "noise_dbm")),
-        ref_pathloss_linear=db_to_linear(_number(cfg, "radio", "ref_pathloss_db")),
-        shadow_fading_linear=db_to_linear(_number(cfg, "radio", "shadow_fading_db")),
-        pathloss_exponent=exponent,
-        num_antennas=_integer(cfg, "radio", "num_antennas"),
-    )
-
-    d_min = _number(cfg, "geometry", "distance_min_m", positive=True)
-    d_max = _number(cfg, "geometry", "distance_max_m", positive=True)
-    _require(d_min < d_max, "geometry.distance_max_m", "must exceed distance_min_m")
-
-    power_w = _number(cfg, "budgets", "power_sum_mw", positive=True) / 1e3
-    time_s = _number(cfg, "budgets", "time_s", positive=True)
-
-    items = _integer(cfg, "dataset", "items_per_robot")
-    item_bits = _number(cfg, "dataset", "item_volume_bits", positive=True)
-    pilot_ratio = _number(cfg, "gae", "pilot_ratio", positive=True)
-    _require(pilot_ratio <= 1.0, "gae.pilot_ratio", "must be at most 1")
-    dataset = DatasetMeta.uniform(num_robots, items, item_bits, pilot_ratio)
-
-    questions = _integer(cfg, "gae", "questions_per_robot")
-    backend = cfg["gae"]["backend"]
-    _require(backend in ("synthetic", "remote"),
+    k = cfg["num_robots"]
+    radio, geometry, world = cfg["radio"], cfg["geometry"], cfg["world"]
+    dataset, gae = cfg["dataset"], cfg["gae"]
+    _require(radio["pathloss_exponent"] >= 1.0, "radio.pathloss_exponent", "must be at least 1")
+    _require(geometry["distance_min_m"] < geometry["distance_max_m"],
+             "geometry.distance_max_m", "must exceed distance_min_m")
+    _require(gae["pilot_ratio"] <= 1.0, "gae.pilot_ratio", "must be at most 1")
+    _require(gae["backend"] in ("synthetic", "remote"),
              "gae.backend", "must be 'synthetic' or 'remote'")
-
-    world = cfg["world"]
-    objects = world["objects"]
-    _require(isinstance(objects, (list, tuple)) and len(objects) >= 1
-             and all(isinstance(o, str) for o in objects),
-             "world.objects", "must be a nonempty list of strings")
-    objects = tuple(objects)
-
-    base_robots = world["base_robots"]
-    if base_robots is not None:
-        _require(isinstance(base_robots, (list, tuple))
-                 and all(_is_int(b) and 0 <= b < num_robots for b in base_robots)
-                 and len(set(base_robots)) == len(base_robots),
-                 "world.base_robots", f"must be distinct integers in [0, {num_robots})")
-        base_robots = tuple(base_robots)
-    num_base = world["num_base_robots"]
-    _require(_is_int(num_base) and 0 <= num_base <= num_robots,
-             "world.num_base_robots", f"must lie in [0, {num_robots}]")
-
+    base = world["base_robots"]
+    _require(base is None or (all(b < k for b in base) and len(set(base)) == len(base)),
+             "world.base_robots", f"must be distinct integers in [0, {k})")
+    _require(world["num_base_robots"] <= k, "world.num_base_robots", f"must lie in [0, {k}]")
     staged = world["staged_novel_counts"]
     if staged is not None:
-        _require(isinstance(staged, (list, tuple)) and len(staged) == num_robots
-                 and all(_is_int(c) and c >= 0 for c in staged), "world.staged_novel_counts",
-                 f"needs one nonnegative integer count per robot ({num_robots})")
-        staged = tuple(staged)
-        _require(sum(staged) == len(objects),
-                 "world.staged_novel_counts",
-                 f"counts must sum to the number of objects ({len(objects)})")
-
-    dwell = world["object_dwell_frames"]
-    _require(_is_int(dwell) and 1 <= dwell <= items,
+        _require(len(staged) == k, "world.staged_novel_counts",
+                 f"needs one nonnegative integer count per robot ({k})")
+        _require(sum(staged) == len(world["objects"]), "world.staged_novel_counts",
+                 f"counts must sum to the number of objects ({len(world['objects'])})")
+    items = dataset["items_per_robot"]
+    _require(world["object_dwell_frames"] <= items,
              "world.object_dwell_frames", f"must lie in [1, {items}]")
-    tag_rate = _number(cfg, "world", "background_tag_rate")
-    _require(0.0 <= tag_rate <= 1.0, "world.background_tag_rate", "must lie in [0, 1]")
+    _require(cfg["metrics"]["coverage_margin"] >= 0.0,
+             "metrics.coverage_margin", "must be nonnegative")
 
-    seeds = cfg["seeds"]
-    for name in ("channel", "placement", "pilot", "run"):
-        _require(_is_int(seeds[name]) and seeds[name] >= 0,
-                 f"seeds.{name}", "must be a nonnegative integer")
-
-    margin = _number(cfg, "metrics", "coverage_margin")
-    _require(margin >= 0.0, "metrics.coverage_margin", "must be nonnegative")
-
-    solver = SolverOptions(
-        inner_tol=_number(cfg, "solver", "inner_tol", positive=True),
-        outer_tol=_number(cfg, "solver", "outer_tol", positive=True),
-        max_outer=_integer(cfg, "solver", "max_outer"),
-        max_inner=_integer(cfg, "solver", "max_inner"),
-    )
-
-    remote_cfg = cfg["remote"]
-    for key in ("url", "transcript_path"):
-        _require(remote_cfg[key] is None or isinstance(remote_cfg[key], str),
-                 f"remote.{key}", "must be a string or null")
-    _require(isinstance(remote_cfg["model"], str), "remote.model", "must be a string")
-    remote = RemoteSettings(
-        url=remote_cfg["url"],
-        model=remote_cfg["model"],
-        timeout_s=_number(cfg, "remote", "timeout_s", positive=True),
-        retries=_integer(cfg, "remote", "retries"),
-        max_concurrency=_integer(cfg, "remote", "max_concurrency"),
-        transcript_path=remote_cfg["transcript_path"],
-    )
-
+    try:
+        constants = RadioConstants(
+            bandwidth_hz=radio["bandwidth_hz"],
+            noise_power_w=dbm_to_watts(radio["noise_dbm"]),
+            ref_pathloss_linear=db_to_linear(radio["ref_pathloss_db"]),
+            shadow_fading_linear=db_to_linear(radio["shadow_fading_db"]),
+            pathloss_exponent=radio["pathloss_exponent"],
+            num_antennas=radio["num_antennas"],
+        )
+    except (ValueError, OverflowError) as exc:   # a dB value past the float range
+        raise ConfigError(f"radio: a dB value gives no usable linear constant ({exc})") from exc
     return Scenario(
-        num_robots=num_robots,
-        radio=radio,
-        distance_min_m=d_min,
-        distance_max_m=d_max,
-        server_height_m=_number(cfg, "geometry", "server_height_m", positive=True),
-        power_budget_w=power_w,
-        time_budget_s=time_s,
-        dataset=dataset,
-        frame_rate_fps=_number(cfg, "dataset", "frame_rate_fps", positive=True),
-        pilot_ratio=pilot_ratio,
-        questions_per_robot=questions,
-        backend=backend,
-        objects=objects,
-        num_base_robots=num_base,
-        base_robots=base_robots,
-        staged_novel_counts=staged,
-        object_dwell_frames=dwell,
-        num_landmarks=_integer(cfg, "world", "num_landmarks"),
-        segment_frames=_integer(cfg, "world", "segment_frames"),
-        background_tag_rate=tag_rate,
-        town_extent_m=_number(cfg, "world", "town_extent_m", positive=True),
-        coverage_margin=margin,
-        seeds=dict(seeds),
-        solver=solver,
-        remote=remote,
+        num_robots=k,
+        radio=constants,
+        **geometry,
+        power_budget_w=cfg["budgets"]["power_sum_mw"] / 1e3,
+        time_budget_s=cfg["budgets"]["time_s"],
+        dataset=DatasetMeta.uniform(k, items, dataset["item_volume_bits"], gae["pilot_ratio"]),
+        frame_rate_fps=dataset["frame_rate_fps"],
+        pilot_ratio=gae["pilot_ratio"],
+        questions_per_robot=gae["questions_per_robot"],
+        backend=gae["backend"],
+        **world,
+        coverage_margin=cfg["metrics"]["coverage_margin"],
+        seeds=cfg["seeds"],
+        solver=SolverOptions(**cfg["solver"]),
+        remote=RemoteSettings(**cfg["remote"]),
     )

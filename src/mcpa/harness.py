@@ -21,8 +21,8 @@ from . import baselines
 from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
 from .config import ConfigError, Scenario
 from .gae import Exam, GaeError, MemoryIndex, SyntheticBackend, run_gae
-from .qom import (PilotPhaseInfeasible, PowerVector, frames_uploaded, pilot_overhead,
-                  qom_objective, qom_weights)
+from .qom import (PilotPhaseInfeasible, frames_uploaded, pilot_overhead, qom_objective,
+                  qom_weights)
 from .solver import solve_mcpa
 from .world import WorldInstance, build_world
 
@@ -190,7 +190,7 @@ def _at_budget(stage: SeedContext, scenario: Scenario, power_w: float) -> _RunCo
     return _RunContext(stage, power_w, effective_time_s, weights)
 
 
-def _allocate(ctx: _RunContext, scenario: Scenario, method) -> tuple[PowerVector, int]:
+def _allocate(ctx: _RunContext, scenario: Scenario, method) -> tuple[np.ndarray, int]:
     """The allocation of a checked method (see :func:`_check_methods`) and its
     MM outer iterations, 0 for the fixed rules. mcpa, max_rate and external
     weights are the same MM solve with different weights."""
@@ -221,8 +221,21 @@ def _allocate(ctx: _RunContext, scenario: Scenario, method) -> tuple[PowerVector
     return baselines.allocate_uniform(state.num_robots, budget), 0
 
 
+def _checked_allocation(p: np.ndarray, k: int, budget: float) -> None:
+    """Raise ValueError unless ``p`` is K finite, nonnegative powers that
+    spend at most the budget (up to a relative 1e-9)."""
+    if p.shape != (k,):
+        raise ValueError(f"allocation has shape {p.shape}, expected ({k},)")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("non-finite powers: every power must be a finite number")
+    if np.any(p < 0.0):
+        raise ValueError("powers must be nonnegative")
+    if p.sum() > budget * (1.0 + 1e-9):
+        raise ValueError(f"sum power {p.sum():.6g} exceeds budget {budget:.6g}")
+
+
 def _score_allocation(ctx: _RunContext, scenario: Scenario,
-                      allocation: PowerVector) -> tuple[float, float, float, int]:
+                      allocation: np.ndarray) -> tuple[float, float, float, int]:
     noise = scenario.radio.noise_power_w
     bandwidth = scenario.radio.bandwidth_hz
     meta = scenario.dataset
@@ -233,7 +246,7 @@ def _score_allocation(ctx: _RunContext, scenario: Scenario,
     accuracy = stage.accuracy_with(frames)
 
     qom = qom_objective(ctx.weights, stage.state, allocation, noise)
-    rates = bandwidth * np.log2(1.0 + sinr_vector(stage.state, allocation.powers, noise))
+    rates = bandwidth * np.log2(1.0 + sinr_vector(stage.state, allocation, noise))
     connected = int(np.sum(frames / meta.num_items > 0.5))
     return accuracy, qom, float(rates.sum() / 1e6), connected
 
@@ -249,6 +262,7 @@ def run_method(stage: SeedContext, scenario: Scenario, method) -> RunMetrics:
 def _run_with_context(ctx: _RunContext, scenario: Scenario, method) -> RunMetrics:
     started = time.perf_counter()
     allocation, iters = _allocate(ctx, scenario, method)
+    _checked_allocation(allocation, scenario.num_robots, ctx.power_w)
     accuracy, qom, sum_rate, connected = _score_allocation(ctx, scenario, allocation)
     wall_ms = (time.perf_counter() - started) * 1e3
     return RunMetrics(
@@ -261,7 +275,7 @@ def _run_with_context(ctx: _RunContext, scenario: Scenario, method) -> RunMetric
         connected_drones=connected,
         solver_iters=iters,
         wall_ms=wall_ms,
-        power_mw=tuple(float(p) * 1e3 for p in allocation.powers),
+        power_mw=tuple(float(p) * 1e3 for p in allocation),
     )
 
 
@@ -283,7 +297,7 @@ def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
     no stage is kept once its seed is done.
     """
     if num_seeds < 1:
-        raise ValueError("num_seeds must be >= 1")
+        raise ConfigError(f"num_seeds: {num_seeds} is not an integer >= 1")
     _check_methods(methods)
     per_budget: list[list[RunMetrics]] = [[] for _ in budgets_w]
     for i in range(num_seeds):
@@ -317,8 +331,8 @@ def run_sweep(scenario: Scenario, methods, budgets_mw, num_seeds: int,
               backend=None) -> tuple[list[RunMetrics], dict]:
     """run_campaign at every power budget (default grid 100..300 mW), each
     seed staged once for all budgets, rows in campaign-after-campaign order."""
-    if any(budget_mw <= 0 for budget_mw in budgets_mw):
-        raise ValueError("sweep budgets must be strictly positive")
+    if not all(0.0 < budget_mw < math.inf for budget_mw in budgets_mw):
+        raise ConfigError(f"budgets_mw: {list(budgets_mw)} must all be finite and positive")
     return _run_grid(scenario, methods, [budget_mw / 1e3 for budget_mw in budgets_mw],
                      num_seeds, backend)
 

@@ -14,7 +14,6 @@ from .channel import ChannelState, RadioConstants, sinr_vector
 
 __all__ = [
     "DatasetMeta",
-    "PowerVector",
     "PilotPhaseInfeasible",
     "frames_uploaded",
     "pilot_overhead",
@@ -87,43 +86,6 @@ class DatasetMeta:
         return np.maximum(1, np.floor(raw + 0.5).astype(int))
 
 
-@dataclass(frozen=True)
-class PowerVector:
-    """Candidate uplink allocation p with its sum-power budget."""
-
-    powers: np.ndarray
-    budget: float
-
-    def __post_init__(self):
-        p = np.asarray(self.powers, dtype=float)
-        if p.ndim != 1 or p.size < 1:
-            raise ValueError("powers must be a nonempty 1-D array")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("non-finite powers: every power must be a finite number")
-        if np.any(p < 0.0):
-            raise ValueError("powers must be nonnegative")
-        if p.sum() > self.budget * (1.0 + 1e-9):
-            raise ValueError(
-                f"sum power {p.sum():.6g} exceeds budget {self.budget:.6g}")
-        object.__setattr__(self, "powers", p)
-
-    @property
-    def num_robots(self) -> int:
-        return self.powers.size
-
-    @classmethod
-    def uniform(cls, num_robots: int, budget: float) -> "PowerVector":
-        return cls(np.full(num_robots, budget / num_robots), budget)
-
-    @classmethod
-    def zeros(cls, num_robots: int, budget: float) -> "PowerVector":
-        return cls(np.zeros(num_robots), budget)
-
-
-def _powers_of(p) -> np.ndarray:
-    return np.asarray(getattr(p, "powers", p), dtype=float)
-
-
 def frames_uploaded(state: ChannelState, p, meta: DatasetMeta, noise_power_w: float,
                     time_s: float, bandwidth_hz: float) -> np.ndarray:
     """Continuous frame counts F_k = T B log2(1 + SINR_k) / Z_k, capped at |D_k|.
@@ -133,7 +95,7 @@ def frames_uploaded(state: ChannelState, p, meta: DatasetMeta, noise_power_w: fl
     """
     if time_s <= 0.0 or bandwidth_hz <= 0.0:
         raise ValueError("time_s and bandwidth_hz must be strictly positive")
-    sinr = sinr_vector(state, _powers_of(p), noise_power_w)
+    sinr = sinr_vector(state, p, noise_power_w)
     raw = time_s * bandwidth_hz * np.log2(1.0 + sinr) / meta.item_volume_bits
     return np.minimum(raw, meta.num_items)
 
@@ -175,8 +137,7 @@ def qom_weights(gae_scores, meta: DatasetMeta, effective_time_s: float,
 
 def qom_terms(weights, state: ChannelState, p, noise_power_w: float) -> np.ndarray:
     """Per-robot contributions Theta_k(p) = lambda_k log2(1 + SINR_k(p))."""
-    powers = _powers_of(p)
-    return weights * np.log2(1.0 + sinr_vector(state, powers, noise_power_w))
+    return weights * np.log2(1.0 + sinr_vector(state, p, noise_power_w))
 
 
 def qom_objective(weights, state: ChannelState, p, noise_power_w: float) -> float:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelState
-from .qom import PowerVector, _powers_of, qom_objective
+from .qom import qom_objective
 
 __all__ = [
     "SurrogateContext",
@@ -71,7 +71,7 @@ class SurrogateContext:
     lambda_k / ln 2 and the constant gradient term B^T (lambda / (ln 2 S*)).
     """
 
-    anchor: PowerVector
+    anchor: np.ndarray
     weights: np.ndarray
     state: ChannelState
     noise_power_w: float
@@ -83,13 +83,14 @@ class SurrogateContext:
     anchor_gradient: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.anchor.num_robots != self.state.num_robots:
+        self.anchor = np.asarray(self.anchor, dtype=float)
+        if self.anchor.shape != (self.state.num_robots,):
             raise ValueError("anchor and channel state disagree on the number of robots")
         self.weights = _checked_weights(self.weights, self.state.num_robots)
         self.coupling = self.state.interference / self.noise_power_w
         self.coupling_offdiag = self.coupling.copy()
         np.fill_diagonal(self.coupling_offdiag, 0.0)
-        self.anchor_denominators = self.coupling_offdiag @ self.anchor.powers + 1.0
+        self.anchor_denominators = self.coupling_offdiag @ self.anchor + 1.0
         self.log_anchor_denominators = np.log(self.anchor_denominators)
         self.scaled_weights = self.weights / _LN2
         self.anchor_gradient = self.coupling_offdiag.T @ (
@@ -115,12 +116,11 @@ class SurrogateContext:
 
 def qom_gradient(weights, state: ChannelState, p, noise_power_w: float) -> np.ndarray:
     """Analytic gradient of the true objective sum_k Theta_k(p)."""
-    powers = _powers_of(p)
     coupling = state.interference / noise_power_w
     offdiag = coupling.copy()
     np.fill_diagonal(offdiag, 0.0)
-    full = coupling @ powers + 1.0
-    cross = offdiag @ powers + 1.0
+    full = coupling @ p + 1.0
+    cross = offdiag @ p + 1.0
     w_full = weights / (_LN2 * full)
     w_cross = weights / (_LN2 * cross)
     return coupling.T @ w_full - offdiag.T @ w_cross
@@ -185,7 +185,7 @@ def _inner_ascent(ctx: SurrogateContext, budget: float, tol: float,
     ``converged`` is False only when ``max_iter`` iterations ran out first.
     """
     value = ctx.total_and_full
-    p = ctx.anchor.powers.copy()
+    p = ctx.anchor.copy()
     f, full = value(p)
     at_zero = p == 0.0
     on_budget = np.add.reduce(p) >= budget * (1.0 - 1e-12)
@@ -256,13 +256,13 @@ class SolveTrace:
     ``max_inner``.
     """
 
-    iterates: list[tuple[PowerVector, float, float]]
+    iterates: list[tuple[np.ndarray, float, float]]
     stop_reason: str
     inner_iterations: list[int]
     inner_converged: list[bool]
 
     @property
-    def final(self) -> PowerVector:
+    def final(self) -> np.ndarray:
         return self.iterates[-1][0]
 
     @property
@@ -303,7 +303,7 @@ def solve_mcpa(weights, state: ChannelState, budget: float,
     k = state.num_robots
     w = _checked_weights(weights, k)
     opts = opts or SolverOptions()
-    current = PowerVector.uniform(k, budget)
+    current = np.full(k, budget / k)
     obj = qom_objective(w, state, current, noise_power_w)
     iterates = [(current, obj, obj)]
     inner_counts: list[int] = []
@@ -313,7 +313,7 @@ def solve_mcpa(weights, state: ChannelState, budget: float,
         ctx = SurrogateContext(anchor=current, weights=w, state=state,
                                noise_power_w=noise_power_w)
         inner = _inner_ascent(ctx, budget, opts.inner_tol, opts.max_inner)
-        candidate = PowerVector(inner.powers, budget)
+        candidate = inner.powers
         new_obj = qom_objective(w, state, candidate, noise_power_w)
         iterates.append((candidate, new_obj, inner.objective))
         inner_counts.append(inner.iterations)
@@ -333,7 +333,7 @@ class WaterfillResult(NamedTuple):
     """Closed-form allocation plus the water level nu (None when every
     weight is zero and the budget is intentionally left unspent)."""
 
-    power: PowerVector
+    power: np.ndarray
     level: float | None
 
 
@@ -354,7 +354,7 @@ def waterfill(weights, gains, noise_power_w: float, budget: float) -> WaterfillR
     lam = _checked_weights(weights, h.size)
     usable = (lam > 0.0) & (h > 0.0)
     if not np.any(usable):
-        return WaterfillResult(PowerVector.zeros(h.size, budget), None)
+        return WaterfillResult(np.zeros(h.size), None)
     lam = lam[usable]
     thresholds = noise_power_w / (h[usable] * lam)
     lowest = thresholds.min()
@@ -364,4 +364,4 @@ def waterfill(weights, gains, noise_power_w: float, budget: float) -> WaterfillR
     level = levels[np.flatnonzero(levels > rise[order])[-1]]
     powers = np.zeros(h.size)
     powers[usable] = lam * np.maximum(0.0, level - rise)
-    return WaterfillResult(PowerVector(powers, budget), float(lowest + level))
+    return WaterfillResult(powers, float(lowest + level))

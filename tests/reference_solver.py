@@ -30,13 +30,12 @@ import numpy as np
 
 from mcpa.baselines import _fairness_powers
 from mcpa.channel import ChannelState
-from mcpa.qom import PowerVector, _powers_of
 from mcpa.solver import _LN2, SurrogateContext, WaterfillResult, _InnerResult
 
 
 def surrogate_value(ctx: SurrogateContext, p, k: int) -> float:
     """That_k(p|p*) evaluated exactly as defined in ``mcpa.solver``."""
-    powers = _powers_of(p)
+    powers = np.asarray(p, dtype=float)
     lam = ctx.weights[k]
     full = ctx.coupling[k] @ powers + 1.0
     cross = ctx.coupling_offdiag[k] @ powers + 1.0
@@ -46,15 +45,15 @@ def surrogate_value(ctx: SurrogateContext, p, k: int) -> float:
 
 def surrogate_total(ctx: SurrogateContext, p) -> float:
     """sum_k That_k(p|p*), vectorized."""
-    return ctx.total_and_full(_powers_of(p))[0]
+    return ctx.total_and_full(np.asarray(p, dtype=float))[0]
 
 
 def surrogate_gradient(ctx: SurrogateContext, p) -> np.ndarray:
     """Analytic gradient of sum_k That_k(p|p*) w.r.t. p."""
-    return ctx.gradient_from_full(ctx.coupling @ _powers_of(p) + 1.0)
+    return ctx.gradient_from_full(ctx.coupling @ np.asarray(p, dtype=float) + 1.0)
 
 
-def project_feasible(p_raw, budget: float) -> PowerVector:
+def project_feasible(p_raw, budget: float) -> np.ndarray:
     """Euclidean projection onto {p >= 0, sum p <= budget}.
 
     Clips negatives; if the clipped vector fits the budget it is already the
@@ -63,12 +62,12 @@ def project_feasible(p_raw, budget: float) -> PowerVector:
     """
     if budget <= 0.0:
         raise ValueError("budget must be strictly positive")
-    return PowerVector(_project_array(np.asarray(p_raw, dtype=float), budget), budget)
+    return _project_array(np.asarray(p_raw, dtype=float), budget)
 
 
 def _project_array(p_raw: np.ndarray, budget: float) -> np.ndarray:
     """Array kernel of :func:`project_feasible` for a float array and a
-    positive budget; it skips the PowerVector checks."""
+    positive budget; it skips the budget check."""
     v = np.maximum(p_raw, 0.0)
     if np.add.reduce(v) <= budget:
         return v
@@ -92,7 +91,7 @@ def _inner_ascent(ctx: SurrogateContext, budget: float, tol: float,
     ``max_iter`` steps ran out before a stopping test fired."""
     value = ctx.total_and_full
     gradient = ctx.gradient_from_full
-    p = ctx.anchor.powers.copy()
+    p = ctx.anchor.copy()
     f, full = value(p)
     step = None
     iterations = 0
@@ -140,7 +139,7 @@ def bisection_waterfill(weights, gains, noise_power_w: float, budget: float,
     floors = np.where(h > 0.0, noise_power_w / np.where(h > 0.0, h, 1.0), np.inf)
     usable = (lam > 0.0) & np.isfinite(floors)
     if not np.any(usable):
-        return WaterfillResult(PowerVector.zeros(h.size, budget), None)
+        return WaterfillResult(np.zeros(h.size), None)
 
     def spent(nu: float) -> np.ndarray:
         return np.maximum(0.0, nu * lam - floors)
@@ -164,7 +163,7 @@ def bisection_waterfill(weights, gains, noise_power_w: float, budget: float,
             hi = mid
         nu = mid
     powers = spent(nu)
-    return WaterfillResult(PowerVector(powers, budget), float(nu))
+    return WaterfillResult(powers, float(nu))
 
 
 def newton_direction(ctx: SurrogateContext, full: np.ndarray, g_free: np.ndarray,
@@ -216,7 +215,7 @@ def _fairness_fixed_point(state: ChannelState, target_sinr: float, budget: float
 
 
 def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
-                      tol: float = 1e-4) -> PowerVector:
+                      tol: float = 1e-4) -> np.ndarray:
     """``mcpa.baselines.allocate_fairness`` as it was when each probe
     iterated the power-control update: max-min rate by bisection on a common
     SINR target gamma. A probe that hits the sweep cap counts as infeasible,
@@ -242,16 +241,16 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
             hi = mid
         else:
             best, lo = candidate, mid
-    return PowerVector(best, budget)
+    return best
 
 
 def doubling_allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
-                               tol: float = 1e-4) -> PowerVector:
+                               tol: float = 1e-4) -> np.ndarray:
     """``mcpa.baselines.allocate_fairness`` as it was before it returned at
     its proven upper bound: when that bound is feasible, the target doubles
     until a probe fails, and the bisection then runs on the last doubling."""
     if not np.all(state.gains > 0.0):
-        return PowerVector.zeros(state.num_robots, budget)
+        return np.zeros(state.num_robots)
     best = np.zeros(state.num_robots)
     hi = budget / (noise_power_w * np.sum(1.0 / state.gains))
     lo = 0.0
@@ -270,4 +269,4 @@ def doubling_allocate_fairness(state: ChannelState, budget: float, noise_power_w
             hi = mid
         else:
             best, lo = candidate, mid
-    return PowerVector(best, budget)
+    return best

@@ -19,7 +19,7 @@ from frames import store
 from mcpa.config import build_scenario, load_config
 from mcpa.gae import SyntheticBackend, generate_exam, practice_test, sample_pilot, run_gae
 from mcpa.harness import METHODS, run_campaign, run_sweep
-from mcpa.qom import PowerVector, qom_objective
+from mcpa.qom import qom_objective
 from mcpa.solver import SurrogateContext, solve_mcpa, waterfill
 from mcpa.world import build_world
 from reference_solver import surrogate_gradient, surrogate_total, surrogate_value
@@ -45,7 +45,7 @@ def instance_grid(count=200):
         k, n = combos[i % len(combos)]
         state = random_state(rng, num_robots=k, num_antennas=n)
         params = random_params(rng, num_robots=k)
-        anchor = PowerVector(random_feasible(rng, k), BUDGET_W)
+        anchor = random_feasible(rng, k)
         instances.append((SurrogateContext(anchor=anchor, weights=params,
                                            state=state, noise_power_w=NOISE_W), rng))
     return instances
@@ -59,7 +59,7 @@ def test_criterion_01_local_equivalence():
     started = time.perf_counter()
     worst_value, worst_grad = 0.0, 0.0
     for ctx, rng in instance_grid(200):
-        p_star = ctx.anchor.powers
+        p_star = ctx.anchor
         theta = true_objective(ctx, p_star)
         s_hat = surrogate_total(ctx, p_star)
         worst_value = max(worst_value, abs(s_hat - theta) / (1.0 + abs(theta)))
@@ -126,7 +126,7 @@ def test_criterion_04_waterfill_consistency():
         params = random_params(rng, 10)
         trace = solve_mcpa(params, state, BUDGET_W, NOISE_W)
         reference, _ = waterfill(params, gains, NOISE_W, BUDGET_W)
-        sca_gap = max(sca_gap, np.max(np.abs(trace.final.powers - reference.powers)))
+        sca_gap = max(sca_gap, np.max(np.abs(trace.final - reference)))
 
     # budget tightness + KKT on random instances
     tight_ok, kkt_ok = True, True
@@ -135,7 +135,7 @@ def test_criterion_04_waterfill_consistency():
         lam[rng.integers(10)] = 0.0
         gains = rng.uniform(1e-13, 1e-11, 10)
         result, nu = waterfill(lam, gains, NOISE_W, BUDGET_W)
-        p, floors = result.powers, NOISE_W / gains
+        p, floors = result, NOISE_W / gains
         tight_ok &= abs(p.sum() - BUDGET_W) <= 1e-9 * BUDGET_W
         active = p > 0
         kkt_ok &= bool(np.all(np.abs(nu * lam[active] - floors[active] - p[active])
@@ -151,7 +151,7 @@ def test_criterion_04_waterfill_consistency():
     grid = np.linspace(0.0, hi, 1_000_000)
     spent = np.maximum(0.0, grid[:, None] * lam[None, :] - floors[None, :]).sum(axis=1)
     oracle = np.maximum(0.0, grid[np.argmin(np.abs(spent - BUDGET_W))] * lam - floors)
-    grid_gap = float(np.max(np.abs(result.powers - oracle)))
+    grid_gap = float(np.max(np.abs(result - oracle)))
 
     report(4, "SCA matches water-filling; tightness, KKT and grid oracle hold",
            sca_gap <= 1e-3 * BUDGET_W and tight_ok and kkt_ok
@@ -172,9 +172,9 @@ def test_criterion_05_zero_value_shutoff():
         from mcpa.qom import DatasetMeta, qom_weights
         params = qom_weights(gae, DatasetMeta.uniform(8), 500.0, 1e7)
         result, _ = waterfill(params, state.gains, NOISE_W, BUDGET_W)
-        wf_exact &= bool(np.all(result.powers[dead] == 0.0))
+        wf_exact &= bool(np.all(result[dead] == 0.0))
         trace = solve_mcpa(params, state, BUDGET_W, NOISE_W)
-        sca_small = max(sca_small, float(trace.final.powers[dead].max()))
+        sca_small = max(sca_small, float(trace.final[dead].max()))
     report(5, "perfect-score robots get exactly zero (waterfill) / <=1e-9 P (SCA)",
            wf_exact and sca_small <= 1e-9 * BUDGET_W,
            f"max SCA dead power {sca_small:.2e} W")

@@ -33,11 +33,11 @@ def rates_bps(state, powers, bandwidth=1e7):
 def test_max_rate_single_user_and_symmetry():
     single = orthogonal_state(np.array([1e-10]))
     out = max_rate(single)
-    assert out.powers[0] == pytest.approx(BUDGET_W, rel=1e-6)
+    assert out[0] == pytest.approx(BUDGET_W, rel=1e-6)
 
     equal = orthogonal_state(np.full(4, 1e-10))
     out = max_rate(equal)
-    assert np.allclose(out.powers, BUDGET_W / 4, atol=1e-5 * BUDGET_W)
+    assert np.allclose(out, BUDGET_W / 4, atol=1e-5 * BUDGET_W)
 
 
 def test_max_rate_matches_unit_weight_waterfill_on_orthogonal():
@@ -46,21 +46,21 @@ def test_max_rate_matches_unit_weight_waterfill_on_orthogonal():
     state = orthogonal_state(gains)
     out = max_rate(state)
     reference, _ = waterfill(unit_rate_params(8), gains, NOISE_W, BUDGET_W)
-    assert np.max(np.abs(out.powers - reference.powers)) <= 1e-3 * BUDGET_W
+    assert np.max(np.abs(out - reference)) <= 1e-3 * BUDGET_W
 
 
 def test_fairness_equalizes_rates():
     equal = orthogonal_state(np.full(3, 1e-11))
     out = allocate_fairness(equal, BUDGET_W, NOISE_W)
-    assert np.allclose(out.powers, BUDGET_W / 3, rtol=1e-3)
+    assert np.allclose(out, BUDGET_W / 3, rtol=1e-3)
 
     # two-user orthogonal: rates equalized, p_k proportional to 1/H_k
     gains = np.array([4e-11, 1e-11])
     state = orthogonal_state(gains)
     out = allocate_fairness(state, BUDGET_W, NOISE_W, tol=1e-6)
     expected = BUDGET_W * (1.0 / gains) / np.sum(1.0 / gains)
-    assert np.allclose(out.powers, expected, rtol=1e-4)
-    r = rates_bps(state, out.powers)
+    assert np.allclose(out, expected, rtol=1e-4)
+    r = rates_bps(state, out)
     assert r[0] == pytest.approx(r[1], rel=1e-4)
 
 
@@ -71,8 +71,8 @@ def test_fairness_dominates_uniform_min_rate():
                              d_range=(500.0, 3000.0))
         fair = allocate_fairness(state, BUDGET_W, NOISE_W)
         uniform = allocate_uniform(5, BUDGET_W)
-        fair_min = rates_bps(state, fair.powers).min()
-        unif_min = rates_bps(state, uniform.powers).min()
+        fair_min = rates_bps(state, fair).min()
+        unif_min = rates_bps(state, uniform).min()
         assert fair_min >= unif_min * (1.0 - 1e-3)
 
 
@@ -84,7 +84,7 @@ def test_fairness_min_rate_tops_every_allocator_on_orthogonal_instances():
         state = orthogonal_state(gains)
         gae = rng.uniform(0, 1, 5)
         fair = allocate_fairness(state, BUDGET_W, NOISE_W, tol=1e-6)
-        fair_min = rates_bps(state, fair.powers).min()
+        fair_min = rates_bps(state, fair).min()
         rivals = [
             max_rate(state),
             allocate_greedy(state, gae, meta, BUDGET_W, NOISE_W, 500.0, 1e7),
@@ -93,7 +93,7 @@ def test_fairness_min_rate_tops_every_allocator_on_orthogonal_instances():
             allocate_uniform(5, BUDGET_W),
         ]
         for rival in rivals:
-            assert fair_min >= rates_bps(state, rival.powers).min() * (1 - 1e-3)
+            assert fair_min >= rates_bps(state, rival).min() * (1 - 1e-3)
 
 
 def test_greedy_funds_novelty_first():
@@ -104,10 +104,10 @@ def test_greedy_funds_novelty_first():
     gae = np.array([0.9, 0.1, 0.5])
     out = allocate_greedy(state, gae, meta, BUDGET_W, NOISE_W, 600.0, 1e7)
     need = NOISE_W / gains[1] * (2.0 ** (1.6e6 * 1050 / (600.0 * 1e7)) - 1.0)
-    assert out.powers[1] == pytest.approx(need, rel=1e-12)
+    assert out[1] == pytest.approx(need, rel=1e-12)
     # remaining budget flows to the next-most-novel robot (index 2)
-    assert out.powers[2] > 0.0
-    assert out.powers.sum() <= BUDGET_W * (1 + 1e-12)
+    assert out[2] > 0.0
+    assert out.sum() <= BUDGET_W * (1 + 1e-12)
 
 
 def test_greedy_single_expensive_robot_takes_everything():
@@ -116,8 +116,8 @@ def test_greedy_single_expensive_robot_takes_everything():
     meta = DatasetMeta.uniform(2, num_items=10000)
     gae = np.array([0.0, 0.9])  # robot 0 most novel but needs > budget
     out = allocate_greedy(state, gae, meta, BUDGET_W, NOISE_W, 60.0, 1e7)
-    assert out.powers[0] == pytest.approx(BUDGET_W)
-    assert out.powers[1] == 0.0
+    assert out[0] == pytest.approx(BUDGET_W)
+    assert out[1] == 0.0
 
 
 def test_greedy_ties_break_by_index_and_leftover_budget():
@@ -127,8 +127,8 @@ def test_greedy_ties_break_by_index_and_leftover_budget():
     gae = np.full(3, 0.5)
     out = allocate_greedy(state, gae, meta, BUDGET_W, NOISE_W, 600.0, 1e7)
     need = NOISE_W / 1e-9 * (2.0 ** (1.6e6 * 10 / 6e9) - 1.0)
-    assert np.allclose(out.powers, need)           # all funded, same price
-    assert out.powers.sum() < BUDGET_W             # leftover left unassigned
+    assert np.allclose(out, need)           # all funded, same price
+    assert out.sum() < BUDGET_W             # leftover left unassigned
 
 
 def test_max_cov_admission_order():
@@ -136,23 +136,23 @@ def test_max_cov_admission_order():
     state = orthogonal_state(gains)
     threshold = 1e7  # 1 b/s/Hz -> gamma = 1 -> p_req = sigma^2/H
     out = allocate_max_cov(state, 0.2, NOISE_W, threshold, 1e7)
-    assert out.powers[0] == pytest.approx(0.05)
-    assert out.powers[1] == pytest.approx(0.1)
-    assert out.powers[2] == 0.0
+    assert out[0] == pytest.approx(0.05)
+    assert out[1] == pytest.approx(0.1)
+    assert out[2] == 0.0
 
 
 def test_max_cov_all_or_none():
     gains = np.full(5, 1e-9)
     state = orthogonal_state(gains)
     cheap = allocate_max_cov(state, BUDGET_W, NOISE_W, 1e5, 1e7)
-    assert np.count_nonzero(cheap.powers) == 5
+    assert np.count_nonzero(cheap) == 5
     hopeless = allocate_max_cov(state, BUDGET_W, NOISE_W, 5e8, 1e7)
-    assert np.all(hopeless.powers == 0.0)
+    assert np.all(hopeless == 0.0)
 
 
 def test_remember_is_all_zero():
     out = allocate_remember(6, BUDGET_W)
-    assert np.all(out.powers == 0.0)
+    assert np.all(out == 0.0)
     rng = np.random.default_rng(4)
     state = random_state(rng, num_robots=6, num_antennas=8)
     params = random_params(rng, 6)
@@ -191,9 +191,10 @@ def test_every_allocator_is_feasible(case):
         allocate_uniform(k, BUDGET_W),
     ]
     for alloc in allocations:
-        assert alloc.powers.shape == (k,)
-        assert np.all(alloc.powers >= 0.0)
-        assert alloc.powers.sum() <= BUDGET_W * (1.0 + 1e-9)
+        assert alloc.shape == (k,) and alloc.dtype == np.float64
+        assert np.all(np.isfinite(alloc))
+        assert np.all(alloc >= 0.0)
+        assert alloc.sum() <= BUDGET_W * (1.0 + 1e-9)
 
 
 def without_channel(state, robot):
@@ -244,11 +245,11 @@ def test_fairness_is_within_tol_of_the_perron_optimum(state, log_budget, tol):
     budget = 10.0 ** log_budget
     fair = allocate_fairness(state, budget, NOISE_W, tol)
     optimum = perron_sinr(state, budget)
-    sinr = sinr_vector(state, fair.powers, NOISE_W)
+    sinr = sinr_vector(state, fair, NOISE_W)
     assert np.all(sinr >= optimum * (1.0 - tol))
     assert np.all(sinr <= optimum * (1.0 + 1e-9))
-    assert np.all(fair.powers >= 0.0)
-    assert fair.powers.sum() <= budget * (1.0 + 1e-9)
+    assert np.all(fair >= 0.0)
+    assert fair.sum() <= budget * (1.0 + 1e-9)
 
 
 @st.composite
@@ -278,7 +279,7 @@ def test_fairness_is_bit_identical_to_the_doubling_bisection(state, log_budget, 
                            wraps=_fairness_powers) as probe:
         fair = allocate_fairness(state, budget, NOISE_W, tol)
     expected = doubling_allocate_fairness(state, budget, NOISE_W, tol)
-    assert fair.powers.tobytes() == expected.powers.tobytes()
+    assert fair.tobytes() == expected.tobytes()
     if bound_feasible:
         assert probe.call_count == 1
 
@@ -296,8 +297,8 @@ def test_fairness_matches_the_power_control_iteration_on_the_shipped_scenarios()
         instances += [(prepare_seed(scenario, seed).state, budget, noise)
                       for seed in seeds for budget in budgets]
     for state, budget, noise in instances:
-        np.testing.assert_allclose(allocate_fairness(state, budget, noise).powers,
-                                   reference_allocate_fairness(state, budget, noise).powers,
+        np.testing.assert_allclose(allocate_fairness(state, budget, noise),
+                                   reference_allocate_fairness(state, budget, noise),
                                    rtol=1e-9, atol=0.0)
 
 
@@ -310,10 +311,10 @@ def test_fairness_zero_gain_gives_zeros_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = allocate_fairness(state, BUDGET_W, NOISE_W)
-    assert out.powers.tobytes() == np.zeros(5).tobytes()
+    assert out.tobytes() == np.zeros(5).tobytes()
     alone = allocate_fairness(random_state(rng, num_robots=1, num_antennas=1), BUDGET_W, NOISE_W)
-    assert alone.powers == pytest.approx([BUDGET_W], rel=1e-4)
-    assert alone.powers.sum() <= BUDGET_W
+    assert alone == pytest.approx([BUDGET_W], rel=1e-4)
+    assert alone.sum() <= BUDGET_W
 
 
 def test_max_rate_and_mcpa_win_their_own_metrics():
@@ -326,7 +327,7 @@ def test_max_rate_and_mcpa_win_their_own_metrics():
         mcpa = solve_mcpa(params, state, BUDGET_W, NOISE_W).final
         maxrate = max_rate(state)
         tol = 1e-6
-        assert rates_bps(state, maxrate.powers).sum() >= \
-            rates_bps(state, mcpa.powers).sum() * (1.0 - tol)
+        assert rates_bps(state, maxrate).sum() >= \
+            rates_bps(state, mcpa).sum() * (1.0 - tol)
         assert qom_objective(params, state, mcpa, NOISE_W) >= \
             qom_objective(params, state, maxrate, NOISE_W) * (1.0 - tol)

@@ -37,12 +37,21 @@ def test_seeded_draw_is_bit_identical():
 
 
 def test_rejects_bad_geometry_and_antennas():
-    with pytest.raises(ValueError):
-        RadioConstants(1e7, 1e-13, 1e-3, 1e-2, 3.0, 0)
+    # an antenna count is an integer >= 1: 2.5 would draw 2 antennas and True 1
+    for n in (0, -3, 2.5, 2.0, True, False, "4", None):
+        with pytest.raises(ValueError, match="num_antennas"):
+            RadioConstants(1e7, 1e-13, 1e-3, 1e-2, 3.0, n)
     with pytest.raises(ValueError):
         RobotGeometry(np.array([100.0, -5.0]))
     with pytest.raises(ValueError):
         RobotGeometry(np.array([0.0]))
+
+
+def test_numpy_integer_antenna_count_draws_as_the_int():
+    geometry = RobotGeometry(np.array([60.0, 120.0]))
+    ours = draw_channels(radio(num_antennas=np.int64(8)), geometry, 5)
+    theirs = draw_channels(radio(num_antennas=8), geometry, 5)
+    assert np.array_equal(ours.interference, theirs.interference)
 
 
 def test_state_invariants_over_many_seeds():

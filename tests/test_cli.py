@@ -142,6 +142,8 @@ def test_fractional_solver_limit_is_rejected(tmp_path):
     ({"remote": {"transcript_path": 5}}, "remote.transcript_path"),
     ({"remote": {"model": 3}}, "remote.model"),
     ({"num_robots": True}, "num_robots"),
+    ({"radio": {"noise_dbm": 4000.0}}, "radio"),          # 10^(x/10) overflows
+    ({"radio": {"ref_pathloss_db": -4000.0}}, "radio"),   # ... or is a zero gain
 ])
 def test_non_finite_or_out_of_range_values_are_rejected(tmp_path, config, field):
     """A non-finite or out-of-range number, a count or robot index that is
@@ -157,6 +159,31 @@ def test_non_finite_or_out_of_range_values_are_rejected(tmp_path, config, field)
     error = json.loads(lines[0])
     assert error["error"] == "ConfigError"
     assert field in error["message"]
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["sweep", "--seeds", "1", "--methods", "remember", "--budgets-mw", "abc"], "--budgets-mw"),
+    (["sweep", "--seeds", "1", "--methods", "remember", "--budgets-mw", ","], "--budgets-mw"),
+    (["sweep", "--seeds", "1", "--methods", "remember", "--budgets-mw", "-5"], "budgets_mw"),
+    (["sweep", "--seeds", "1", "--methods", "remember", "--budgets-mw", "nan"], "budgets_mw"),
+    (["sweep", "--seeds", "1", "--methods", "remember", "--budgets-mw", "inf"], "budgets_mw"),
+    (["simulate", "--seeds", "0", "--methods", "remember"], "num_seeds"),
+    (["simulate", "--seeds", "-2", "--methods", "remember"], "num_seeds"),
+    (["solve", "--seed", "-1"], "--seed"),
+    (["gae-test", "--seeds", "-1"], "--seeds"),
+    (["gae-test", "--seeds", "0"], "--seeds"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+def test_bad_arguments_fail_with_one_json_line(tmp_path, capsys, argv, field):
+    """An unparsable or non-finite budget, a negative seed or a seed count
+    below one: exit 2 with one JSON line naming it, and no output file."""
+    out = tmp_path / "out.csv"
+    assert cli.main(argv + ([] if argv[0] == "solve" else ["--out", str(out)])) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError"
+    assert field in error["message"]
+    assert not out.exists()
 
 
 def test_unknown_method_rejected(tmp_path):

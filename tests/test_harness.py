@@ -12,7 +12,7 @@ from mcpa import harness
 from mcpa.harness import (CSV_COLUMNS, METHODS, aggregate, prepare_seed, run_campaign,
                           run_method, run_sweep, write_csv)
 from mcpa.gae import MemoryIndex
-from mcpa.qom import PowerVector, pilot_overhead, qom_objective, qom_weights
+from mcpa.qom import pilot_overhead, qom_objective, qom_weights
 from mcpa.world import build_world
 from reference_index import ReferenceIndex, grade
 
@@ -441,8 +441,7 @@ def test_programming_errors_propagate(monkeypatch):
 def test_nan_allocation_is_a_failed_row_with_reason(monkeypatch):
     for bad in (np.nan, np.inf, -np.inf):
         monkeypatch.setattr(harness.baselines, "allocate_uniform",
-                            lambda num_robots, budget: PowerVector(np.full(num_robots, bad),
-                                                                   budget))
+                            lambda num_robots, budget: np.full(num_robots, bad))
         rows, _ = run_campaign(small_city(), ["remember", "uniform"], 1)
         remember, uniform = rows
         assert not remember.failure and not np.isnan(remember.eqa_accuracy)

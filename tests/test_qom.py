@@ -3,20 +3,25 @@ import pytest
 
 from conftest import NOISE_W, orthogonal_state, radio, random_state
 from mcpa.channel import sinr_vector
-from mcpa.qom import (DatasetMeta, PilotPhaseInfeasible, PowerVector, accuracy_estimate,
+from mcpa.harness import _checked_allocation
+from mcpa.qom import (DatasetMeta, PilotPhaseInfeasible, accuracy_estimate,
                       frames_uploaded, pilot_overhead, qom_objective, qom_terms, qom_weights,
                       round_half_up)
 
 
 def test_power_vector_feasibility():
-    PowerVector(np.array([0.1, 0.1]), 0.2)  # exactly on budget is fine
+    # the one check every method's allocation passes before it is scored
+    _checked_allocation(np.array([0.1, 0.1]), 2, 0.2)  # exactly on budget is fine
     with pytest.raises(ValueError):
-        PowerVector(np.array([0.15, 0.1]), 0.2)
+        _checked_allocation(np.array([0.15, 0.1]), 2, 0.2)
     with pytest.raises(ValueError):
-        PowerVector(np.array([-0.01, 0.1]), 0.2)
+        _checked_allocation(np.array([-0.01, 0.1]), 2, 0.2)
     for bad in (np.nan, np.inf, -np.inf):     # NaN passes both the sign and budget tests
         with pytest.raises(ValueError, match="non-finite powers"):
-            PowerVector(np.array([bad, 0.1]), 0.2)
+            _checked_allocation(np.array([bad, 0.1]), 2, 0.2)
+    for wrong in (np.array([0.1]), np.array([0.05, 0.05, 0.05]), np.zeros((2, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            _checked_allocation(wrong, 2, 0.2)
 
 
 def test_dataset_meta_validation_and_pilot_counts():

@@ -13,7 +13,7 @@ from mcpa.baselines import unit_rate_params
 from mcpa.channel import ChannelState
 from mcpa.config import build_scenario, load_config
 from mcpa.harness import prepare_seed, run_method
-from mcpa.qom import DatasetMeta, PowerVector, qom_objective, qom_weights
+from mcpa.qom import DatasetMeta, qom_objective, qom_weights
 from mcpa.solver import (SolverOptions, SurrogateContext, _inner_ascent, qom_gradient,
                          solve_mcpa, waterfill)
 from reference_solver import _inner_ascent as reference_inner_ascent
@@ -27,7 +27,7 @@ def make_ctx(rng, num_robots=6, num_antennas=16, anchor=None):
     params = random_params(rng, num_robots=num_robots)
     if anchor is None:
         anchor = random_feasible(rng, num_robots)
-    ctx = SurrogateContext(anchor=PowerVector(anchor, BUDGET_W), weights=params,
+    ctx = SurrogateContext(anchor=anchor, weights=params,
                            state=state, noise_power_w=NOISE_W)
     return ctx
 
@@ -49,7 +49,7 @@ def test_surrogate_equals_objective_at_anchor():
     rng = np.random.default_rng(1)
     for _ in range(30):
         ctx = make_ctx(rng)
-        p_star = ctx.anchor.powers
+        p_star = ctx.anchor
         for k in range(ctx.num_robots):
             theta = ctx.weights[k] * np.log2(
                 1.0 + ctx.state.gains[k] * p_star[k]
@@ -60,7 +60,7 @@ def test_surrogate_equals_objective_at_anchor():
 def test_surrogate_zero_weight_is_zero():
     rng = np.random.default_rng(2)
     state = random_state(rng, num_robots=4, num_antennas=8)
-    ctx = SurrogateContext(anchor=PowerVector.uniform(4, BUDGET_W), weights=np.zeros(4),
+    ctx = SurrogateContext(anchor=np.full(4, BUDGET_W / 4), weights=np.zeros(4),
                            state=state, noise_power_w=NOISE_W)
     p = random_feasible(rng, 4)
     assert surrogate_total(ctx, p) == 0.0
@@ -72,7 +72,7 @@ def test_surrogate_exact_on_orthogonal_channels():
     gains = rng.uniform(1e-11, 1e-9, 5)
     state = orthogonal_state(gains)
     params = random_params(rng, 5)
-    ctx = SurrogateContext(anchor=PowerVector.uniform(5, BUDGET_W), weights=params,
+    ctx = SurrogateContext(anchor=np.full(5, BUDGET_W / 5), weights=params,
                            state=state, noise_power_w=NOISE_W)
     for _ in range(10):
         p = random_feasible(rng, 5)
@@ -86,7 +86,7 @@ def test_surrogate_gradient_matches_finite_differences_at_anchor():
     rng = np.random.default_rng(4)
     for _ in range(20):
         ctx = make_ctx(rng)
-        p_star = ctx.anchor.powers
+        p_star = ctx.anchor
         analytic = surrogate_gradient(ctx, p_star)
         numeric = finite_difference_gradient(ctx.weights, ctx.state, p_star,
                                              step=1e-6 * BUDGET_W)
@@ -116,11 +116,11 @@ def test_surrogate_minorizes_and_is_midpoint_concave():
 # --- projection ---------------------------------------------------------------
 
 def test_project_feasible_known_cases():
-    assert np.allclose(project_feasible(np.array([0.05, 0.1]), 0.2).powers,
+    assert np.allclose(project_feasible(np.array([0.05, 0.1]), 0.2),
                        [0.05, 0.1])  # already feasible: unchanged
-    assert np.allclose(project_feasible(np.array([0.3, 0.3]), 0.2).powers,
+    assert np.allclose(project_feasible(np.array([0.3, 0.3]), 0.2),
                        [0.1, 0.1])
-    assert np.allclose(project_feasible(np.array([-1.0, 0.1]), 0.2).powers,
+    assert np.allclose(project_feasible(np.array([-1.0, 0.1]), 0.2),
                        [0.0, 0.1])
 
 
@@ -143,7 +143,7 @@ def test_project_feasible_against_qp_oracle():
         n = int(rng.integers(2, 7))
         raw = rng.normal(0.0, 0.3, n)
         budget = float(rng.uniform(0.05, 0.5))
-        ours = project_feasible(raw, budget).powers
+        ours = project_feasible(raw, budget)
         assert np.allclose(ours, qp_projection_oracle(raw, budget), atol=5e-7)
 
 
@@ -171,7 +171,7 @@ def projection_cases(draw):
 def test_projection_kernel_properties(case):
     raw, budget = case
     q = _project_array(raw, budget)
-    # feasible within the PowerVector tolerance; the simplex branch may
+    # feasible within the allocation check's tolerance; the simplex branch may
     # overshoot the budget by about one ulp of roundoff
     assert np.all(q >= 0.0)
     assert np.add.reduce(q) <= budget * (1.0 + 1e-9)
@@ -180,7 +180,7 @@ def test_projection_kernel_properties(case):
         assert np.array_equal(again, q)
     else:
         assert np.max(np.abs(again - q)) <= 4.0 * np.finfo(float).eps * budget
-    assert project_feasible(raw, budget).powers.tobytes() == q.tobytes()
+    assert project_feasible(raw, budget).tobytes() == q.tobytes()
     assert np.allclose(q, qp_projection_oracle(raw, budget), atol=5e-7)
 
 
@@ -188,7 +188,7 @@ def test_projection_kernel_properties(case):
 
 def test_solve_inner_single_user_takes_whole_budget():
     state = orthogonal_state(np.array([1e-10]))
-    ctx = SurrogateContext(anchor=PowerVector(np.array([0.01]), BUDGET_W),
+    ctx = SurrogateContext(anchor=np.array([0.01]),
                            weights=np.array([0.3]), state=state, noise_power_w=NOISE_W)
     result = _inner_ascent(ctx, BUDGET_W, tol=1e-10, max_iter=5000)
     assert result.powers[0] == pytest.approx(BUDGET_W, rel=1e-6)
@@ -199,18 +199,18 @@ def test_solve_inner_matches_waterfill_on_orthogonal_instance():
     gains = rng.uniform(1e-10, 2e-8, 10)
     state = orthogonal_state(gains)
     params = random_params(rng, 10)
-    ctx = SurrogateContext(anchor=PowerVector.uniform(10, BUDGET_W), weights=params,
+    ctx = SurrogateContext(anchor=np.full(10, BUDGET_W / 10), weights=params,
                            state=state, noise_power_w=NOISE_W)
     inner = _inner_ascent(ctx, BUDGET_W, tol=1e-8, max_iter=5000)
     reference, _ = waterfill(params, gains, NOISE_W, BUDGET_W)
-    assert np.max(np.abs(inner.powers - reference.powers)) <= 1e-3 * BUDGET_W
+    assert np.max(np.abs(inner.powers - reference)) <= 1e-3 * BUDGET_W
     # never worse than the anchor it started from
-    assert surrogate_total(ctx, inner.powers) >= surrogate_total(ctx, ctx.anchor.powers)
+    assert surrogate_total(ctx, inner.powers) >= surrogate_total(ctx, ctx.anchor)
 
 
 def test_solve_inner_zero_weights_any_feasible():
     state = orthogonal_state(np.array([1e-10, 1e-10]))
-    ctx = SurrogateContext(anchor=PowerVector.uniform(2, BUDGET_W), weights=np.zeros(2),
+    ctx = SurrogateContext(anchor=np.full(2, BUDGET_W / 2), weights=np.zeros(2),
                            state=state, noise_power_w=NOISE_W)
     result = _inner_ascent(ctx, BUDGET_W, 1e-8, 100)
     assert surrogate_total(ctx, result.powers) == 0.0
@@ -223,7 +223,7 @@ def slsqp_surrogate_max(ctx, budget):
     scipy_optimize = pytest.importorskip("scipy.optimize")
     k = ctx.num_robots
     res = scipy_optimize.minimize(
-        lambda q: -surrogate_total(ctx, q), ctx.anchor.powers,
+        lambda q: -surrogate_total(ctx, q), ctx.anchor,
         jac=lambda q: -surrogate_gradient(ctx, q), method="SLSQP",
         bounds=[(0.0, None)] * k,
         constraints=[{"type": "ineq", "fun": lambda q: budget - q.sum(),
@@ -248,7 +248,7 @@ def surrogate_cases(draw):
                          d_range=(800.0, 4000.0) if low_snr else (50.0, 250.0))
     params = random_params(rng, k, zero_fraction=zero_fraction)
     anchor = np.full(k, BUDGET_W / k) if uniform_anchor else random_feasible(rng, k)
-    ctx = SurrogateContext(anchor=PowerVector(anchor, BUDGET_W), weights=params,
+    ctx = SurrogateContext(anchor=anchor, weights=params,
                            state=state, noise_power_w=NOISE_W)
     return ctx, low_snr
 
@@ -262,7 +262,7 @@ def test_inner_solve_is_exact_on_random_surrogates(case):
     assert result.converged
     assert np.all(p >= 0.0) and np.add.reduce(p) <= BUDGET_W * (1.0 + 1e-9)
     assert f == surrogate_total(ctx, p)
-    assert f >= surrogate_total(ctx, ctx.anchor.powers)
+    assert f >= surrogate_total(ctx, ctx.anchor)
     # the projected-gradient reference is a lower bound even when capped
     slack = 1e-12 * (1.0 + abs(f))
     assert f >= reference_inner_ascent(ctx, BUDGET_W, 1e-8, 300).objective - slack
@@ -344,7 +344,7 @@ def test_solve_mcpa_all_weights_zero_converges_immediately():
     assert trace.stop_reason == "converged"
     assert trace.outer_iterations == 1
     assert trace.objective == 0.0
-    assert np.allclose(trace.final.powers, BUDGET_W / 5)
+    assert np.allclose(trace.final, BUDGET_W / 5)
 
 
 def test_solve_mcpa_orthogonal_matches_waterfill():
@@ -355,7 +355,7 @@ def test_solve_mcpa_orthogonal_matches_waterfill():
         params = random_params(rng, 10)
         trace = solve_mcpa(params, state, BUDGET_W, NOISE_W)
         reference, _ = waterfill(params, gains, NOISE_W, BUDGET_W)
-        assert np.max(np.abs(trace.final.powers - reference.powers)) <= 1e-3 * BUDGET_W
+        assert np.max(np.abs(trace.final - reference)) <= 1e-3 * BUDGET_W
 
 
 def test_solve_mcpa_monotone_ascent_over_seeds():
@@ -469,7 +469,7 @@ def test_solve_mcpa_answer_is_pinned(weights, monkeypatch):
     assert trace.inner_iterations == inner
     assert [sum(a != b for a, b in zip(sets, sets[1:])) for sets in working_sets] == changes
     assert max(residuals) <= KKT_BOUND
-    assert [x.hex() for x in trace.final.powers.tolist()] == powers
+    assert [x.hex() for x in trace.final.tolist()] == powers
     assert trace.objective.hex() == objective
 
 
@@ -488,12 +488,12 @@ def test_waterfill_shutoff_single_user_and_symmetry():
     params = qom_weights([1.0, 0.2, 0.2], meta, 550.0, 1e7)
     gains = np.array([1e-9, 1e-9, 1e-9])
     result, level = waterfill(params, gains, NOISE_W, BUDGET_W)
-    assert result.powers[0] == 0.0  # GAE = 1 shuts the robot off exactly
-    assert result.powers[1] == pytest.approx(result.powers[2], rel=1e-12)
+    assert result[0] == 0.0  # GAE = 1 shuts the robot off exactly
+    assert result[1] == pytest.approx(result[2], rel=1e-12)
 
     single = qom_weights([0.5], DatasetMeta.uniform(1), 550.0, 1e7)
     result, _ = waterfill(single, np.array([1e-9]), NOISE_W, BUDGET_W)
-    assert result.powers[0] == pytest.approx(BUDGET_W, rel=1e-9)
+    assert result[0] == pytest.approx(BUDGET_W, rel=1e-9)
 
 
 @pytest.mark.parametrize("weights", [[math.nan, 1.0], [-1.0, 1.0], [math.inf, 1.0],
@@ -511,7 +511,7 @@ def test_surrogate_context_rejects_the_weights_solve_mcpa_rejects(weights):
     """An infinite weight would give a NaN Newton step and a negative one an
     indefinite surrogate that the inner loop reports as converged."""
     with pytest.raises(ValueError, match="K = 2 finite, nonnegative"):
-        SurrogateContext(anchor=PowerVector.uniform(2, BUDGET_W), weights=np.array(weights),
+        SurrogateContext(anchor=np.full(2, BUDGET_W / 2), weights=np.array(weights),
                          state=coupled_pair(), noise_power_w=1e-9)
 
 
@@ -519,7 +519,7 @@ def test_waterfill_all_zero_weights_flagged():
     params = qom_weights(np.ones(4), DatasetMeta.uniform(4), 550.0, 1e7)
     result, level = waterfill(params, np.full(4, 1e-9), NOISE_W, BUDGET_W)
     assert level is None
-    assert np.all(result.powers == 0.0)
+    assert np.all(result == 0.0)
 
 
 @st.composite
@@ -552,7 +552,7 @@ def test_waterfill_budget_tightness_and_kkt(case):
     lam, gains, budget = case
     result, nu = waterfill(lam, gains, NOISE_W, budget)
     reference = bisection_waterfill(lam, gains, NOISE_W, budget)
-    p = result.powers
+    p = result
     usable = (lam > 0.0) & (gains > 0.0)
     if not usable.any():
         assert nu is None and reference.level is None
@@ -567,7 +567,7 @@ def test_waterfill_budget_tightness_and_kkt(case):
     active = p[usable] > 0.0
     assert np.all(np.abs(excess[active] - p[usable][active]) <= 1e-11 * budget)
     assert np.all(excess[~active] <= 1e-11 * budget)
-    assert np.max(np.abs(p - reference.power.powers)) <= 1e-9 * budget
+    assert np.max(np.abs(p - reference.power)) <= 1e-9 * budget
 
 
 def test_waterfill_matches_dense_grid_oracle():
@@ -582,7 +582,7 @@ def test_waterfill_matches_dense_grid_oracle():
     spent = np.maximum(0.0, grid[:, None] * lam[None, :] - floors[None, :]).sum(axis=1)
     best = grid[np.argmin(np.abs(spent - BUDGET_W))]
     oracle = np.maximum(0.0, best * lam - floors)
-    assert np.max(np.abs(result.powers - oracle)) <= 1e-6 * BUDGET_W
+    assert np.max(np.abs(result - oracle)) <= 1e-6 * BUDGET_W
 
 
 def test_waterfill_power_order_mirrors_novelty_on_symmetric_channels():
@@ -590,7 +590,7 @@ def test_waterfill_power_order_mirrors_novelty_on_symmetric_channels():
     params = qom_weights([0.1, 0.3, 0.6, 0.9], meta, 550.0, 1e7)
     gains = np.full(4, 1e-10)
     result, _ = waterfill(params, gains, NOISE_W, BUDGET_W)
-    p = result.powers
+    p = result
     assert p[0] >= p[1] >= p[2] >= p[3]
 
 
@@ -615,8 +615,8 @@ def test_powers_become_proportional_to_gae_error_as_snr_grows():
         assert trace.stop_reason == "converged"
         # the gap from proportionality is share_k sum_j s2/H_j - s2/H_k, over P_sum
         predicted = np.max(np.abs(share * floors.sum() - floors)) / BUDGET_W
-        for powers in (waterfill(params, gains, NOISE_W, BUDGET_W).power.powers,
-                       trace.final.powers):
+        for powers in (waterfill(params, gains, NOISE_W, BUDGET_W).power,
+                       trace.final):
             gap = np.max(np.abs(powers / BUDGET_W - share))
             assert gap == pytest.approx(predicted, rel=1e-2)
             assert gap <= floors.sum() / BUDGET_W
@@ -630,6 +630,6 @@ def test_gap_from_proportionality_is_the_waterfilling_floor_term(h):
     assert np.all(exact > 0.0)
     result, _ = waterfill(params, gains, NOISE_W, BUDGET_W)
     # the closed form is exact up to roundoff
-    assert np.max(np.abs(result.powers - exact)) <= 1e-14 * BUDGET_W
+    assert np.max(np.abs(result - exact)) <= 1e-14 * BUDGET_W
     trace = solve_mcpa(params, orthogonal_state(gains), BUDGET_W, NOISE_W)
-    assert np.max(np.abs(trace.final.powers - exact)) <= SolverOptions().inner_tol * BUDGET_W
+    assert np.max(np.abs(trace.final - exact)) <= SolverOptions().inner_tol * BUDGET_W
