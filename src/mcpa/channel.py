@@ -62,10 +62,9 @@ class RadioConstants:
 
 @dataclass(frozen=True)
 class RobotGeometry:
-    """Robot-server link distances (m) plus the server mast height."""
+    """Robot-server link distances (m)."""
 
     distance_m: np.ndarray
-    server_height_m: float = 20.0
 
     def __post_init__(self):
         d = np.asarray(self.distance_m, dtype=float)

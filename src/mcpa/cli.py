@@ -16,15 +16,13 @@ from .qom import PilotPhaseInfeasible
 
 def _load_scenario(args):
     config = load_config(args.config) if args.config else {}
-    if args.backend:
-        config.setdefault("gae", {})["backend"] = args.backend
-    return build_scenario(config)
+    return build_scenario(config, {"gae": {"backend": args.backend}} if args.backend else None)
 
 
 def _backend_for(scenario):
     if scenario.backend == "remote":
         from .remote import RemoteBackend  # HTTP client modules load only when used
-        return RemoteBackend.from_settings(scenario.remote)
+        return RemoteBackend(**scenario.remote)
     return SyntheticBackend()
 
 
@@ -142,8 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--seeds", type=int, default=50)
     p_sweep.add_argument("--methods", default=",".join(METHODS))
-    p_sweep.add_argument("--budgets-mw", dest="budgets_mw",
-                         help="comma list, default 100,150,200,250,300")
+    p_sweep.add_argument("--budgets-mw", dest="budgets_mw", help="comma list, default "
+                         + ",".join(f"{b:g}" for b in DEFAULT_SWEEP_MW))
     p_sweep.add_argument("--out", default="sweep.csv")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import copy
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .channel import RadioConstants
@@ -18,7 +18,6 @@ from .solver import SolverOptions
 
 __all__ = [
     "ConfigError",
-    "RemoteSettings",
     "Scenario",
     "DEFAULT_CONFIG",
     "db_to_linear",
@@ -46,87 +45,18 @@ DEFAULT_OBJECTS = (
     "fire truck", "yamaha", "bus", "taxi", "traffic cone",
 )
 
-DEFAULT_CONFIG: dict = {
-    "num_robots": 10,
-    "radio": {
-        "bandwidth_hz": 1.0e7,
-        "noise_dbm": -100.0,
-        "ref_pathloss_db": -30.0,
-        "shadow_fading_db": -20.0,
-        "pathloss_exponent": 3.0,
-        "num_antennas": 256,
-    },
-    "geometry": {
-        "distance_min_m": 50.0,
-        "distance_max_m": 250.0,
-        "server_height_m": 20.0,
-    },
-    "budgets": {
-        "power_sum_mw": 200.0,
-        "time_s": 600.0,
-    },
-    "dataset": {
-        "items_per_robot": 1050,
-        "item_volume_bits": 1.6e6,
-        "frame_rate_fps": 35.0,
-    },
-    "gae": {
-        "pilot_ratio": 0.01,
-        "questions_per_robot": 10,
-        "backend": "synthetic",
-    },
-    "world": {
-        "objects": list(DEFAULT_OBJECTS),
-        "num_base_robots": 5,
-        "base_robots": None,           # explicit list overrides the random draw
-        "staged_novel_counts": None,   # e.g. [0, 1, 2, 3, 4] for the staged layout
-        "object_dwell_frames": 300,
-        "num_landmarks": 40,
-        "segment_frames": 30,
-        "background_tag_rate": 1.0,
-        "town_extent_m": 1000.0,
-    },
-    "metrics": {
-        "coverage_margin": 0.3,        # max_cov targets (1 + margin) * half dataset
-    },
-    "seeds": {
-        "channel": 1,
-        "placement": 2,
-        "pilot": 3,
-        "run": 0,
-    },
-    "solver": asdict(SolverOptions()),
-    "remote": {
-        "url": None,
-        "model": "qwen3-8b",
-        "timeout_s": 60.0,
-        "retries": 3,
-        "max_concurrency": 1,
-        "transcript_path": None,
-    },
-}
-
-
-@dataclass(frozen=True)
-class RemoteSettings:
-    url: str | None
-    model: str
-    timeout_s: float
-    retries: int
-    max_concurrency: int
-    transcript_path: str | None
-
 
 @dataclass(frozen=True)
 class Scenario:
     """Fully resolved experiment description (all linear units). The
-    geometry and world fields keep the names of their config leaves."""
+    geometry and world fields keep the names of their config leaves, and
+    ``remote`` holds the checked remote section, keywords of
+    ``remote.RemoteBackend``."""
 
     num_robots: int
     radio: RadioConstants
     distance_min_m: float
     distance_max_m: float
-    server_height_m: float
     power_budget_w: float
     time_budget_s: float
     dataset: DatasetMeta
@@ -146,22 +76,7 @@ class Scenario:
     coverage_margin: float
     seeds: dict
     solver: SolverOptions
-    remote: RemoteSettings
-
-
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"{where}: unknown configuration field")
-        if isinstance(base[key], dict) and not isinstance(value, dict):
-            raise ConfigError(f"{where}: expected an object")
-        if isinstance(base[key], dict):
-            out[key] = _merge(base[key], value, where)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
+    remote: dict
 
 
 def _require(cond: bool, where: str, message: str) -> None:
@@ -199,28 +114,91 @@ _OPTIONAL_INDICES = (lambda v: v is None or isinstance(v, (list, tuple))
                      "must be null or a list of nonnegative integers",
                      lambda v: v if v is None else tuple(v))
 
-# one rule per leaf of DEFAULT_CONFIG, by section ("" is the top level)
-_RULES = {
-    "": dict(num_robots=_COUNT),
-    "radio": dict(bandwidth_hz=_POSITIVE, noise_dbm=_NUMBER, ref_pathloss_db=_NUMBER,
-                  shadow_fading_db=_NUMBER, pathloss_exponent=_NUMBER, num_antennas=_COUNT),
-    "geometry": dict(distance_min_m=_POSITIVE, distance_max_m=_POSITIVE,
-                     server_height_m=_POSITIVE),
-    "budgets": dict(power_sum_mw=_POSITIVE, time_s=_POSITIVE),
-    "dataset": dict(items_per_robot=_COUNT, item_volume_bits=_POSITIVE,
-                    frame_rate_fps=_POSITIVE),
-    "gae": dict(pilot_ratio=_POSITIVE, questions_per_robot=_COUNT, backend=_STRING),
-    "world": dict(objects=_NAMES, num_base_robots=_INDEX, base_robots=_OPTIONAL_INDICES,
-                  staged_novel_counts=_OPTIONAL_INDICES, object_dwell_frames=_COUNT,
-                  num_landmarks=_COUNT, segment_frames=_COUNT,
-                  background_tag_rate=_FRACTION, town_extent_m=_POSITIVE),
-    "metrics": dict(coverage_margin=_NUMBER),
-    "seeds": dict(channel=_INDEX, placement=_INDEX, pilot=_INDEX, run=_INDEX),
-    "solver": dict(inner_tol=_POSITIVE, outer_tol=_POSITIVE, max_outer=_COUNT,
-                   max_inner=_COUNT),
-    "remote": dict(url=_OPTIONAL_STRING, model=_STRING, timeout_s=_POSITIVE, retries=_COUNT,
-                   max_concurrency=_COUNT, transcript_path=_OPTIONAL_STRING),
+# every leaf of the config as (default, rule); a dict is a section
+_SCHEMA: dict = {
+    "num_robots": (10, _COUNT),
+    "radio": {
+        "bandwidth_hz": (1.0e7, _POSITIVE),
+        "noise_dbm": (-100.0, _NUMBER),
+        "ref_pathloss_db": (-30.0, _NUMBER),
+        "shadow_fading_db": (-20.0, _NUMBER),
+        "pathloss_exponent": (3.0, _NUMBER),
+        "num_antennas": (256, _COUNT),
+    },
+    "geometry": {
+        "distance_min_m": (50.0, _POSITIVE),
+        "distance_max_m": (250.0, _POSITIVE),
+    },
+    "budgets": {
+        "power_sum_mw": (200.0, _POSITIVE),
+        "time_s": (600.0, _POSITIVE),
+    },
+    "dataset": {
+        "items_per_robot": (1050, _COUNT),
+        "item_volume_bits": (1.6e6, _POSITIVE),
+        "frame_rate_fps": (35.0, _POSITIVE),
+    },
+    "gae": {
+        "pilot_ratio": (0.01, _POSITIVE),
+        "questions_per_robot": (10, _COUNT),
+        "backend": ("synthetic", _STRING),
+    },
+    "world": {
+        "objects": (list(DEFAULT_OBJECTS), _NAMES),
+        "num_base_robots": (5, _INDEX),
+        "base_robots": (None, _OPTIONAL_INDICES),   # explicit list overrides the random draw
+        "staged_novel_counts": (None, _OPTIONAL_INDICES),  # e.g. [0, 1, 2, 3, 4], staged
+        "object_dwell_frames": (300, _COUNT),
+        "num_landmarks": (40, _COUNT),
+        "segment_frames": (30, _COUNT),
+        "background_tag_rate": (1.0, _FRACTION),
+        "town_extent_m": (1000.0, _POSITIVE),
+    },
+    "metrics": {
+        "coverage_margin": (0.3, _NUMBER),   # max_cov targets (1 + margin) * half dataset
+    },
+    "seeds": {"channel": (1, _INDEX), "placement": (2, _INDEX), "pilot": (3, _INDEX),
+              "run": (0, _INDEX)},
+    "solver": {f.name: (f.default, _COUNT if _is_int(f.default) else _POSITIVE)
+               for f in fields(SolverOptions)},
+    "remote": {
+        "url": (None, _OPTIONAL_STRING),
+        "model": ("qwen3-8b", _STRING),
+        "timeout_s": (60.0, _POSITIVE),
+        "retries": (3, _COUNT),
+        "max_concurrency": (1, _COUNT),
+        "transcript_path": (None, _OPTIONAL_STRING),
+    },
 }
+
+
+def _defaults(schema: dict) -> dict:
+    return {key: _defaults(entry) if isinstance(entry, dict) else copy.deepcopy(entry[0])
+            for key, entry in schema.items()}
+
+
+DEFAULT_CONFIG: dict = _defaults(_SCHEMA)
+
+
+def _resolve(schema: dict, documents: list, path: str = "") -> dict:
+    """One section of the config: each leaf from the last document that sets
+    it, else its default, checked by its rule and converted."""
+    for document in documents:
+        _require(isinstance(document, dict), path.rstrip(".") or "config",
+                 "must be a JSON object")
+        for key in document:
+            _require(key in schema, path + key, "unknown configuration field")
+    section = {}
+    for key, entry in schema.items():
+        given = [document[key] for document in documents if key in document]
+        if isinstance(entry, dict):
+            section[key] = _resolve(entry, given, f"{path}{key}.")
+        else:
+            default, (accepts, message, convert) = entry
+            value = given[-1] if given else default
+            _require(accepts(value), path + key, message)
+            section[key] = convert(value)
+    return section
 
 
 def load_config(path: str | Path) -> dict:
@@ -231,22 +209,16 @@ def load_config(path: str | Path) -> dict:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def build_scenario(config: dict | None = None) -> Scenario:
-    """Resolve a (possibly partial) config dict against the defaults.
+def build_scenario(config: dict | None = None, override: dict | None = None) -> Scenario:
+    """Resolve a (possibly partial) config dict, and then ``override`` (a
+    partial config such as a command-line option), against the defaults.
 
-    Deterministic: the same dict always produces the same Scenario. Every
-    leaf is first checked by its rule in ``_RULES`` (numbers become floats,
+    Deterministic: the same dicts always produce the same Scenario. Every
+    leaf is first checked by its rule in ``_SCHEMA`` (numbers become floats,
     lists tuples), then the checks that relate fields run; violations raise
     :class:`ConfigError` naming the offending field.
     """
-    _require(config is None or isinstance(config, dict), "config", "must be a JSON object")
-    cfg = _merge(DEFAULT_CONFIG, config or {})
-    for section, rules in _RULES.items():
-        leaves = cfg[section] if section else cfg
-        for key, (accepts, message, convert) in rules.items():
-            _require(accepts(leaves[key]), f"{section}.{key}".lstrip("."), message)
-            leaves[key] = convert(leaves[key])
-
+    cfg = _resolve(_SCHEMA, [{} if config is None else config, override or {}])
     k = cfg["num_robots"]
     radio, geometry, world = cfg["radio"], cfg["geometry"], cfg["world"]
     dataset, gae = cfg["dataset"], cfg["gae"]
@@ -298,5 +270,5 @@ def build_scenario(config: dict | None = None) -> Scenario:
         coverage_margin=cfg["metrics"]["coverage_margin"],
         seeds=cfg["seeds"],
         solver=SolverOptions(**cfg["solver"]),
-        remote=RemoteSettings(**cfg["remote"]),
+        remote=cfg["remote"],
     )

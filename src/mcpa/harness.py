@@ -89,7 +89,10 @@ def _method_name(method) -> str:
 
 def _check_methods(methods) -> None:
     """Raise :class:`ConfigError`, before anything is staged, on a method
-    that is neither a name in :data:`METHODS` nor an :class:`ExternalWeights`."""
+    that is neither a name in :data:`METHODS` nor an :class:`ExternalWeights`,
+    or on an empty list."""
+    if not methods:
+        raise ConfigError("methods: no method given")
     for method in methods:
         if not isinstance(method, ExternalWeights) and method not in METHODS:
             raise ConfigError(f"methods: unknown method {method!r} (choose from {METHODS})")
@@ -147,9 +150,7 @@ def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
     rng_geom = np.random.default_rng([scenario.seeds["channel"], seed, 0])
     distances = rng_geom.uniform(scenario.distance_min_m, scenario.distance_max_m,
                                  size=scenario.num_robots)
-    geometry = RobotGeometry(distance_m=distances,
-                             server_height_m=scenario.server_height_m)
-    state = draw_channels(scenario.radio, geometry,
+    state = draw_channels(scenario.radio, RobotGeometry(distance_m=distances),
                           seed=[scenario.seeds["channel"], seed, 1])
 
     report = run_gae(world.datasets, world.base_memory, scenario.pilot_ratio,

@@ -218,11 +218,6 @@ class RemoteBackend:
         self.max_concurrency = max(1, int(max_concurrency))
         self.transcript = _Transcript(transcript_path) if transcript_path else None
 
-    @classmethod
-    def from_settings(cls, settings) -> "RemoteBackend":
-        """Build from a ``config.RemoteSettings``, whose fields are keywords here."""
-        return cls(**vars(settings))
-
     def _chat(self, system: str, user: str) -> str:
         messages = [{"role": "system", "content": system},
                     {"role": "user", "content": user}]

@@ -172,6 +172,8 @@ def test_non_finite_or_out_of_range_values_are_rejected(tmp_path, config, field)
     (["solve", "--seed", "-1"], "--seed"),
     (["gae-test", "--seeds", "-1"], "--seeds"),
     (["gae-test", "--seeds", "0"], "--seeds"),
+    (["simulate", "--seeds", "1", "--methods", ","], "methods"),
+    (["sweep", "--seeds", "1", "--methods", " , "], "methods"),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
 def test_bad_arguments_fail_with_one_json_line(tmp_path, capsys, argv, field):
     """An unparsable or non-finite budget, a negative seed or a seed count
@@ -184,6 +186,18 @@ def test_bad_arguments_fail_with_one_json_line(tmp_path, capsys, argv, field):
     assert error["error"] == "ConfigError"
     assert field in error["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("document", [{"gae": 5}, []], ids=json.dumps)
+def test_backend_option_on_a_non_object_config_is_one_json_line(tmp_path, capsys, document):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(document))
+    assert cli.main(["solve", "--config", str(config), "--backend", "synthetic"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError"
+    assert error["message"].startswith("gae:" if document else "config:")
 
 
 def test_unknown_method_rejected(tmp_path):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcpa import config
-from mcpa.config import DEFAULT_CONFIG, ConfigError, Scenario, build_scenario
+from conftest import CONFIG_DIR
+from mcpa.config import DEFAULT_CONFIG, ConfigError, Scenario, build_scenario, load_config
+from mcpa.remote import RemoteBackend
+from mcpa.solver import SolverOptions
 
 # json.loads accepts NaN and Infinity, so a config file can hold them
 HOSTILE = [True, False, -1, 0, 0.5, 1.5, "3", None, [], {}, math.nan, math.inf]
@@ -52,11 +54,33 @@ def check_outcome(pairs) -> None:
         assert not (isinstance(value, str) and path in LIST_LEAVES), f"{path} took {value!r}"
 
 
-def test_rule_table_covers_exactly_the_default_leaves():
-    ruled = {f"{section}.{key}".lstrip(".")
-             for section, rules in config._RULES.items() for key in rules}
-    assert ruled == {".".join(path) for path in LEAVES}
-    assert len(LEAVES) == 42
+def test_default_config_has_41_leaves_and_the_solver_options_defaults():
+    assert len(LEAVES) == 41
+    assert SolverOptions(**DEFAULT_CONFIG["solver"]) == SolverOptions()
+    assert build_scenario(DEFAULT_CONFIG).solver == SolverOptions()
+
+
+def test_server_height_is_no_longer_a_field():
+    # it never reached the channel model: solve output was the same at any height
+    with pytest.raises(ConfigError, match="geometry.server_height_m: unknown"):
+        build_scenario({"geometry": {"server_height_m": 20.0}})
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_every_shipped_config_builds(path):
+    assert isinstance(build_scenario(load_config(path)), Scenario)
+
+
+def test_remote_section_is_the_backend_keywords(tmp_path):
+    transcript = tmp_path / "transcript.jsonl"
+    section = {"url": "http://127.0.0.1:9/v1", "model": "m2", "timeout_s": 5.0,
+               "retries": 2, "max_concurrency": 3, "transcript_path": str(transcript)}
+    assert section.keys() == DEFAULT_CONFIG["remote"].keys()
+    backend = RemoteBackend(**build_scenario({"remote": section}).remote)
+    assert (backend.url, backend.model, backend.timeout_s, backend.retries,
+            backend.max_concurrency) == ("http://127.0.0.1:9/v1", "m2", 5.0, 2, 3)
+    backend.transcript.log({"probe": 1}, "ok")
+    assert transcript.exists()
 
 
 @pytest.mark.parametrize("path", LEAVES, ids=".".join)
@@ -75,8 +99,8 @@ def test_hostile_values_at_several_leaves_at_once(pairs):
 def test_numbers_become_floats_and_counts_stay_integers():
     scenario = build_scenario({"remote": {"timeout_s": 5, "retries": 2},
                                "budgets": {"time_s": 600}, "world": {"objects": ["bus"]}})
-    assert type(scenario.remote.timeout_s) is float and scenario.remote.timeout_s == 5.0
-    assert type(scenario.remote.retries) is int
+    assert type(scenario.remote["timeout_s"]) is float and scenario.remote["timeout_s"] == 5.0
+    assert type(scenario.remote["retries"]) is int
     assert type(scenario.time_budget_s) is float
     assert scenario.objects == ("bus",)
 

@@ -44,7 +44,6 @@ def test_default_scenario_echoes_reference_constants():
     assert s.power_budget_w == pytest.approx(0.2)                     # 200 mW
     assert s.time_budget_s == 600.0
     assert (s.distance_min_m, s.distance_max_m) == (50.0, 250.0)
-    assert s.server_height_m == 20.0
     assert list(s.dataset.num_items) == [1050] * 10
     assert s.dataset.item_volume_bits[0] == pytest.approx(1.6e6)
     assert s.pilot_ratio == 0.01
@@ -54,10 +53,9 @@ def test_default_scenario_echoes_reference_constants():
 
 
 def test_explicit_town_config_matches_defaults():
+    # the reference parameter set spells out the defaults, field for field
     town = build_scenario(load_config(CONFIG_DIR / "town.json"))
-    default = build_scenario({})
-    assert town.radio == default.radio
-    assert town.power_budget_w == default.power_budget_w
+    assert repr(town) == repr(build_scenario({}))
     assert (town.distance_min_m, town.distance_max_m) == (50.0, 250.0)
 
 
@@ -111,8 +109,7 @@ def test_number_fields_reject_strings_and_non_finite_values():
         build_scenario({"remote": {"timeout_s": "5"}})
     with pytest.raises(ConfigError, match="remote.timeout_s"):
         build_scenario({"remote": {"timeout_s": 0.0}})
-    for section, key in (("radio", "noise_dbm"), ("budgets", "time_s"),
-                         ("geometry", "server_height_m")):
+    for section, key in (("radio", "noise_dbm"), ("budgets", "time_s")):
         for value in (float("nan"), float("inf"), float("-inf"), 10 ** 400):
             with pytest.raises(ConfigError, match=f"{section}.{key}"):
                 build_scenario({section: {key: value}})
@@ -325,6 +322,10 @@ def test_unknown_methods_are_rejected_before_staging(monkeypatch):
             run()
         assert built == []
         assert all(repr(method) in str(error.value) for method in METHODS)
+    for run in (lambda: run_campaign(s, [], 1), lambda: run_sweep(s, [], [100.0], 1)):
+        with pytest.raises(ConfigError, match="methods: no method given"):
+            run()
+        assert built == []
 
 
 def test_sweep_bookkeeping_and_single_point():

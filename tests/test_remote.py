@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from conftest import cli_env
 from frames import MemoryItem, reference_caption, store
 from mcpa import remote
-from mcpa.config import build_scenario
 from mcpa.gae import Exam, GaeError, Question, generate_exam, practice_test, run_gae
 from mcpa.remote import (GaeParseError, GaeTransportError, RemoteBackend,
                          chat_completion, grade_text_answer)
@@ -199,18 +198,6 @@ def test_remote_backend_requires_endpoint(monkeypatch):
     monkeypatch.delenv("MCPA_REMOTE_URL", raising=False)
     with pytest.raises(GaeError):
         RemoteBackend()
-
-
-def test_remote_backend_from_settings_carries_every_field(tmp_path):
-    transcript = tmp_path / "transcript.jsonl"
-    settings = build_scenario({"remote": {
-        "url": "http://127.0.0.1:9/v1", "model": "m2", "timeout_s": 5.0, "retries": 2,
-        "max_concurrency": 3, "transcript_path": str(transcript)}}).remote
-    backend = RemoteBackend.from_settings(settings)
-    assert (backend.url, backend.model, backend.timeout_s, backend.retries,
-            backend.max_concurrency) == ("http://127.0.0.1:9/v1", "m2", 5.0, 2, 3)
-    backend.transcript.log({"probe": 1}, "ok")
-    assert transcript.exists()
 
 
 def test_cli_import_needs_no_http_package():
