@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GaeError, PilotPhaseInfeasible, FileNotFoundError) as exc:
+    except (ConfigError, GaeError, PilotPhaseInfeasible, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

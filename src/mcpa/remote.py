@@ -19,7 +19,6 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,11 +49,12 @@ class GaeParseError(GaeError):
     """The service replied but the payload could not be interpreted."""
 
 
-def chat_completion(url: str, model: str, messages: list[dict], *,
+def chat_completion(url: str, body: bytes | str, messages: list[dict] | None = None, *,
                     token: str | None = None, timeout_s: float = 60.0,
                     retries: int = 3, backoff_s: float = 1.0,
                     transcript=None) -> str:
-    """POST one chat request and return the first choice's content string.
+    """POST one chat request, ``body`` encoded (or ``body`` the model name and
+    ``messages`` to encode), and return the first choice's content string.
 
     Only http(s) URLs are accepted. Transport failures, 429 and 5xx are retried
     with exponential backoff; any other status (redirects are not followed) or
@@ -62,17 +62,18 @@ def chat_completion(url: str, model: str, messages: list[dict], *,
     """
     if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
         raise GaeTransportError(f"not an http(s) endpoint: {url!r}")
-    payload = {"model": model, "messages": messages, "temperature": 0}
+    if messages is not None:
+        body = json.dumps({"model": body, "messages": messages, "temperature": 0}).encode()
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    request = urllib.request.Request(url, json.dumps(payload).encode(), headers)
+    request = urllib.request.Request(url, body, headers)
     log = transcript.log if transcript is not None else lambda *args, **kwargs: None
 
     for attempt in range(1, max(1, retries) + 1):
         try:
             with _OPENER.open(request, timeout=timeout_s) as response:
-                body = response.read()
+                reply = response.read()
         except urllib.error.HTTPError as exc:
             with exc:
                 last_error = GaeTransportError(
@@ -83,18 +84,18 @@ def chat_completion(url: str, model: str, messages: list[dict], *,
             last_error = exc
         else:
             try:
-                choice = json.loads(body)["choices"][0]
+                choice = json.loads(reply)["choices"][0]
                 content = choice["message"]["content"] if "message" in choice else choice["content"]
                 if not isinstance(content, str):
                     raise TypeError("choice content is not a string")
             except (ValueError, KeyError, IndexError, TypeError) as exc:
-                log(payload, error=str(exc))
+                log(body, error=str(exc))
                 raise GaeParseError(f"malformed chat response: {exc}") from exc
-            log(payload, content)
+            log(body, content)
             return content
         if attempt < retries:
             time.sleep(backoff_s * (2 ** (attempt - 1)))
-    log(payload, error=str(last_error))
+    log(body, error=str(last_error))
     raise GaeTransportError(
         f"chat request failed after {attempt} attempt(s): {last_error}") from last_error
 
@@ -105,6 +106,12 @@ class _NoRedirect(urllib.request.HTTPRedirectHandler):
 
 
 _OPENER = urllib.request.build_opener(_NoRedirect)
+
+
+def _request(model: str, system: str, user: str) -> bytes:
+    """The encoded chat request of a system prompt and one user message."""
+    messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
+    return json.dumps({"model": model, "messages": messages, "temperature": 0}).encode()
 
 
 def captions(frames: FrameStore) -> str:
@@ -153,8 +160,8 @@ class _Transcript:
         self._path = path
         self._lock = threading.Lock()
 
-    def log(self, request: dict, content: str | None = None, error: str | None = None) -> None:
-        record = {"ts": time.time(), "request": request}
+    def log(self, request: bytes, content: str | None = None, error: str | None = None) -> None:
+        record = {"ts": time.time(), "request": json.loads(request)}  # decoded only to log
         if content is not None:
             record["response"] = content
         if error is not None:
@@ -180,13 +187,15 @@ _ANSWER_PROMPT = (
     "reply 'x, y, yaw' in metres; for reporter questions reply the robot id."
 )
 
+_CLOSE = b'"}], "temperature": 0}'   # the bytes after an encoded request's user message
+
 
 @dataclass
 class _AnsweringMemory:
-    """The captions every answer is asked against, and the reply already
+    """The encoded answer request up to its question, and the reply already
     received for each question text (``None`` for a malformed one)."""
 
-    captions: str
+    head: bytes
     replies: dict[str, str | None] = field(default_factory=dict)
 
 
@@ -196,8 +205,8 @@ class RemoteBackend:
     Requests share no session. Within one prepared memory the system prompt
     and captions are fixed, so a question text fixes the prompt: each
     distinct text is asked once and its reply graded for every question that
-    repeats it. Up to ``max_concurrency`` answer requests may be in flight
-    at once.
+    repeats it. The request up to the question is encoded once per prepared
+    memory; answers are asked in the calling thread unless ``max_concurrency`` > 1.
     """
 
     name = "remote"
@@ -218,22 +227,22 @@ class RemoteBackend:
         self.max_concurrency = max(1, int(max_concurrency))
         self.transcript = _Transcript(transcript_path) if transcript_path else None
 
-    def _chat(self, system: str, user: str) -> str:
-        messages = [{"role": "system", "content": system},
-                    {"role": "user", "content": user}]
-        return chat_completion(self.url, self.model, messages, token=self.token,
-                               timeout_s=self.timeout_s, retries=self.retries,
-                               backoff_s=self.backoff_s, transcript=self.transcript)
+    def _chat(self, body: bytes) -> str:
+        return chat_completion(self.url, body, token=self.token, timeout_s=self.timeout_s,
+                               retries=self.retries, backoff_s=self.backoff_s,
+                               transcript=self.transcript)
 
     def prepare_memory(self, memory: FrameStore) -> _AnsweringMemory:
-        """The captions of the whole memory, every answer's context, with an
-        empty reply memo."""
-        return _AnsweringMemory(captions(memory))
+        """The answer request with the whole memory's captions as context,
+        encoded up to the question, with an empty reply memo."""
+        head = _request(self.model, _ANSWER_PROMPT, captions(memory))[:-len(_CLOSE)]
+        return _AnsweringMemory(head)
 
     def make_exam(self, pilot: FrameStore, num_questions: int, rng: np.random.Generator,
                   robot_id: int) -> Exam:
         del rng  # the service owns question sampling
-        reply = self._chat(_QUESTION_PROMPT.format(n=num_questions), captions(pilot))
+        prompt = _QUESTION_PROMPT.format(n=num_questions)
+        reply = self._chat(_request(self.model, prompt, captions(pilot)))
         return Exam(robot_id, self._parse_questions(reply, num_questions))
 
     @staticmethod
@@ -281,14 +290,19 @@ class RemoteBackend:
         """Ask every question text the memory has no reply for yet, with its
         captions in context, then grade each exam question on its text's reply."""
         def ask(text: str) -> str | None:
+            tail = json.dumps(f"\n\nQuestion: {text}")[1:-1].encode()  # escaped, unquoted
             try:
-                return self._chat(_ANSWER_PROMPT, f"{memory.captions}\n\nQuestion: {text}")
+                return self._chat(memory.head + tail + _CLOSE)
             except GaeParseError:
                 return None  # malformed answer counts as incorrect (logged)
 
         replies = memory.replies
         new = list(dict.fromkeys(q.text for q in exam.qa_pairs if q.text not in replies))
-        with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
-            replies.update(zip(new, pool.map(ask, new)))
+        if self.max_concurrency == 1:
+            replies.update(zip(new, map(ask, new)))
+        else:
+            from concurrent.futures import ThreadPoolExecutor  # loads only when used
+            with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
+                replies.update(zip(new, pool.map(ask, new)))
         return sum(replies[q.text] is not None and grade_text_answer(q, replies[q.text])
                    for q in exam.qa_pairs) / len(exam)

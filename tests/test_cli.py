@@ -216,6 +216,17 @@ def test_missing_config_file_is_reported():
     assert error["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("option", ["--config", "--out"])
+def test_a_directory_path_is_one_json_line(tmp_path, capsys, option):
+    paths = {"--config": str(CONFIG_DIR / "staged_k5.json"), "--out": str(tmp_path / "gae.csv"),
+             option: str(tmp_path)}
+    argv = ["gae-test", "--seeds", "1", *(x for pair in paths.items() for x in pair)]
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "IsADirectoryError"
+
+
 def test_remote_backend_without_endpoint_is_reported(monkeypatch):
     env = cli_env()
     env.pop("MCPA_REMOTE_URL", None)

@@ -79,7 +79,7 @@ def test_remote_section_is_the_backend_keywords(tmp_path):
     backend = RemoteBackend(**build_scenario({"remote": section}).remote)
     assert (backend.url, backend.model, backend.timeout_s, backend.retries,
             backend.max_concurrency) == ("http://127.0.0.1:9/v1", "m2", 5.0, 2, 3)
-    backend.transcript.log({"probe": 1}, "ok")
+    backend.transcript.log(b'{"probe": 1}', "ok")
     assert transcript.exists()
 
 

@@ -19,7 +19,8 @@ from mcpa.remote import (GaeParseError, GaeTransportError, RemoteBackend,
 
 
 class FakeChatServer:
-    """Tiny chat-completions stand-in: canned replies, captured requests.
+    """Tiny chat-completions stand-in: canned replies, captured requests
+    (decoded, and as the raw bytes received).
 
     ``statuses`` and ``replies`` are consumed one per request; a reply of
     type ``bytes`` is sent as the raw body instead of a chat payload, and
@@ -35,10 +36,9 @@ class FakeChatServer:
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
-                length = int(self.headers["Content-Length"])
-                body = json.loads(self.rfile.read(length))
-                server.requests.append(
-                    {"body": body, "auth": self.headers.get("Authorization")})
+                raw = self.rfile.read(int(self.headers["Content-Length"]))
+                server.requests.append({"body": json.loads(raw), "raw": raw,
+                                        "auth": self.headers.get("Authorization")})
                 time.sleep(server.delay_s)
                 status = server.statuses.pop(0) if server.statuses else 200
                 if status != 200:
@@ -84,13 +84,18 @@ def server():
     srv.close()
 
 
+def encoded(model="m", messages=({"role": "user", "content": "x"},)) -> bytes:
+    """A chat request as ``json.dumps`` encodes it."""
+    return json.dumps({"model": model, "messages": list(messages), "temperature": 0}).encode()
+
+
 def test_chat_completion_request_shape_and_reply(server):
     server.replies = ["hello there"]
-    out = chat_completion(server.url, "test-model",
-                          [{"role": "system", "content": "sys"},
-                           {"role": "user", "content": "usr"}],
-                          token="sekrit", retries=1)
+    sent = encoded("test-model", [{"role": "system", "content": "sys"},
+                                  {"role": "user", "content": "usr"}])
+    out = chat_completion(server.url, sent, token="sekrit", retries=1)
     assert out == "hello there"
+    assert server.requests[0]["raw"] == sent
     body = server.requests[0]["body"]
     assert body["model"] == "test-model"
     assert body["temperature"] == 0
@@ -98,11 +103,17 @@ def test_chat_completion_request_shape_and_reply(server):
     assert server.requests[0]["auth"] == "Bearer sekrit"
 
 
+def test_chat_completion_encodes_a_model_and_messages(server):
+    messages = [{"role": "user", "content": "Is there a bus? \"é\" \U0001F68C"}]
+    assert chat_completion(server.url, "probe", messages, retries=1) == "OK"
+    assert server.requests[0]["raw"] == encoded("probe", messages)
+    assert server.requests[0]["auth"] is None
+
+
 def test_chat_completion_retries_on_server_error(server):
     server.statuses = [500, 200]
     server.replies = ["recovered"]
-    out = chat_completion(server.url, "m", [{"role": "user", "content": "x"}],
-                          retries=3, backoff_s=0.0)
+    out = chat_completion(server.url, encoded(), retries=3, backoff_s=0.0)
     assert out == "recovered"
     assert len(server.requests) == 2
 
@@ -110,28 +121,36 @@ def test_chat_completion_retries_on_server_error(server):
 def test_chat_completion_gives_up_after_retries(server):
     server.statuses = [500, 500, 500]
     with pytest.raises(GaeTransportError):
-        chat_completion(server.url, "m", [{"role": "user", "content": "x"}],
-                        retries=3, backoff_s=0.0)
+        chat_completion(server.url, encoded(), retries=3, backoff_s=0.0)
     assert len(server.requests) == 3
 
 
 def test_chat_completion_writes_transcript(server, tmp_path):
-    server.replies = ["logged"]
+    server.replies = ["logged", "YES"]
     path = tmp_path / "transcript.jsonl"
     backend = RemoteBackend(url=server.url, model="m", retries=1,
                             transcript_path=str(path))
-    assert backend._chat("sys", "usr") == "logged"
+    assert backend._chat(remote._request("m", "sys", "usr")) == "logged"
+    exam = Exam(robot_id=0, qa_pairs=(Question("presence", "bus", 'Is there a "bus"?', "YES"),))
+    assert practice_test(exam, BASE, backend) == 1.0
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert len(lines) == 1
+    assert len(lines) == 2
     assert lines[0]["response"] == "logged"
     assert lines[0]["request"]["messages"][1]["content"] == "usr"
+    # an answer request is logged as the object it encodes
+    context = f'{remote.captions(BASE)}\n\nQuestion: Is there a "bus"?'
+    assert lines[1]["response"] == "YES"
+    assert lines[1]["request"]["messages"][1]["content"] == context
+    assert lines[1]["request"] == {
+        "model": "m", "temperature": 0,
+        "messages": [{"role": "system", "content": remote._ANSWER_PROMPT},
+                     {"role": "user", "content": context}]}
 
 
 def test_chat_completion_retries_rate_limit(server):
     server.statuses = [429, 200]
     server.replies = ["after the wait"]
-    out = chat_completion(server.url, "m", [{"role": "user", "content": "x"}],
-                          retries=3, backoff_s=0.0)
+    out = chat_completion(server.url, encoded(), retries=3, backoff_s=0.0)
     assert out == "after the wait"
     assert len(server.requests) == 2
 
@@ -141,8 +160,7 @@ def test_chat_completion_fails_at_once_on_client_error(server, status):
     # a redirect is not followed either: it would resend the bearer token
     server.statuses = [status, 200]
     with pytest.raises(GaeTransportError, match=f"HTTP {status}"):
-        chat_completion(server.url, "m", [{"role": "user", "content": "x"}],
-                        token="sekrit", retries=3, backoff_s=0.0)
+        chat_completion(server.url, encoded(), token="sekrit", retries=3, backoff_s=0.0)
     assert len(server.requests) == 1
 
 
@@ -152,7 +170,7 @@ def test_chat_completion_non_json_reply_is_parse_error(server, tmp_path):
     backend = RemoteBackend(url=server.url, model="m", retries=3,
                             transcript_path=str(path))
     with pytest.raises(GaeParseError):
-        backend._chat("sys", "usr")
+        backend._chat(remote._request("m", "sys", "usr"))
     assert len(server.requests) == 1
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == 1 and "error" in lines[0] and "response" not in lines[0]
@@ -165,16 +183,15 @@ def test_chat_completion_refused_connection_uses_every_attempt(monkeypatch):
     sleeps = []
     monkeypatch.setattr(remote.time, "sleep", sleeps.append)
     with pytest.raises(GaeTransportError, match="after 3 attempt"):
-        chat_completion(f"http://127.0.0.1:{port}/v1/chat/completions", "m",
-                        [{"role": "user", "content": "x"}], retries=3, backoff_s=0.5)
+        chat_completion(f"http://127.0.0.1:{port}/v1/chat/completions", encoded(),
+                        retries=3, backoff_s=0.5)
     assert sleeps == [0.5, 1.0]
 
 
 def test_chat_completion_times_out_and_retries(server):
     server.delay_s = 0.5
     with pytest.raises(GaeTransportError, match="after 2 attempt"):
-        chat_completion(server.url, "m", [{"role": "user", "content": "x"}],
-                        timeout_s=0.2, retries=2, backoff_s=0.0)
+        chat_completion(server.url, encoded(), timeout_s=0.2, retries=2, backoff_s=0.0)
     assert len(server.requests) == 2
 
 
@@ -190,7 +207,10 @@ def test_chat_completion_refuses_non_http_urls(monkeypatch, tmp_path, scheme):
     transcript = tmp_path / "transcript.jsonl"
     backend = RemoteBackend(url=url, model="m", transcript_path=str(transcript))
     with pytest.raises(GaeTransportError, match="not an http"):
-        backend._chat("sys", "usr")
+        generate_exam(BASE, 1, backend, 0)
+    exam = Exam(robot_id=0, qa_pairs=(Question("presence", "bus", "Is there a bus?", "YES"),))
+    with pytest.raises(GaeTransportError, match="not an http"):
+        practice_test(exam, BASE, backend)
     assert not transcript.exists()
 
 
@@ -316,13 +336,14 @@ MALFORMED = "<malformed>"
 
 
 def text_keyed_chat(monkeypatch, replies: dict):
-    """Replace ``RemoteBackend._chat`` by a pure responder: an answer prompt
-    gets ``replies[text]`` (a parse error for ``MALFORMED``; an exception
-    value is raised), a question prompt gets ``replies[None]``. Returns the
-    list of prompts it received."""
+    """Replace ``remote.chat_completion`` by a pure responder: an answer
+    prompt gets ``replies[text]`` (a parse error for ``MALFORMED``; an
+    exception value is raised), a question prompt gets ``replies[None]``.
+    Returns the list of (system, user) prompts it received."""
     prompts = []
 
-    def chat(self, system, user):
+    def chat(url, body, **kwargs):
+        system, user = (m["content"] for m in json.loads(body)["messages"])
         prompts.append((system, user))
         if system != remote._ANSWER_PROMPT:
             return replies[None]
@@ -332,7 +353,7 @@ def text_keyed_chat(monkeypatch, replies: dict):
         if reply == MALFORMED:
             raise GaeParseError("malformed chat response")
         return reply
-    monkeypatch.setattr(RemoteBackend, "_chat", chat)
+    monkeypatch.setattr(remote, "chat_completion", chat)
     return prompts
 
 
@@ -410,3 +431,52 @@ def test_transport_failure_while_answering_fails_run_gae(monkeypatch):
     with pytest.raises(GaeError, match="robot 0: HTTP 503") as error:
         run_gae(datasets, BASE, 1.0, 1, offline_backend(), 0)
     assert isinstance(error.value.__cause__, GaeTransportError)
+
+
+# quotes, backslashes, control characters, non-ASCII, astral and lone surrogates
+AWKWARD = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f\x80é中 \ud83d'
+                                            '\U0001F68C\U0010FFFF'), st.characters()),
+                  max_size=30)
+
+
+@settings(max_examples=100)
+@given(model=AWKWARD, context=AWKWARD, texts=st.lists(AWKWARD, min_size=1, max_size=4))
+def test_answer_bodies_are_byte_identical_to_json_dumps(model, context, texts):
+    """The prepared head plus each question's tail is the request json.dumps
+    encodes, byte for byte."""
+    sent = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(remote, "captions", lambda frames: context)
+        monkeypatch.setattr(remote, "chat_completion",
+                            lambda url, body, **kwargs: sent.append(body) or "YES")
+        backend = RemoteBackend(url="http://127.0.0.1:9/v1", model=model)
+        exam = Exam(robot_id=0, qa_pairs=tuple(Question("presence", "t", text, "YES")
+                                               for text in texts))
+        assert backend.test(exam, backend.prepare_memory(BASE)) == 1.0
+    assert sent == [encoded(model, [{"role": "system", "content": remote._ANSWER_PROMPT},
+                                    {"role": "user", "content": f"{context}\n\nQuestion: {text}"}])
+                    for text in dict.fromkeys(texts)]
+
+
+def test_every_request_goes_through_chat_completion_on_the_calling_thread(server, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(threading.get_ident())
+        return chat_completion(*args, **kwargs)
+    monkeypatch.setattr(remote, "chat_completion", counted)
+
+    def asked(*texts):
+        return json.dumps([{"template": "presence", "tag": "bus", "question": text,
+                            "answer": "YES"} for text in texts])
+    base = store([MemoryItem(0.0, (0, 0, 10, 0, 0, 0), frozenset({"bus"}), 0)])
+    datasets = [store([MemoryItem(float(i), (0, 0, 10, 0, 0, 0), frozenset({"bus"}), k)
+                       for i in range(3)]) for k in range(3)]
+    # robot 0 asks a and b, robot 1 b and c (only c is new), robot 2 a and c (none new)
+    server.replies = [asked("a?", "b?"), "YES", "NO", asked("b?", "c?"), "YES",
+                      asked("a?", "c?")]
+    backend = RemoteBackend(url=server.url, model="m", retries=1)
+    report = run_gae(datasets, base, 1.0, 2, backend, 0)
+    assert list(report.scores) == [0.5, 0.5, 1.0]
+    assert len(calls) == len(server.requests) == 6
+    assert set(calls) == {threading.get_ident()}
