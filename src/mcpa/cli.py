@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -15,8 +16,16 @@ from .qom import PilotPhaseInfeasible
 
 
 def _load_scenario(args):
+    """The config's scenario. An unusable ``--out`` raises its ``OSError``
+    here, before any seed is staged; the path is left as it was."""
     config = load_config(args.config) if args.config else {}
-    return build_scenario(config, {"gae": {"backend": args.backend}} if args.backend else None)
+    scenario = build_scenario(config, {"gae": {"backend": args.backend}} if args.backend else None)
+    if getattr(args, "out", None):
+        existed = os.path.exists(args.out)
+        open(args.out, "a").close()
+        if not existed:
+            os.remove(args.out)
+    return scenario
 
 
 def _backend_for(scenario):

@@ -4,13 +4,14 @@ The synthetic backend stands in for the VLM/LLM stack: each recorded frame
 carries a set of event tags (the caption surrogate) and exams are graded by
 exact tag lookup, so a memory scores 1.0 on any exam generated from its own
 content. The path is columnar end to end: frames are columns
-(:class:`FrameStore`), a pilot is a sub-store of its dataset, an exam holds
-its questions as columns (template, tag id, ground truth) and builds
-:class:`Question` objects only when asked (the remote backend, ``repr``),
-and a store's :class:`MemoryIndex` holds each tag's hits once for every
-exam and first-frame table graded against it. The remote backend (see
-:mod:`mcpa.remote`) delegates questioning and answering to a
-chat-completion service but is graded by the same rules.
+(:class:`FrameStore`), a pilot is a sub-store of its dataset, exams and the
+world's questions are columns (template, tag id, ground truth) rendered as
+:class:`Question` objects only for ``repr``, and a store's
+:class:`MemoryIndex` holds each tag's hits once for every exam and
+first-frame table graded against it. A backend readies the base memory once
+(``prepare_memory``), then draws and grades every robot's exam
+(``run_exams``); the remote one (:mod:`mcpa.remote`) delegates questioning
+and answering to a chat-completion service but is graded by the same rules.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .qom import round_half_up
+from .qom import pilot_size
 
 __all__ = [
     "LOCATION_RADIUS_M",
@@ -36,8 +37,6 @@ __all__ = [
     "SyntheticBackend",
     "make_question",
     "sample_pilot",
-    "generate_exam",
-    "practice_test",
     "per_robot",
     "run_gae",
 ]
@@ -148,41 +147,27 @@ def make_question(template: str, tag: str, truth) -> Question:
 
 
 class Exam:
-    """Robot ``robot_id``'s exam as ``columns = (templates, tags, tag_ids,
-    truth)``: question ``i`` asks ``TEMPLATES[templates[i]]`` about
-    ``tags[tag_ids[i]]`` with ground truth ``truth[i]``, (x, y, yaw) for
-    location and, in column 0, the robot for reporter and 1.0 (YES) or 0.0
-    (NO) for presence. Either ``columns`` or ``qa_pairs`` is derived from
-    the other on first use."""
+    """Robot ``robot_id``'s exam. A drawn exam holds ``columns = (templates,
+    tags, tag_ids, truth)``: question ``i`` asks ``TEMPLATES[templates[i]]``
+    about ``tags[tag_ids[i]]`` with ground truth ``truth[i]``, (x, y, yaw)
+    for location and, in column 0, the robot for reporter and 1.0 (YES) or
+    0.0 (NO) for presence; its ``qa_pairs`` (:class:`Question` objects) are
+    rendered on first use. A remote exam holds the ``qa_pairs`` it parsed
+    and no columns."""
 
     def __init__(self, robot_id: int, qa_pairs=None, *, columns=None):
-        self.robot_id = robot_id
+        self.robot_id, self.columns = robot_id, columns
         if columns is None:
             self.qa_pairs = tuple(qa_pairs)
-        else:
-            self.columns = columns
-        if len(self) < 1:
-            raise ValueError("an exam needs at least one question")
 
     def __len__(self) -> int:
-        return len(self.columns[0]) if "columns" in vars(self) else len(self.qa_pairs)
+        return len(self.qa_pairs if self.columns is None else self.columns[0])
 
     @cached_property
     def qa_pairs(self) -> tuple[Question, ...]:
         templates, tags, tag_ids, truth = self.columns
         return tuple(make_question(TEMPLATES[t], tags[i], row) for t, i, row
                      in zip(templates.tolist(), tag_ids.tolist(), truth.tolist()))
-
-    @cached_property
-    def columns(self) -> tuple:
-        questions = self.qa_pairs
-        tags = tuple(dict.fromkeys(q.tag for q in questions))
-        truth = [q.answer if q.template == "location" else
-                 (float(q.answer == "YES") if q.template == "presence" else q.answer, 0.0, 0.0)
-                 for q in questions]
-        return (np.array([TEMPLATES.index(q.template) for q in questions], dtype=np.intp), tags,
-                np.array([tags.index(q.tag) for q in questions], dtype=np.intp),
-                np.array(truth, dtype=float).reshape(-1, 3))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Exam) and repr(self) == repr(other)
@@ -280,12 +265,6 @@ class SyntheticBackend:
     def prepare_memory(self, memory: FrameStore) -> MemoryIndex:
         return memory.index
 
-    def make_exam(self, pilot: FrameStore, num_questions: int, rng, robot_id: int) -> Exam:
-        return Exam(robot_id, columns=_draw_questions([pilot], num_questions, [rng]))
-
-    def test(self, exam: Exam, index: MemoryIndex) -> float:
-        return int(np.count_nonzero(index.answers(exam.columns))) / len(exam)
-
     def run_exams(self, pilots, num_questions: int, seeds, index: MemoryIndex):
         """Every robot's exam and score, drawn and graded in one batch."""
         columns = _draw_questions(pilots, num_questions,
@@ -330,7 +309,7 @@ def _draw_questions(pilots, num_questions: int, rngs) -> tuple:
 
 
 def sample_pilot(dataset: FrameStore, ratio: float, seed) -> FrameStore:
-    """Draw round(ratio * |D|) frames (>= 1) uniformly without replacement.
+    """Draw ``pilot_size(ratio, |D|)`` frames uniformly without replacement.
 
     The selection keeps the dataset's original order, so ratio = 1 returns
     a copy of the dataset.
@@ -339,22 +318,10 @@ def sample_pilot(dataset: FrameStore, ratio: float, seed) -> FrameStore:
         raise GaeError("cannot sample a pilot from an empty dataset")
     if not 0.0 < ratio <= 1.0:
         raise ValueError("pilot ratio must lie in (0, 1]")
-    count = max(1, round_half_up(ratio * len(dataset)))
+    count = pilot_size(ratio, len(dataset))
     rng = np.random.default_rng(seed)
     chosen = np.sort(rng.choice(len(dataset), size=count, replace=False))
     return dataset.take(chosen)
-
-
-def generate_exam(pilot, num_questions: int, backend, seed, robot_id: int = 0) -> Exam:
-    """Build an exam of ``num_questions`` QA pairs from the pilot memory."""
-    if num_questions < 1:
-        raise GaeError("at least one exam question is required")
-    return backend.make_exam(pilot, num_questions, np.random.default_rng(seed), robot_id)
-
-
-def practice_test(exam: Exam, base_memory, backend) -> float:
-    """Fraction of the exam the base memory answers correctly."""
-    return float(backend.test(exam, backend.prepare_memory(base_memory)))
 
 
 def per_robot(task, num_robots: int) -> list:
@@ -369,7 +336,7 @@ def per_robot(task, num_robots: int) -> list:
 
 
 def run_gae(datasets, base_memory, ratio, questions_per_robot: int, backend, seed) -> GaeReport:
-    """Full pipeline per robot: sample pilot -> generate exam -> practice test.
+    """Full pipeline per robot: sample pilot -> draw exam -> practice test.
 
     ``ratio`` may be a scalar or one value per robot. Per-robot randomness is
     split off a single seed sequence, so the report is deterministic for a

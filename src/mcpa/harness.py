@@ -20,7 +20,7 @@ import numpy as np
 from . import baselines
 from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
 from .config import ConfigError, Scenario
-from .gae import Exam, GaeError, MemoryIndex, SyntheticBackend, run_gae
+from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
 from .qom import (PilotPhaseInfeasible, frames_uploaded, pilot_overhead, qom_objective,
                   qom_weights)
 from .solver import solve_mcpa
@@ -159,9 +159,9 @@ def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
 
     # a dataset holding none of the asked tags answers nothing: its entries
     # stay at its length and it needs no index
-    columns = Exam(0, world.questions).columns
+    columns = world.questions
     asked = set(columns[1])
-    first = np.array([[len(frames) for frames in world.datasets]] * len(world.questions))
+    first = np.array([[len(frames) for frames in world.datasets]] * len(columns[0]))
     for k, frames in enumerate(world.datasets):
         if not asked.isdisjoint([*frames.vocabulary, *(tag for tag, _, _ in frames.events)]):
             first[:, k] = MemoryIndex(frames, columns[1]).first_frames(columns)

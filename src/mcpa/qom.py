@@ -21,7 +21,7 @@ __all__ = [
     "qom_terms",
     "qom_objective",
     "accuracy_estimate",
-    "round_half_up",
+    "pilot_size",
 ]
 
 
@@ -29,9 +29,10 @@ class PilotPhaseInfeasible(RuntimeError):
     """Pilot upload would consume the whole time budget (dT >= T)."""
 
 
-def round_half_up(x: float) -> int:
-    """Round to nearest integer with halves going up (0.5 -> 1, 10.5 -> 11)."""
-    return int(np.floor(x + 0.5))
+def pilot_size(ratio, num_items):
+    """Pilot sizes |D~| = round(rho |D|), halves going up (10.5 -> 11), at
+    least one item each; elementwise over arrays."""
+    return np.maximum(1, np.floor(np.multiply(ratio, num_items) + 0.5).astype(int))
 
 
 def _broadcast(values, k: int, name: str) -> np.ndarray:
@@ -81,9 +82,8 @@ class DatasetMeta:
 
     @property
     def pilot_counts(self) -> np.ndarray:
-        """Pilot sizes |D~_k| = round(rho_k |D_k|), at least one item each."""
-        raw = self.pilot_ratio * self.num_items
-        return np.maximum(1, np.floor(raw + 0.5).astype(int))
+        """Pilot sizes |D~_k|, see :func:`pilot_size`."""
+        return pilot_size(self.pilot_ratio, self.num_items)
 
 
 def frames_uploaded(state: ChannelState, p, meta: DatasetMeta, noise_power_w: float,

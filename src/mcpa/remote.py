@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gae import (LOCATION_RADIUS_M, TEMPLATES, Exam, FrameStore, GaeError, Question,
-                  generate_exam, per_robot)
+from .gae import LOCATION_RADIUS_M, TEMPLATES, Exam, FrameStore, GaeError, Question, per_robot
 
 __all__ = [
     "URL_ENV_VAR",
@@ -238,9 +237,8 @@ class RemoteBackend:
         head = _request(self.model, _ANSWER_PROMPT, captions(memory))[:-len(_CLOSE)]
         return _AnsweringMemory(head)
 
-    def make_exam(self, pilot: FrameStore, num_questions: int, rng: np.random.Generator,
-                  robot_id: int) -> Exam:
-        del rng  # the service owns question sampling
+    def make_exam(self, pilot: FrameStore, num_questions: int, robot_id: int) -> Exam:
+        """Robot ``robot_id``'s exam, written by the service from the pilot's captions."""
         prompt = _QUESTION_PROMPT.format(n=num_questions)
         reply = self._chat(_request(self.model, prompt, captions(pilot)))
         return Exam(robot_id, self._parse_questions(reply, num_questions))
@@ -279,12 +277,12 @@ class RemoteBackend:
         return questions
 
     def run_exams(self, pilots, num_questions: int, seeds, memory: _AnsweringMemory):
-        """Each robot's exam, asked and then answered, one robot after another."""
+        """Each robot's exam, asked and then answered, one robot after another.
+        The service owns question sampling, so ``seeds`` go unused."""
         def sit(k):
-            exam = generate_exam(pilots[k], num_questions, self, seeds[k], robot_id=k)
+            exam = self.make_exam(pilots[k], num_questions, k)
             return exam, self.test(exam, memory)
-        exams, scores = zip(*per_robot(sit, len(pilots)))
-        return exams, scores
+        return tuple(zip(*per_robot(sit, len(pilots))))
 
     def test(self, exam, memory: _AnsweringMemory) -> float:
         """Ask every question text the memory has no reply for yet, with its

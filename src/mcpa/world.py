@@ -4,7 +4,8 @@ Frames carry the tag of the landmark their robot is passing (the caption
 surrogate for ordinary streetscape) at the configured background rate;
 frames inside an object's dwell window additionally carry the object tag.
 Each robot's frames are numpy columns (a :class:`~mcpa.gae.FrameStore`).
-Ground-truth questions ask all three templates about each placed object.
+Ground-truth questions ask all three templates about each placed object;
+they are exam columns, as a drawn :class:`~mcpa.gae.Exam` holds them.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Scenario
-from .gae import TEMPLATES, FrameStore, Question, make_question
+from .gae import TEMPLATES, FrameStore
 
 __all__ = ["PlacedObject", "WorldInstance", "build_world", "landmark_tag"]
 
@@ -37,7 +38,7 @@ class WorldInstance:
     base_robots: tuple[int, ...]
     base_memory: FrameStore
     placed_objects: tuple[PlacedObject, ...]
-    questions: tuple[Question, ...]
+    questions: tuple          # exam columns (templates, tags, tag_ids, truth)
 
 
 def _staged_windows(num_objects: int, num_frames: int, dwell: int):
@@ -124,15 +125,19 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
 
     # ground-truth exam: every template about each placed object, asked as
     # its host recorded it at the window start
-    questions = [make_question(template, o.name, truth) for o in placed
-                 for template, truth in zip(TEMPLATES, (
-                     (1.0,), poses[o.host_robot, o.window_start, [0, 1, 5]].tolist(),
-                     (o.host_robot,)))]
+    hosts = np.array([o.host_robot for o in placed])
+    truth = np.zeros((len(placed), len(TEMPLATES), 3))
+    truth[:, 0, 0], truth[:, 2, 0] = 1.0, hosts
+    truth[:, 1] = poses[hosts, [o.window_start for o in placed]][:, [0, 1, 5]]
+    tags = tuple(dict.fromkeys(o.name for o in placed))
+    questions = (np.tile(np.arange(len(TEMPLATES)), len(placed)), tags,
+                 np.array([tags.index(o.name) for o in placed]).repeat(len(TEMPLATES)),
+                 truth.reshape(-1, 3))
 
     return WorldInstance(
         datasets=datasets,
         base_robots=base_robots,
         base_memory=base_memory,
         placed_objects=tuple(placed),
-        questions=tuple(questions),
+        questions=questions,
     )

@@ -3,13 +3,14 @@
 ``ReferenceIndex`` and ``grade`` are the set-based tag index: it reads
 ``frames.MemoryItem``s one at a time, per tag the set of robots that saw it
 and the set of positions it was seen at. The second half of the file is the
-per-question exam path that columnar exams replaced.
+per-question exam path that columnar exams replaced, with ``exam_columns``,
+the conversion of ``Question``s to exam columns that ``mcpa`` no longer needs.
 """
 import math
 
 import numpy as np
 
-from mcpa.gae import LOCATION_RADIUS_M, NOTHING_TAG, TEMPLATES, Question
+from mcpa.gae import LOCATION_RADIUS_M, NOTHING_TAG, TEMPLATES, Exam, Question
 
 
 class ReferenceIndex:
@@ -81,6 +82,24 @@ def tag_sets(frames) -> list[frozenset[str]]:
         sets[start:stop] = [distinct.setdefault(joined, joined)
                             for joined in (tags | {tag} for tags in sets[start:stop])]
     return sets
+
+
+def exam_columns(questions) -> tuple:
+    """The exam columns ``(templates, tags, tag_ids, truth)`` (see
+    ``mcpa.gae.Exam``) that hold ``questions``; ``Exam(0, columns=...)``
+    renders them back."""
+    tags = tuple(dict.fromkeys(q.tag for q in questions))
+    truth = [q.answer if q.template == "location" else
+             (float(q.answer == "YES") if q.template == "presence" else q.answer, 0.0, 0.0)
+             for q in questions]
+    return (np.array([TEMPLATES.index(q.template) for q in questions], dtype=np.intp), tags,
+            np.array([tags.index(q.tag) for q in questions], dtype=np.intp),
+            np.array(truth, dtype=float).reshape(-1, 3))
+
+
+def world_questions(world) -> tuple[Question, ...]:
+    """The world's ground-truth question columns, rendered as ``Question``s."""
+    return Exam(0, columns=world.questions).qa_pairs
 
 
 def make_question(pose, robot: int, tag: str, template: str) -> Question:
@@ -161,5 +180,5 @@ def first_frame_table(world) -> tuple[np.ndarray, np.ndarray]:
     ``first_answering_frame`` call per question and store."""
     indexes = [QuestionIndex(frames) for frames in (world.base_memory, *world.datasets)]
     first = np.array([[index.first_answering_frame(q) for index in indexes]
-                      for q in world.questions])
+                      for q in world_questions(world)])
     return first[:, 0] < len(world.base_memory), first[:, 1:]

@@ -17,7 +17,7 @@ from conftest import (BUDGET_W, CONFIG_DIR, NOISE_W, REPO_ROOT, cli_env,
                       random_params, random_state)
 from frames import store
 from mcpa.config import build_scenario, load_config
-from mcpa.gae import SyntheticBackend, generate_exam, practice_test, sample_pilot, run_gae
+from mcpa.gae import SyntheticBackend, sample_pilot, run_gae
 from mcpa.harness import METHODS, run_campaign, run_sweep
 from mcpa.qom import qom_objective
 from mcpa.solver import SurrogateContext, solve_mcpa, waterfill
@@ -189,8 +189,9 @@ def test_criterion_06_self_test_identity():
                                      num_tags=int(rng.integers(2, 12))))
         ratio = float(rng.uniform(0.05, 1.0))
         pilot = sample_pilot(memory, ratio, trial)
-        exam = generate_exam(pilot, int(rng.integers(1, 20)), backend, trial)
-        if practice_test(exam, memory, backend) != 1.0:
+        _, scores = backend.run_exams([pilot], int(rng.integers(1, 20)), [trial],
+                                      backend.prepare_memory(memory))
+        if scores[0] != 1.0:
             failures += 1
     report(6, "exams generated from a memory score exactly 1.0 against it",
            failures == 0, f"{failures}/1000 failures")

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import CONFIG_DIR, REPO_ROOT, cli_env
 from golden.regenerate import GOLDEN_DIR, without_wall_ms
-from mcpa import cli
+from mcpa import cli, harness
 from mcpa.config import load_config
 from mcpa.harness import CSV_COLUMNS
 
@@ -216,15 +216,39 @@ def test_missing_config_file_is_reported():
     assert error["error"] == "FileNotFoundError"
 
 
+def no_staging(monkeypatch) -> list:
+    """Record, instead of running, every seed the CLI would stage."""
+    staged = []
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "prepare_seed", lambda *args: staged.append(args))
+    return staged
+
+
 @pytest.mark.parametrize("option", ["--config", "--out"])
-def test_a_directory_path_is_one_json_line(tmp_path, capsys, option):
+def test_a_directory_path_is_one_json_line(tmp_path, capsys, monkeypatch, option):
+    staged = no_staging(monkeypatch)
     paths = {"--config": str(CONFIG_DIR / "staged_k5.json"), "--out": str(tmp_path / "gae.csv"),
              option: str(tmp_path)}
     argv = ["gae-test", "--seeds", "1", *(x for pair in paths.items() for x in pair)]
     assert cli.main(argv) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "IsADirectoryError"
+    # the path is checked before any seed is staged or any line printed
+    assert staged == [] and out == ""
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "gae-test"])
+def test_an_out_in_a_missing_directory_fails_before_staging(tmp_path, capsys, monkeypatch,
+                                                            command):
+    staged = no_staging(monkeypatch)
+    argv = [command, "--config", str(CONFIG_DIR / "city_desk.json"), "--seeds", "1",
+            "--out", str(tmp_path / "missing" / "out.csv")]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(err)["error"] == "FileNotFoundError"
+    assert staged == [] and out == ""
 
 
 def test_remote_backend_without_endpoint_is_reported(monkeypatch):

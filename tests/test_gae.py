@@ -9,15 +9,28 @@ from conftest import random_memory
 from frames import MemoryItem, items, reference_caption, store
 import reference_index
 from mcpa.gae import (NOTHING_TAG, Exam, FrameStore, GaeError, MemoryIndex, Question,
-                      SyntheticBackend, generate_exam, practice_test, run_gae,
-                      sample_pilot)
+                      SyntheticBackend, run_gae, sample_pilot)
 from mcpa.remote import captions
-from reference_index import QuestionIndex, ReferenceIndex, grade
+from reference_index import QuestionIndex, ReferenceIndex, exam_columns, grade
 
 
 def item(tag_set, robot=0, ts=0.0, xy=(0.0, 0.0)):
     return MemoryItem(timestamp_s=ts, pose=(xy[0], xy[1], 10.0, 0.0, 0.0, 0.0),
                       tags=frozenset(tag_set), robot_id=robot)
+
+
+def sit(pilot, num_questions, seed, memory):
+    """Robot 0's exam drawn from ``pilot`` with ``seed``, and its score
+    against ``memory``, through the backend's one batch entry point."""
+    backend = SyntheticBackend()
+    exams, scores = backend.run_exams([pilot], num_questions, [seed],
+                                      backend.prepare_memory(memory))
+    return exams[0], float(scores[0])
+
+
+def score(columns, memory) -> float:
+    """The share of the exam ``columns`` the synthetic oracle answers from ``memory``."""
+    return float(memory.index.answers(columns).mean())
 
 
 def test_sample_pilot_full_ratio_keeps_order():
@@ -43,8 +56,7 @@ def test_sample_pilot_rejects_empty_dataset():
 
 def test_generate_exam_presence_question_format():
     pilot = store([item({"fire truck"})])
-    backend = SyntheticBackend()
-    exam = generate_exam(pilot, 3, backend, 0)
+    exam, _ = sit(pilot, 3, 0, pilot)
     presence = [q for q in exam.qa_pairs if q.template == "presence"]
     assert presence and presence[0].text == "Is there a fire truck?"
     assert presence[0].answer == "YES"
@@ -53,52 +65,45 @@ def test_generate_exam_presence_question_format():
 
 def test_generate_exam_empty_pilot_is_vacuous():
     pilot = store([item(set()), item(set())])
-    exam = generate_exam(pilot, 5, SyntheticBackend(), 7)
+    exam, result = sit(pilot, 5, 7, store([item({"bus"})]))
     assert len(exam) == 5
     assert all(q.template == "presence" and q.answer == "NO" for q in exam.qa_pairs)
     assert all(q.tag == NOTHING_TAG for q in exam.qa_pairs)
     # vacuous exams are answered correctly by any memory
-    assert practice_test(exam, store([item({"bus"})]), SyntheticBackend()) == 1.0
+    assert result == 1.0
 
 
 def test_generate_exam_deterministic_and_validates():
     pilot = [item({"a", "b"}, ts=1.0), item({"c"}, ts=2.0)]
-    backend = SyntheticBackend()
-    one = generate_exam(store(pilot), 9, backend, 99)
-    two = generate_exam(store(pilot), 9, backend, 99)
+    one, _ = sit(store(pilot), 9, 99, store(pilot))
+    two, _ = sit(store(pilot), 9, 99, store(pilot))
     assert one == two
     # every question asks about content actually present in the pilot
     pilot_tags = {t for it in pilot for t in it.tags}
     assert all(q.tag in pilot_tags for q in one.qa_pairs)
     with pytest.raises(GaeError):
-        generate_exam(store(pilot), 0, backend, 1)
+        run_gae([store(pilot)], store(pilot), 1.0, 0, SyntheticBackend(), 1)
 
 
 def test_practice_test_self_identity_and_disjoint():
-    backend = SyntheticBackend()
     memory = store(random_memory(np.random.default_rng(5)))
     pilot = sample_pilot(memory, 0.3, 1)
-    exam = generate_exam(pilot, 12, backend, 2)
-    assert practice_test(exam, memory, backend) == 1.0
+    assert sit(pilot, 12, 2, memory)[1] == 1.0
     # presence-YES questions about tags the memory has never seen all fail
-    disjoint = Exam(robot_id=0, qa_pairs=tuple(
-        Question("presence", t, f"Is there a {t}?", "YES") for t in ("ufo", "yeti")))
-    assert practice_test(disjoint, store([item({"zebra"}), item({"qux"})]), backend) == 0.0
+    disjoint = [Question("presence", t, f"Is there a {t}?", "YES") for t in ("ufo", "yeti")]
+    assert score(exam_columns(disjoint), store([item({"zebra"}), item({"qux"})])) == 0.0
 
 
 def test_practice_test_half_overlap():
-    backend = SyntheticBackend()
-    exam = Exam(robot_id=0, qa_pairs=(
-        Question("presence", "a", "Is there a a?", "YES"),
-        Question("presence", "b", "Is there a b?", "YES"),
-    ))
-    assert practice_test(exam, store([item({"a"})]), backend) == 0.5
+    exam = [Question("presence", "a", "Is there a a?", "YES"),
+            Question("presence", "b", "Is there a b?", "YES")]
+    assert score(exam_columns(exam), store([item({"a"})])) == 0.5
 
 
 def answers(memory, question) -> bool:
     """Does the prepared ``memory`` (a list of items) answer ``question``?"""
     index = SyntheticBackend().prepare_memory(store(memory))
-    return bool(index.answers(Exam(0, [question]).columns)[0])
+    return bool(index.answers(exam_columns([question]))[0])
 
 
 def test_location_grading_uses_fifty_metre_radius():
@@ -155,7 +160,7 @@ def test_first_answering_frame_per_template():
     index = MemoryIndex(frames)
 
     def first(template, answer, tag="bus"):
-        return index.first_frames(Exam(0, [Question(template, tag, "?", answer)]).columns)[0]
+        return index.first_frames(exam_columns([Question(template, tag, "?", answer)]))[0]
     assert first("presence", "YES") == 0
     assert first("presence", "YES", tag="taxi") == 3
     assert first("location", (70.0, 0.0, 0.0)) == 0
@@ -165,8 +170,8 @@ def test_first_answering_frame_per_template():
     assert first("reporter", 0) == 2
     assert first("reporter", 3) == 3
     # a presence question answered NO is right when no frame has the tag
-    no = Exam(0, [Question("presence", tag, "?", "NO") for tag in ("bus", "taxi")])
-    assert index.answers(no.columns).tolist() == [False, True]
+    no = exam_columns([Question("presence", tag, "?", "NO") for tag in ("bus", "taxi")])
+    assert index.answers(no).tolist() == [False, True]
 
 
 def test_run_gae_duplicate_and_novel_extremes():
@@ -199,27 +204,23 @@ def test_run_gae_monotone_in_novelty_staged():
 
 
 def test_practice_test_monotone_under_memory_growth():
-    backend = SyntheticBackend()
     rng = np.random.default_rng(21)
     for trial in range(100):
         memory = store(random_memory(rng, num_items=30))
         pilot = sample_pilot(memory, 0.4, trial)
-        exam = generate_exam(pilot, 9, backend, trial)
         base = random_memory(rng, num_items=10)
-        score = practice_test(exam, store(base), backend)
+        exam, result = sit(pilot, 9, trial, store(base))
         grown = base + random_memory(rng, num_items=15)
-        assert practice_test(exam, store(grown), backend) >= score
+        assert score(exam.columns, store(grown)) >= result
 
 
 def test_merging_own_memory_recovers_full_score():
-    backend = SyntheticBackend()
     rng = np.random.default_rng(33)
     base = random_memory(rng, num_items=25, tag_pool=[f"old-{i}" for i in range(6)])
     robot = random_memory(rng, num_items=25, tag_pool=[f"new-{i}" for i in range(6)])
     pilot = sample_pilot(store(robot), 0.4, 2)
-    exam = generate_exam(pilot, 15, backend, 2)
-    gae_score = practice_test(exam, store(base), backend)
-    merged = practice_test(exam, store(base + robot), backend)
+    gae_score = sit(pilot, 15, 2, store(base))[1]
+    merged = sit(pilot, 15, 2, store(base + robot))[1]
     assert merged == 1.0
     assert merged - gae_score == pytest.approx(1.0 - gae_score)
 
@@ -243,7 +244,7 @@ def test_from_items_round_trips_items():
 @pytest.mark.parametrize("n", [1, 7, 1000, 2**31, 2**33])
 @pytest.mark.parametrize("m", [1, 999])
 def test_vector_draw_equals_scalar_draws(n, m):
-    # make_exam draws an exam's picks in one call; the exams pinned in
+    # run_exams draws each exam's picks in one call; the exams pinned in
     # tests/golden were drawn one pick per call, so the streams must agree
     vector, scalar = np.random.default_rng(42), np.random.default_rng(42)
     values = vector.integers(n, size=m).tolist()
@@ -290,8 +291,8 @@ def every_question():
                 yield Question("location", tag, "?", (x, y, 0.0))
 
 
-QUESTIONS = Exam(0, list(every_question()))
-POSITIVE = Exam(0, [q for q in QUESTIONS.qa_pairs if q.answer != "NO"])
+QUESTIONS = list(every_question())
+POSITIVE = [q for q in QUESTIONS if q.answer != "NO"]
 
 
 @settings(max_examples=100)
@@ -300,14 +301,15 @@ def test_memory_index_answers_as_the_set_index(frames):
     memory = items(frames)
     reference = ReferenceIndex(memory)
     singles = [ReferenceIndex([it]) for it in memory]
-    expected = [grade(q, reference) for q in QUESTIONS.qa_pairs]
+    expected = [grade(q, reference) for q in QUESTIONS]
     # the first frame that alone answers q, as the set index sees it
     first = [next((i for i, one in enumerate(singles) if grade(q, one)), len(memory))
-             for q in POSITIVE.qa_pairs]
+             for q in POSITIVE]
+    questions, positive = exam_columns(QUESTIONS), exam_columns(POSITIVE)
     for index in (MemoryIndex(frames), MemoryIndex(store(memory)),
-                  MemoryIndex(frames, QUESTIONS.columns[1])):
-        assert index.answers(QUESTIONS.columns).tolist() == expected
-        assert index.first_frames(POSITIVE.columns).tolist() == first
+                  MemoryIndex(frames, questions[1])):
+        assert index.answers(questions).tolist() == expected
+        assert index.first_frames(positive).tolist() == first
 
 
 @settings(max_examples=60)
@@ -323,38 +325,65 @@ def test_columnar_exams_match_the_per_question_path(pilot, memory, num_questions
     duplicate and empty windows, an event named like a vocabulary tag."""
     if from_items:
         pilot, memory = store(items(pilot)), store(items(memory))
-    backend = SyntheticBackend()
-    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    exam = backend.make_exam(pilot, num_questions, rng, 3)
-    questions = tuple(reference_index.make_questions(pilot, num_questions, reference_rng))
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    exam, result = sit(pilot, num_questions, seed, memory)
+    questions = tuple(reference_index.make_questions(pilot, num_questions,
+                                                     np.random.default_rng(seed)))
     assert exam.qa_pairs == questions
-    assert repr(exam) == f"Exam(robot_id=3, qa_pairs={questions!r})"
+    assert repr(exam) == f"Exam(robot_id=0, qa_pairs={questions!r})"
     templates, tags, tag_ids, truth = exam.columns
-    rebuilt = Exam(3, questions).columns
+    rebuilt = exam_columns(questions)
     assert templates.tolist() == rebuilt[0].tolist()
     assert [tags[i] for i in tag_ids] == [rebuilt[1][i] for i in rebuilt[2]]
     assert truth.tolist() == rebuilt[3].tolist()
 
     oracle = QuestionIndex(memory)
-    assert backend.test(exam, memory.index) == sum(map(oracle.answers, questions)) / len(exam)
+    assert result == sum(map(oracle.answers, questions)) / len(exam)
     positive = [q for q in questions if q.answer != "NO"]
     if positive:
         first = [oracle.first_answering_frame(q) for q in positive]
-        columns = Exam(3, positive).columns
+        columns = exam_columns(positive)
         assert memory.index.first_frames(columns).tolist() == first
         assert MemoryIndex(memory, columns[1]).first_frames(columns).tolist() == first
+
+
+@st.composite
+def pilot_lists(draw):
+    """1-5 pilots, empty and tagless ones included, each with its vocabulary
+    in an order of its own, so one tag has different ids across pilots."""
+    pilots = []
+    for frames in draw(st.lists(frame_stores(), min_size=1, max_size=5)):
+        order = draw(st.permutations(range(len(frames.vocabulary))))
+        position = np.append(np.argsort(np.array(order, dtype=np.intp)), -1)
+        pilots.append(FrameStore(frames.robot_ids, frames.timestamps, frames.poses,
+                                 position[frames.background],
+                                 [frames.vocabulary[i] for i in order], frames.events))
+    return pilots
+
+
+@settings(max_examples=30)
+@given(pilot_lists(), frame_stores(), st.integers(1, 12),
+       st.lists(st.integers(0, 2**32), min_size=5, max_size=5))
+def test_batched_exams_equal_one_pilot_at_a_time(pilots, memory, num_questions, seeds):
+    """run_exams over K pilots gives robot k the exam and score that a
+    one-pilot call with robot k's seed gives."""
+    backend = SyntheticBackend()
+    prepared = backend.prepare_memory(memory)
+    exams, scores = backend.run_exams(pilots, num_questions, seeds[:len(pilots)], prepared)
+    assert len(exams) == len(scores) == len(pilots)
+    for k, (pilot, seed) in enumerate(zip(pilots, seeds)):
+        (single,), (alone,) = backend.run_exams([pilot], num_questions, [seed], prepared)
+        assert repr(exams[k]) == repr(Exam(k, single.qa_pairs))
+        assert scores[k] == alone
 
 
 @settings(max_examples=100)
 @given(frame_stores(min_frames=1), st.floats(0.05, 1.0), st.integers(1, 20),
        st.integers(0, 2**32))
 def test_self_test_identity_over_frame_stores(frames, ratio, num_questions, seed):
-    backend = SyntheticBackend()
     pilot = sample_pilot(frames, ratio, seed)
-    exam = generate_exam(pilot, num_questions, backend, seed)
-    assert practice_test(exam, frames, backend) == 1.0
-    assert practice_test(exam, store(items(frames)), backend) == 1.0
+    exam, result = sit(pilot, num_questions, seed, frames)
+    assert result == 1.0
+    assert score(exam.columns, store(items(frames))) == 1.0
 
 
 def assert_same_store(a: FrameStore, b: FrameStore):

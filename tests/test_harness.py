@@ -11,10 +11,10 @@ from mcpa.config import ConfigError, build_scenario, load_config
 from mcpa import harness
 from mcpa.harness import (CSV_COLUMNS, METHODS, aggregate, prepare_seed, run_campaign,
                           run_method, run_sweep, write_csv)
-from mcpa.gae import MemoryIndex
+from mcpa.gae import MemoryIndex, SyntheticBackend, run_gae
 from mcpa.qom import pilot_overhead, qom_objective, qom_weights
 from mcpa.world import build_world
-from reference_index import ReferenceIndex, grade
+from reference_index import ReferenceIndex, grade, world_questions
 
 CITY = load_config(CONFIG_DIR / "city_desk.json")
 STAGED = load_config(CONFIG_DIR / "staged_k5.json")
@@ -143,7 +143,7 @@ def test_staged_world_layout():
     assert counts == [0, 1, 2, 3, 4]
     assert world.base_robots == (4,)
     assert all(item.robot_id == 4 for item in items(world.base_memory))
-    assert len(world.questions) == 3 * len(world.placed_objects)
+    assert len(world.questions[0]) == 3 * len(world.placed_objects)
     # identical background routes: same landmark tags frame by frame
     datasets = [items(dataset) for dataset in world.datasets]
     for i in (0, 100, 700):
@@ -216,6 +216,21 @@ def test_methods_sharing_a_stage_match_a_fresh_stage_each():
             _fields(run_method(prepare_seed(s, 4), s, method))
 
 
+@pytest.mark.parametrize("name, override", [
+    ("city_desk.json", None), ("town.json", None), ("staged_k5.json", None),
+    ("city_desk.json", {"gae": {"pilot_ratio": 0.25}}),      # rho |D| = 262.5 exactly
+], ids=["city_desk", "town", "staged_k5", "half"])
+def test_pilots_have_the_sizes_the_overhead_charges(name, override):
+    # pilot_overhead charges dataset.pilot_counts frames; run_gae samples the pilots
+    scenario = build_scenario(load_config(CONFIG_DIR / name), override)
+    world = build_world(scenario, np.random.default_rng([scenario.seeds["placement"], 0]))
+    report = run_gae(world.datasets, world.base_memory, scenario.pilot_ratio, 1,
+                     SyntheticBackend(), 0)
+    assert report.pilot_sizes.tolist() == scenario.dataset.pilot_counts.tolist()
+    if override:
+        assert report.pilot_sizes.tolist() == [263] * scenario.num_robots
+
+
 def test_stage_accuracy_joins_uploads_with_base_memory():
     s = small_city()
     stage = prepare_seed(s, 0)
@@ -225,8 +240,8 @@ def test_stage_accuracy_joins_uploads_with_base_memory():
         merged = ReferenceIndex(items(stage.world.base_memory))
         for dataset, count in zip(datasets, counts):
             merged.extend(dataset[:count])
-        return sum(grade(q, merged) for q in stage.world.questions) \
-            / len(stage.world.questions)
+        questions = world_questions(stage.world)
+        return sum(grade(q, merged) for q in questions) / len(questions)
     nothing = [0] * len(datasets)
     assert stage.base_accuracy == stage.accuracy_with(nothing) == graded(nothing) < 1.0
     # every robot's full dataset: the union covers every placed object
@@ -251,7 +266,7 @@ def test_prepare_seed_indexes_the_base_memory_once(monkeypatch):
     monkeypatch.setattr(MemoryIndex, "__init__", counted)
     s = small_city()
     world = prepare_seed(s, 0).world
-    asked = {q.tag for q in world.questions}
+    asked = set(world.questions[1])
     assert [tags for frames, tags in built if frames is world.base_memory] == [None]
     hosts = [frames for frames in world.datasets
              if asked & {*frames.vocabulary, *(tag for tag, _, _ in frames.events)}]

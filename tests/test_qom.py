@@ -5,8 +5,8 @@ from conftest import NOISE_W, orthogonal_state, radio, random_state
 from mcpa.channel import sinr_vector
 from mcpa.harness import _checked_allocation
 from mcpa.qom import (DatasetMeta, PilotPhaseInfeasible, accuracy_estimate,
-                      frames_uploaded, pilot_overhead, qom_objective, qom_terms, qom_weights,
-                      round_half_up)
+                      frames_uploaded, pilot_overhead, pilot_size, qom_objective, qom_terms,
+                      qom_weights)
 
 
 def test_power_vector_feasibility():
@@ -27,7 +27,7 @@ def test_power_vector_feasibility():
 def test_dataset_meta_validation_and_pilot_counts():
     meta = DatasetMeta.uniform(3, num_items=1050, pilot_ratio=0.01)
     # round-to-nearest with halves up: 10.5 -> 11
-    assert round_half_up(10.5) == 11
+    assert pilot_size(0.5, 21) == 11 and pilot_size(0.25, [1050, 1]).tolist() == [263, 1]
     assert list(meta.pilot_counts) == [11, 11, 11]
     tiny = DatasetMeta.uniform(1, num_items=10, pilot_ratio=0.01)
     assert tiny.pilot_counts[0] == 1  # minimum one pilot item

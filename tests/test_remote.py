@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import cli_env
 from frames import MemoryItem, reference_caption, store
 from mcpa import remote
-from mcpa.gae import Exam, GaeError, Question, generate_exam, practice_test, run_gae
+from mcpa.gae import Exam, GaeError, Question, run_gae
 from mcpa.remote import (GaeParseError, GaeTransportError, RemoteBackend,
                          chat_completion, grade_text_answer)
 
@@ -132,7 +132,7 @@ def test_chat_completion_writes_transcript(server, tmp_path):
                             transcript_path=str(path))
     assert backend._chat(remote._request("m", "sys", "usr")) == "logged"
     exam = Exam(robot_id=0, qa_pairs=(Question("presence", "bus", 'Is there a "bus"?', "YES"),))
-    assert practice_test(exam, BASE, backend) == 1.0
+    assert backend.test(exam, backend.prepare_memory(BASE)) == 1.0
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == 2
     assert lines[0]["response"] == "logged"
@@ -207,10 +207,10 @@ def test_chat_completion_refuses_non_http_urls(monkeypatch, tmp_path, scheme):
     transcript = tmp_path / "transcript.jsonl"
     backend = RemoteBackend(url=url, model="m", transcript_path=str(transcript))
     with pytest.raises(GaeTransportError, match="not an http"):
-        generate_exam(BASE, 1, backend, 0)
+        backend.make_exam(BASE, 1, 0)
     exam = Exam(robot_id=0, qa_pairs=(Question("presence", "bus", "Is there a bus?", "YES"),))
     with pytest.raises(GaeTransportError, match="not an http"):
-        practice_test(exam, BASE, backend)
+        backend.test(exam, backend.prepare_memory(BASE))
     assert not transcript.exists()
 
 
@@ -240,7 +240,7 @@ def test_remote_exam_generation_parses_json(server):
     ])]
     backend = RemoteBackend(url=server.url, model="m", retries=1)
     pilot = store([MemoryItem(0.0, (1.0, 2.0, 10.0, 0, 0, 0), frozenset({"bus"}), 3)])
-    exam = generate_exam(pilot, 3, backend, 0)
+    exam = backend.make_exam(pilot, 3, 0)
     assert [q.template for q in exam.qa_pairs] == ["presence", "location", "reporter"]
     assert exam.qa_pairs[0].answer == "YES"
     assert exam.qa_pairs[1].answer == (12.0, -3.5, 0.4)
@@ -254,7 +254,7 @@ def test_remote_exam_generation_rejects_garbage(server):
     backend = RemoteBackend(url=server.url, model="m", retries=1)
     pilot = store([MemoryItem(0.0, (0, 0, 10, 0, 0, 0), frozenset({"bus"}), 0)])
     with pytest.raises(GaeParseError):
-        generate_exam(pilot, 2, backend, 0)
+        backend.make_exam(pilot, 2, 0)
 
 
 def test_remote_practice_test_grades_answers(server):
@@ -272,7 +272,7 @@ def test_remote_practice_test_grades_answers(server):
     ]
     backend = RemoteBackend(url=server.url, model="m", retries=1)
     memory = store([MemoryItem(0.0, (10.0, 20.0, 10, 0, 0, 0), frozenset({"bus"}), 2)])
-    assert practice_test(exam, memory, backend) == 0.75
+    assert backend.test(exam, backend.prepare_memory(memory)) == 0.75
 
 
 def test_grade_text_answer_rules():
@@ -296,7 +296,7 @@ def test_remote_concurrent_answers(server):
     backend = RemoteBackend(url=server.url, model="m", retries=1, max_concurrency=3)
     memory = store([MemoryItem(0.0, (0, 0, 10, 0, 0, 0),
                                frozenset({f"t{i}" for i in range(6)}), 0)])
-    assert practice_test(exam, memory, backend) == 1.0
+    assert backend.test(exam, backend.prepare_memory(memory)) == 1.0
     assert len(server.requests) == 6
 
 
@@ -398,10 +398,11 @@ def test_questions_sharing_a_text_are_graded_apart_from_one_reply(monkeypatch):
     exam = Exam(robot_id=0, qa_pairs=(
         Question("reporter", "bus", "Which robot sees the bus?", 2),
         Question("reporter", "bus", "Which robot sees the bus?", 3)))
-    assert practice_test(exam, BASE, offline_backend()) == 0.5
+    backend = offline_backend()
+    assert backend.test(exam, backend.prepare_memory(BASE)) == 0.5
     assert len(prompts) == 1
     # the memo lives as long as one prepared memory: a new practice test asks again
-    assert practice_test(exam, BASE, offline_backend()) == 0.5
+    assert backend.test(exam, backend.prepare_memory(BASE)) == 0.5
     assert len(prompts) == 2
 
 
@@ -416,7 +417,8 @@ def test_answer_concurrency_sends_the_same_prompts(monkeypatch):
     sent, scores = [], []
     for max_concurrency in (1, 3):
         prompts = text_keyed_chat(monkeypatch, replies)
-        scores.append(practice_test(exam, BASE, offline_backend(max_concurrency)))
+        backend = offline_backend(max_concurrency)
+        scores.append(backend.test(exam, backend.prepare_memory(BASE)))
         sent.append(sorted(prompts))
     assert scores == [0.6, 0.6]
     assert sent[0] == sent[1] and len(sent[0]) == len(replies)

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from frames import MemoryItem, items
 from mcpa.config import Scenario, build_scenario
-from mcpa.gae import Exam, MemoryIndex, Question
+from mcpa.gae import MemoryIndex, Question
 from mcpa.harness import prepare_seed
-from reference_index import ReferenceIndex, first_frame_table, grade
+from reference_index import (ReferenceIndex, exam_columns, first_frame_table, grade,
+                             world_questions)
 from mcpa.world import (PlacedObject, WorldInstance, _staged_windows, build_world,
                         landmark_tag)
 
@@ -183,7 +184,7 @@ def probe_questions(index: ReferenceIndex) -> list[Question]:
 def assert_same_answers(frames, items):
     reference = ReferenceIndex(items)
     questions = probe_questions(reference)
-    assert MemoryIndex(frames).answers(Exam(0, questions).columns).tolist() == \
+    assert MemoryIndex(frames).answers(exam_columns(questions)).tolist() == \
         [grade(q, reference) for q in questions]
 
 
@@ -205,7 +206,7 @@ def test_columnar_world_materializes_the_reference_items(config):
     assert_same_answers(world.base_memory, ref.base_memory)
     assert world.base_robots == ref.base_robots
     assert world.placed_objects == ref.placed_objects
-    assert world.questions == ref.questions
+    assert world_questions(world) == ref.questions
 
 
 @st.composite
