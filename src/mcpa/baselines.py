@@ -12,7 +12,6 @@ from .channel import ChannelState
 from .qom import DatasetMeta
 
 __all__ = [
-    "BASELINE_KINDS",
     "unit_rate_params",
     "allocate_fairness",
     "allocate_greedy",
@@ -20,9 +19,6 @@ __all__ = [
     "allocate_remember",
     "allocate_uniform",
 ]
-
-BASELINE_KINDS = ("max_rate", "max_cov", "fairness", "greedy", "remember", "uniform")
-
 
 def unit_rate_params(num_robots: int) -> np.ndarray:
     """Sum-log-rate weighting: lambda_k = 1 for every robot."""

@@ -23,7 +23,7 @@ from .config import ConfigError, Scenario
 from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
 from .qom import (PilotPhaseInfeasible, frames_uploaded, pilot_overhead, qom_objective,
                   qom_weights)
-from .solver import solve_mcpa
+from .solver import SolveTrace, solve_mcpa
 from .world import WorldInstance, build_world
 
 __all__ = [
@@ -39,8 +39,6 @@ __all__ = [
     "write_csv",
     "aggregate",
 ]
-
-METHODS = ("mcpa",) + baselines.BASELINE_KINDS
 
 CSV_COLUMNS = ("method", "seed", "p_sum_mw", "eqa_accuracy", "qom",
                "sum_rate_mbps", "connected_drones", "solver_iters", "wall_ms")
@@ -81,21 +79,6 @@ class RunMetrics:
         return [self.method, self.seed, repr(self.p_sum_mw), repr(self.eqa_accuracy),
                 repr(self.qom), repr(self.sum_rate_mbps), self.connected_drones,
                 self.solver_iters, f"{self.wall_ms:.3f}"]
-
-
-def _method_name(method) -> str:
-    return getattr(method, "name", method)
-
-
-def _check_methods(methods) -> None:
-    """Raise :class:`ConfigError`, before anything is staged, on a method
-    that is neither a name in :data:`METHODS` nor an :class:`ExternalWeights`,
-    or on an empty list."""
-    if not methods:
-        raise ConfigError("methods: no method given")
-    for method in methods:
-        if not isinstance(method, ExternalWeights) and method not in METHODS:
-            raise ConfigError(f"methods: unknown method {method!r} (choose from {METHODS})")
 
 
 def _default_cov_threshold(scenario: Scenario, effective_time_s: float) -> float:
@@ -191,35 +174,62 @@ def _at_budget(stage: SeedContext, scenario: Scenario, power_w: float) -> _RunCo
     return _RunContext(stage, power_w, effective_time_s, weights)
 
 
-def _allocate(ctx: _RunContext, scenario: Scenario, method) -> tuple[np.ndarray, int]:
-    """The allocation of a checked method (see :func:`_check_methods`) and its
-    MM outer iterations, 0 for the fixed rules. mcpa, max_rate and external
-    weights are the same MM solve with different weights."""
-    state, budget = ctx.stage.state, ctx.power_w
-    noise = scenario.radio.noise_power_w
-    weights = None
+def _solve(ctx: _RunContext, scenario: Scenario, weights) -> tuple[np.ndarray, SolveTrace]:
+    """The MM solve behind mcpa, max_rate and external weights."""
+    trace = solve_mcpa(weights, ctx.stage.state, ctx.power_w,
+                       scenario.radio.noise_power_w, scenario.solver)
+    return trace.final, trace
+
+
+# Each method's allocator: (run context, scenario) -> (powers, solve trace or
+# None). Entries look up ``baselines.*`` and ``solve_mcpa`` when called, so a
+# rebinding of those names (a tracer, a test) reaches every run.
+_ALLOCATORS = {
+    "mcpa": lambda ctx, scenario: _solve(ctx, scenario, ctx.weights),
+    "max_rate": lambda ctx, scenario: _solve(
+        ctx, scenario, baselines.unit_rate_params(ctx.stage.state.num_robots)),
+    "max_cov": lambda ctx, scenario: (baselines.allocate_max_cov(
+        ctx.stage.state, ctx.power_w, scenario.radio.noise_power_w,
+        _default_cov_threshold(scenario, ctx.effective_time_s),
+        scenario.radio.bandwidth_hz), None),
+    "fairness": lambda ctx, scenario: (baselines.allocate_fairness(
+        ctx.stage.state, ctx.power_w, scenario.radio.noise_power_w), None),
+    "greedy": lambda ctx, scenario: (baselines.allocate_greedy(
+        ctx.stage.state, ctx.stage.gae_scores, scenario.dataset, ctx.power_w,
+        scenario.radio.noise_power_w, ctx.effective_time_s,
+        scenario.radio.bandwidth_hz), None),
+    "remember": lambda ctx, scenario: (baselines.allocate_remember(
+        ctx.stage.state.num_robots, ctx.power_w), None),
+    "uniform": lambda ctx, scenario: (baselines.allocate_uniform(
+        ctx.stage.state.num_robots, ctx.power_w), None),
+}
+
+METHODS = tuple(_ALLOCATORS)
+
+
+def _check_methods(methods) -> list[str]:
+    """The names of ``methods``. Raise :class:`ConfigError`, before anything
+    is staged, on an empty list, on a method that is neither a name in
+    :data:`METHODS` nor an :class:`ExternalWeights`, or on a name that
+    appears twice."""
+    if not methods:
+        raise ConfigError("methods: no method given")
+    for method in methods:
+        if not isinstance(method, ExternalWeights) and method not in METHODS:
+            raise ConfigError(f"methods: unknown method {method!r} (choose from {METHODS})")
+    names = [m.name if isinstance(m, ExternalWeights) else m for m in methods]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"methods: {repeated} named more than once")
+    return names
+
+
+def _allocate(ctx: _RunContext, scenario: Scenario,
+              method) -> tuple[np.ndarray, SolveTrace | None]:
+    """A checked method's powers and solve trace (None for a fixed rule)."""
     if isinstance(method, ExternalWeights):
-        weights = method.weights
-    elif method == "mcpa":
-        weights = ctx.weights
-    elif method == "max_rate":
-        weights = baselines.unit_rate_params(state.num_robots)
-    if weights is not None:
-        trace = solve_mcpa(weights, state, budget, noise, scenario.solver)
-        return trace.final, trace.outer_iterations
-    if method == "max_cov":
-        return baselines.allocate_max_cov(
-            state, budget, noise, _default_cov_threshold(scenario, ctx.effective_time_s),
-            scenario.radio.bandwidth_hz), 0
-    if method == "fairness":
-        return baselines.allocate_fairness(state, budget, noise), 0
-    if method == "greedy":
-        return baselines.allocate_greedy(
-            state, ctx.stage.gae_scores, scenario.dataset, budget, noise,
-            ctx.effective_time_s, scenario.radio.bandwidth_hz), 0
-    if method == "remember":
-        return baselines.allocate_remember(state.num_robots, budget), 0
-    return baselines.allocate_uniform(state.num_robots, budget), 0
+        return _solve(ctx, scenario, method.weights)
+    return _ALLOCATORS[method](ctx, scenario)
 
 
 def _checked_allocation(p: np.ndarray, k: int, budget: float) -> None:
@@ -255,34 +265,34 @@ def _score_allocation(ctx: _RunContext, scenario: Scenario,
 def run_method(stage: SeedContext, scenario: Scenario, method) -> RunMetrics:
     """Run one method, a name in :data:`METHODS` or an :class:`ExternalWeights`,
     on a staged seed at the scenario's power budget."""
-    _check_methods([method])
+    [name] = _check_methods([method])
     ctx = _at_budget(stage, scenario, scenario.power_budget_w)
-    return _run_with_context(ctx, scenario, method)
+    return _run_with_context(ctx, scenario, method, name)
 
 
-def _run_with_context(ctx: _RunContext, scenario: Scenario, method) -> RunMetrics:
+def _run_with_context(ctx: _RunContext, scenario: Scenario, method, name: str) -> RunMetrics:
     started = time.perf_counter()
-    allocation, iters = _allocate(ctx, scenario, method)
+    allocation, trace = _allocate(ctx, scenario, method)
     _checked_allocation(allocation, scenario.num_robots, ctx.power_w)
     accuracy, qom, sum_rate, connected = _score_allocation(ctx, scenario, allocation)
     wall_ms = (time.perf_counter() - started) * 1e3
     return RunMetrics(
-        method=_method_name(method),
+        method=name,
         seed=ctx.stage.seed,
         p_sum_mw=ctx.power_w * 1e3,
         eqa_accuracy=accuracy,
         qom=qom,
         sum_rate_mbps=sum_rate,
         connected_drones=connected,
-        solver_iters=iters,
+        solver_iters=trace.outer_iterations if trace is not None else 0,
         wall_ms=wall_ms,
         power_mw=tuple(float(p) * 1e3 for p in allocation),
     )
 
 
-def _failed_run(method, seed: int, power_w: float, error: Exception) -> RunMetrics:
+def _failed_run(name: str, seed: int, power_w: float, error: Exception) -> RunMetrics:
     nan = float("nan")
-    return RunMetrics(method=_method_name(method), seed=seed,
+    return RunMetrics(method=name, seed=seed,
                       p_sum_mw=power_w * 1e3, eqa_accuracy=nan,
                       qom=nan, sum_rate_mbps=nan, connected_drones=0,
                       solver_iters=0, wall_ms=0.0,
@@ -299,7 +309,7 @@ def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
     """
     if num_seeds < 1:
         raise ConfigError(f"num_seeds: {num_seeds} is not an integer >= 1")
-    _check_methods(methods)
+    names = _check_methods(methods)
     per_budget: list[list[RunMetrics]] = [[] for _ in budgets_w]
     for i in range(num_seeds):
         stage = prepare_seed(scenario, scenario.seeds["run"] + i, backend)
@@ -307,13 +317,13 @@ def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
             try:
                 ctx = _at_budget(stage, scenario, power_w)
             except PilotPhaseInfeasible as exc:
-                rows.extend(_failed_run(method, stage.seed, power_w, exc) for method in methods)
+                rows.extend(_failed_run(name, stage.seed, power_w, exc) for name in names)
                 continue
-            for method in methods:
+            for method, name in zip(methods, names):
                 try:
-                    rows.append(_run_with_context(ctx, scenario, method))
+                    rows.append(_run_with_context(ctx, scenario, method, name))
                 except (ValueError, ArithmeticError, GaeError) as exc:
-                    rows.append(_failed_run(method, stage.seed, power_w, exc))
+                    rows.append(_failed_run(name, stage.seed, power_w, exc))
     rows = [row for budget_rows in per_budget for row in budget_rows]
     return rows, aggregate(rows)
 

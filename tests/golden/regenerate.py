@@ -13,6 +13,8 @@ Only a change meant to alter results regenerates them, and says so.
   ``--out`` file on staged_k5, 3 seeds
 - ``gae_scores.json``: per seed, the GAE scores as ``float.hex`` and the
   SHA-256 of ``repr(report.exams)``, staged_k5 seeds 0-2 and city_desk 0-3
+- ``solve.txt``: ``mcpa solve`` stdout for every method on city_desk and
+  town, seeds 0 and 1, each run under a ``# <config> <method> <seed>`` line
 """
 from __future__ import annotations
 
@@ -68,6 +70,22 @@ def _gae_test(config: Path, seeds: int) -> tuple[str, str]:
         return table, out.read_text()
 
 
+def _solve_outputs() -> str:
+    """``mcpa solve`` stdout for every method, config and seed 0-1."""
+    text = io.StringIO()
+    for name in ("city_desk", "town"):
+        for method in METHODS:
+            for seed in (0, 1):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main(["solve", "--config", str(CONFIG_DIR / f"{name}.json"),
+                                     "--method", method, "--seed", str(seed)])
+                if code != 0:
+                    raise RuntimeError(f"solve {name} {method} {seed} exited {code}")
+                text.write(f"# {name} {method} {seed}\n{stdout.getvalue()}")
+    return text.getvalue()
+
+
 def _gae_digests(config: Path, seeds) -> dict:
     scenario = build_scenario(load_config(config))
     digests = {}
@@ -96,6 +114,7 @@ def produce() -> dict[str, str]:
         "gae_test_staged_k5.txt": table,
         "gae_test_staged_k5.csv": out,
         "gae_scores.json": json.dumps(digests, indent=1, sort_keys=True) + "\n",
+        "solve.txt": _solve_outputs(),
     }
 
 

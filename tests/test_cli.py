@@ -251,6 +251,22 @@ def test_an_out_in_a_missing_directory_fails_before_staging(tmp_path, capsys, mo
     assert staged == [] and out == ""
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_repeated_method_fails_before_staging(tmp_path, capsys, monkeypatch, command):
+    staged = no_staging(monkeypatch)
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", str(CONFIG_DIR / "city_desk.json"), "--seeds", "2",
+            "--methods", "mcpa,uniform,mcpa", "--out", str(out)]
+    assert cli.main(argv) == 2
+    stdout, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError"
+    assert "['mcpa'] named more than once" in error["message"]
+    assert staged == [] and stdout == "" and not out.exists()
+
+
 def test_remote_backend_without_endpoint_is_reported(monkeypatch):
     env = cli_env()
     env.pop("MCPA_REMOTE_URL", None)

@@ -15,7 +15,7 @@ def produced():
 
 @pytest.mark.parametrize("name", ["campaign_city_desk.csv", "sweep_city_desk.csv",
                                   "gae_test_staged_k5.txt", "gae_test_staged_k5.csv",
-                                  "gae_scores.json"])
+                                  "gae_scores.json", "solve.txt"])
 def test_output_matches_golden_file(produced, name):
     golden = (GOLDEN_DIR / name).read_text()
     if name.endswith(".csv"):

@@ -343,6 +343,23 @@ def test_unknown_methods_are_rejected_before_staging(monkeypatch):
         assert built == []
 
 
+def test_repeated_method_names_are_rejected_before_staging(monkeypatch):
+    from mcpa.harness import ExternalWeights
+    built = []
+    monkeypatch.setattr(harness, "build_world", lambda *args, **kwargs: built.append(1))
+    s = small_city()
+    ones = (1.0,) * s.num_robots
+    for methods in (["mcpa", "mcpa"], ["uniform", "max_rate", "uniform"],
+                    ["mcpa", ExternalWeights(ones, "mcpa")],
+                    [ExternalWeights(ones, "semcom"), "remember",
+                     ExternalWeights(ones[:-1] + (0.5,), "semcom")]):
+        for run in (lambda: run_campaign(s, methods, 3),
+                    lambda: run_sweep(s, methods, [100.0, 200.0], 2)):
+            with pytest.raises(ConfigError, match="named more than once"):
+                run()
+    assert built == []
+
+
 def test_sweep_bookkeeping_and_single_point():
     s = small_city()
     budgets = [150.0, 250.0]
@@ -476,3 +493,42 @@ def test_aggregate_skips_nan_rows():
     summary = aggregate(rows)
     assert summary[("m", 200.0)]["eqa_accuracy"]["mean"] == 0.5
     assert summary[("m", 200.0)]["eqa_accuracy"]["count"] == 1
+
+
+def test_method_table_reaches_the_allocators_when_called(monkeypatch):
+    """Each method reaches its allocator through the module attribute at call
+    time, so a rebinding (a tracer, this test) sees every run."""
+    from mcpa.harness import ExternalWeights
+    calls = []
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((name, result))
+            return result
+        monkeypatch.setattr(module, name, wrapper)
+    for name in ("allocate_max_cov", "allocate_fairness", "allocate_greedy",
+                 "allocate_remember", "allocate_uniform", "unit_rate_params"):
+        counted(harness.baselines, name)
+    counted(harness, "solve_mcpa")
+    s = small_city()
+    stage = prepare_seed(s, 0)
+    external = ExternalWeights((1.0,) + (0.0,) * 9, "semcom")
+    reached = {"mcpa": ["solve_mcpa"], "max_rate": ["unit_rate_params", "solve_mcpa"],
+               "max_cov": ["allocate_max_cov"], "fairness": ["allocate_fairness"],
+               "greedy": ["allocate_greedy"], "remember": ["allocate_remember"],
+               "uniform": ["allocate_uniform"], external: ["solve_mcpa"]}
+    assert list(reached)[:-1] == list(METHODS)
+    for method, names in reached.items():
+        calls.clear()
+        metrics = run_method(stage, s, method)
+        assert [name for name, _ in calls] == names
+        result = calls[-1][1]
+        if names[-1] == "solve_mcpa":
+            assert metrics.solver_iters == result.outer_iterations > 0
+            assert metrics.power_mw == tuple(float(p) * 1e3 for p in result.final)
+        else:
+            assert metrics.solver_iters == 0
+            assert metrics.power_mw == tuple(float(p) * 1e3 for p in result)

@@ -23,3 +23,11 @@ def test_package_reexports_only_exported_names():
                   if not name.startswith("_") and not inspect.ismodule(value)}
     assert reexported
     assert reexported - exported == set()
+
+
+def test_package_reexports_what_the_readme_examples_import():
+    reexported = {name for name, value in vars(mcpa).items()
+                  if not name.startswith("_") and not inspect.ismodule(value)}
+    assert reexported == {"RadioConstants", "RobotGeometry", "DatasetMeta", "draw_channels",
+                          "qom_weights", "solve_mcpa", "waterfill", "build_scenario",
+                          "run_campaign"}
