@@ -15,7 +15,8 @@ Each surrogate is maximized over {p >= 0, sum p <= P_sum} to roundoff by a
 primal active-set Newton method (Bertsekas, "Projected Newton Methods for
 Optimization Problems with Simple Constraints", SIAM J. Control Optim.
 1982): the K x K surrogate Hessian is cheap, and Newton steps converge in a
-few iterations where gradient steps crawl at high SNR.
+few iterations where gradient steps crawl at high SNR. Newton paths start
+at the anchor; the first may start at :func:`_waterfill_start`'s split.
 """
 from __future__ import annotations
 
@@ -169,23 +170,24 @@ def _newton_direction(ctx: SurrogateContext, full: np.ndarray, g_free: np.ndarra
 
 
 def _inner_ascent(ctx: SurrogateContext, budget: float, tol: float,
-                  max_iter: int) -> _InnerResult:
+                  max_iter: int, start: np.ndarray | None = None) -> _InnerResult:
     """Primal active-set Newton maximizer of the surrogate over
-    {p >= 0, sum p <= budget}, started at the anchor (so the returned
-    surrogate value never drops below the anchor's).
+    {p >= 0, sum p <= budget}, started at the feasible ``start`` or else the
+    anchor (so the returned surrogate value never drops below the start's).
 
     The working set holds the bounds held at zero, plus the budget once it
-    binds. Each iteration takes the equality-constrained Newton step on the
-    free coordinates (:func:`_newton_direction`), cuts it at the first
-    blocking constraint (which joins the working set) and backtracks by
-    Armijo. When the step is negligible -- at most ``tol * budget`` watts, or
-    a Newton decrement g^T d at most 1e-15 (1 + |f|) -- the constraint with
-    the most negative multiplier leaves the working set; if every
-    multiplier is nonnegative, p satisfies the surrogate's KKT conditions.
+    binds; it starts as the start's zeros and spent budget. Each iteration
+    takes the equality-constrained Newton step on the free coordinates
+    (:func:`_newton_direction`), cuts it at the first blocking constraint
+    (which joins the working set) and backtracks by Armijo. When the step
+    is negligible -- at most ``tol * budget`` watts, or a Newton decrement
+    g^T d at most 1e-15 (1 + |f|) -- the constraint with the most negative
+    multiplier leaves the working set; if every multiplier is nonnegative,
+    p satisfies the surrogate's KKT conditions.
     ``converged`` is False only when ``max_iter`` iterations ran out first.
     """
     value = ctx.total_and_full
-    p = ctx.anchor.copy()
+    p = (ctx.anchor if start is None else start).copy()
     f, full = value(p)
     at_zero = p == 0.0
     on_budget = np.add.reduce(p) >= budget * (1.0 - 1e-12)
@@ -253,13 +255,15 @@ class SolveTrace:
     sequence is nondecreasing up to 1e-10 * (1 + |value|).
     ``inner_iterations`` and ``inner_converged`` hold, per outer iteration,
     the inner maximizer's Newton iterations and whether it stopped before
-    ``max_inner``.
+    ``max_inner``. ``warm_start`` is whether the first one started at
+    :func:`_waterfill_start`'s water-filling split.
     """
 
     iterates: list[tuple[np.ndarray, float, float]]
     stop_reason: str
     inner_iterations: list[int]
     inner_converged: list[bool]
+    warm_start: bool
 
     @property
     def final(self) -> np.ndarray:
@@ -309,10 +313,13 @@ def solve_mcpa(weights, state: ChannelState, budget: float,
     inner_counts: list[int] = []
     inner_flags: list[bool] = []
     reason = "max_iterations"
+    warm_start = False
     for _ in range(opts.max_outer):
         ctx = SurrogateContext(anchor=current, weights=w, state=state,
                                noise_power_w=noise_power_w)
-        inner = _inner_ascent(ctx, budget, opts.inner_tol, opts.max_inner)
+        start = None if inner_counts else _waterfill_start(ctx, budget)
+        warm_start = warm_start or start is not None
+        inner = _inner_ascent(ctx, budget, opts.inner_tol, opts.max_inner, start)
         candidate = inner.powers
         new_obj = qom_objective(w, state, candidate, noise_power_w)
         iterates.append((candidate, new_obj, inner.objective))
@@ -325,8 +332,20 @@ def solve_mcpa(weights, state: ChannelState, budget: float,
             reason = "converged" if all(inner_flags) else "inexact"
             break
         current, obj = candidate, new_obj
-    return SolveTrace(iterates=iterates, stop_reason=reason,
-                      inner_iterations=inner_counts, inner_converged=inner_flags)
+    return SolveTrace(iterates=iterates, stop_reason=reason, inner_iterations=inner_counts,
+                      inner_converged=inner_flags, warm_start=warm_start)
+
+
+def _waterfill_start(ctx: SurrogateContext, budget: float) -> np.ndarray | None:
+    """Water-filling over the gains H_k / (s2 S*_k) at unit noise, the
+    surrogate's maximizer with the interference frozen at the anchor, scaled
+    into the budget: the Newton start when it beats the anchor, else None."""
+    guess = waterfill(ctx.weights, ctx.coupling.diagonal() / ctx.anchor_denominators,
+                      1.0, budget).power
+    spent = np.add.reduce(guess)
+    if spent > budget * (1.0 + 1e-12):
+        guess *= budget / spent
+    return guess if ctx.total_and_full(guess)[0] > ctx.total_and_full(ctx.anchor)[0] else None
 
 
 class WaterfillResult(NamedTuple):

@@ -5,7 +5,13 @@ Run from the repository root to rewrite the files beside this script:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Only a change meant to alter results regenerates them, and says so.
+Only a change meant to alter results regenerates them, and says so. With
+``--diff`` the script writes nothing and prints each changed cell instead,
+one tab-separated line of file, row, column, old value, new value and
+relative change (``-`` where a value is missing or not a number): a CSV cell
+is named by its data row and header (``wall_ms`` is skipped), and in the
+other files a cell is a whitespace-separated token, named by its line (with
+the last ``# `` heading above it) and its ``key=`` or position on the line.
 
 - ``campaign_city_desk.csv``: ``run_campaign`` on city_desk, 4 seeds x 7 methods
 - ``sweep_city_desk.csv``: ``run_sweep`` on city_desk, 2 seeds x {100, 200} mW
@@ -18,6 +24,7 @@ Only a change meant to alter results regenerates them, and says so.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -118,8 +125,56 @@ def produce() -> dict[str, str]:
     }
 
 
-def main() -> int:
-    for name, text in produce().items():
+def _cells(name: str, text: str) -> dict[tuple[str, str], str]:
+    """(row, column) -> value for every cell of one golden file."""
+    if name.endswith(".csv"):
+        header, *rows = without_wall_ms(text)
+        return {(f"row {n} ({','.join(row[:3])})", column): value
+                for n, row in enumerate(rows, 1) for column, value in zip(header, row)}
+    cells, heading = {}, ""
+    for n, line in enumerate(text.splitlines(), 1):
+        if line.startswith("# "):
+            heading = f" ({line[2:]})"
+        for i, token in enumerate(line.split()):
+            key, sep, value = token.partition("=")
+            cells[(f"line {n}{heading}", key if sep else str(i))] = value if sep else token
+    return cells
+
+
+def _relative_change(old: str | None, new: str | None) -> str:
+    try:
+        a, b = float(old.strip("[],")), float(new.strip("[],"))
+    except (AttributeError, ValueError):
+        return "-"
+    return f"{abs(b - a) / abs(a):.2e}" if a else ("0" if a == b else "inf")
+
+
+def diff(produced: dict[str, str]) -> list[str]:
+    """One tab-separated line per cell that differs from the golden files."""
+    lines = []
+    for name, text in produced.items():
+        path = GOLDEN_DIR / name
+        old = _cells(name, path.read_text()) if path.exists() else {}
+        new = _cells(name, text)
+        for cell in [*old, *(c for c in new if c not in old)]:
+            before, after = old.get(cell), new.get(cell)
+            if before != after:
+                lines.append("\t".join([name, *cell, before or "-", after or "-",
+                                        _relative_change(before, after)]))
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite or diff the golden files.")
+    parser.add_argument("--diff", action="store_true",
+                        help="print each changed cell and write nothing")
+    args = parser.parse_args(argv)
+    produced = produce()
+    if args.diff:
+        changed = diff(produced)
+        print("\n".join(changed) if changed else "no cell changed")
+        return 0
+    for name, text in produced.items():
         (GOLDEN_DIR / name).write_text(text)
         print(f"wrote {GOLDEN_DIR / name}", file=sys.stderr)
     return 0

@@ -84,14 +84,15 @@ def _project_array(p_raw: np.ndarray, budget: float) -> np.ndarray:
 
 
 def _inner_ascent(ctx: SurrogateContext, budget: float, tol: float,
-                  max_iter: int) -> _InnerResult:
+                  max_iter: int, start: np.ndarray | None = None) -> _InnerResult:
     """Projected gradient ascent with Armijo backtracking along the
-    projection arc, started at the anchor (so the returned surrogate value
-    never drops below the anchor's). ``converged`` is False only when
-    ``max_iter`` steps ran out before a stopping test fired."""
+    projection arc, started at the feasible ``start`` or else the anchor (so
+    the returned surrogate value never drops below the start's).
+    ``converged`` is False only when ``max_iter`` steps ran out before a
+    stopping test fired."""
     value = ctx.total_and_full
     gradient = ctx.gradient_from_full
-    p = ctx.anchor.copy()
+    p = (ctx.anchor if start is None else start).copy()
     f, full = value(p)
     step = None
     iterations = 0

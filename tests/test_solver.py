@@ -414,24 +414,29 @@ def surrogate_kkt_residual(ctx, p, budget):
 
 # Pinned from the active-set Newton inner solver on a town-like instance
 # (K=10, N=256, 50-250 m) from conftest seed 14: per inner solve its
-# iterations and how often its working set changed, then the final powers
-# and objective. The mcpa solve's first inner solve adds and drops bounds;
-# the unit-weight answer stays on the budget face with every robot free.
-# The doubles come from one fixed sequence of numpy/LAPACK operations, so a
-# BLAS build with other kernels may legitimately move their last bits.
+# iterations and how often its working set changed, whether the first
+# inner solve took the water-filling start, then the final powers and
+# objective. The mcpa solve's first inner solve starts at the water-filling
+# split, which already has the optimal zeros; the unit-weight answer stays
+# on the budget face with every robot free, and the water-filling split
+# loses to its anchor. The doubles come from one fixed sequence of
+# numpy/LAPACK operations, so a BLAS build with other kernels may
+# legitimately move their last bits.
 GOLDEN_ANSWERS = {
     "mcpa": (
-        [24, 6, 4, 4, 3, 3, 3],
-        [4, 0, 0, 0, 0, 0, 0],
-        ["0x1.d3c0c52b7536ap-7", "0x1.e80868b706d56p-10", "0x1.49629bfaba13cp-7",
-         "0x1.5ecd0874428dfp-6", "0x1.8959e113e7070p-5", "0x1.0bd78e68e3790p-10",
-         "0x1.8a6b746eb4f76p-5", "0x1.9492b19901277p-7", "0x1.0a170a0a69e40p-9",
-         "0x1.4e8c97a037150p-5"],
-        "0x1.62efe8622adb2p+2",
+        [7, 6, 4, 4, 3, 3, 3],
+        [0, 0, 0, 0, 0, 0, 0],
+        True,
+        ["0x1.d3c0c52b75365p-7", "0x1.e80868b706d53p-10", "0x1.49629bfaba137p-7",
+         "0x1.5ecd0874428d8p-6", "0x1.8959e113e706cp-5", "0x1.0bd78e68e378dp-10",
+         "0x1.8a6b746eb4f72p-5", "0x1.9492b19901272p-7", "0x1.0a170a0a69e3dp-9",
+         "0x1.4e8c97a03714cp-5"],
+        "0x1.62efe8622adafp+2",
     ),
     "unit": (
         [6, 5, 4, 3, 3, 3],
         [0, 0, 0, 0, 0, 0],
+        False,
         ["0x1.4acf03c1dd20cp-5", "0x1.a9a5c1eb2c0ddp-8", "0x1.f64215b849db3p-7",
          "0x1.140fb577723f2p-5", "0x1.528c76055e78cp-6", "0x1.36b22c1d42473p-7",
          "0x1.310686eec127ep-6", "0x1.34bae9cdb6b4dp-6", "0x1.2860411e13fbap-6",
@@ -455,22 +460,133 @@ def test_solve_mcpa_answer_is_pinned(weights, monkeypatch):
         working_sets[-1].append((free.tolist(), on_budget))
         return newton_direction(ctx, full, g_free, free, on_budget)
 
-    def checked_inner_ascent(ctx, budget, tol, max_iter):
+    def checked_inner_ascent(ctx, budget, tol, max_iter, start=None):
         working_sets.append([])
-        result = inner_ascent(ctx, budget, tol, max_iter)
+        result = inner_ascent(ctx, budget, tol, max_iter, start)
         residuals.append(surrogate_kkt_residual(ctx, result.powers, budget))
         return result
 
     monkeypatch.setattr(mcpa.solver, "_newton_direction", recording_direction)
     monkeypatch.setattr(mcpa.solver, "_inner_ascent", checked_inner_ascent)
     trace = solve_mcpa(params, state, BUDGET_W, NOISE_W)
-    inner, changes, powers, objective = GOLDEN_ANSWERS[weights]
+    inner, changes, warm_start, powers, objective = GOLDEN_ANSWERS[weights]
     assert trace.stop_reason == "converged"
     assert trace.inner_iterations == inner
     assert [sum(a != b for a, b in zip(sets, sets[1:])) for sets in working_sets] == changes
+    assert trace.warm_start is warm_start
     assert max(residuals) <= KKT_BOUND
     assert [x.hex() for x in trace.final.tolist()] == powers
     assert trace.objective.hex() == objective
+
+
+def test_cold_inner_solve_adds_and_drops_bounds(monkeypatch):
+    """The mcpa pin's first surrogate solved from its anchor, the uniform
+    split, without the water-filling start: the active-set path still adds
+    and drops bounds before it ends with the zeros (none) that the
+    water-filling start already has."""
+    rng = np.random.default_rng(14)
+    state = random_state(rng, num_robots=10, num_antennas=256)
+    ctx = SurrogateContext(anchor=np.full(10, BUDGET_W / 10), weights=random_params(rng, 10),
+                           state=state, noise_power_w=NOISE_W)
+    newton_direction = mcpa.solver._newton_direction
+    working_sets = []
+
+    def recording_direction(ctx, full, g_free, free, on_budget):
+        working_sets.append((free.tolist(), on_budget))
+        return newton_direction(ctx, full, g_free, free, on_budget)
+
+    monkeypatch.setattr(mcpa.solver, "_newton_direction", recording_direction)
+    cold = _inner_ascent(ctx, BUDGET_W, 1e-8, 5000)
+    assert cold.converged and cold.iterations == 24
+    assert sum(a != b for a, b in zip(working_sets, working_sets[1:])) == 4
+    assert surrogate_kkt_residual(ctx, cold.powers, BUDGET_W) <= KKT_BOUND
+    start = mcpa.solver._waterfill_start(ctx, BUDGET_W)
+    assert np.array_equal(start == 0.0, cold.powers == 0.0)
+    warm = _inner_ascent(ctx, BUDGET_W, 1e-8, 5000, start)
+    assert warm.iterations == 7
+    assert abs(warm.objective - cold.objective) <= 1e-12 * (1.0 + abs(cold.objective))
+
+
+def frozen_interference_waterfill(ctx, budget):
+    """Water-filling on the gains the anchor's interference leaves, as
+    :func:`mcpa.solver._waterfill_start` computes it before its checks."""
+    return waterfill(ctx.weights, ctx.coupling.diagonal() / ctx.anchor_denominators,
+                     1.0, budget).power
+
+
+# The inner stop rule bounds the Newton step in watts (inner_tol * P_sum),
+# not the gradient, so at high SNR the KKT residual in objective units
+# reaches 1.2e-7 from either start and 2.1e-7 from the anchor on the
+# derandomized draws below (K=5 N=256, K=4 N=1, both 50-250 m)
+RANDOM_KKT_BOUND = 1e-6
+
+
+@settings(max_examples=40)
+@given(surrogate_cases())
+def test_inner_solves_from_both_starts_agree(case):
+    ctx, _ = case
+    guess = frozen_interference_waterfill(ctx, BUDGET_W)
+    assert np.all(guess >= 0.0) and np.add.reduce(guess) <= BUDGET_W * (1.0 + 1e-12)
+    start = mcpa.solver._waterfill_start(ctx, BUDGET_W)
+    if start is not None:
+        assert start.tobytes() == guess.tobytes()
+        assert surrogate_total(ctx, start) > surrogate_total(ctx, ctx.anchor)
+    anchor_value = surrogate_total(ctx, ctx.anchor)
+    cold = _inner_ascent(ctx, BUDGET_W, 1e-8, 5000)
+    newton_direction = mcpa.solver._newton_direction
+    free_sets = []
+
+    def recording_direction(ctx, full, g_free, free, on_budget):
+        free_sets.append(free.tolist())
+        return newton_direction(ctx, full, g_free, free, on_budget)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcpa.solver, "_newton_direction", recording_direction)
+        warm = _inner_ascent(ctx, BUDGET_W, 1e-8, 5000, guess)
+    # the working set starts as the start's zeros
+    assert free_sets[:1] in ([], [np.flatnonzero(guess).tolist()])
+    for result in (cold, warm):
+        p, f = result.powers, result.objective
+        assert result.converged
+        assert np.all(p >= 0.0) and np.add.reduce(p) <= BUDGET_W * (1.0 + 1e-9)
+        assert f == surrogate_total(ctx, p)
+        assert f >= anchor_value
+        assert surrogate_kkt_residual(ctx, p, BUDGET_W) <= RANDOM_KKT_BOUND
+    assert abs(warm.objective - cold.objective) <= 1e-12 * (1.0 + abs(cold.objective))
+
+
+@pytest.mark.parametrize("overspend, scaled", [(2, False), (2**20, True)])
+def test_waterfill_start_scales_an_overspent_split_into_the_budget(overspend, scaled,
+                                                                   monkeypatch):
+    """A split that spends more than budget (1 + 1e-12) is scaled into the
+    budget; a few ulp over, as roundoff leaves it, it passes unchanged."""
+    ctx = SurrogateContext(anchor=np.full(2, BUDGET_W / 2), weights=np.array([1.0, 0.0]),
+                           state=coupled_pair(), noise_power_w=NOISE_W)
+    split = np.array([BUDGET_W * (1.0 + overspend * np.finfo(float).eps), 0.0])
+    monkeypatch.setattr(mcpa.solver, "waterfill",
+                        lambda *args: mcpa.solver.WaterfillResult(split.copy(), 1.0))
+    start = mcpa.solver._waterfill_start(ctx, BUDGET_W)
+    assert np.add.reduce(start) <= BUDGET_W * (1.0 + 1e-12)
+    assert (start.tobytes() != split.tobytes()) is scaled
+    assert start[0] == pytest.approx(BUDGET_W, rel=1e-15) and start[1] == 0.0
+
+
+@settings(max_examples=40)
+@given(surrogate_cases())
+def test_warm_start_keeps_the_cold_solve_path(case):
+    """solve_mcpa against itself with the water-filling start switched off:
+    the same stop and outer iteration count, and QoM to 1e-12 relative."""
+    ctx, _ = case
+    trace = solve_mcpa(ctx.weights, ctx.state, BUDGET_W, NOISE_W)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mcpa.solver, "_waterfill_start", lambda ctx, budget: None)
+        cold = solve_mcpa(ctx.weights, ctx.state, BUDGET_W, NOISE_W)
+    assert not cold.warm_start
+    assert trace.stop_reason == cold.stop_reason
+    assert trace.outer_iterations == cold.outer_iterations
+    assert abs(trace.objective - cold.objective) <= 1e-12 * abs(cold.objective)
+    if not trace.warm_start:
+        assert trace.final.tobytes() == cold.final.tobytes()
 
 
 def test_solve_mcpa_rejects_nonpositive_budget():
