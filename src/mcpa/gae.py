@@ -1,13 +1,13 @@
 """Generative adversarial exam: pilot sampling, exam generation, practice test.
 
 The synthetic backend stands in for the VLM/LLM stack: each recorded frame
-carries a set of event tags (the caption surrogate) and exams are graded by
-exact tag lookup, so a memory scores 1.0 on any exam generated from its own
-content. The path is columnar end to end: frames are columns
-(:class:`FrameStore`), a pilot is a sub-store of its dataset, exams and the
-world's questions are columns (template, tag id, ground truth) rendered as
-:class:`Question` objects only for ``repr``, and a store's
-:class:`MemoryIndex` holds each tag's hits once for every exam and
+carries a set of tags (the caption surrogate) and exams are graded by exact
+tag lookup, so a memory scores 1.0 on any exam generated from its own
+content. The path is columnar end to end: frames are columns and their tags
+(frame, tag) pairs (:class:`FrameStore`), a pilot is a sub-store of its
+dataset, exams and the world's questions are columns (template, tag id,
+ground truth) rendered as :class:`Question` objects only for ``repr``, and a
+store's :class:`MemoryIndex` holds each tag's hits once for every exam and
 first-frame table graded against it. A backend readies the base memory once
 (``prepare_memory``), then draws and grades every robot's exam
 (``run_exams``); the remote one (:mod:`mcpa.remote`) delegates questioning
@@ -60,52 +60,56 @@ class FrameStore:
     """Recorded frames of one or more robots, held as columns.
 
     Frame ``i`` was captured by ``robot_ids[i]`` at ``timestamps[i]`` with
-    pose ``poses[i]``. Its tags are ``vocabulary[background[i]]`` unless
-    ``background[i]`` is -1, plus the tag of every event whose frame window
-    ``[start, stop)`` contains ``i``.
+    pose ``poses[i]``. Tag ``tags[tag_ids[j]]`` is on frame ``hits[j]``: the
+    (frame, tag) pairs come in any order and may repeat, and ``tags`` may
+    name a tag more than once or name tags on no frame.
     """
 
-    def __init__(self, robot_ids, timestamps, poses, background, vocabulary, events=()):
+    def __init__(self, robot_ids, timestamps, poses, hits=(), tag_ids=(), tags=()):
         self.robot_ids = np.asarray(robot_ids, dtype=np.intp)
         self.timestamps = np.asarray(timestamps, dtype=float)
         self.poses = np.asarray(poses, dtype=float).reshape(-1, 6)
-        self.background = np.asarray(background, dtype=np.intp)
-        self.vocabulary = tuple(vocabulary)
-        self.events = tuple(events)
+        self.hits = np.asarray(hits, dtype=np.intp)
+        self.tag_ids = np.asarray(tag_ids, dtype=np.intp)
+        self.tags = tuple(tags)
         if not (len(self.robot_ids) == len(self.timestamps) == len(self.poses)
-                == len(self.background)):
-            raise ValueError("frame columns must have one entry per frame")
+                and len(self.hits) == len(self.tag_ids)):
+            raise ValueError("store columns must have one entry per frame or per pair")
+
+    @classmethod
+    def concatenate(cls, stores) -> "FrameStore":
+        """The ``stores``' frames, one store after another."""
+        stores = [cls([], [], []), *stores]           # joining no store gives an empty one
+        starts = accumulate(map(len, stores), initial=0)
+        offsets = accumulate((len(store.tags) for store in stores), initial=0)
+        return cls(*(np.concatenate([getattr(store, column) for store in stores])
+                     for column in ("robot_ids", "timestamps", "poses")),
+                   np.concatenate([store.hits + start for store, start in zip(stores, starts)]),
+                   np.concatenate([store.tag_ids + shift for store, shift in zip(stores, offsets)]),
+                   [tag for store in stores for tag in store.tags])
 
     def __len__(self) -> int:
         return len(self.robot_ids)
 
     def take(self, indices) -> "FrameStore":
-        """The frames at the ascending ``indices``, as a store of their own.
-        An event window maps to the contiguous run of kept frames it covers."""
+        """The frames at the ascending ``indices``, as a store of their own
+        with the pairs of those frames and the whole tag table."""
         indices = np.asarray(indices, dtype=np.intp)
-        bounds = np.searchsorted(indices, [window for _, *window in self.events]).tolist()
-        return FrameStore(self.robot_ids[indices], self.timestamps[indices],
-                          self.poses[indices], self.background[indices], self.vocabulary,
-                          [(tag, *window) for (tag, _, _), window in zip(self.events, bounds)])
+        renumbered = np.full(len(self), -1, dtype=np.intp)
+        renumbered[indices] = np.arange(len(indices))
+        hits = renumbered[self.hits]
+        return FrameStore(self.robot_ids[indices], self.timestamps[indices], self.poses[indices],
+                          hits[hits >= 0], self.tag_ids[hits >= 0], self.tags)
 
     def occurrences(self, names=None) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
         """``(frames, tag_ids, names)``: tag ``names[tag_ids[i]]`` is on frame
         ``frames[i]``, each pair once, frame by frame and in tag order within a
         frame. ``names`` defaults to the store's tags, sorted; given, others are left out."""
         if names is None:
-            names = tuple(sorted({*self.vocabulary, *(tag for tag, _, _ in self.events)}))
+            names = tuple(sorted(set(self.tags)))
         ids = {name: i for i, name in enumerate(names)}
-        background = np.array([ids.get(tag, -1) for tag in self.vocabulary] + [-1],
-                              dtype=np.intp)[self.background]      # [-1]: untagged
-        tagged = (background >= 0).nonzero()[0]
-        tag, start, length = np.array([(ids[tag], start, stop - start)
-                                       for tag, start, stop in self.events
-                                       if tag in ids and stop > start],
-                                      dtype=np.intp).reshape(-1, 3).T
-        ends = length.cumsum()
-        in_windows = np.arange(ends[-1] if len(ends) else 0) + (start - ends + length).repeat(length)
-        keys = np.concatenate([tagged * len(names) + background[tagged],
-                               in_windows * len(names) + tag.repeat(length)])
+        tag_ids = np.array([ids.get(tag, -1) for tag in self.tags], dtype=np.intp)[self.tag_ids]
+        keys = (self.hits * len(names) + tag_ids)[tag_ids >= 0]
         keys.sort()
         frames, tag_ids = np.divmod(keys[_run_starts(keys)], max(len(names), 1))
         return frames, tag_ids, names
@@ -281,17 +285,9 @@ def _draw_questions(pilots, num_questions: int, rngs) -> tuple:
     occurrences, so each question is answerable from the pilot itself;
     templates cycle round-robin. A tagless pilot draws nothing: its
     questions are nothing-observed presence questions answered NO."""
-    vocabulary = tuple(dict.fromkeys(tag for pilot in pilots for tag in pilot.vocabulary))
-    starts = list(accumulate((len(pilot) for pilot in pilots), initial=0))
-    joined = pilots[0] if len(pilots) == 1 else FrameStore(   # the pilots, one after another
-        np.concatenate([pilot.robot_ids for pilot in pilots]), np.zeros(starts[-1]),
-        np.concatenate([pilot.poses for pilot in pilots]),
-        np.concatenate([np.array([vocabulary.index(tag) for tag in pilot.vocabulary] + [-1],
-                                 dtype=np.intp)[pilot.background] for pilot in pilots]),
-        vocabulary, [(tag, begin + start, end + start) for pilot, start in zip(pilots, starts)
-                     for tag, begin, end in pilot.events])
+    joined = FrameStore.concatenate(pilots)
     frames, tag_ids, tags = joined.occurrences()
-    bounds = np.searchsorted(frames, starts).tolist()
+    bounds = np.searchsorted(frames, list(accumulate(map(len, pilots), initial=0))).tolist()
     picks = np.concatenate([lo + rng.integers(hi - lo, size=num_questions) if hi > lo
                             else np.full(num_questions, -1)
                             for rng, lo, hi in zip(rngs, bounds, bounds[1:])])

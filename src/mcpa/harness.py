@@ -146,7 +146,7 @@ def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
     asked = set(columns[1])
     first = np.array([[len(frames) for frames in world.datasets]] * len(columns[0]))
     for k, frames in enumerate(world.datasets):
-        if not asked.isdisjoint([*frames.vocabulary, *(tag for tag, _, _ in frames.events)]):
+        if not asked.isdisjoint(frames.tags):
             first[:, k] = MemoryIndex(frames, columns[1]).first_frames(columns)
     return SeedContext(seed=seed, world=world, state=state, gae_scores=report.scores,
                        base_answers=world.base_memory.index.answers(columns),

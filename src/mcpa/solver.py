@@ -11,12 +11,15 @@ term is concave in p and the rest is affine, so That is concave; by
 ln x <= x - 1 it minorizes Theta_k with equality (in value and gradient) at
 p = p*, which is what makes the outer loop a monotone ascent.
 
-Each surrogate is maximized over {p >= 0, sum p <= P_sum} to roundoff by a
-primal active-set Newton method (Bertsekas, "Projected Newton Methods for
+Each surrogate is maximized over {p >= 0, sum p <= P_sum} by a primal
+active-set Newton method (Bertsekas, "Projected Newton Methods for
 Optimization Problems with Simple Constraints", SIAM J. Control Optim.
 1982): the K x K surrogate Hessian is cheap, and Newton steps converge in a
-few iterations where gradient steps crawl at high SNR. Newton paths start
-at the anchor; the first may start at :func:`_waterfill_start`'s split.
+few iterations where gradient steps crawl at high SNR. A solve stops once
+its Newton step is at most ``inner_tol * P_sum`` watts, or its decrement at
+most 1e-15 (1 + |f|), with every multiplier nonnegative: that leaves a
+surrogate KKT residual of up to about 2e-7 (1 + |f|), not roundoff. Newton
+paths start at the anchor; the first may start at the water-filling split.
 """
 from __future__ import annotations
 
@@ -49,11 +52,9 @@ class SolverOptions:
 
     The outer loop stops once QoM changes by at most
     ``outer_tol * (1 + |QoM|)``, or after ``max_outer`` surrogates. Each
-    surrogate's active-set Newton maximizer stops when its Newton step is at
-    most ``inner_tol * P_sum`` watts (or its Newton decrement reaches
-    roundoff) and every constraint multiplier is nonnegative; ``max_inner``
-    caps its Newton iterations, and a capped solve makes the result
-    ``inexact``.
+    surrogate's Newton maximizer stops by the module docstring's rule on
+    ``inner_tol``; ``max_inner`` caps its Newton iterations, and a capped
+    solve makes the result ``inexact``.
     """
 
     inner_tol: float = 1e-8

@@ -3,7 +3,8 @@
 Frames carry the tag of the landmark their robot is passing (the caption
 surrogate for ordinary streetscape) at the configured background rate;
 frames inside an object's dwell window additionally carry the object tag.
-Each robot's frames are numpy columns (a :class:`~mcpa.gae.FrameStore`).
+Each robot's frames are numpy columns, its tags (frame, tag) pairs (a
+:class:`~mcpa.gae.FrameStore`).
 Ground-truth questions ask all three templates about each placed object;
 they are exam columns, as a drawn :class:`~mcpa.gae.Exam` holds them.
 """
@@ -99,21 +100,21 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
         bg_tagged = np.ones((k, frames), dtype=bool)
     else:
         bg_tagged = rng.random((k, frames)) < tag_rate
-    background = np.where(bg_tagged, route_at, -1)
-    vocabulary = tuple(landmark_tag(i) for i in range(scenario.num_landmarks))
+    landmark_names = tuple(landmark_tag(i) for i in range(scenario.num_landmarks))
 
-    def frame_store(robots) -> FrameStore:
-        """The listed robots' frames, one robot after another."""
-        robots = np.asarray(robots, dtype=np.intp)
-        events = [(o.name, offset + o.window_start, offset + o.window_start + o.window_len)
-                  for offset, robot in zip(range(0, len(robots) * frames, frames), robots)
-                  for o in placed if o.host_robot == robot]
-        return FrameStore(robot_ids=np.repeat(robots, frames),
-                          timestamps=np.tile(timestamps, len(robots)),
-                          poses=poses[robots], background=background[robots].ravel(),
-                          vocabulary=vocabulary, events=events)
+    def dataset(robot: int) -> FrameStore:
+        """The robot's frames, tagged with their landmark and hosted objects."""
+        hosted = [o for o in placed if o.host_robot == robot]
+        captioned = bg_tagged[robot].nonzero()[0]
+        windows = [np.arange(o.window_start, o.window_start + o.window_len) for o in hosted]
+        objects = np.arange(len(hosted)).repeat([o.window_len for o in hosted])
+        return FrameStore(np.full(frames, robot), timestamps, poses[robot],
+                          hits=np.concatenate([captioned, *windows]),
+                          tag_ids=np.concatenate([route_at[robot, captioned],
+                                                  scenario.num_landmarks + objects]),
+                          tags=landmark_names + tuple(o.name for o in hosted))
 
-    datasets = tuple(frame_store([robot]) for robot in range(k))
+    datasets = tuple(dataset(robot) for robot in range(k))
 
     # pre-collection memory: full datasets of the seed robots
     if scenario.base_robots is not None:
@@ -121,7 +122,7 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
     else:
         base_robots = tuple(sorted(int(b) for b in rng.choice(
             k, size=scenario.num_base_robots, replace=False)))
-    base_memory = frame_store(base_robots)
+    base_memory = FrameStore.concatenate([datasets[robot] for robot in base_robots])
 
     # ground-truth exam: every template about each placed object, asked as
     # its host recorded it at the window start

@@ -1,18 +1,17 @@
 """Frames one object each, for tests that are easier to write or check frame
 by frame.
 
-``mcpa`` holds recorded frames only as columns (:class:`mcpa.gae.FrameStore`).
-``MemoryItem`` is the per-frame record the columns replaced; ``store`` turns
+``mcpa`` holds recorded frames only as columns, with their tags as (frame,
+tag) pairs (:class:`mcpa.gae.FrameStore`). ``MemoryItem`` is the per-frame
+record the columns replaced, its tags a set; ``store`` turns
 a list of them into a store, ``items`` reads a store back, and
 ``reference_caption`` renders one the way ``mcpa.remote`` captions a frame.
-They are the item-level code ``mcpa`` used to carry, kept verbatim, so they
-stay an oracle independent of the column operations they check.
+They are per-item loops, so they stay an oracle independent of the column
+operations they check.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from mcpa.gae import FrameStore
 
@@ -43,25 +42,24 @@ class MemoryItem:
 
 
 def store(items) -> FrameStore:
-    """A store of ``MemoryItem``s, each (item, tag) pair a one-frame event."""
+    """A store of ``MemoryItem``s: one (frame, tag) pair per item and tag."""
     items = list(items)
-    events = [(tag, i, i + 1) for i, item in enumerate(items) for tag in sorted(item.tags)]
+    pairs = [(i, tag) for i, item in enumerate(items) for tag in sorted(item.tags)]
+    tags = sorted({tag for _, tag in pairs})
     return FrameStore([item.robot_id for item in items], [item.timestamp_s for item in items],
-                      [item.pose for item in items], np.full(len(items), -1), (), events)
-
-
-def _item(frames: FrameStore, i: int) -> MemoryItem:
-    tags = {tag for tag, start, stop in frames.events if start <= i < stop}
-    if frames.background[i] >= 0:
-        tags.add(frames.vocabulary[frames.background[i]])
-    return MemoryItem(timestamp_s=float(frames.timestamps[i]),
-                      pose=tuple(frames.poses[i].tolist()),
-                      tags=frozenset(tags), robot_id=int(frames.robot_ids[i]))
+                      [item.pose for item in items], [i for i, _ in pairs],
+                      [tags.index(tag) for _, tag in pairs], tags)
 
 
 def items(frames: FrameStore) -> list[MemoryItem]:
     """Every frame of the store as a ``MemoryItem``, in order."""
-    return [_item(frames, i) for i in range(len(frames))]
+    tags = [set() for _ in range(len(frames))]
+    for i, tag_id in zip(frames.hits.tolist(), frames.tag_ids.tolist()):
+        tags[i].add(frames.tags[tag_id])
+    return [MemoryItem(timestamp_s=float(frames.timestamps[i]),
+                       pose=tuple(frames.poses[i].tolist()),
+                       tags=frozenset(tags[i]), robot_id=int(frames.robot_ids[i]))
+            for i in range(len(frames))]
 
 
 def reference_caption(item: MemoryItem) -> str:

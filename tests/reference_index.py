@@ -57,31 +57,28 @@ def grade(question, index: ReferenceIndex) -> bool:
 #
 # ``mcpa.gae`` used to build one ``Question`` per exam entry and grade each
 # one alone; the functions below are that code, kept verbatim apart from
-# turning methods into functions, as the oracle for the columnar exams,
+# turning methods into functions and reading a store's tags one (frame, tag)
+# pair at a time, as the oracle for the columnar exams,
 # ``MemoryIndex.first_frames`` / ``answers`` and ``prepare_seed``'s tables.
 
 def frames_with(frames, tag: str) -> np.ndarray:
     """Ascending indices of the frames that carry ``tag``."""
     hit = np.zeros(len(frames), dtype=bool)
-    if tag in frames.vocabulary:
-        hit |= frames.background == frames.vocabulary.index(tag)
-    for event, start, stop in frames.events:
-        if event == tag:
-            hit[start:stop] = True
+    for frame, tag_id in zip(frames.hits.tolist(), frames.tag_ids.tolist()):
+        if frames.tags[tag_id] == tag:
+            hit[frame] = True
     return np.flatnonzero(hit)
 
 
 def tag_sets(frames) -> list[frozenset[str]]:
-    """Each frame's set of tags: its background tag and every covering
-    event's. Frames with equal tags share one set, so the list costs
-    memory per distinct set rather than per frame."""
-    background = [frozenset([tag]) for tag in frames.vocabulary] + [frozenset()]  # [-1]: none
-    sets = [background[b] for b in frames.background.tolist()]
+    """Each frame's set of tags, one per (frame, tag) pair. Frames with
+    equal tags share one set, so the list costs memory per distinct set
+    rather than per frame."""
+    sets = [set() for _ in range(len(frames))]
+    for frame, tag_id in zip(frames.hits.tolist(), frames.tag_ids.tolist()):
+        sets[frame].add(frames.tags[tag_id])
     distinct: dict[frozenset[str], frozenset[str]] = {}
-    for tag, start, stop in frames.events:
-        sets[start:stop] = [distinct.setdefault(joined, joined)
-                            for joined in (tags | {tag} for tags in sets[start:stop])]
-    return sets
+    return [distinct.setdefault(tags, tags) for tags in map(frozenset, sets)]
 
 
 def exam_columns(questions) -> tuple:

@@ -151,12 +151,12 @@ def test_reporter_grading_requires_attribution():
 
 
 def test_first_answering_frame_per_template():
-    # "bus" on frame 0 (background tag, robot 1, 70 m east) and on frame 2
-    # (event window, robot 0, at the origin)
+    # "bus" on frame 0 (robot 1, 70 m east) and on frame 2 (robot 0, at the
+    # origin), its pairs out of frame order and one of them repeated
     poses = np.zeros((3, 6))
     poses[0, 0] = 70.0
     frames = FrameStore(robot_ids=[1, 0, 0], timestamps=[0.0, 1.0, 2.0], poses=poses,
-                        background=[0, -1, -1], vocabulary=["bus"], events=[("bus", 2, 3)])
+                        hits=[2, 0, 2], tag_ids=[0, 0, 0], tags=["bus"])
     index = MemoryIndex(frames)
 
     def first(template, answer, tag="bus"):
@@ -255,32 +255,39 @@ def test_vector_draw_equals_scalar_draws(n, m):
 # --- MemoryIndex and columnar exams against the code they replaced --------------
 
 VOCABULARY = ("bus", "landmark-00", "landmark-01")
-EVENT_TAGS = ("taxi", "cone", "landmark-01")     # one named like a vocabulary tag
+OBJECT_TAGS = ("taxi", "cone", "landmark-01")     # one named like a landmark
 COORDS = (0.0, 30.0, 30.1, 40.0, 60.0, 80.0)     # 30/40 apart: exactly 50 m
 
 
 @st.composite
 def frame_stores(draw, min_frames=0):
-    """Random stores: empty ones, sparse or absent background tags, and
-    overlapping, duplicate and empty event windows."""
+    """Random stores: empty ones; sparse or absent landmark tags; object tags
+    over overlapping, duplicate and empty windows of frames, one table entry
+    per window; tags on no frame; repeated pairs; pairs in any order."""
     n = draw(st.integers(min_frames, 12))
     vocabulary = VOCABULARY[:draw(st.integers(0, len(VOCABULARY)))]
-    background = draw(st.lists(st.integers(-1, len(vocabulary) - 1), min_size=n, max_size=n))
+    landmarks = draw(st.lists(st.integers(-1, len(vocabulary) - 1), min_size=n, max_size=n))
     xy = draw(st.lists(st.tuples(st.sampled_from(COORDS), st.sampled_from(COORDS)),
                        min_size=n, max_size=n))
     poses = np.zeros((n, 6))
     if n:
         poses[:, :2] = xy
     window = st.tuples(st.integers(0, n), st.integers(0, n)).map(sorted)
-    events = draw(st.lists(st.tuples(st.sampled_from(EVENT_TAGS), window)
-                           .map(lambda e: (e[0], *e[1])), max_size=5))
+    objects = draw(st.lists(st.tuples(st.sampled_from(OBJECT_TAGS), window), max_size=5))
+    pairs = [(i, tag) for i, tag in enumerate(landmarks) if tag >= 0]
+    pairs += [(i, len(vocabulary) + j) for j, (_, (start, stop)) in enumerate(objects)
+              for i in range(start, stop)]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    pairs = draw(st.permutations(pairs))
     return FrameStore(robot_ids=draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
                       timestamps=np.arange(n, dtype=float), poses=poses,
-                      background=background, vocabulary=vocabulary, events=events)
+                      hits=[i for i, _ in pairs], tag_ids=[tag for _, tag in pairs],
+                      tags=vocabulary + tuple(name for name, _ in objects))
 
 
 def every_question():
-    tags = sorted({*VOCABULARY, *EVENT_TAGS, "unseen"})
+    tags = sorted({*VOCABULARY, *OBJECT_TAGS, "unseen"})
     for tag in tags:
         yield Question("presence", tag, "?", "YES")
         yield Question("presence", tag, "?", "NO")
@@ -315,14 +322,13 @@ def test_memory_index_answers_as_the_set_index(frames):
 @settings(max_examples=60)
 @given(frame_stores(), frame_stores(), st.integers(1, 12), st.integers(0, 2**32),
        st.booleans())
-@example(FrameStore([], [], [], [], ()), FrameStore([0], [0.0], np.zeros(6), [-1], ()), 4, 0,
-         False)
+@example(FrameStore([], [], []), FrameStore([0], [0.0], np.zeros(6)), 4, 0, False)
 def test_columnar_exams_match_the_per_question_path(pilot, memory, num_questions, seed,
                                                     from_items):
     """Exams (columns, questions and repr), practice-test scores and first
     answering frames equal those of the per-question code they replaced, on
-    column-built and item-built stores: empty and tagless pilots, overlapping,
-    duplicate and empty windows, an event named like a vocabulary tag."""
+    column-built and item-built stores: empty and tagless pilots, repeated
+    pairs, tags on no frame, an object tag named like a landmark."""
     if from_items:
         pilot, memory = store(items(pilot)), store(items(memory))
     exam, result = sit(pilot, num_questions, seed, memory)
@@ -348,15 +354,14 @@ def test_columnar_exams_match_the_per_question_path(pilot, memory, num_questions
 
 @st.composite
 def pilot_lists(draw):
-    """1-5 pilots, empty and tagless ones included, each with its vocabulary
+    """1-5 pilots, empty and tagless ones included, each with its tag table
     in an order of its own, so one tag has different ids across pilots."""
     pilots = []
     for frames in draw(st.lists(frame_stores(), min_size=1, max_size=5)):
-        order = draw(st.permutations(range(len(frames.vocabulary))))
-        position = np.append(np.argsort(np.array(order, dtype=np.intp)), -1)
-        pilots.append(FrameStore(frames.robot_ids, frames.timestamps, frames.poses,
-                                 position[frames.background],
-                                 [frames.vocabulary[i] for i in order], frames.events))
+        order = draw(st.permutations(range(len(frames.tags))))
+        position = np.argsort(np.array(order, dtype=np.intp))
+        pilots.append(FrameStore(frames.robot_ids, frames.timestamps, frames.poses, frames.hits,
+                                 position[frames.tag_ids], [frames.tags[i] for i in order]))
     return pilots
 
 
@@ -387,9 +392,9 @@ def test_self_test_identity_over_frame_stores(frames, ratio, num_questions, seed
 
 
 def assert_same_store(a: FrameStore, b: FrameStore):
-    for column in ("robot_ids", "timestamps", "poses", "background"):
+    for column in ("robot_ids", "timestamps", "poses", "hits", "tag_ids"):
         np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
-    assert (a.vocabulary, a.events) == (b.vocabulary, b.events)
+    assert a.tags == b.tags
 
 
 @st.composite
@@ -415,6 +420,9 @@ def test_column_ops_match_the_item_reference(case, seed):
     hit_frames, tag_ids, names = frames.occurrences()
     assert list(zip(hit_frames.tolist(), [names[i] for i in tag_ids.tolist()])) == \
         [(i, tag) for i, it in enumerate(memory) for tag in sorted(it.tags)]
+    # the default names are the whole tag table, tags on no frame included,
+    # and a sub-store keeps that table
+    assert names == tuple(sorted(set(frames.tags))) == frames.take(chosen).occurrences()[2]
     bus = frames.occurrences(["bus", "unseen"])
     assert list(zip(*bus[:2])) == [(i, 0) for i, it in enumerate(memory) if "bus" in it.tags]
     assert captions(frames) == "\n".join(reference_caption(it) for it in memory)

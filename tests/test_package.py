@@ -1,4 +1,6 @@
-"""The package surface: what the modules export and what ``mcpa`` re-exports."""
+"""The package surface: what the modules export and what ``mcpa`` re-exports,
+and which modules see a ``FrameStore``'s tag format."""
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -31,3 +33,14 @@ def test_package_reexports_what_the_readme_examples_import():
     assert reexported == {"RadioConstants", "RobotGeometry", "DatasetMeta", "draw_channels",
                           "qom_weights", "solve_mcpa", "waterfill", "build_scenario",
                           "run_campaign"}
+
+
+def test_only_gae_and_world_name_a_stores_pair_columns():
+    # a store's (frame, tag) pairs stay behind FrameStore: every other module
+    # reads tags through occurrences(), a MemoryIndex or the tag table
+    columns = {"hits", "tag_ids"}
+    naming = {module.__name__ for module in MODULES
+              if any(isinstance(node, ast.Attribute) and node.attr in columns
+                     or isinstance(node, ast.keyword) and node.arg in columns
+                     for node in ast.walk(ast.parse(inspect.getsource(module))))}
+    assert naming == {"mcpa.gae", "mcpa.world"}

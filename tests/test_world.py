@@ -129,8 +129,9 @@ def reference_build_world(scenario: Scenario, rng: np.random.Generator) -> World
 
 @st.composite
 def world_configs(draw):
-    """Small worlds: K 1-6, staged or random layout, dense or sparse
-    background tags, any segment length (dividing the frame count or not),
+    """Small worlds: K 1-6, staged or random layout, dense, sparse or no
+    background tags (so some stores hold only object pairs, or no pairs at
+    all), any segment length (dividing the frame count or not),
     explicit or drawn base robots, wide or cramped towns."""
     k = draw(st.integers(1, 6))
     frames = draw(st.integers(1, 120))
@@ -140,7 +141,7 @@ def world_configs(draw):
         "object_dwell_frames": draw(st.integers(1, frames)),
         "num_landmarks": draw(st.integers(1, 6)),
         "segment_frames": draw(st.integers(1, 40)),
-        "background_tag_rate": draw(st.sampled_from([1.0, 0.03, 0.5])),
+        "background_tag_rate": draw(st.sampled_from([1.0, 0.03, 0.5, 0.0])),
         "num_base_robots": draw(st.integers(0, k)),
         # a small town puts landmarks around the 50 m location radius
         "town_extent_m": draw(st.sampled_from([1000.0, 120.0])),
