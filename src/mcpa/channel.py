@@ -74,10 +74,6 @@ class RobotGeometry:
             raise ValueError("all robot distances must be strictly positive")
         object.__setattr__(self, "distance_m", d)
 
-    @property
-    def num_robots(self) -> int:
-        return self.distance_m.size
-
 
 @dataclass(frozen=True)
 class ChannelState:

@@ -166,7 +166,6 @@ _SCHEMA: dict = {
         "model": ("qwen3-8b", _STRING),
         "timeout_s": (60.0, _POSITIVE),
         "retries": (3, _COUNT),
-        "max_concurrency": (1, _COUNT),
         "transcript_path": (None, _OPTIONAL_STRING),
     },
 }

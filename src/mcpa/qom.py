@@ -73,10 +73,6 @@ class DatasetMeta:
         return cls(np.full(num_robots, num_items), item_volume_bits, pilot_ratio)
 
     @property
-    def num_robots(self) -> int:
-        return self.num_items.size
-
-    @property
     def total_items(self) -> int:
         return int(self.num_items.sum())
 

@@ -4,8 +4,9 @@ Speaks the usual JSON-over-HTTP chat shape: the request carries
 ``{"model", "messages", "temperature": 0}`` and the reply's first choice
 ``content`` string is used. The endpoint URL and bearer token come from the
 ``MCPA_REMOTE_URL`` / ``MCPA_REMOTE_TOKEN`` environment variables unless set
-explicitly. Every prompt and raw response is appended to a JSON-lines
-transcript file when one is configured.
+explicitly. Requests are sent one at a time from the calling thread. Every
+prompt and raw response is appended to a JSON-lines transcript file when one
+is configured.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import json
 import math
 import os
 import re
-import threading
 import time
 import urllib.error
 import urllib.parse
@@ -157,7 +157,6 @@ class _Transcript:
 
     def __init__(self, path: str):
         self._path = path
-        self._lock = threading.Lock()
 
     def log(self, request: bytes, content: str | None = None, error: str | None = None) -> None:
         record = {"ts": time.time(), "request": json.loads(request)}  # decoded only to log
@@ -166,7 +165,7 @@ class _Transcript:
         if error is not None:
             record["error"] = error
         line = json.dumps(record, ensure_ascii=False)
-        with self._lock, open(self._path, "a") as fh:
+        with open(self._path, "a") as fh:
             fh.write(line + "\n")
 
 
@@ -205,15 +204,14 @@ class RemoteBackend:
     and captions are fixed, so a question text fixes the prompt: each
     distinct text is asked once and its reply graded for every question that
     repeats it. The request up to the question is encoded once per prepared
-    memory; answers are asked in the calling thread unless ``max_concurrency`` > 1.
+    memory. Every request goes out from the calling thread, one after another.
     """
 
     name = "remote"
 
     def __init__(self, url: str | None = None, model: str = "qwen3-8b", *,
                  token: str | None = None, timeout_s: float = 60.0, retries: int = 3,
-                 backoff_s: float = 1.0, max_concurrency: int = 1,
-                 transcript_path: str | None = None):
+                 backoff_s: float = 1.0, transcript_path: str | None = None):
         self.url = url or os.environ.get(URL_ENV_VAR)
         if not self.url:
             raise GaeError(
@@ -223,7 +221,6 @@ class RemoteBackend:
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_s = backoff_s
-        self.max_concurrency = max(1, int(max_concurrency))
         self.transcript = _Transcript(transcript_path) if transcript_path else None
 
     def _chat(self, body: bytes) -> str:
@@ -286,7 +283,8 @@ class RemoteBackend:
 
     def test(self, exam, memory: _AnsweringMemory) -> float:
         """Ask every question text the memory has no reply for yet, with its
-        captions in context, then grade each exam question on its text's reply."""
+        captions in context, one after another in first-appearance order, then
+        grade each exam question on its text's reply."""
         def ask(text: str) -> str | None:
             tail = json.dumps(f"\n\nQuestion: {text}")[1:-1].encode()  # escaped, unquoted
             try:
@@ -295,12 +293,7 @@ class RemoteBackend:
                 return None  # malformed answer counts as incorrect (logged)
 
         replies = memory.replies
-        new = list(dict.fromkeys(q.text for q in exam.qa_pairs if q.text not in replies))
-        if self.max_concurrency == 1:
-            replies.update(zip(new, map(ask, new)))
-        else:
-            from concurrent.futures import ThreadPoolExecutor  # loads only when used
-            with ThreadPoolExecutor(max_workers=self.max_concurrency) as pool:
-                replies.update(zip(new, pool.map(ask, new)))
+        for text in dict.fromkeys(q.text for q in exam.qa_pairs if q.text not in replies):
+            replies[text] = ask(text)
         return sum(replies[q.text] is not None and grade_text_answer(q, replies[q.text])
                    for q in exam.qa_pairs) / len(exam)

@@ -150,6 +150,13 @@ def test_max_cov_all_or_none():
     assert np.all(hopeless == 0.0)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -2e6, [2e6, 0.0, 2e6]], ids=repr)
+def test_max_cov_rejects_a_nonpositive_rate_threshold(threshold):
+    state = orthogonal_state(np.full(3, 1e-9))
+    with pytest.raises(ValueError, match="rate_threshold_bps must be positive"):
+        allocate_max_cov(state, BUDGET_W, NOISE_W, threshold, 1e7)
+
+
 def test_remember_is_all_zero():
     out = allocate_remember(6, BUDGET_W)
     assert np.all(out == 0.0)

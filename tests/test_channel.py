@@ -75,6 +75,20 @@ def test_constructor_rejects_invariant_violations():
                      interference=np.array([[0.9, 0.1], [0.1, 1.0]]))  # diag mismatch
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: radio(bandwidth_hz=0.0), "bandwidth_hz must be strictly positive"),
+    (lambda: RadioConstants(1e7, NOISE_W, 1e-3, 1e-2, 0.5, 8), "pathloss_exponent must be >= 1"),
+    (lambda: RobotGeometry(np.array([])), "1-D array with at least one robot"),
+    (lambda: RobotGeometry(np.full((2, 2), 100.0)), "1-D array with at least one robot"),
+    (lambda: ChannelState(np.ones(2), np.ones((3, 3))), r"interference must be 2x2, got \(3, 3\)"),
+    (lambda: ChannelState(np.array([1.0, -1.0]), np.diag([1.0, -1.0])), "must be nonnegative"),
+], ids=["zero-bandwidth", "exponent-below-1", "no-robots", "2-D-distances",
+        "shape-mismatch", "negative-gain"])
+def test_constructors_reject_malformed_values(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_asymptotic_orthogonality_in_antenna_count():
     # pooled median of I_{k,j}/H_j over off-diagonal pairs must fall as N grows
     medians = []

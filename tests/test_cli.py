@@ -200,6 +200,27 @@ def test_backend_option_on_a_non_object_config_is_one_json_line(tmp_path, capsys
     assert error["message"].startswith("gae:" if document else "config:")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"radio": {"noise_dbm": -100', "not valid JSON"),
+    (json.dumps({"radio": {"noise_dbm": 1e308}}), "radio: a dB value gives no usable"),
+    (json.dumps({"radio": {"ref_pathloss_db": -1e308}}), "radio: a dB value gives no usable"),
+    (json.dumps({"remote": {"max_concurrency": 4}}),
+     "remote.max_concurrency: unknown configuration field"),
+], ids=["not-json", "overflowing-dB", "vanishing-dB", "max_concurrency"])
+def test_bad_config_files_fail_with_one_json_line(tmp_path, capsys, text, message):
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    out = tmp_path / "out.csv"
+    assert cli.main(["simulate", "--config", str(config), "--seeds", "1",
+                     "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError"
+    assert message in error["message"]
+    assert not out.exists()
+
+
 def test_unknown_method_rejected(tmp_path):
     out = run_cli("simulate", "--seeds", "1", "--methods", "telepathy",
                   "--out", str(tmp_path / "x.csv"),

@@ -54,8 +54,8 @@ def check_outcome(pairs) -> None:
         assert not (isinstance(value, str) and path in LIST_LEAVES), f"{path} took {value!r}"
 
 
-def test_default_config_has_41_leaves_and_the_solver_options_defaults():
-    assert len(LEAVES) == 41
+def test_default_config_has_40_leaves_and_the_solver_options_defaults():
+    assert len(LEAVES) == 40
     assert SolverOptions(**DEFAULT_CONFIG["solver"]) == SolverOptions()
     assert build_scenario(DEFAULT_CONFIG).solver == SolverOptions()
 
@@ -66,6 +66,12 @@ def test_server_height_is_no_longer_a_field():
         build_scenario({"geometry": {"server_height_m": 20.0}})
 
 
+def test_max_concurrency_is_not_a_field():
+    # every answer request goes out from the calling thread
+    with pytest.raises(ConfigError, match="remote.max_concurrency: unknown"):
+        build_scenario({"remote": {"max_concurrency": 4}})
+
+
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
 def test_every_shipped_config_builds(path):
     assert isinstance(build_scenario(load_config(path)), Scenario)
@@ -74,11 +80,11 @@ def test_every_shipped_config_builds(path):
 def test_remote_section_is_the_backend_keywords(tmp_path):
     transcript = tmp_path / "transcript.jsonl"
     section = {"url": "http://127.0.0.1:9/v1", "model": "m2", "timeout_s": 5.0,
-               "retries": 2, "max_concurrency": 3, "transcript_path": str(transcript)}
+               "retries": 2, "transcript_path": str(transcript)}
     assert section.keys() == DEFAULT_CONFIG["remote"].keys()
     backend = RemoteBackend(**build_scenario({"remote": section}).remote)
-    assert (backend.url, backend.model, backend.timeout_s, backend.retries,
-            backend.max_concurrency) == ("http://127.0.0.1:9/v1", "m2", 5.0, 2, 3)
+    assert (backend.url, backend.model, backend.timeout_s, backend.retries) == \
+        ("http://127.0.0.1:9/v1", "m2", 5.0, 2)
     backend.transcript.log(b'{"probe": 1}', "ok")
     assert transcript.exists()
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import random_memory
 from frames import MemoryItem, items, reference_caption, store
 import reference_index
-from mcpa.gae import (NOTHING_TAG, Exam, FrameStore, GaeError, MemoryIndex, Question,
-                      SyntheticBackend, run_gae, sample_pilot)
+from mcpa.gae import (NOTHING_TAG, Exam, FrameStore, GaeError, GaeReport, MemoryIndex,
+                      Question, SyntheticBackend, run_gae, sample_pilot)
 from mcpa.remote import captions
 from reference_index import QuestionIndex, ReferenceIndex, exam_columns, grade
 
@@ -52,6 +52,25 @@ def test_sample_pilot_rounding_and_determinism():
 def test_sample_pilot_rejects_empty_dataset():
     with pytest.raises(GaeError):
         sample_pilot(store([]), 0.5, 0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: FrameStore([0, 0], [0.0], np.zeros((2, 6))), ValueError, "one entry per frame"),
+    (lambda: FrameStore([0], [0.0], np.zeros(6), hits=[0], tag_ids=[]), ValueError,
+     "one entry per frame or per pair"),
+    (lambda: Question("colour", "bus", "What colour is the bus?", "red"), ValueError,
+     "unknown question template 'colour'"),
+    (lambda: GaeReport([0.5, 1.5], [1, 1], ()), ValueError, r"scores must lie in \[0, 1\]"),
+    (lambda: GaeReport([-0.1], [1], ()), ValueError, r"scores must lie in \[0, 1\]"),
+    (lambda: sample_pilot(store([item({"bus"})]), 0.0, 0), ValueError, "ratio must lie in"),
+    (lambda: sample_pilot(store([item({"bus"})]), 1.5, 0), ValueError, "ratio must lie in"),
+    (lambda: run_gae([], store([item({"bus"})]), 0.5, 1, SyntheticBackend(), 0), GaeError,
+     "needs at least one robot dataset"),
+], ids=["frame-columns", "pair-columns", "template", "score-above-1", "score-below-0",
+        "ratio-0", "ratio-above-1", "no-datasets"])
+def test_malformed_gae_inputs_are_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_generate_exam_presence_question_format():

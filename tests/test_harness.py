@@ -76,8 +76,7 @@ def test_integer_fields_reject_non_integers():
     fields = [("radio", "num_antennas"), ("solver", "max_outer"),
               ("solver", "max_inner"), ("world", "num_landmarks"),
               ("world", "segment_frames"), ("dataset", "items_per_robot"),
-              ("gae", "questions_per_robot"), ("remote", "retries"),
-              ("remote", "max_concurrency")]
+              ("gae", "questions_per_robot"), ("remote", "retries")]
     for section, key in fields:
         for value in (0.5, 3.0, 0, True, "3"):
             with pytest.raises(ConfigError, match=f"{section}.{key}"):

@@ -37,6 +37,15 @@ def test_dataset_meta_validation_and_pilot_counts():
         DatasetMeta.uniform(2, pilot_ratio=1.5)
 
 
+@pytest.mark.parametrize("volumes, message", [
+    (np.array([1.6e6, 1.6e6, 1.6e6]), r"item_volume_bits must be scalar or length 2, got"),
+    (np.array([1.6e6, 0.0]), "item_volume_bits must be strictly positive"),
+], ids=["wrong-length", "zero-volume"])
+def test_dataset_meta_rejects_bad_item_volumes(volumes, message):
+    with pytest.raises(ValueError, match=message):
+        DatasetMeta(np.array([100, 100]), volumes, 0.1)
+
+
 def test_frames_uploaded_at_unit_sinr():
     # H p = sigma^2 on an orthogonal channel -> log2(2) = 1 b/s/Hz
     gains = np.array([1e-12])

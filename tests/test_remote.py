@@ -257,6 +257,48 @@ def test_remote_exam_generation_rejects_garbage(server):
         backend.make_exam(pilot, 2, 0)
 
 
+def entry(template="presence", answer="YES"):
+    return {"template": template, "tag": "bus", "question": "?", "answer": answer}
+
+
+@pytest.mark.parametrize("reply, message", [
+    ("[not json]", "question reply is not valid JSON"),
+    (json.dumps([entry("colour", "red")]), "unknown template 'colour'"),
+    (json.dumps([entry("location", "near 12.0")]), "location answer needs coordinates"),
+    (json.dumps([entry("reporter", "some robot")]), "bad question entry .*index out of range"),
+    (json.dumps([{"template": "presence", "tag": "bus", "question": "?"}]),
+     "bad question entry .*'answer'"),
+    ("[]", "question reply parsed to an empty exam"),
+], ids=["not-json", "template", "location", "reporter", "no-answer", "empty"])
+def test_question_replies_that_make_no_exam_are_parse_errors(server, reply, message):
+    server.replies = [reply]
+    backend = RemoteBackend(url=server.url, model="m", retries=3)
+    with pytest.raises(GaeParseError, match=message):
+        backend.make_exam(BASE, 2, 0)
+    assert len(server.requests) == 1
+
+
+def test_a_reply_whose_content_is_not_a_string_is_a_logged_parse_error(server, tmp_path):
+    server.replies = [json.dumps({"choices": [{"message": {"content": 5}}]}).encode()]
+    path = tmp_path / "transcript.jsonl"
+    backend = RemoteBackend(url=server.url, model="m", retries=3, transcript_path=str(path))
+    with pytest.raises(GaeParseError, match="choice content is not a string"):
+        backend.make_exam(BASE, 2, 0)
+    assert len(server.requests) == 1
+    [line] = [json.loads(line) for line in path.read_text().splitlines()]
+    assert line["error"] == "choice content is not a string" and "response" not in line
+
+
+def test_a_question_parse_error_fails_run_gae_naming_the_robot(server):
+    server.replies = [json.dumps([entry()]), "YES", "[]"]
+    datasets = [store([MemoryItem(0.0, (0, 0, 10, 0, 0, 0), frozenset({"bus"}), k)])
+                for k in range(2)]
+    backend = RemoteBackend(url=server.url, model="m", retries=1)
+    with pytest.raises(GaeError, match="^robot 1: question reply parsed to an empty") as error:
+        run_gae(datasets, BASE, 1.0, 1, backend, 0)
+    assert isinstance(error.value.__cause__, GaeParseError)
+
+
 def test_remote_practice_test_grades_answers(server):
     exam = Exam(robot_id=0, qa_pairs=(
         Question("presence", "bus", "Is there a bus?", "YES"),
@@ -287,17 +329,6 @@ def test_grade_text_answer_rules():
     reporter = Question("reporter", "bus", "?", 4)
     assert grade_text_answer(reporter, "drone 4")
     assert not grade_text_answer(reporter, "drone 5")
-
-
-def test_remote_concurrent_answers(server):
-    exam = Exam(robot_id=0, qa_pairs=tuple(
-        Question("presence", f"t{i}", f"Is there a t{i}?", "YES") for i in range(6)))
-    server.replies = ["YES"] * 6
-    backend = RemoteBackend(url=server.url, model="m", retries=1, max_concurrency=3)
-    memory = store([MemoryItem(0.0, (0, 0, 10, 0, 0, 0),
-                               frozenset({f"t{i}" for i in range(6)}), 0)])
-    assert backend.test(exam, backend.prepare_memory(memory)) == 1.0
-    assert len(server.requests) == 6
 
 
 def test_run_gae_captions_the_base_memory_once(server, monkeypatch):
@@ -357,9 +388,8 @@ def text_keyed_chat(monkeypatch, replies: dict):
     return prompts
 
 
-def offline_backend(max_concurrency=1):
-    return RemoteBackend(url="http://127.0.0.1:9/v1", model="m", retries=1,
-                         max_concurrency=max_concurrency)
+def offline_backend():
+    return RemoteBackend(url="http://127.0.0.1:9/v1", model="m", retries=1)
 
 
 BASE = store([MemoryItem(0.0, (10.0, 20.0, 10, 0, 0, 0), frozenset({"bus"}), 2)])
@@ -377,12 +407,11 @@ QUESTIONS = st.one_of(
 
 @settings(max_examples=60)
 @given(replies=st.fixed_dictionaries({text: st.sampled_from(REPLIES) for text in TEXTS}),
-       exams=st.lists(st.lists(QUESTIONS, min_size=1, max_size=12), min_size=1, max_size=4),
-       max_concurrency=st.sampled_from([1, 3]))
-def test_reply_memo_grades_like_one_request_per_question(replies, exams, max_concurrency):
+       exams=st.lists(st.lists(QUESTIONS, min_size=1, max_size=12), min_size=1, max_size=4))
+def test_reply_memo_grades_like_one_request_per_question(replies, exams):
     with pytest.MonkeyPatch.context() as monkeypatch:
         prompts = text_keyed_chat(monkeypatch, replies)
-        backend = offline_backend(max_concurrency)
+        backend = offline_backend()
         prepared = backend.prepare_memory(BASE)
         for k, questions in enumerate(exams):
             expected = sum(replies[q.text] != MALFORMED and grade_text_answer(q, replies[q.text])
@@ -404,24 +433,6 @@ def test_questions_sharing_a_text_are_graded_apart_from_one_reply(monkeypatch):
     # the memo lives as long as one prepared memory: a new practice test asks again
     assert backend.test(exam, backend.prepare_memory(BASE)) == 0.5
     assert len(prompts) == 2
-
-
-def test_answer_concurrency_sends_the_same_prompts(monkeypatch):
-    replies = {"Is there a bus?": "YES", "Where is the bus?": "30.0, 60.0, 0.0",
-               "Which robot sees the bus?": MALFORMED, "Is there a cat?": "NO"}
-    cycle = (Question("presence", "bus", "Is there a bus?", "YES"),
-             Question("location", "bus", "Where is the bus?", (10.0, 20.0, 0.0)),
-             Question("reporter", "bus", "Which robot sees the bus?", 2),
-             Question("presence", "cat", "Is there a cat?", "YES"))
-    exam = Exam(robot_id=0, qa_pairs=(cycle * 3)[:10])   # 3 + 3 right of 10
-    sent, scores = [], []
-    for max_concurrency in (1, 3):
-        prompts = text_keyed_chat(monkeypatch, replies)
-        backend = offline_backend(max_concurrency)
-        scores.append(backend.test(exam, backend.prepare_memory(BASE)))
-        sent.append(sorted(prompts))
-    assert scores == [0.6, 0.6]
-    assert sent[0] == sent[1] and len(sent[0]) == len(replies)
 
 
 def test_transport_failure_while_answering_fails_run_gae(monkeypatch):

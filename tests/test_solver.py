@@ -631,6 +631,14 @@ def test_surrogate_context_rejects_the_weights_solve_mcpa_rejects(weights):
                          state=coupled_pair(), noise_power_w=1e-9)
 
 
+@pytest.mark.parametrize("anchor", [np.full(1, BUDGET_W), np.full(3, BUDGET_W / 3),
+                                    np.full((2, 2), BUDGET_W / 4)], ids=["1", "3", "2x2"])
+def test_surrogate_context_rejects_an_anchor_of_another_size(anchor):
+    with pytest.raises(ValueError, match="anchor and channel state disagree"):
+        SurrogateContext(anchor=anchor, weights=np.ones(2), state=coupled_pair(),
+                         noise_power_w=1e-9)
+
+
 def test_waterfill_all_zero_weights_flagged():
     params = qom_weights(np.ones(4), DatasetMeta.uniform(4), 550.0, 1e7)
     result, level = waterfill(params, np.full(4, 1e-9), NOISE_W, BUDGET_W)
