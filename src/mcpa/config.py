@@ -84,6 +84,17 @@ def _require(cond: bool, where: str, message: str) -> None:
         raise ConfigError(f"{where}: {message}")
 
 
+def _linear(radio: dict, leaf: str, to_linear) -> float:
+    """The positive float ``to_linear`` gives for the dB value at ``radio.<leaf>``."""
+    try:
+        linear = to_linear(radio[leaf])
+    except OverflowError:
+        raise ConfigError(f"radio.{leaf}: {radio[leaf]!r} overflows the float range "
+                          "as a linear value") from None
+    _require(linear > 0.0, f"radio.{leaf}", f"{radio[leaf]!r} underflows to a linear value of 0")
+    return linear
+
+
 def _is_number(value) -> bool:
     """A finite number, not a boolean, string or overflowing integer."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -243,17 +254,14 @@ def build_scenario(config: dict | None = None, override: dict | None = None) -> 
     _require(cfg["metrics"]["coverage_margin"] >= 0.0,
              "metrics.coverage_margin", "must be nonnegative")
 
-    try:
-        constants = RadioConstants(
-            bandwidth_hz=radio["bandwidth_hz"],
-            noise_power_w=dbm_to_watts(radio["noise_dbm"]),
-            ref_pathloss_linear=db_to_linear(radio["ref_pathloss_db"]),
-            shadow_fading_linear=db_to_linear(radio["shadow_fading_db"]),
-            pathloss_exponent=radio["pathloss_exponent"],
-            num_antennas=radio["num_antennas"],
-        )
-    except (ValueError, OverflowError) as exc:   # a dB value past the float range
-        raise ConfigError(f"radio: a dB value gives no usable linear constant ({exc})") from exc
+    constants = RadioConstants(
+        bandwidth_hz=radio["bandwidth_hz"],
+        noise_power_w=_linear(radio, "noise_dbm", dbm_to_watts),
+        ref_pathloss_linear=_linear(radio, "ref_pathloss_db", db_to_linear),
+        shadow_fading_linear=_linear(radio, "shadow_fading_db", db_to_linear),
+        pathloss_exponent=radio["pathloss_exponent"],
+        num_antennas=radio["num_antennas"],
+    )
     return Scenario(
         num_robots=k,
         radio=constants,

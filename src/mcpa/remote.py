@@ -4,21 +4,20 @@ Speaks the usual JSON-over-HTTP chat shape: the request carries
 ``{"model", "messages", "temperature": 0}`` and the reply's first choice
 ``content`` string is used. The endpoint URL and bearer token come from the
 ``MCPA_REMOTE_URL`` / ``MCPA_REMOTE_TOKEN`` environment variables unless set
-explicitly. Requests are sent one at a time from the calling thread. Every
-prompt and raw response is appended to a JSON-lines transcript file when one
-is configured.
+explicitly. Requests are sent one at a time from the calling thread, each as
+one HTTP/1.0 POST on its own connection (TLS for https), the reply read to
+the connection's close. Every prompt and raw response is appended to a
+JSON-lines transcript file when one is configured.
 """
 from __future__ import annotations
 
-import http.client
 import json
 import math
 import os
 import re
+import socket
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,43 +54,54 @@ def chat_completion(url: str, body: bytes | str, messages: list[dict] | None = N
     """POST one chat request, ``body`` encoded (or ``body`` the model name and
     ``messages`` to encode), and return the first choice's content string.
 
-    Only http(s) URLs are accepted. Transport failures, 429 and 5xx are retried
-    with exponential backoff; any other status (redirects are not followed) or
-    an unparsable reply fails at once, as retrying cannot help.
+    Only http(s) URLs with a host are accepted. Transport failures, 429 and 5xx
+    are retried with exponential backoff; any other status (redirects are not
+    followed) or an unparsable reply fails at once, as retrying cannot help.
     """
-    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+    parts = urllib.parse.urlsplit(url)
+    try:
+        address = (parts.hostname, parts.port or _PORTS[parts.scheme])
+    except (KeyError, ValueError):   # not http(s), or a port that is no number in range
+        address = None
+    if address is None or not parts.hostname:
         raise GaeTransportError(f"not an http(s) endpoint: {url!r}")
+    host = parts.netloc.rpartition("@")[2]
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    if _UNSAFE.search(host + target + (token or "")):
+        raise GaeTransportError("endpoint or token holds a space, a control character "
+                                "or a character outside ASCII")
     if messages is not None:
         body = json.dumps({"model": body, "messages": messages, "temperature": 0}).encode()
-    headers = {"Content-Type": "application/json"}
+    head = (f"POST {target} HTTP/1.0\r\nHost: {host}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n")
     if token:
-        headers["Authorization"] = f"Bearer {token}"
-    request = urllib.request.Request(url, body, headers)
+        head += f"Authorization: Bearer {token}\r\n"
+    request = (head + "\r\n").encode("ascii") + body
     log = transcript.log if transcript is not None else lambda *args, **kwargs: None
 
     for attempt in range(1, max(1, retries) + 1):
         try:
-            with _OPENER.open(request, timeout=timeout_s) as response:
-                reply = response.read()
-        except urllib.error.HTTPError as exc:
-            with exc:
-                last_error = GaeTransportError(
-                    f"HTTP {exc.code}: {exc.read(500).decode(errors='replace')}")
-            if exc.code != 429 and exc.code < 500:
-                break
-        except (OSError, http.client.HTTPException) as exc:
+            status, reply = _post(address, parts.scheme == "https", request, timeout_s)
+        except OSError as exc:
             last_error = exc
         else:
-            try:
-                choice = json.loads(reply)["choices"][0]
-                content = choice["message"]["content"] if "message" in choice else choice["content"]
-                if not isinstance(content, str):
-                    raise TypeError("choice content is not a string")
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                log(body, error=str(exc))
-                raise GaeParseError(f"malformed chat response: {exc}") from exc
-            log(body, content)
-            return content
+            if 200 <= status < 300:
+                try:
+                    choice = json.loads(reply)["choices"][0]
+                    content = (choice["message"]["content"] if "message" in choice
+                               else choice["content"])
+                    if not isinstance(content, str):
+                        raise TypeError("choice content is not a string")
+                except (ValueError, KeyError, IndexError, TypeError) as exc:
+                    log(body, error=str(exc))
+                    raise GaeParseError(f"malformed chat response: {exc}") from exc
+                log(body, content)
+                return content
+            # a 3xx stays an error too, so the bearer token never leaves the host
+            last_error = GaeTransportError(
+                f"HTTP {status}: {reply[:500].decode(errors='replace')}")
+            if status != 429 and status < 500:
+                break
         if attempt < retries:
             time.sleep(backoff_s * (2 ** (attempt - 1)))
     log(body, error=str(last_error))
@@ -99,12 +109,33 @@ def chat_completion(url: str, body: bytes | str, messages: list[dict] | None = N
         f"chat request failed after {attempt} attempt(s): {last_error}") from last_error
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    def redirect_request(self, *args, **kwargs):
-        return None  # a 3xx stays an error, so the bearer token never leaves the host
+_PORTS = {"http": 80, "https": 443}
+_UNSAFE = re.compile(r"[^!-~]")   # anything but printable ASCII, space excluded
+_STATUS = re.compile(rb"HTTP/\d\.\d (\d{3})\b")
+_LENGTH = re.compile(rb"\r\ncontent-length:[ \t]*(\d+)", re.IGNORECASE)
 
 
-_OPENER = urllib.request.build_opener(_NoRedirect)
+def _post(address: tuple[str, int], https: bool, request: bytes,
+          timeout_s: float) -> tuple[int, bytes]:
+    """Send one encoded HTTP/1.0 request on a new connection and read the reply
+    to its close (an HTTP/1.0 reply is never chunked): its status and body."""
+    sock = socket.create_connection(address, timeout=timeout_s)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # send the tail unheld
+        if https:
+            import ssl   # loaded only for an https endpoint
+            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=address[0])
+        sock.sendall(request)
+        reply = b"".join(iter(lambda: sock.recv(65536), b""))
+    finally:
+        sock.close()
+    head, blank, body = reply.partition(b"\r\n\r\n")
+    status, length = _STATUS.match(head), _LENGTH.search(head)
+    if not blank or status is None:
+        raise ConnectionError(f"malformed HTTP reply: {head[:80]!r}")
+    if length is not None and len(body) < int(length[1]):
+        raise ConnectionError(f"reply ended after {len(body)} of {int(length[1])} body bytes")
+    return int(status[1]), body if length is None else body[:int(length[1])]
 
 
 def _request(model: str, system: str, user: str) -> bytes:

@@ -200,13 +200,23 @@ def test_backend_option_on_a_non_object_config_is_one_json_line(tmp_path, capsys
     assert error["message"].startswith("gae:" if document else "config:")
 
 
+OVERFLOWS = "overflows the float range as a linear value"
+UNDERFLOWS = "underflows to a linear value of 0"
+# each dB leaf past the float range both ways; the first two keep their case ids
+DB_CASES = [("noise_dbm", 1e308, OVERFLOWS), ("ref_pathloss_db", -1e308, UNDERFLOWS),
+            ("noise_dbm", -1e308, UNDERFLOWS), ("ref_pathloss_db", 1e308, OVERFLOWS),
+            ("shadow_fading_db", 1e308, OVERFLOWS), ("shadow_fading_db", -1e308, UNDERFLOWS)]
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"radio": {"noise_dbm": -100', "not valid JSON"),
-    (json.dumps({"radio": {"noise_dbm": 1e308}}), "radio: a dB value gives no usable"),
-    (json.dumps({"radio": {"ref_pathloss_db": -1e308}}), "radio: a dB value gives no usable"),
+    *[(json.dumps({"radio": {leaf: value}}), f"radio.{leaf}: {value!r} {cause}")
+      for leaf, value, cause in DB_CASES],
     (json.dumps({"remote": {"max_concurrency": 4}}),
      "remote.max_concurrency: unknown configuration field"),
-], ids=["not-json", "overflowing-dB", "vanishing-dB", "max_concurrency"])
+], ids=["not-json", "overflowing-dB", "vanishing-dB", "vanishing-noise_dbm",
+        "overflowing-ref_pathloss_db", "overflowing-shadow_fading_db",
+        "vanishing-shadow_fading_db", "max_concurrency"])
 def test_bad_config_files_fail_with_one_json_line(tmp_path, capsys, text, message):
     config = tmp_path / "bad.json"
     config.write_text(text)

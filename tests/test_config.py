@@ -72,6 +72,17 @@ def test_max_concurrency_is_not_a_field():
         build_scenario({"remote": {"max_concurrency": 4}})
 
 
+@pytest.mark.parametrize("value, cause", [(1e308, "overflows"), (-1e308, "underflows")])
+@pytest.mark.parametrize("leaf", ["noise_dbm", "ref_pathloss_db", "shadow_fading_db"])
+def test_a_db_value_past_the_float_range_names_its_leaf(leaf, value, cause):
+    # the other two leaves keep their defaults, so only this one can be at fault
+    with pytest.raises(ConfigError) as error:
+        build_scenario({"radio": {leaf: value}})
+    assert str(error.value).startswith(f"radio.{leaf}: ")
+    assert cause in str(error.value)
+    assert "Numerical result" not in str(error.value) and "(34" not in str(error.value)
+
+
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
 def test_every_shipped_config_builds(path):
     assert isinstance(build_scenario(load_config(path)), Scenario)

@@ -1,4 +1,5 @@
 import json
+import re
 import socket
 import subprocess
 import sys
@@ -82,6 +83,51 @@ def server():
     srv = FakeChatServer()
     yield srv
     srv.close()
+
+
+class RawServer:
+    """One-shot socket server: each connection gets the next canned reply,
+    sent as raw bytes once the whole request is in, and is then closed.
+    ``requests`` holds each request as received (head and body)."""
+
+    def __init__(self, *replies: bytes):
+        self.replies = list(replies)
+        self.requests = []
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.sock.settimeout(10)
+        self.url = f"http://127.0.0.1:{self.sock.getsockname()[1]}/v1/chat/completions"
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        for reply in self.replies:
+            conn, _ = self.sock.accept()
+            with conn:
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    data += conn.recv(65536)
+                length = int(re.search(rb"Content-Length: (\d+)", data)[1])
+                while len(data.partition(b"\r\n\r\n")[2]) < length:
+                    data += conn.recv(65536)
+                self.requests.append(data)
+                conn.sendall(reply)
+
+    def close(self):
+        self.thread.join(timeout=10)
+        self.sock.close()
+        assert not self.thread.is_alive(), "a canned reply was never asked for"
+
+
+@pytest.fixture
+def raw_server():
+    """Start a ``RawServer`` with the given replies; each is closed at teardown."""
+    servers = []
+    yield lambda *replies: servers.append(RawServer(*replies)) or servers[-1]
+    for srv in servers:
+        srv.close()
+
+
+CHAT_OK = b'{"choices": [{"message": {"content": "fine"}}]}'
 
 
 def encoded(model="m", messages=({"role": "user", "content": "x"},)) -> bytes:
@@ -203,7 +249,7 @@ def test_chat_completion_refuses_non_http_urls(monkeypatch, tmp_path, scheme):
 
     def no_io(*args, **kwargs):
         raise AssertionError("a non-http URL was opened")
-    monkeypatch.setattr(remote._OPENER, "open", no_io)
+    monkeypatch.setattr(remote.socket, "create_connection", no_io)
     transcript = tmp_path / "transcript.jsonl"
     backend = RemoteBackend(url=url, model="m", transcript_path=str(transcript))
     with pytest.raises(GaeTransportError, match="not an http"):
@@ -212,6 +258,121 @@ def test_chat_completion_refuses_non_http_urls(monkeypatch, tmp_path, scheme):
     with pytest.raises(GaeTransportError, match="not an http"):
         backend.test(exam, backend.prepare_memory(BASE))
     assert not transcript.exists()
+
+
+@pytest.mark.parametrize("url, token", [
+    ("http:///v1/chat/completions", None),           # no host: never a default one
+    ("http://127.0.0.1:99999/v1", None),             # port out of range
+    ("http://127.0.0.1:8080/v1/chat completions", None),
+    ("http://127.0.0.1:8080/v1/chät", None),
+    ("http://bücher.example/v1", None),
+    ("http://127.0.0.1:8080/v1", "sekrit\r\nX-Injected: 1"),
+    ("http://127.0.0.1:8080/v1", "sekrit\n"),
+], ids=["no-host", "bad-port", "space-in-path", "non-ascii-path", "non-ascii-host",
+        "header-in-token", "newline-in-token"])
+def test_unusable_endpoints_and_tokens_are_refused_before_any_io(monkeypatch, url, token):
+    def no_io(*args, **kwargs):
+        raise AssertionError("a connection was opened")
+    monkeypatch.setattr(remote.socket, "create_connection", no_io)
+    with pytest.raises(GaeTransportError, match="not an http|outside ASCII"):
+        chat_completion(url, encoded(), token=token, retries=1)
+
+
+@pytest.mark.parametrize("head", [b"HTTP/1.0 200 OK\r\nContent-Type: application/json",
+                                  b"HTTP/1.1 200 OK\r\nconnection: close", b"HTTP/1.0 200"])
+def test_a_reply_without_content_length_ends_at_the_close(head, raw_server):
+    raw = raw_server(head + b"\r\n\r\n" + CHAT_OK)
+    assert chat_completion(raw.url, encoded(), retries=1) == "fine"
+
+
+@pytest.mark.parametrize("status", [201, 203, 299])
+def test_a_2xx_reply_other_than_200_is_accepted(status, raw_server):
+    raw = raw_server(b"HTTP/1.0 %d Whatever\r\nContent-Length: %d\r\n\r\n%s"
+                    % (status, len(CHAT_OK), CHAT_OK))
+    assert chat_completion(raw.url, encoded(), retries=1) == "fine"
+
+
+def test_a_reply_is_cut_to_its_content_length(raw_server):
+    raw = raw_server(b"HTTP/1.0 200 OK\r\nCONTENT-LENGTH:%d\r\n\r\n%s trailing bytes"
+                    % (len(CHAT_OK), CHAT_OK))
+    assert chat_completion(raw.url, encoded(), retries=1) == "fine"
+
+
+BAD_REPLIES = {
+    "short": b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(CHAT_OK) + 1, CHAT_OK),
+    "garbled-status": b"HTP/1.0 200 OK\r\n\r\n" + CHAT_OK,
+    "no-status-code": b"HTTP/1.0 OK\r\n\r\n" + CHAT_OK,
+    "no-blank-line": b"HTTP/1.0 200 OK\r\nContent-Length: 3",
+    "empty": b"",
+}
+GOOD_REPLY = b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(CHAT_OK), CHAT_OK)
+
+
+@pytest.mark.parametrize("bad", BAD_REPLIES.values(), ids=BAD_REPLIES.keys())
+def test_a_short_or_garbled_reply_is_a_retried_transport_error(bad, tmp_path, raw_server):
+    transcript = tmp_path / "transcript.jsonl"
+    raw = raw_server(bad, GOOD_REPLY, bad)
+    assert chat_completion(raw.url, encoded(), retries=2, backoff_s=0.0) == "fine"
+    with pytest.raises(GaeTransportError, match="after 1 attempt") as error:
+        chat_completion(raw.url, encoded(), retries=1, backoff_s=0.0,
+                        transcript=remote._Transcript(str(transcript)))
+    assert isinstance(error.value.__cause__, ConnectionError)
+    assert len(raw.requests) == 3
+    record = json.loads(transcript.read_text())
+    assert "error" in record and "response" not in record
+
+
+@pytest.mark.parametrize("token", [None, "", "sekrit"])
+def test_a_request_keeps_its_query_and_sends_authorization_only_with_a_token(token, raw_server):
+    raw = raw_server(GOOD_REPLY)
+    assert chat_completion(raw.url + "?api-version=2", encoded(), token=token, retries=1) == "fine"
+    head, _, body = raw.requests[0].partition(b"\r\n\r\n")
+    request_line, *headers = head.decode().split("\r\n")
+    assert request_line == "POST /v1/chat/completions?api-version=2 HTTP/1.0"
+    host = raw.url.split("/")[2]
+    expected = [f"Host: {host}", "Content-Type: application/json",
+                f"Content-Length: {len(encoded())}"]
+    assert headers == expected + ([f"Authorization: Bearer {token}"] if token else [])
+    assert body == encoded()
+
+
+def test_an_https_url_goes_through_the_default_ssl_context(monkeypatch, raw_server):
+    import ssl
+    wrapped = []
+
+    class Context:
+        def wrap_socket(self, sock, server_hostname):
+            wrapped.append(server_hostname)
+            return sock   # no handshake: the one-shot server speaks plain HTTP
+    monkeypatch.setattr(ssl, "create_default_context", Context)
+    raw = raw_server(GOOD_REPLY)
+    assert chat_completion(raw.url.replace("http://", "https://"), encoded(), retries=1) == "fine"
+    assert wrapped == ["127.0.0.1"]
+
+
+@pytest.mark.parametrize("url, address", [
+    ("http://chat.invalid/v1", ("chat.invalid", 80)),
+    ("https://chat.invalid/v1", ("chat.invalid", 443)),
+    ("https://[::1]:8443/v1", ("::1", 8443)),
+])
+def test_the_port_defaults_to_the_scheme(monkeypatch, url, address):
+    opened = []
+
+    def refused(where, timeout):
+        opened.append((where, timeout))
+        raise ConnectionRefusedError("no route")
+    monkeypatch.setattr(remote.socket, "create_connection", refused)
+    with pytest.raises(GaeTransportError, match="after 1 attempt"):
+        chat_completion(url, encoded(), timeout_s=7.0, retries=1)
+    assert opened == [(address, 7.0)]
+
+
+def test_importing_the_remote_backend_loads_no_http_client_or_ssl():
+    probe = ("import sys, mcpa.remote; print(sorted(m for m in ('http.client', "
+             "'urllib.request', 'urllib.error', 'ssl') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=cli_env(), check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_remote_backend_requires_endpoint(monkeypatch):
