@@ -136,9 +136,10 @@ def draw_channels(constants: RadioConstants, geometry: RobotGeometry, seed) -> C
 
 
 def sinr_vector(state: ChannelState, powers: np.ndarray, noise_power_w: float) -> np.ndarray:
-    """SINR_k = H_k p_k / (sum_{j != k} I_{k,j} p_j + sigma^2) for all k."""
+    """SINR_k = H_k p_k / (sum_{j != k} I_{k,j} p_j + sigma^2) for all k. Stacked
+    powers ``(..., K)`` give one row each, bit for bit the row's own SINR."""
     p = np.asarray(powers, dtype=float)
     signal = state.gains * p
-    interference = state.interference @ p - signal
+    interference = (state.interference @ p[..., None])[..., 0] - signal
     return signal / (interference + noise_power_w)
 

@@ -85,8 +85,7 @@ def _cmd_gae_test(args) -> int:
         stage = prepare_seed(scenario, scenario.seeds["run"] + i, backend)
         scores[i] = stage.gae_scores
         # robot k's whole dataset uploaded, nothing from the others
-        full = np.diag([len(dataset) for dataset in stage.world.datasets])
-        merged_acc[i] = [stage.accuracy_with(counts) for counts in full]
+        merged_acc[i] = stage.accuracy_with(np.diag([len(d) for d in stage.world.datasets]))
     print(f"{'robot':>5}  {'GAE_k':>8}  {'accuracy(M0+Mk)':>16}")
     for robot in range(k):
         print(f"{robot + 1:>5}  {scores[:, robot].mean():>8.4f}  "

@@ -6,7 +6,8 @@ uploads and grades the ground-truth question set with the synthetic oracle.
 Runs are isolated: each seed is staged once (:func:`prepare_seed`), and
 every method and power budget of that seed sees the same world, channels
 and GAE scores; only the pilot overhead and the QoM weights depend on the
-budget.
+budget. A (seed, budget) cell's allocations are checked and scored as one
+block, each row exactly as it would be alone.
 """
 from __future__ import annotations
 
@@ -21,8 +22,7 @@ from . import baselines
 from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
 from .config import ConfigError, Scenario
 from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
-from .qom import (PilotPhaseInfeasible, frames_uploaded, pilot_overhead, qom_objective,
-                  qom_weights)
+from .qom import PilotPhaseInfeasible, frames_uploaded, pilot_overhead, qom_terms, qom_weights
 from .solver import SolveTrace, solve_mcpa
 from .world import WorldInstance, build_world
 
@@ -109,13 +109,14 @@ class SeedContext:
     base_answers: np.ndarray
     first_frames: np.ndarray
 
-    def accuracy_with(self, frame_counts) -> float:
+    def accuracy_with(self, frame_counts) -> float | np.ndarray:
         """Ground-truth accuracy of the base memory joined with the first
         ``frame_counts[k]`` frames of every robot ``k``, as the synthetic
-        oracle grades it."""
-        uploaded = np.asarray(frame_counts)[None, :] > self.first_frames
-        answered = self.base_answers | uploaded.any(axis=1)
-        return int(answered.sum()) / len(answered)
+        oracle grades it; stacked counts ``(..., K)`` give one per row."""
+        uploaded = np.asarray(frame_counts)[..., None, :] > self.first_frames
+        answered = self.base_answers | uploaded.any(axis=-1)
+        accuracy = answered.sum(axis=-1) / answered.shape[-1]
+        return float(accuracy) if accuracy.ndim == 0 else accuracy
 
     @property
     def base_accuracy(self) -> float:
@@ -246,48 +247,69 @@ def _checked_allocation(p: np.ndarray, k: int, budget: float) -> None:
 
 
 def _score_allocation(ctx: _RunContext, scenario: Scenario,
-                      allocation: np.ndarray) -> tuple[float, float, float, int]:
+                      powers: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Graded accuracy, QoM, sum rate (Mbit/s) and connected robots of each
+    row of an ``(M, K)`` block of checked allocations."""
     noise = scenario.radio.noise_power_w
     bandwidth = scenario.radio.bandwidth_hz
     meta = scenario.dataset
     stage = ctx.stage
 
-    frames = np.array([math.floor(f) for f in frames_uploaded(
-        stage.state, allocation, meta, noise, ctx.effective_time_s, bandwidth)])
-    accuracy = stage.accuracy_with(frames)
+    frames = np.floor(frames_uploaded(stage.state, powers, meta, noise,
+                                      ctx.effective_time_s, bandwidth))
+    qom = qom_terms(ctx.weights, stage.state, powers, noise).sum(axis=1)
+    rates = bandwidth * np.log2(1.0 + sinr_vector(stage.state, powers, noise))
+    connected = (frames / meta.num_items > 0.5).sum(axis=1)
+    return stage.accuracy_with(frames), qom, rates.sum(axis=1) / 1e6, connected
 
-    qom = qom_objective(ctx.weights, stage.state, allocation, noise)
-    rates = bandwidth * np.log2(1.0 + sinr_vector(stage.state, allocation, noise))
-    connected = int(np.sum(frames / meta.num_items > 0.5))
-    return accuracy, qom, float(rates.sum() / 1e6), connected
+
+def _run_cell(ctx: _RunContext, scenario: Scenario, methods, names,
+              caught=(ValueError, ArithmeticError, GaeError)) -> list[RunMetrics]:
+    """Every method at one staged (seed, budget), rows in method order. Each
+    method is allocated, timed and failed (on a ``caught`` error) on its own;
+    the allocations are then checked by whole-block masks, a flagged row
+    getting :func:`_checked_allocation`'s message, and the rest scored at once."""
+    seed, budget, k = ctx.stage.seed, ctx.power_w, scenario.num_robots
+    rows, allocated = [], []                    # allocated: (row, powers, trace, wall_ms)
+    for method, name in zip(methods, names):
+        started = time.perf_counter()
+        try:
+            powers, trace = _allocate(ctx, scenario, method)
+            if powers.shape != (k,):
+                _checked_allocation(powers, k, budget)
+        except caught as exc:
+            rows.append(_failed_run(name, seed, budget, exc))
+            continue
+        allocated.append((len(rows), powers, trace, (time.perf_counter() - started) * 1e3))
+        rows.append(None)
+    block = np.array([p for _, p, _, _ in allocated], dtype=float).reshape(len(allocated), k)
+    ok = (np.isfinite(block).all(axis=1) & (block >= 0.0).all(axis=1)
+          & (block.sum(axis=1) <= budget * (1.0 + 1e-9)))
+    for j in np.flatnonzero(~ok):
+        i = allocated[j][0]
+        try:
+            _checked_allocation(block[j], k, budget)   # the masks' rules: this raises
+        except caught as exc:
+            rows[i] = _failed_run(names[i], seed, budget, exc)
+    block = block[ok]
+    scores = (column.tolist() for column in _score_allocation(ctx, scenario, block))
+    kept = (entry for entry, good in zip(allocated, ok) if good)
+    for (i, _, trace, wall_ms), powers, accuracy, qom, sum_rate, connected in zip(
+            kept, block.tolist(), *scores):
+        rows[i] = RunMetrics(
+            method=names[i], seed=seed, p_sum_mw=budget * 1e3, eqa_accuracy=accuracy,
+            qom=qom, sum_rate_mbps=sum_rate, connected_drones=connected,
+            solver_iters=trace.outer_iterations if trace is not None else 0,
+            wall_ms=wall_ms, power_mw=tuple(p * 1e3 for p in powers))
+    return rows
 
 
 def run_method(stage: SeedContext, scenario: Scenario, method) -> RunMetrics:
     """Run one method, a name in :data:`METHODS` or an :class:`ExternalWeights`,
-    on a staged seed at the scenario's power budget."""
+    on a staged seed at the scenario's power budget; a failure raises."""
     [name] = _check_methods([method])
     ctx = _at_budget(stage, scenario, scenario.power_budget_w)
-    return _run_with_context(ctx, scenario, method, name)
-
-
-def _run_with_context(ctx: _RunContext, scenario: Scenario, method, name: str) -> RunMetrics:
-    started = time.perf_counter()
-    allocation, trace = _allocate(ctx, scenario, method)
-    _checked_allocation(allocation, scenario.num_robots, ctx.power_w)
-    accuracy, qom, sum_rate, connected = _score_allocation(ctx, scenario, allocation)
-    wall_ms = (time.perf_counter() - started) * 1e3
-    return RunMetrics(
-        method=name,
-        seed=ctx.stage.seed,
-        p_sum_mw=ctx.power_w * 1e3,
-        eqa_accuracy=accuracy,
-        qom=qom,
-        sum_rate_mbps=sum_rate,
-        connected_drones=connected,
-        solver_iters=trace.outer_iterations if trace is not None else 0,
-        wall_ms=wall_ms,
-        power_mw=tuple(float(p) * 1e3 for p in allocation),
-    )
+    return _run_cell(ctx, scenario, [method], [name], caught=())[0]
 
 
 def _failed_run(name: str, seed: int, power_w: float, error: Exception) -> RunMetrics:
@@ -319,11 +341,7 @@ def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
             except PilotPhaseInfeasible as exc:
                 rows.extend(_failed_run(name, stage.seed, power_w, exc) for name in names)
                 continue
-            for method, name in zip(methods, names):
-                try:
-                    rows.append(_run_with_context(ctx, scenario, method, name))
-                except (ValueError, ArithmeticError, GaeError) as exc:
-                    rows.append(_failed_run(name, stage.seed, power_w, exc))
+            rows.extend(_run_cell(ctx, scenario, methods, names))
     rows = [row for budget_rows in per_budget for row in budget_rows]
     return rows, aggregate(rows)
 
@@ -352,21 +370,24 @@ DEFAULT_SWEEP_MW = (100.0, 150.0, 200.0, 250.0, 300.0)
 
 
 def aggregate(rows) -> dict:
-    """Per-(method, budget) means and standard errors, NaN rows skipped."""
-    groups: dict[tuple[str, float], list[RunMetrics]] = {}
-    for row in rows:
-        groups.setdefault((row.method, row.p_sum_mw), []).append(row)
+    """Per-(method, budget) means and standard errors of each metric. A failed
+    row, or one with a NaN metric, is skipped in every metric."""
+    metrics = ("eqa_accuracy", "qom", "sum_rate_mbps", "connected_drones")
+    table = np.array([[getattr(row, metric) for row in rows] for metric in metrics], dtype=float)
+    skipped = np.isnan(table).any(axis=0).tolist()
+    groups: dict[tuple[str, float], list[int]] = {}
+    for i, row in enumerate(rows):
+        members = groups.setdefault((row.method, row.p_sum_mw), [])
+        if not (row.failure or skipped[i]):
+            members.append(i)
     summary = {}
     for key, members in groups.items():
-        stats = {}
-        for metric in ("eqa_accuracy", "qom", "sum_rate_mbps", "connected_drones"):
-            values = np.array([getattr(m, metric) for m in members], dtype=float)
-            values = values[~np.isnan(values)]
-            mean = float(values.mean()) if values.size else float("nan")
-            se = float(values.std(ddof=1) / np.sqrt(values.size)) \
-                if values.size > 1 else 0.0
-            stats[metric] = {"mean": mean, "stderr": se, "count": int(values.size)}
-        summary[key] = stats
+        n = len(members)
+        block = table.take(members, axis=1)   # contiguous: each row sums as a 1-D array
+        means = block.mean(axis=1).tolist() if n else [math.nan] * len(metrics)
+        ses = (block.std(axis=1, ddof=1) / np.sqrt(n)).tolist() if n > 1 else [0.0] * len(metrics)
+        summary[key] = {metric: {"mean": mean, "stderr": se, "count": n}
+                        for metric, mean, se in zip(metrics, means, ses)}
     return summary
 
 

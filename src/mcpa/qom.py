@@ -87,7 +87,8 @@ def frames_uploaded(state: ChannelState, p, meta: DatasetMeta, noise_power_w: fl
     """Continuous frame counts F_k = T B log2(1 + SINR_k) / Z_k, capped at |D_k|.
 
     The cap models the robot running out of data; the optimization objective
-    itself works on the uncapped log-rate (see :func:`qom_objective`).
+    itself works on the uncapped log-rate (see :func:`qom_objective`). Stacked
+    powers ``(..., K)`` give one row each.
     """
     if time_s <= 0.0 or bandwidth_hz <= 0.0:
         raise ValueError("time_s and bandwidth_hz must be strictly positive")
@@ -132,7 +133,7 @@ def qom_weights(gae_scores, meta: DatasetMeta, effective_time_s: float,
 
 
 def qom_terms(weights, state: ChannelState, p, noise_power_w: float) -> np.ndarray:
-    """Per-robot contributions Theta_k(p) = lambda_k log2(1 + SINR_k(p))."""
+    """Per-robot contributions Theta_k(p) = lambda_k log2(1 + SINR_k(p)), per row of ``p``."""
     return weights * np.log2(1.0 + sinr_vector(state, p, noise_power_w))
 
 

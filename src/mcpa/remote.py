@@ -113,18 +113,22 @@ _PORTS = {"http": 80, "https": 443}
 _UNSAFE = re.compile(r"[^!-~]")   # anything but printable ASCII, space excluded
 _STATUS = re.compile(rb"HTTP/\d\.\d (\d{3})\b")
 _LENGTH = re.compile(rb"\r\ncontent-length:[ \t]*(\d+)", re.IGNORECASE)
+_tls = None   # the process's one ssl context, built on its first https request
 
 
 def _post(address: tuple[str, int], https: bool, request: bytes,
           timeout_s: float) -> tuple[int, bytes]:
     """Send one encoded HTTP/1.0 request on a new connection and read the reply
     to its close (an HTTP/1.0 reply is never chunked): its status and body."""
+    global _tls
     sock = socket.create_connection(address, timeout=timeout_s)
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # send the tail unheld
         if https:
-            import ssl   # loaded only for an https endpoint
-            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=address[0])
+            if _tls is None:   # loading the CA store takes tens of ms: do it once
+                import ssl   # loaded only for an https endpoint
+                _tls = ssl.create_default_context()
+            sock = _tls.wrap_socket(sock, server_hostname=address[0])
         sock.sendall(request)
         reply = b"".join(iter(lambda: sock.recv(65536), b""))
     finally:

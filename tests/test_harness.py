@@ -1,9 +1,13 @@
 import csv
 import dataclasses
+import functools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR
 from frames import items
@@ -459,7 +463,11 @@ def test_campaign_records_pilot_failures_and_continues():
     assert len(rows) == 4
     assert all(np.isnan(r.eqa_accuracy) for r in rows)
     assert all(r.failure.startswith("PilotPhaseInfeasible: ") for r in rows)
-    assert summary[("remember", 200.0)]["eqa_accuracy"]["count"] == 0
+    assert all(r.connected_drones == 0 and r.solver_iters == 0 for r in rows)
+    # a failed row counts in no metric, connected_drones (0 in its row) included
+    for key in (("remember", 200.0), ("uniform", 200.0)):
+        for stats in summary[key].values():
+            assert stats["count"] == 0 and np.isnan(stats["mean"])
 
 
 def test_programming_errors_propagate(monkeypatch):
@@ -483,6 +491,76 @@ def test_nan_allocation_is_a_failed_row_with_reason(monkeypatch):
         assert len(uniform.row()) == len(CSV_COLUMNS)
 
 
+# what an allocator's uniform split becomes, with robot ``i``'s entry as the
+# corrupted one, and the failure the campaign records for it
+BAD_ALLOCATIONS = {
+    "nan": (lambda p, i: np.where(np.arange(p.size) == i, np.nan, p),
+            "ValueError: non-finite powers: every power must be a finite number"),
+    "negative": (lambda p, i: np.where(np.arange(p.size) == i, -p, p),
+                 "ValueError: powers must be nonnegative"),
+    "over budget": (lambda p, i: 1.5 * p, "ValueError: sum power 0.3 exceeds budget 0.2"),
+    "wrong shape": (lambda p, i: np.delete(p, i),
+                    "ValueError: allocation has shape (9,), expected (10,)"),
+}
+OTHERS = ["remember", "greedy", "fairness", "max_cov"]
+
+
+@functools.cache
+def _rows_without_uniform():
+    rows, _ = run_campaign(small_city(), OTHERS, 2)
+    return {(row.seed, row.method): _fields(row) for row in rows}
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(sorted(BAD_ALLOCATIONS)), st.integers(0, 9), st.permutations(OTHERS),
+       st.integers(1, len(OTHERS) - 1))
+def test_a_bad_allocation_in_a_cell_fails_its_row_alone(kind, entry, others, position):
+    corrupt, message = BAD_ALLOCATIONS[kind]
+    methods = others[:position] + ["uniform"] + others[position:]
+
+    def bad(num_robots, budget):
+        return corrupt(np.full(num_robots, budget / num_robots), entry)
+    with mock.patch.object(harness.baselines, "allocate_uniform", bad):
+        rows, summary = run_campaign(small_city(), methods, 2)
+    assert [row.method for row in rows] == methods * 2
+    reference = _rows_without_uniform()
+    for row in rows:
+        if row.method == "uniform":
+            assert row.failure == message
+            assert np.isnan([row.eqa_accuracy, row.qom, row.sum_rate_mbps]).all()
+        else:
+            assert _fields(row) == reference[(row.seed, row.method)]
+    assert summary[("uniform", 200.0)]["connected_drones"]["count"] == 0
+
+
+@st.composite
+def stacked_counts(draw):
+    """A staged seed's answer table (Q 1-30 questions, K 1-12 robots of 1-40
+    frames) and 1-8 stacked frame-count rows: nothing, every frame, or a part
+    of each robot's frames uploaded."""
+    k, q = draw(st.integers(1, 12)), draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = rng.integers(1, 41, size=k)
+    stage = harness.SeedContext(seed=0, world=None, state=None, gae_scores=None,
+                                base_answers=rng.random(q) < 0.3,
+                                first_frames=rng.integers(0, sizes + 1, size=(q, k)))
+    kinds = draw(st.lists(st.sampled_from(["none", "all", "part"]), min_size=1, max_size=8))
+    rows = [np.zeros(k) if kind == "none" else sizes.astype(float) if kind == "all"
+            else np.floor(rng.uniform(0, sizes + 1)) for kind in kinds]
+    return stage, np.array(rows)
+
+
+@settings(max_examples=100)
+@given(stacked_counts())
+def test_stacked_frame_counts_grade_as_each_row_alone(case):
+    stage, counts = case
+    accuracy = stage.accuracy_with(counts)
+    assert accuracy.shape == (len(counts),)
+    for i, row in enumerate(counts):
+        alone = stage.accuracy_with(row)
+        assert type(alone) is float and accuracy[i] == alone
+
+
 def test_aggregate_skips_nan_rows():
     from mcpa.harness import RunMetrics
     rows = [
@@ -492,6 +570,29 @@ def test_aggregate_skips_nan_rows():
     summary = aggregate(rows)
     assert summary[("m", 200.0)]["eqa_accuracy"]["mean"] == 0.5
     assert summary[("m", 200.0)]["eqa_accuracy"]["count"] == 1
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 80), st.floats(0.0, 0.5))
+def test_aggregate_reduces_each_metric_as_a_one_dimensional_array(seed, num_rows, failed):
+    # every group's figures equal numpy's 1-D mean and std over its
+    # surviving rows, to the last bit; a failed row counts nowhere
+    from mcpa.harness import RunMetrics
+    rng = np.random.default_rng(seed)
+    rows = [RunMetrics(str(rng.integers(3)), i, float(rng.choice([100.0, 200.0])),
+                       *rng.uniform(0.0, 10.0, size=3).tolist(), int(rng.integers(11)),
+                       0, 0.0, failure="ValueError: x" if rng.random() < failed else "")
+            for i in range(num_rows)]
+    for (method, p_mw), stats in aggregate(rows).items():
+        kept = [row for row in rows
+                if (row.method, row.p_sum_mw) == (method, p_mw) and not row.failure]
+        for metric, figures in stats.items():
+            values = np.array([getattr(row, metric) for row in kept], dtype=float)
+            assert figures["count"] == len(kept)
+            if len(kept):
+                assert figures["mean"] == float(values.mean())
+            if len(kept) > 1:
+                assert figures["stderr"] == float(values.std(ddof=1) / np.sqrt(len(kept)))
 
 
 def test_method_table_reaches_the_allocators_when_called(monkeypatch):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import NOISE_W, orthogonal_state, radio, random_state
+from conftest import BUDGET_W, NOISE_W, orthogonal_state, radio, random_state
 from mcpa.channel import sinr_vector
 from mcpa.harness import _checked_allocation
 from mcpa.qom import (DatasetMeta, PilotPhaseInfeasible, accuracy_estimate,
@@ -83,6 +85,40 @@ def test_frames_uploaded_vector_matches_per_robot_formula():
             sinr_j = sinr_vector(state, p, NOISE_W)[j]
             raw = 550.0 * 1e7 * np.log2(1.0 + sinr_j) / meta.item_volume_bits[j]
             assert frames[j] == min(raw, meta.num_items[j])
+
+
+@st.composite
+def stacked_powers(draw):
+    """A channel over K 1-12 robots (N 1-256, high- or low-SNR geometry), its
+    weights and dataset, and 1-8 stacked power rows: all zero, spending the
+    whole budget, or spending part of it."""
+    k = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = random_state(rng, num_robots=k, num_antennas=draw(st.integers(1, 256)),
+                         d_range=draw(st.sampled_from([(50.0, 250.0), (800.0, 4000.0)])))
+    kinds = draw(st.lists(st.sampled_from(["zero", "whole", "part"]), min_size=1, max_size=8))
+    rows = [np.zeros(k) if kind == "zero" else rng.dirichlet(np.ones(k)) * BUDGET_W
+            * (1.0 if kind == "whole" else rng.uniform(0.01, 1.0)) for kind in kinds]
+    meta = DatasetMeta.uniform(k, num_items=int(rng.integers(1, 3000)),
+                               item_volume_bits=float(rng.uniform(1e5, 5e6)))
+    return state, rng.uniform(0.0, 1.0, size=k), meta, np.array(rows)
+
+
+@settings(max_examples=80)
+@given(stacked_powers())
+def test_a_stacked_row_scores_as_the_row_alone(case):
+    # bit for bit: the harness scores a cell's allocations as one block
+    state, weights, meta, block = case
+    sinr = sinr_vector(state, block, NOISE_W)
+    frames = frames_uploaded(state, block, meta, NOISE_W, 550.0, 1e7)
+    terms = qom_terms(weights, state, block, NOISE_W)
+    totals = terms.sum(axis=1)
+    assert sinr.shape == frames.shape == terms.shape == block.shape
+    for i, p in enumerate(block):
+        assert np.array_equal(sinr[i], sinr_vector(state, p, NOISE_W))
+        assert np.array_equal(frames[i], frames_uploaded(state, p, meta, NOISE_W, 550.0, 1e7))
+        assert np.array_equal(terms[i], qom_terms(weights, state, p, NOISE_W))
+        assert totals[i] == qom_objective(weights, state, p, NOISE_W)
 
 
 def test_pilot_overhead_single_user_closed_form():

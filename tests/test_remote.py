@@ -338,16 +338,23 @@ def test_a_request_keeps_its_query_and_sends_authorization_only_with_a_token(tok
 
 def test_an_https_url_goes_through_the_default_ssl_context(monkeypatch, raw_server):
     import ssl
-    wrapped = []
+    built, wrapped = [], []
 
     class Context:
+        def __init__(self):
+            built.append(self)
+
         def wrap_socket(self, sock, server_hostname):
             wrapped.append(server_hostname)
             return sock   # no handshake: the one-shot server speaks plain HTTP
     monkeypatch.setattr(ssl, "create_default_context", Context)
-    raw = raw_server(GOOD_REPLY)
-    assert chat_completion(raw.url.replace("http://", "https://"), encoded(), retries=1) == "fine"
-    assert wrapped == ["127.0.0.1"]
+    monkeypatch.setattr(remote, "_tls", None)   # no context left from an earlier test
+    raw = raw_server(GOOD_REPLY, GOOD_REPLY)
+    for _ in range(2):
+        assert chat_completion(raw.url.replace("http://", "https://"), encoded(),
+                               retries=1) == "fine"
+    assert wrapped == ["127.0.0.1"] * 2
+    assert len(built) == 1   # one context per process, made on the first https request
 
 
 @pytest.mark.parametrize("url, address", [
