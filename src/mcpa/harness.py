@@ -6,8 +6,9 @@ uploads and grades the ground-truth question set with the synthetic oracle.
 Runs are isolated: each seed is staged once (:func:`prepare_seed`), and
 every method and power budget of that seed sees the same world, channels
 and GAE scores; only the pilot overhead and the QoM weights depend on the
-budget. A (seed, budget) cell's allocations are checked and scored as one
-block, each row exactly as it would be alone.
+budget. :func:`_run_cell` makes a (seed, budget) cell's rows: it checks each
+allocation once, as it is made, and scores the cell as one block, each row
+exactly as it would be alone; a failed run is a row of NaNs with its reason.
 """
 from __future__ import annotations
 
@@ -238,9 +239,9 @@ def _checked_allocation(p: np.ndarray, k: int, budget: float) -> None:
     spend at most the budget (up to a relative 1e-9)."""
     if p.shape != (k,):
         raise ValueError(f"allocation has shape {p.shape}, expected ({k},)")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("non-finite powers: every power must be a finite number")
-    if np.any(p < 0.0):
+    if (p < 0.0).any():
         raise ValueError("powers must be nonnegative")
     if p.sum() > budget * (1.0 + 1e-9):
         raise ValueError(f"sum power {p.sum():.6g} exceeds budget {budget:.6g}")
@@ -263,44 +264,39 @@ def _score_allocation(ctx: _RunContext, scenario: Scenario,
     return stage.accuracy_with(frames), qom, rates.sum(axis=1) / 1e6, connected
 
 
-def _run_cell(ctx: _RunContext, scenario: Scenario, methods, names,
-              caught=(ValueError, ArithmeticError, GaeError)) -> list[RunMetrics]:
-    """Every method at one staged (seed, budget), rows in method order. Each
-    method is allocated, timed and failed (on a ``caught`` error) on its own;
-    the allocations are then checked by whole-block masks, a flagged row
-    getting :func:`_checked_allocation`'s message, and the rest scored at once."""
-    seed, budget, k = ctx.stage.seed, ctx.power_w, scenario.num_robots
-    rows, allocated = [], []                    # allocated: (row, powers, trace, wall_ms)
-    for method, name in zip(methods, names):
+def _run_cell(stage: SeedContext, scenario: Scenario, budget: float, methods, names,
+              caught=(ValueError, ArithmeticError, GaeError, PilotPhaseInfeasible)
+              ) -> list[RunMetrics]:
+    """Every method on a staged seed at ``budget``, rows in method order. A
+    ``caught`` error in the pilot phase fails every row; one in a method's
+    allocation or in its :func:`_checked_allocation`, right after it is made,
+    fails that row. The checked allocations are scored as one block."""
+    try:
+        ctx = _at_budget(stage, scenario, budget)
+    except caught as exc:
+        return [_failed_run(name, stage.seed, budget, exc) for name in names]
+    failed, allocated = [], []          # (position, row); (name, powers, trace, wall_ms)
+    for i, (method, name) in enumerate(zip(methods, names)):
         started = time.perf_counter()
         try:
             powers, trace = _allocate(ctx, scenario, method)
-            if powers.shape != (k,):
-                _checked_allocation(powers, k, budget)
+            _checked_allocation(powers, scenario.num_robots, budget)
         except caught as exc:
-            rows.append(_failed_run(name, seed, budget, exc))
+            failed.append((i, _failed_run(name, stage.seed, budget, exc)))
             continue
-        allocated.append((len(rows), powers, trace, (time.perf_counter() - started) * 1e3))
-        rows.append(None)
-    block = np.array([p for _, p, _, _ in allocated], dtype=float).reshape(len(allocated), k)
-    ok = (np.isfinite(block).all(axis=1) & (block >= 0.0).all(axis=1)
-          & (block.sum(axis=1) <= budget * (1.0 + 1e-9)))
-    for j in np.flatnonzero(~ok):
-        i = allocated[j][0]
-        try:
-            _checked_allocation(block[j], k, budget)   # the masks' rules: this raises
-        except caught as exc:
-            rows[i] = _failed_run(names[i], seed, budget, exc)
-    block = block[ok]
+        allocated.append((name, powers, trace, (time.perf_counter() - started) * 1e3))
+    block = np.array([p for _, p, _, _ in allocated], dtype=float).reshape(
+        len(allocated), scenario.num_robots)
     scores = (column.tolist() for column in _score_allocation(ctx, scenario, block))
-    kept = (entry for entry, good in zip(allocated, ok) if good)
-    for (i, _, trace, wall_ms), powers, accuracy, qom, sum_rate, connected in zip(
-            kept, block.tolist(), *scores):
-        rows[i] = RunMetrics(
-            method=names[i], seed=seed, p_sum_mw=budget * 1e3, eqa_accuracy=accuracy,
-            qom=qom, sum_rate_mbps=sum_rate, connected_drones=connected,
-            solver_iters=trace.outer_iterations if trace is not None else 0,
-            wall_ms=wall_ms, power_mw=tuple(p * 1e3 for p in powers))
+    rows = [RunMetrics(
+        method=name, seed=stage.seed, p_sum_mw=budget * 1e3, eqa_accuracy=accuracy,
+        qom=qom, sum_rate_mbps=sum_rate, connected_drones=connected,
+        solver_iters=trace.outer_iterations if trace is not None else 0,
+        wall_ms=wall_ms, power_mw=tuple(p * 1e3 for p in powers))
+        for (name, _, trace, wall_ms), powers, accuracy, qom, sum_rate, connected
+        in zip(allocated, block.tolist(), *scores)]
+    for i, row in failed:               # in ascending position, each lands at its own
+        rows.insert(i, row)
     return rows
 
 
@@ -308,8 +304,7 @@ def run_method(stage: SeedContext, scenario: Scenario, method) -> RunMetrics:
     """Run one method, a name in :data:`METHODS` or an :class:`ExternalWeights`,
     on a staged seed at the scenario's power budget; a failure raises."""
     [name] = _check_methods([method])
-    ctx = _at_budget(stage, scenario, scenario.power_budget_w)
-    return _run_cell(ctx, scenario, [method], [name], caught=())[0]
+    return _run_cell(stage, scenario, scenario.power_budget_w, [method], [name], caught=())[0]
 
 
 def _failed_run(name: str, seed: int, power_w: float, error: Exception) -> RunMetrics:
@@ -323,11 +318,11 @@ def _failed_run(name: str, seed: int, power_w: float, error: Exception) -> RunMe
 
 def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
               backend) -> tuple[list[RunMetrics], dict]:
-    """Stage each seed once, then run every budget and method on it. A run
-    that fails with a domain error (an infeasible pilot phase, a numerical
-    failure, a GAE error) is a row of NaNs with its reason; any other
-    exception propagates. Rows come out budget-major, then seed, then method;
-    no stage is kept once its seed is done.
+    """Stage each seed once, then run each budget's cell on it (:func:`_run_cell`).
+    A run that fails with a domain error (an infeasible pilot phase, a
+    numerical failure, a GAE error) is a row of NaNs with its reason; any
+    other exception propagates. Rows come out budget-major, then seed, then
+    method; no stage is kept once its seed is done.
     """
     if num_seeds < 1:
         raise ConfigError(f"num_seeds: {num_seeds} is not an integer >= 1")
@@ -336,12 +331,7 @@ def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
     for i in range(num_seeds):
         stage = prepare_seed(scenario, scenario.seeds["run"] + i, backend)
         for rows, power_w in zip(per_budget, budgets_w):
-            try:
-                ctx = _at_budget(stage, scenario, power_w)
-            except PilotPhaseInfeasible as exc:
-                rows.extend(_failed_run(name, stage.seed, power_w, exc) for name in names)
-                continue
-            rows.extend(_run_cell(ctx, scenario, methods, names))
+            rows.extend(_run_cell(stage, scenario, power_w, methods, names))
     rows = [row for budget_rows in per_budget for row in budget_rows]
     return rows, aggregate(rows)
 

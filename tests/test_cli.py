@@ -104,6 +104,32 @@ def test_a_run_where_every_row_failed_exits_nonzero(tmp_path, capsys):
     assert path.exists()
 
 
+def test_summary_counts_the_runs_behind_each_mean(tmp_path, capsys):
+    # city seed 8's pilot phase needs more than T at 100 mW: each mean is over 8 seeds
+    assert cli.main(["sweep", "--config", str(CONFIG_DIR / "city_desk.json"),
+                     "--budgets-mw", "100", "--seeds", "9", "--methods", "uniform,mcpa",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    out = capsys.readouterr()
+    header, *table = out.out.splitlines()[:3]
+    assert header.split()[:3] == ["method", "P_mW", "n"]
+    assert [line.split()[:3] for line in table] == [["mcpa", "100", "8"],
+                                                    ["uniform", "100", "8"]]
+    assert out.err == "failed runs: 2 of 18\n"
+
+
+def test_solve_reports_an_infeasible_pilot_phase_as_one_json_line(tmp_path, capsys):
+    # city seed 8's pilot phase needs more than T at 100 mW
+    config = tmp_path / "city100.json"
+    config.write_text(json.dumps({**load_config(CONFIG_DIR / "city_desk.json"),
+                                  "budgets": {"power_sum_mw": 100}}))
+    assert cli.main(["solve", "--config", str(config), "--seed", "8"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    [line] = out.err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "PilotPhaseInfeasible" and error["message"]
+
+
 def test_bad_config_yields_machine_readable_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"radio": {"bandwidth_hz": -5}}))

@@ -16,7 +16,7 @@ from mcpa import harness
 from mcpa.harness import (CSV_COLUMNS, METHODS, aggregate, prepare_seed, run_campaign,
                           run_method, run_sweep, write_csv)
 from mcpa.gae import MemoryIndex, SyntheticBackend, run_gae
-from mcpa.qom import pilot_overhead, qom_objective, qom_weights
+from mcpa.qom import PilotPhaseInfeasible, pilot_overhead, qom_objective, qom_weights
 from mcpa.world import build_world
 from reference_index import ReferenceIndex, grade, world_questions
 
@@ -468,6 +468,29 @@ def test_campaign_records_pilot_failures_and_continues():
     for key in (("remember", 200.0), ("uniform", 200.0)):
         for stats in summary[key].values():
             assert stats["count"] == 0 and np.isnan(stats["mean"])
+
+
+def test_run_method_raises_an_infeasible_pilot_phase():
+    # city seed 8's pilot phase needs more than T at 100 mW
+    cfg = json.loads(json.dumps(CITY))
+    cfg["budgets"] = {"power_sum_mw": 100}
+    scenario = build_scenario(cfg)
+    with pytest.raises(PilotPhaseInfeasible):
+        run_method(prepare_seed(scenario, 8), scenario, "uniform")
+
+
+def test_a_cell_where_every_allocation_fails(monkeypatch):
+    monkeypatch.setattr(harness.baselines, "allocate_uniform",
+                        lambda num_robots, budget: np.full(num_robots, np.nan))
+    with mock.patch.object(harness, "_score_allocation",
+                           wraps=harness._score_allocation) as score:
+        rows, summary = run_campaign(small_city(), ["uniform"], 2)
+    assert [call.args[2].shape for call in score.call_args_list] == [(0, 10), (0, 10)]
+    assert [row.failure for row in rows] == \
+        ["ValueError: non-finite powers: every power must be a finite number"] * 2
+    assert all(np.isnan([r.eqa_accuracy, r.qom, r.sum_rate_mbps]).all() for r in rows)
+    for stats in summary[("uniform", 200.0)].values():
+        assert stats["count"] == 0 and np.isnan(stats["mean"])
 
 
 def test_programming_errors_propagate(monkeypatch):
