@@ -26,18 +26,18 @@ def unit_rate_params(num_robots: int) -> np.ndarray:
 
 
 def _fairness_powers(state: ChannelState, target_sinr: float, budget: float,
-                     noise_power_w: float):
+                     noise_power_w: float, system: np.ndarray):
     """Fixed point of the standard power-control update p <- gamma (I_offdiag p
     + s2) / H (Yates 1995) by one solve of (diag(H) - gamma I_offdiag) p =
-    gamma s2 1. Its solution is positive iff the update converges from zero;
-    returns it if so and sum p <= budget, else None."""
-    system = -target_sinr * state.interference
-    system.flat[::state.num_robots + 1] = state.gains
+    gamma s2 1, assembled in the (K, K) buffer ``system``. Its solution is positive
+    iff the update converges from zero; returns it if so and sum p <= budget, else None."""
+    np.multiply(-target_sinr, state.interference, out=system)
+    system.reshape(-1)[::state.num_robots + 1] = state.gains     # the diagonal, as a view
     try:
         p = np.linalg.solve(system, np.full(state.num_robots, target_sinr * noise_power_w))
     except np.linalg.LinAlgError:
         return None
-    return p if np.all(p > 0.0) and p.sum() <= budget else None
+    return p if p.min() > 0.0 and np.add.reduce(p) <= budget else None
 
 
 def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
@@ -53,10 +53,11 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
     roundoff permitting), else the bisection runs on [0, gamma_hi]. A zero
     gain makes every max-min rate 0, so that channel gets all-zero powers.
     """
-    if not np.all(state.gains > 0.0):
+    if not (state.gains > 0.0).all():
         return np.zeros(state.num_robots)
-    hi = budget / (noise_power_w * np.sum(1.0 / state.gains))
-    best = _fairness_powers(state, hi, budget, noise_power_w)
+    system = np.empty((state.num_robots, state.num_robots))
+    hi = budget / (noise_power_w * np.add.reduce(1.0 / state.gains))
+    best = _fairness_powers(state, hi, budget, noise_power_w, system)
     if best is not None:
         return best
     best, lo = np.zeros(state.num_robots), 0.0
@@ -64,7 +65,7 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
         if hi - lo <= tol * max(hi, 1e-300):
             break
         mid = 0.5 * (lo + hi)
-        candidate = _fairness_powers(state, mid, budget, noise_power_w)
+        candidate = _fairness_powers(state, mid, budget, noise_power_w, system)
         if candidate is None:
             hi = mid
         else:

@@ -63,8 +63,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
     try:
-        budgets = [float(b) for b in args.budgets_mw.split(",")] if args.budgets_mw \
-            else list(DEFAULT_SWEEP_MW)
+        budgets = list(DEFAULT_SWEEP_MW) if args.budgets_mw is None \
+            else [float(b) for b in args.budgets_mw.split(",")]
     except ValueError:
         raise ConfigError(f"--budgets-mw: {args.budgets_mw!r} is not a comma list of numbers") \
             from None

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -98,8 +98,9 @@ class FrameStore:
         renumbered = np.full(len(self), -1, dtype=np.intp)
         renumbered[indices] = np.arange(len(indices))
         hits = renumbered[self.hits]
+        kept = hits >= 0
         return FrameStore(self.robot_ids[indices], self.timestamps[indices], self.poses[indices],
-                          hits[hits >= 0], self.tag_ids[hits >= 0], self.tags)
+                          hits[kept], self.tag_ids[kept], self.tags)
 
     def occurrences(self, names=None) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
         """``(frames, tag_ids, names)``: tag ``names[tag_ids[i]]`` is on frame
@@ -108,7 +109,7 @@ class FrameStore:
         if names is None:
             names = tuple(sorted(set(self.tags)))
         ids = {name: i for i, name in enumerate(names)}
-        tag_ids = np.array([ids.get(tag, -1) for tag in self.tags], dtype=np.intp)[self.tag_ids]
+        tag_ids = np.fromiter(map(ids.get, self.tags, repeat(-1)), np.intp)[self.tag_ids]
         keys = (self.hits * len(names) + tag_ids)[tag_ids >= 0]
         keys.sort()
         frames, tag_ids = np.divmod(keys[_run_starts(keys)], max(len(names), 1))
@@ -220,9 +221,9 @@ class MemoryIndex:
     def __init__(self, frames: FrameStore, tags=None):
         self.size = len(frames)       # no reference back: the store caches its index
         hits, tag_ids, self.tags = frames.occurrences(tags)
+        x, y, robots = frames.poses[:, 0], frames.poses[:, 1], frames.robot_ids
         moved = np.ones(len(frames) + 1, dtype=np.intp)       # [-1]: bounds the run ids
-        moved[1:-1] = ((frames.poses[1:, :2] != frames.poses[:-1, :2]).any(axis=1)
-                       | (frames.robot_ids[1:] != frames.robot_ids[:-1]))
+        moved[1:-1] = (x[1:] != x[:-1]) | (y[1:] != y[:-1]) | (robots[1:] != robots[:-1])
         run = moved.cumsum()
         keys = (tag_ids * run[-1] + run[hits]) * (self.size + 1) + hits
         keys.sort()
@@ -239,8 +240,7 @@ class MemoryIndex:
         answered by single frames, so a memory joined with a prefix of ``n``
         frames answers one exactly when it alone does or ``n`` exceeds this."""
         templates, tags, tag_ids, truth = columns
-        rows = np.array([self._rows.get(tag, len(self.tags)) for tag in tags],
-                        dtype=np.intp)[tag_ids]
+        rows = np.fromiter(map(self._rows.get, tags, repeat(len(self.tags))), np.intp)[tag_ids]
         lo = self.offsets[rows]
         count = self.offsets[rows + 1] - lo
         question = np.arange(len(rows)).repeat(count)      # one entry per candidate group
@@ -345,9 +345,10 @@ def run_gae(datasets, base_memory, ratio, questions_per_robot: int, backend, see
         raise GaeError("at least one exam question is required")
     ratios = np.broadcast_to(np.asarray(ratio, dtype=float), (num_robots,))
     prepared = backend.prepare_memory(base_memory)
-    seeds = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(num_robots)]
-    pilots = per_robot(lambda k: sample_pilot(datasets[k], float(ratios[k]), seeds[k][0]),
+    root = np.random.SeedSequence(seed)     # robot k's keys in root.spawn(K)[k].spawn(2)
+    seeds = [[np.random.SeedSequence(root.entropy, spawn_key=(k, j), pool_size=root.pool_size)
+              for k in range(num_robots)] for j in (0, 1)]
+    pilots = per_robot(lambda k: sample_pilot(datasets[k], float(ratios[k]), seeds[0][k]),
                        num_robots)
-    exams, scores = backend.run_exams(pilots, questions_per_robot, [s[1] for s in seeds],
-                                      prepared)
+    exams, scores = backend.run_exams(pilots, questions_per_robot, seeds[1], prepared)
     return GaeReport(scores=scores, pilot_sizes=[len(p) for p in pilots], exams=tuple(exams))

@@ -350,8 +350,10 @@ def run_sweep(scenario: Scenario, methods, budgets_mw, num_seeds: int,
               backend=None) -> tuple[list[RunMetrics], dict]:
     """run_campaign at every power budget (default grid 100..300 mW), each
     seed staged once for all budgets, rows in campaign-after-campaign order."""
+    if not (budgets_mw := [float(budget_mw) for budget_mw in budgets_mw]):   # read once
+        raise ConfigError("budgets_mw: no budget given")
     if not all(0.0 < budget_mw < math.inf for budget_mw in budgets_mw):
-        raise ConfigError(f"budgets_mw: {list(budgets_mw)} must all be finite and positive")
+        raise ConfigError(f"budgets_mw: {budgets_mw} must all be finite and positive")
     return _run_grid(scenario, methods, [budget_mw / 1e3 for budget_mw in budgets_mw],
                      num_seeds, backend)
 

@@ -85,16 +85,20 @@ class SurrogateContext:
     anchor_gradient: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.anchor = np.asarray(self.anchor, dtype=float)
-        if self.anchor.shape != (self.state.num_robots,):
+        if np.shape(self.anchor) != (self.state.num_robots,):
             raise ValueError("anchor and channel state disagree on the number of robots")
         self.weights = _checked_weights(self.weights, self.state.num_robots)
         self.coupling = self.state.interference / self.noise_power_w
         self.coupling_offdiag = self.coupling.copy()
         np.fill_diagonal(self.coupling_offdiag, 0.0)
+        self.scaled_weights = self.weights / _LN2
+        self._anchor_at(self.anchor)
+
+    def _anchor_at(self, anchor: np.ndarray) -> None:
+        """Move the anchor to ``anchor``: only the terms that depend on it change."""
+        self.anchor = np.asarray(anchor, dtype=float)
         self.anchor_denominators = self.coupling_offdiag @ self.anchor + 1.0
         self.log_anchor_denominators = np.log(self.anchor_denominators)
-        self.scaled_weights = self.weights / _LN2
         self.anchor_gradient = self.coupling_offdiag.T @ (
             self.weights / (_LN2 * self.anchor_denominators))
 
@@ -285,7 +289,7 @@ class SolveTrace:
 
 def _checked_weights(weights, k: int) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
-    if w.shape != (k,) or not np.all((w >= 0.0) & (w < np.inf)):
+    if w.shape != (k,) or not ((w >= 0.0) & (w < np.inf)).all():
         raise ValueError(f"weights must be K = {k} finite, nonnegative numbers, one per robot")
     return w
 
@@ -306,23 +310,21 @@ def solve_mcpa(weights, state: ChannelState, budget: float,
     if budget <= 0.0:
         raise ValueError("budget must be strictly positive")
     k = state.num_robots
-    w = _checked_weights(weights, k)
-    opts = opts or SolverOptions()
     current = np.full(k, budget / k)
-    obj = qom_objective(w, state, current, noise_power_w)
+    ctx = SurrogateContext(current, weights, state, noise_power_w)
+    opts = opts or SolverOptions()
+    obj = qom_objective(ctx.weights, state, current, noise_power_w)
     iterates = [(current, obj, obj)]
     inner_counts: list[int] = []
     inner_flags: list[bool] = []
     reason = "max_iterations"
     warm_start = False
     for _ in range(opts.max_outer):
-        ctx = SurrogateContext(anchor=current, weights=w, state=state,
-                               noise_power_w=noise_power_w)
         start = None if inner_counts else _waterfill_start(ctx, budget)
         warm_start = warm_start or start is not None
         inner = _inner_ascent(ctx, budget, opts.inner_tol, opts.max_inner, start)
         candidate = inner.powers
-        new_obj = qom_objective(w, state, candidate, noise_power_w)
+        new_obj = qom_objective(ctx.weights, state, candidate, noise_power_w)
         iterates.append((candidate, new_obj, inner.objective))
         inner_counts.append(inner.iterations)
         inner_flags.append(inner.converged)
@@ -333,6 +335,7 @@ def solve_mcpa(weights, state: ChannelState, budget: float,
             reason = "converged" if all(inner_flags) else "inexact"
             break
         current, obj = candidate, new_obj
+        ctx._anchor_at(current)      # the weights and constants are the first iteration's
     return SolveTrace(iterates=iterates, stop_reason=reason, inner_iterations=inner_counts,
                       inner_converged=inner_flags, warm_start=warm_start)
 
@@ -341,8 +344,8 @@ def _waterfill_start(ctx: SurrogateContext, budget: float) -> np.ndarray | None:
     """Water-filling over the gains H_k / (s2 S*_k) at unit noise, the
     surrogate's maximizer with the interference frozen at the anchor, scaled
     into the budget: the Newton start when it beats the anchor, else None."""
-    guess = waterfill(ctx.weights, ctx.coupling.diagonal() / ctx.anchor_denominators,
-                      1.0, budget).power
+    guess = _waterfill(ctx.weights, ctx.coupling.diagonal() / ctx.anchor_denominators,
+                       1.0, budget).power
     spent = np.add.reduce(guess)
     if spent > budget * (1.0 + 1e-12):
         guess *= budget / spent
@@ -371,17 +374,21 @@ def waterfill(weights, gains, noise_power_w: float, budget: float) -> WaterfillR
     s2/H_k keep their precision.
     """
     h = np.asarray(gains, dtype=float)
-    lam = _checked_weights(weights, h.size)
+    return _waterfill(_checked_weights(weights, h.size), h, noise_power_w, budget)
+
+
+def _waterfill(lam, h, noise_power_w: float, budget: float) -> WaterfillResult:
+    """:func:`waterfill` on already checked weights ``lam`` and float gains ``h``."""
     usable = (lam > 0.0) & (h > 0.0)
-    if not np.any(usable):
+    if not usable.any():
         return WaterfillResult(np.zeros(h.size), None)
     lam = lam[usable]
     thresholds = noise_power_w / (h[usable] * lam)
     lowest = thresholds.min()
     rise = thresholds - lowest
-    order = np.argsort(rise, kind="stable")
-    levels = (budget + np.cumsum((lam * rise)[order])) / np.cumsum(lam[order])
-    level = levels[np.flatnonzero(levels > rise[order])[-1]]
+    order = rise.argsort(kind="stable")
+    levels = (budget + (lam * rise)[order].cumsum()) / lam[order].cumsum()
+    level = levels[(levels > rise[order]).nonzero()[0][-1]]
     powers = np.zeros(h.size)
     powers[usable] = lam * np.maximum(0.0, level - rise)
     return WaterfillResult(powers, float(lowest + level))

@@ -22,13 +22,14 @@ bisection whose every probe runs the standard power-control iteration sweep
 by sweep, up to 30,000 sweeps, is kept as the reference that
 ``mcpa.baselines.allocate_fairness``'s one-solve probes must agree with on
 the shipped scenarios; the one with one-solve probes that doubled its upper
-bound until infeasible is its bit-level oracle.
+bound until infeasible is its bit-level oracle. Its probe assembles a fresh
+system per target and tests it with ``np.all`` and ``sum``, as
+``mcpa.baselines._fairness_powers`` did before it took a shared buffer.
 """
 import math
 
 import numpy as np
 
-from mcpa.baselines import _fairness_powers
 from mcpa.channel import ChannelState
 from mcpa.solver import _LN2, SurrogateContext, WaterfillResult, _InnerResult
 
@@ -245,6 +246,20 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
     return best
 
 
+def fairness_powers(state: ChannelState, target_sinr: float, budget: float,
+                    noise_power_w: float):
+    """The one-solve probe of :func:`doubling_allocate_fairness`: the fixed
+    point of the power-control update at ``target_sinr`` if it is positive
+    and spends at most ``budget``, else None."""
+    system = -target_sinr * state.interference
+    system.flat[::state.num_robots + 1] = state.gains
+    try:
+        p = np.linalg.solve(system, np.full(state.num_robots, target_sinr * noise_power_w))
+    except np.linalg.LinAlgError:
+        return None
+    return p if np.all(p > 0.0) and p.sum() <= budget else None
+
+
 def doubling_allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
                                tol: float = 1e-4) -> np.ndarray:
     """``mcpa.baselines.allocate_fairness`` as it was before it returned at
@@ -256,7 +271,7 @@ def doubling_allocate_fairness(state: ChannelState, budget: float, noise_power_w
     hi = budget / (noise_power_w * np.sum(1.0 / state.gains))
     lo = 0.0
     for _ in range(60):
-        candidate = _fairness_powers(state, hi, budget, noise_power_w)
+        candidate = fairness_powers(state, hi, budget, noise_power_w)
         if candidate is None:
             break
         best, lo = candidate, hi
@@ -265,7 +280,7 @@ def doubling_allocate_fairness(state: ChannelState, budget: float, noise_power_w
         if hi - lo <= tol * max(hi, 1e-300):
             break
         mid = 0.5 * (lo + hi)
-        candidate = _fairness_powers(state, mid, budget, noise_power_w)
+        candidate = fairness_powers(state, mid, budget, noise_power_w)
         if candidate is None:
             hi = mid
         else:

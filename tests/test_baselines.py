@@ -18,7 +18,7 @@ from mcpa.harness import prepare_seed
 from mcpa.qom import DatasetMeta, qom_objective, qom_weights
 from mcpa.solver import solve_mcpa, waterfill
 from reference_solver import allocate_fairness as reference_allocate_fairness
-from reference_solver import doubling_allocate_fairness
+from reference_solver import doubling_allocate_fairness, fairness_powers
 
 
 def max_rate(state):
@@ -281,7 +281,7 @@ def test_fairness_is_bit_identical_to_the_doubling_bisection(state, log_budget, 
     after one probe keeps every bit of the doubling loop's answer."""
     budget = 10.0 ** log_budget
     hi = budget / (NOISE_W * np.sum(1.0 / state.gains))
-    bound_feasible = _fairness_powers(state, hi, budget, NOISE_W) is not None
+    bound_feasible = fairness_powers(state, hi, budget, NOISE_W) is not None
     with mock.patch.object(mcpa.baselines, "_fairness_powers",
                            wraps=_fairness_powers) as probe:
         fair = allocate_fairness(state, budget, NOISE_W, tol)

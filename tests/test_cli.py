@@ -190,6 +190,8 @@ def test_non_finite_or_out_of_range_values_are_rejected(tmp_path, config, field)
 @pytest.mark.parametrize("argv, field", [
     (["sweep", "--seeds", "1", "--methods", "remember", "--budgets-mw", "abc"], "--budgets-mw"),
     (["sweep", "--seeds", "1", "--methods", "remember", "--budgets-mw", ","], "--budgets-mw"),
+    # an empty value (an unset shell variable, say) is not the flag left out
+    (["sweep", "--seeds", "1", "--methods", "remember", "--budgets-mw", ""], "--budgets-mw"),
     (["sweep", "--seeds", "1", "--methods", "remember", "--budgets-mw", "-5"], "budgets_mw"),
     (["sweep", "--seeds", "1", "--methods", "remember", "--budgets-mw", "nan"], "budgets_mw"),
     (["sweep", "--seeds", "1", "--methods", "remember", "--budgets-mw", "inf"], "budgets_mw"),

@@ -321,8 +321,22 @@ QUESTIONS = list(every_question())
 POSITIVE = [q for q in QUESTIONS if q.answer != "NO"]
 
 
+def one_tag_run(xs, ys, robots) -> FrameStore:
+    """Frames at (xs[i], ys[i]) taken by robots[i], each with the one tag "bus"."""
+    n = len(xs)
+    poses = np.zeros((n, 6))
+    poses[:, 0], poses[:, 1] = xs, ys
+    return FrameStore(robots, np.arange(n, dtype=float), poses, hits=range(n),
+                      tag_ids=[0] * n, tags=("bus",))
+
+
 @settings(max_examples=100)
 @given(frame_stores())
+# consecutive frames that differ only in x, only in y or only in robot each
+# start a run of their own
+@example(one_tag_run([0.0, 60.0, 0.0], [30.0] * 3, [1] * 3))
+@example(one_tag_run([30.0] * 3, [0.0, 0.0, 60.0], [0] * 3))
+@example(one_tag_run([40.0] * 4, [40.0] * 4, [0, 2, 2, 0]))
 def test_memory_index_answers_as_the_set_index(frames):
     memory = items(frames)
     reference = ReferenceIndex(memory)
@@ -369,6 +383,39 @@ def test_columnar_exams_match_the_per_question_path(pilot, memory, num_questions
         columns = exam_columns(positive)
         assert memory.index.first_frames(columns).tolist() == first
         assert MemoryIndex(memory, columns[1]).first_frames(columns).tolist() == first
+
+
+class RecordingBackend(SyntheticBackend):
+    """The synthetic backend, keeping the pilots and exam seeds it was given."""
+
+    def run_exams(self, pilots, num_questions, seeds, index):
+        self.pilots, self.seeds = pilots, seeds
+        return super().run_exams(pilots, num_questions, seeds, index)
+
+
+def store_bytes(frames: FrameStore) -> tuple:
+    return (*(getattr(frames, column).tobytes() for column in
+              ("robot_ids", "timestamps", "poses", "hits", "tag_ids")), frames.tags)
+
+
+@settings(max_examples=40)
+@given(st.lists(frame_stores(min_frames=1), min_size=1, max_size=12), frame_stores(),
+       st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+def test_robot_k_draws_from_spawn_keys_k0_and_k1(datasets, base, ratio, seed):
+    """Robot k's pilot is sampled with child (k, 0) of the seed's sequence,
+    SeedSequence(seed).spawn(K)[k].spawn(2)[0], and its exam drawn with
+    child (k, 1), for K from 1 to 12."""
+    backend = RecordingBackend()
+    report = run_gae(datasets, base, ratio, 5, backend, seed)
+    children = [child.spawn(2) for child in np.random.SeedSequence(seed).spawn(len(datasets))]
+    pilots = [sample_pilot(frames, ratio, pilot_seed)
+              for frames, (pilot_seed, _) in zip(datasets, children)]
+    assert list(map(store_bytes, backend.pilots)) == list(map(store_bytes, pilots))
+    assert ([s.generate_state(8).tobytes() for s in backend.seeds]
+            == [exam_seed.generate_state(8).tobytes() for _, exam_seed in children])
+    exams, scores = SyntheticBackend().run_exams(pilots, 5, [c[1] for c in children], base.index)
+    assert report.exams == tuple(exams)
+    assert report.scores.tobytes() == scores.tobytes()
 
 
 @st.composite

@@ -346,6 +346,23 @@ def test_unknown_methods_are_rejected_before_staging(monkeypatch):
         assert built == []
 
 
+def test_budgets_may_be_any_iterable_of_numbers(monkeypatch):
+    """A numpy array or a one-pass iterator of budgets gives the rows of the
+    list, with p_sum_mw a float (written as 150.0, not np.float64(150.0));
+    an empty one is a ConfigError before any seed is staged."""
+    s = small_city()
+    rows, _ = run_sweep(s, ["uniform"], [150.0, 250.0], 1)
+    for budgets in (np.array([150.0, 250.0]), iter([150.0, 250.0])):
+        assert [_fields(r) for r in run_sweep(s, ["uniform"], budgets, 1)[0]] \
+            == [_fields(r) for r in rows]
+    staged = []
+    monkeypatch.setattr(harness, "prepare_seed", lambda *args: staged.append(args))
+    for budgets in ([], (), np.array([]), iter([])):
+        with pytest.raises(ConfigError, match="budgets_mw: no budget given"):
+            run_sweep(s, ["uniform"], budgets, 3)
+    assert staged == []
+
+
 def test_repeated_method_names_are_rejected_before_staging(monkeypatch):
     from mcpa.harness import ExternalWeights
     built = []

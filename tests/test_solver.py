@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -563,12 +564,51 @@ def test_waterfill_start_scales_an_overspent_split_into_the_budget(overspend, sc
     ctx = SurrogateContext(anchor=np.full(2, BUDGET_W / 2), weights=np.array([1.0, 0.0]),
                            state=coupled_pair(), noise_power_w=NOISE_W)
     split = np.array([BUDGET_W * (1.0 + overspend * np.finfo(float).eps), 0.0])
-    monkeypatch.setattr(mcpa.solver, "waterfill",
+    monkeypatch.setattr(mcpa.solver, "_waterfill",
                         lambda *args: mcpa.solver.WaterfillResult(split.copy(), 1.0))
     start = mcpa.solver._waterfill_start(ctx, BUDGET_W)
     assert np.add.reduce(start) <= BUDGET_W * (1.0 + 1e-12)
     assert (start.tobytes() != split.tobytes()) is scaled
     assert start[0] == pytest.approx(BUDGET_W, rel=1e-15) and start[1] == 0.0
+
+
+def lone_or_idle_case(weights):
+    """A surrogate_cases value with the given weights on a K = len(weights) channel."""
+    k = len(weights)
+    state = random_state(np.random.default_rng(k), num_robots=k, num_antennas=4)
+    return SurrogateContext(anchor=np.full(k, BUDGET_W / k), weights=np.array(weights),
+                            state=state, noise_power_w=NOISE_W), False
+
+
+def same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40)
+@given(surrogate_cases())
+@example(lone_or_idle_case([0.7]))
+@example(lone_or_idle_case([0.0]))
+@example(lone_or_idle_case([0.0] * 6))
+def test_each_reanchored_surrogate_equals_a_fresh_one(case):
+    """solve_mcpa builds its surrogate's constants once and moves only the
+    anchor: at every outer iteration, the surrogate it maximizes is anchored
+    at the iterate before it and holds, array for array, the bytes of one
+    built from scratch there."""
+    ctx, _ = case
+    arrays = [f.name for f in dataclasses.fields(SurrogateContext)
+              if f.name not in ("state", "noise_power_w")]
+    anchors, matched = [], []
+
+    def spy(surrogate, *args):
+        anchors.append(surrogate.anchor.tobytes())
+        fresh = SurrogateContext(surrogate.anchor.copy(), ctx.weights, ctx.state, NOISE_W)
+        matched.append(all(same_bytes(getattr(surrogate, name), getattr(fresh, name))
+                           for name in arrays))
+        return _inner_ascent(surrogate, *args)
+    with mock.patch.object(mcpa.solver, "_inner_ascent", spy):
+        trace = solve_mcpa(ctx.weights, ctx.state, BUDGET_W, NOISE_W)
+    assert anchors == [p.tobytes() for p, _, _ in trace.iterates[:-1]]
+    assert all(matched)
 
 
 @settings(max_examples=40)
