@@ -8,13 +8,13 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cli_env
-from frames import MemoryItem, reference_caption, store
+from frames import MemoryItem, items, reference_caption, store
 from mcpa import remote
-from mcpa.gae import Exam, GaeError, Question, run_gae
+from mcpa.gae import Exam, FrameStore, GaeError, Question, run_gae
 from mcpa.remote import (GaeParseError, GaeTransportError, RemoteBackend,
                          chat_completion, grade_text_answer)
 
@@ -184,7 +184,7 @@ def test_chat_completion_writes_transcript(server, tmp_path):
     assert lines[0]["response"] == "logged"
     assert lines[0]["request"]["messages"][1]["content"] == "usr"
     # an answer request is logged as the object it encodes
-    context = f'{remote.captions(BASE)}\n\nQuestion: Is there a "bus"?'
+    context = f'{remote.run_captions(BASE)}\n\nQuestion: Is there a "bus"?'
     assert lines[1]["response"] == "YES"
     assert lines[1]["request"]["messages"][1]["content"] == context
     assert lines[1]["request"] == {
@@ -432,12 +432,15 @@ def entry(template="presence", answer="YES"):
 @pytest.mark.parametrize("reply, message", [
     ("[not json]", "question reply is not valid JSON"),
     (json.dumps([entry("colour", "red")]), "unknown template 'colour'"),
+    (json.dumps([entry("presence", "maybe")]), "presence answer must say YES or NO"),
+    (json.dumps([entry("presence", "yes or no")]), "presence answer must say YES or NO"),
     (json.dumps([entry("location", "near 12.0")]), "location answer needs coordinates"),
     (json.dumps([entry("reporter", "some robot")]), "bad question entry .*index out of range"),
     (json.dumps([{"template": "presence", "tag": "bus", "question": "?"}]),
      "bad question entry .*'answer'"),
     ("[]", "question reply parsed to an empty exam"),
-], ids=["not-json", "template", "location", "reporter", "no-answer", "empty"])
+], ids=["not-json", "template", "presence", "presence-both", "location", "reporter",
+        "no-answer", "empty"])
 def test_question_replies_that_make_no_exam_are_parse_errors(server, reply, message):
     server.replies = [reply]
     backend = RemoteBackend(url=server.url, model="m", retries=3)
@@ -499,14 +502,201 @@ def test_grade_text_answer_rules():
     assert not grade_text_answer(reporter, "drone 5")
 
 
+PRESENCE_GRADES = [
+    # (answer, graded right when the truth is YES, graded right when it is NO)
+    ("YES", True, False),
+    ("  yes ", True, False),
+    ("Yes, clearly.", True, False),
+    ("NO", False, True),
+    ("no.", False, True),
+    ("I see no bus", False, True),
+    ("yes or no", False, False),
+    ("No, yes.", False, False),
+    ("not sure", False, False),
+    ("nothing", False, False),
+    ("noted", False, False),
+    ("yesterday", False, False),
+    ("eyes", False, False),
+    ("", False, False),
+]
+
+
+@pytest.mark.parametrize("answer, if_yes, if_no", PRESENCE_GRADES)
+def test_a_presence_answer_must_say_the_truth_and_not_its_opposite(answer, if_yes, if_no):
+    assert grade_text_answer(Question("presence", "bus", "?", "YES"), answer) is if_yes
+    assert grade_text_answer(Question("presence", "bus", "?", "NO"), answer) is if_no
+
+
+NUMBER_GRADES = [
+    # (template, truth, answer, graded right); the fake server's reply shapes first
+    ("location", (187.9, 55.1, 0.0), "187.9, 55.1, 0.0", True),
+    ("location", (-12.5, 3.0, 0.0), "-12.5, 3.0, 0.0", True),
+    ("location", (0.0, 0.0, 0.0), "unknown", False),
+    ("reporter", 1, "1, 3", True),
+    ("reporter", 3, "1, 3", True),
+    ("reporter", 2, "1, 3", False),
+    ("reporter", 0, "unknown", False),
+    ("location", (187.9, 55.1, 0.0), "at landmark-03, (187.9, 55.1)", True),
+    ("location", (187.9, 55.1, 0.0), "landmark-03 at 187.9, 55.1", True),
+    ("location", (0.0, -3.0, 0.0), "landmark-03", False),
+    ("location", (10.0, 40.0, 0.0), "[10.0,-20.0]", False),   # 60 m from (10, -20)
+    ("location", (10.0, -20.0, 0.0), "[10.0,-20.0]", True),
+    ("reporter", 2, "landmark-03 by robot 2", True),
+    ("reporter", -3, "landmark-03 by robot 2", False),
+    ("reporter", 3, "landmark-03 by robot 2", False),
+    ("reporter", 2, "robot 2.", True),
+    ("reporter", 4, "drone 4", True),
+    ("reporter", 4, "drone4", False),
+    ("reporter", 4, "robot_4", False),
+    ("reporter", 4, "4th robot", False),
+    ("reporter", 5, "robot 5.5", True),
+    ("reporter", 5, "robot 12.5", False),
+]
+
+
+@pytest.mark.parametrize("template, truth, answer, right", NUMBER_GRADES)
+def test_numbers_are_read_only_where_they_stand_alone(template, truth, answer, right):
+    assert grade_text_answer(Question(template, "t", "?", truth), answer) is right
+
+
+@pytest.mark.parametrize("answer, truth", [("yes", "YES"), ("Yes.", "YES"), ("NO", "NO"),
+                                           ("No, there is none", "NO")])
+def test_a_presence_answer_in_an_exam_is_read_as_yes_or_no(answer, truth):
+    [question] = RemoteBackend._parse_questions(json.dumps([entry("presence", answer)]), 1)
+    assert question.answer == truth
+    assert grade_text_answer(question, truth.lower())
+
+
+def test_a_hyphenated_name_in_an_exam_answer_is_no_number():
+    reply = json.dumps([
+        {"template": "reporter", "tag": "landmark-03", "question": "Which robot sees it?",
+         "answer": "landmark-03 by robot 2"},
+        {"template": "location", "tag": "landmark-03", "question": "Where is it?",
+         "answer": "at landmark-03, (187.9, 55.1)"}])
+    reporter, location = RemoteBackend._parse_questions(reply, 2)
+    assert reporter.answer == 2
+    assert location.answer == (187.9, 55.1)
+
+
+PROBE_ASCII_LOCALE = r"""
+import sys
+from mcpa import remote
+reply = remote.chat_completion(sys.argv[1], b'{"q": "\u00e9"}', retries=1,
+                               transcript=remote._Transcript(sys.argv[2]))
+print(reply == "\u4e2d")
+"""
+
+
+def test_the_transcript_is_utf8_under_an_ascii_locale(server, tmp_path):
+    server.replies = ["中"]
+    path = tmp_path / "transcript.jsonl"
+    env = {**cli_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    done = subprocess.run([sys.executable, "-c", PROBE_ASCII_LOCALE, server.url, str(path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "True"
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert record["request"] == {"q": "é"} and record["response"] == "中"
+
+
+RUN_TAGS = ("bus", "cone", "landmark-03")
+RUN_COORDS = (0.0, -0.0, 12.5, 12.54)     # -0.0 and 12.54 print like 0.0 and 12.5
+
+
+@st.composite
+def run_stores(draw):
+    """Stores of runs: segments of frames sharing a robot, a position and a tag
+    set, often equal to the segment before. Each pair has its own tag table
+    entry (so names repeat), some pairs repeat and pairs come in any order."""
+    segments = draw(st.lists(st.tuples(
+        st.integers(0, 1), st.sampled_from(RUN_COORDS), st.sampled_from(RUN_COORDS),
+        st.frozensets(st.sampled_from(RUN_TAGS), max_size=2), st.integers(1, 4)), max_size=6))
+    memory = [MemoryItem(0.0, (x, y, 10.0, 0.0, 0.0, 0.0), tags, robot)
+              for robot, x, y, tags, length in segments for _ in range(length)]
+    times = draw(st.lists(st.floats(0.0, 1e4), min_size=len(memory), max_size=len(memory)))
+    pairs = [(i, tag) for i, it in enumerate(memory) for tag in it.tags]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    pairs = draw(st.permutations(pairs))
+    return FrameStore([it.robot_id for it in memory], times, [it.pose for it in memory],
+                      [i for i, _ in pairs], range(len(pairs)),
+                      [tag for _, tag in pairs] + ["unseen"])
+
+
+def one_apart(**change):
+    """Two frames at t = 0 and 1 that differ only in ``change`` (robot, x, y
+    or tags), each after a frame repeating it."""
+    first = dict(robot_id=0, x=12.5, y=0.0, tags=frozenset({"bus"}))
+    second = {**first, **change}
+    return store([MemoryItem(float(t), (f["x"], f["y"], 10.0, 0.0, 0.0, 0.0), f["tags"],
+                             f["robot_id"])
+                  for t, f in enumerate([first, first, second, second])])
+
+
+def reference_runs(memory: list[MemoryItem]) -> list[list[MemoryItem]]:
+    """The frames in runs: consecutive frames with one robot, position
+    (``repr`` tells -0.0 from 0.0) and tag set."""
+    runs = []
+    for it in memory:
+        key = (it.robot_id, repr(it.pose[0]), repr(it.pose[1]), it.tags)
+        if runs and runs[-1][0] == key:
+            runs[-1][1].append(it)
+        else:
+            runs.append((key, [it]))
+    return [run for _, run in runs]
+
+
+@settings(max_examples=150)
+@given(run_stores())
+@example(one_apart(robot_id=1))
+@example(one_apart(x=12.54))
+@example(one_apart(x=-0.0, y=0.0))
+@example(one_apart(y=-0.0))
+@example(one_apart(tags=frozenset({"bus", "cone"})))
+@example(one_apart(tags=frozenset()))
+@example(one_apart())
+@example(store([]))
+@example(store([MemoryItem(3.0, (1.0, 2.0, 10.0, 0, 0, 0), frozenset({"bus"}), 1)]))
+def test_run_captions_expand_to_the_frame_captions(frames):
+    runs = reference_runs(items(frames))
+    lines = remote.run_captions(frames).splitlines()
+    assert len(lines) == len(runs)
+    # each run line, its span swapped for each frame's timestamp, gives back
+    # that frame's caption, line for line
+    expanded = [re.sub(r"^\[t=[^s]*s", f"[t={it.timestamp_s:.2f}s", line)
+                for line, run in zip(lines, runs) for it in run]
+    assert expanded == remote.captions(frames).splitlines()
+    for line, run in zip(lines, runs):
+        head = reference_caption(run[0])
+        if len(run) > 1:
+            head = head.replace(f"[t={run[0].timestamp_s:.2f}s",
+                                f"[t={run[0].timestamp_s:.2f}-{run[-1].timestamp_s:.2f}s", 1)
+        assert line == head      # a one-frame run reads as its frame's caption
+
+
+def test_exam_requests_caption_every_pilot_frame(server):
+    """Runs shorten only the answer context: the exam request still carries
+    one caption per pilot frame, byte for byte as before."""
+    pilot_items = [MemoryItem(float(t), (1.0, 2.0, 10.0, 0, 0, 0), frozenset({"bus"}), 3)
+                   for t in range(3)]
+    server.replies = [json.dumps([entry()])]
+    RemoteBackend(url=server.url, model="m", retries=1).make_exam(store(pilot_items), 1, 3)
+    context = "\n".join(reference_caption(it) for it in pilot_items)
+    assert server.requests[0]["raw"] == encoded("m", [
+        {"role": "system", "content": remote._QUESTION_PROMPT.format(n=1)},
+        {"role": "user", "content": context}])
+
+
 def test_run_gae_captions_the_base_memory_once(server, monkeypatch):
     captioned = []
 
-    def counted(frames):
-        captioned.append(frames)
-        return remote_captions(frames)
-    remote_captions = remote.captions
-    monkeypatch.setattr(remote, "captions", counted)
+    def counted(render):
+        def caption(frames):
+            captioned.append((render.__name__, frames))
+            return render(frames)
+        return caption
+    monkeypatch.setattr(remote, "run_captions", counted(remote.run_captions))
+    monkeypatch.setattr(remote, "captions", counted(remote.captions))
     base_items = [MemoryItem(float(i), (0, 0, 10, 0, 0, 0), frozenset({"bus"}), 0)
                   for i in range(4)]
     base = store(base_items)
@@ -519,14 +709,16 @@ def test_run_gae_captions_the_base_memory_once(server, monkeypatch):
     backend = RemoteBackend(url=server.url, model="m", retries=1)
     report = run_gae(datasets, base, 0.4, 1, backend, 0)
     assert list(report.scores) == [1.0] * 3
-    # one captioning of the base memory, then one per robot's pilot
+    # one captioning of the base memory, by runs, then one per robot's pilot, by frames
     assert len(captioned) == 1 + len(datasets)
-    assert captioned[0] is base
+    assert captioned[0][0] == "run_captions" and captioned[0][1] is base
+    assert [name for name, _ in captioned[1:]] == ["captions"] * len(datasets)
     systems = [r["body"]["messages"][0]["content"] for r in server.requests]
     asking, answering = remote._QUESTION_PROMPT.format(n=1), remote._ANSWER_PROMPT
     assert systems == [asking, answering, asking, asking]
-    # the one answer request carried the whole base memory's captions
-    context = "\n".join(reference_caption(it) for it in base_items)
+    # the one answer request carried the whole base memory: its four frames
+    # differ only in their timestamps, so they are one run
+    context = reference_caption(base_items[0]).replace("[t=0.00s", "[t=0.00-3.00s")
     assert server.requests[1]["body"]["messages"][1]["content"] == \
         f"{context}\n\nQuestion: Is there a bus?"
 
@@ -627,7 +819,7 @@ def test_answer_bodies_are_byte_identical_to_json_dumps(model, context, texts):
     encodes, byte for byte."""
     sent = []
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(remote, "captions", lambda frames: context)
+        monkeypatch.setattr(remote, "run_captions", lambda frames: context)
         monkeypatch.setattr(remote, "chat_completion",
                             lambda url, body, **kwargs: sent.append(body) or "YES")
         backend = RemoteBackend(url="http://127.0.0.1:9/v1", model=model)
