@@ -73,6 +73,12 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
     return best
 
 
+def _zero_interference_power(state: ChannelState, spectral, noise_power_w: float) -> np.ndarray:
+    """sigma^2 (2^x_k - 1) / H_k, robot k's power for x_k b/s/Hz without interference."""
+    with np.errstate(over="ignore"):
+        return noise_power_w * (np.exp2(spectral) - 1.0) / state.gains
+
+
 def allocate_greedy(state: ChannelState, gae_scores, meta: DatasetMeta, budget: float,
                     noise_power_w: float, time_s: float, bandwidth_hz: float) -> np.ndarray:
     """Highest-novelty-first: fund full uploads in (1 - GAE_k) order.
@@ -84,8 +90,7 @@ def allocate_greedy(state: ChannelState, gae_scores, meta: DatasetMeta, budget: 
     scores = np.asarray(gae_scores, dtype=float)
     order = np.argsort(scores, kind="stable")  # ascending GAE = descending novelty
     spectral = meta.item_volume_bits * meta.num_items / (time_s * bandwidth_hz)
-    with np.errstate(over="ignore"):
-        required = noise_power_w * (np.exp2(spectral) - 1.0) / state.gains
+    required = _zero_interference_power(state, spectral, noise_power_w)
     powers = np.zeros(state.num_robots)
     remaining = budget
     for k in order:
@@ -109,8 +114,7 @@ def allocate_max_cov(state: ChannelState, budget: float, noise_power_w: float,
                                 (state.num_robots,))
     if np.any(threshold <= 0.0):
         raise ValueError("rate_threshold_bps must be positive")
-    with np.errstate(over="ignore"):
-        required = noise_power_w * (np.exp2(threshold / bandwidth_hz) - 1.0) / state.gains
+    required = _zero_interference_power(state, threshold / bandwidth_hz, noise_power_w)
     powers = np.zeros(state.num_robots)
     remaining = budget
     for k in np.argsort(required, kind="stable"):

@@ -268,7 +268,7 @@ def build_scenario(config: dict | None = None, override: dict | None = None) -> 
         **geometry,
         power_budget_w=cfg["budgets"]["power_sum_mw"] / 1e3,
         time_budget_s=cfg["budgets"]["time_s"],
-        dataset=DatasetMeta.uniform(k, items, dataset["item_volume_bits"], gae["pilot_ratio"]),
+        dataset=DatasetMeta.uniform(k, items, dataset["item_volume_bits"]),
         frame_rate_fps=dataset["frame_rate_fps"],
         pilot_ratio=gae["pilot_ratio"],
         questions_per_robot=gae["questions_per_robot"],

@@ -22,8 +22,6 @@ from itertools import accumulate, repeat
 
 import numpy as np
 
-from .qom import pilot_size
-
 __all__ = [
     "LOCATION_RADIUS_M",
     "NOTHING_TAG",
@@ -36,6 +34,7 @@ __all__ = [
     "MemoryIndex",
     "SyntheticBackend",
     "make_question",
+    "pilot_size",
     "sample_pilot",
     "per_robot",
     "run_gae",
@@ -183,6 +182,8 @@ class Exam:
 
 @dataclass(frozen=True)
 class GaeReport:
+    """Per robot: GAE score, exam and pilot size |D~_k|, the frames the pilot overhead charges."""
+
     scores: np.ndarray
     pilot_sizes: np.ndarray
     exams: tuple[Exam, ...]
@@ -302,6 +303,12 @@ def _draw_questions(pilots, num_questions: int, rngs) -> tuple:
     tag_id = np.full(len(picks), len(tags))             # the NOTHING_TAG row
     tag_id[drawn] = tag_ids[picks[drawn]]
     return templates, (*tags, NOTHING_TAG), tag_id, truth
+
+
+def pilot_size(ratio, num_items):
+    """Pilot sizes |D~| = round(rho |D|), halves going up (10.5 -> 11), at
+    least one item each; elementwise over arrays."""
+    return np.maximum(1, np.floor(np.multiply(ratio, num_items) + 0.5).astype(int))
 
 
 def sample_pilot(dataset: FrameStore, ratio: float, seed) -> FrameStore:

@@ -82,14 +82,14 @@ class RunMetrics:
                 self.solver_iters, f"{self.wall_ms:.3f}"]
 
 
-def _default_cov_threshold(scenario: Scenario, effective_time_s: float) -> float:
-    """Rate that uploads just over half a dataset within the effective time.
+def _default_cov_threshold(scenario: Scenario, effective_time_s: float) -> np.ndarray:
+    """Each robot's rate that uploads just over half its dataset in the effective time.
 
     The margin compensates the zero-interference sizing so admitted robots
     actually cross the more-than-half mark once interference is charged.
     """
-    half_bits = 0.5 * (1.0 + scenario.coverage_margin) \
-        * scenario.dataset.item_volume_bits[0] * scenario.dataset.num_items[0]
+    meta = scenario.dataset
+    half_bits = 0.5 * (1.0 + scenario.coverage_margin) * meta.item_volume_bits * meta.num_items
     return half_bits / effective_time_s
 
 
@@ -101,12 +101,15 @@ class SeedContext:
     ``q``; ``first_frames[q, k]`` is the index of robot ``k``'s first frame
     that answers it (``len`` of its dataset if none does). Uploads are
     prefixes of each robot's frames, so grading needs nothing else.
+    ``pilot_sizes[k]`` is the number of frames |D~_k| in robot ``k``'s GAE
+    pilot, the frames the pilot overhead charges.
     """
 
     seed: int
     world: WorldInstance
     state: ChannelState
     gae_scores: np.ndarray
+    pilot_sizes: np.ndarray
     base_answers: np.ndarray
     first_frames: np.ndarray
 
@@ -152,7 +155,7 @@ def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
             first[:, k] = MemoryIndex(frames, columns[1]).first_frames(columns)
     return SeedContext(seed=seed, world=world, state=state, gae_scores=report.scores,
                        base_answers=world.base_memory.index.answers(columns),
-                       first_frames=first)
+                       pilot_sizes=report.pilot_sizes, first_frames=first)
 
 
 @dataclass(frozen=True)
@@ -168,8 +171,8 @@ class _RunContext:
 def _at_budget(stage: SeedContext, scenario: Scenario, power_w: float) -> _RunContext:
     """Pilot overhead and QoM weights at ``power_w``; raises
     :class:`PilotPhaseInfeasible` when the pilot phase overruns the time budget."""
-    delta_t = pilot_overhead(stage.state, scenario.dataset, scenario.radio, power_w,
-                             time_budget_s=scenario.time_budget_s)
+    delta_t = pilot_overhead(stage.state, scenario.dataset.item_volume_bits * stage.pilot_sizes,
+                             scenario.radio, power_w, time_budget_s=scenario.time_budget_s)
     effective_time_s = scenario.time_budget_s - delta_t
     weights = qom_weights(stage.gae_scores, scenario.dataset, effective_time_s,
                           scenario.radio.bandwidth_hz)

@@ -21,7 +21,6 @@ __all__ = [
     "qom_terms",
     "qom_objective",
     "accuracy_estimate",
-    "pilot_size",
 ]
 
 
@@ -29,57 +28,36 @@ class PilotPhaseInfeasible(RuntimeError):
     """Pilot upload would consume the whole time budget (dT >= T)."""
 
 
-def pilot_size(ratio, num_items):
-    """Pilot sizes |D~| = round(rho |D|), halves going up (10.5 -> 11), at
-    least one item each; elementwise over arrays."""
-    return np.maximum(1, np.floor(np.multiply(ratio, num_items) + 0.5).astype(int))
-
-
-def _broadcast(values, k: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(k, float(arr))
-    if arr.shape != (k,):
-        raise ValueError(f"{name} must be scalar or length {k}, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class DatasetMeta:
-    """Per-robot dataset bookkeeping: item counts, item size and pilot ratio."""
+    """Per-robot dataset bookkeeping: item counts and item sizes."""
 
     num_items: np.ndarray
     item_volume_bits: np.ndarray
-    pilot_ratio: np.ndarray
 
     def __post_init__(self):
         counts = np.asarray(self.num_items)
-        k = counts.size
-        if k < 1 or np.any(counts < 1):
-            raise ValueError("num_items must hold at least one item per robot")
-        volumes = _broadcast(self.item_volume_bits, k, "item_volume_bits")
-        ratios = _broadcast(self.pilot_ratio, k, "pilot_ratio")
+        whole = np.isfinite(counts) & (counts >= 1) & (np.floor(counts) == counts)
+        if counts.ndim != 1 or counts.size < 1 or not whole.all():
+            raise ValueError("num_items must be a 1-D array of whole item counts, "
+                             "at least one per robot")
+        volumes = np.asarray(self.item_volume_bits, dtype=float)
+        if volumes.shape not in ((), counts.shape):
+            raise ValueError(f"item_volume_bits must be scalar or length {counts.size}, "
+                             f"got shape {volumes.shape}")
         if np.any(volumes <= 0.0):
             raise ValueError("item_volume_bits must be strictly positive")
-        if np.any(ratios <= 0.0) or np.any(ratios > 1.0):
-            raise ValueError("pilot_ratio must lie in (0, 1]")
         object.__setattr__(self, "num_items", counts.astype(int))
-        object.__setattr__(self, "item_volume_bits", volumes)
-        object.__setattr__(self, "pilot_ratio", ratios)
+        object.__setattr__(self, "item_volume_bits", np.full(counts.shape, volumes))
 
     @classmethod
     def uniform(cls, num_robots: int, num_items: int = 1050,
-                item_volume_bits: float = 1.6e6, pilot_ratio: float = 0.01) -> "DatasetMeta":
-        return cls(np.full(num_robots, num_items), item_volume_bits, pilot_ratio)
+                item_volume_bits: float = 1.6e6) -> "DatasetMeta":
+        return cls(np.full(num_robots, num_items), item_volume_bits)
 
     @property
     def total_items(self) -> int:
         return int(self.num_items.sum())
-
-    @property
-    def pilot_counts(self) -> np.ndarray:
-        """Pilot sizes |D~_k|, see :func:`pilot_size`."""
-        return pilot_size(self.pilot_ratio, self.num_items)
 
 
 def frames_uploaded(state: ChannelState, p, meta: DatasetMeta, noise_power_w: float,
@@ -97,10 +75,11 @@ def frames_uploaded(state: ChannelState, p, meta: DatasetMeta, noise_power_w: fl
     return np.minimum(raw, meta.num_items)
 
 
-def pilot_overhead(state: ChannelState, meta: DatasetMeta, constants: RadioConstants,
+def pilot_overhead(state: ChannelState, pilot_bits, constants: RadioConstants,
                    p_sum: float, time_budget_s: float | None = None) -> float:
     """Pilot upload time dT under equal power P_sum / K, max over robots.
 
+    ``pilot_bits[k]`` is Z_k |D~_k|, the size of robot k's GAE pilot in bits.
     Every robot pilots in parallel at p_eq = P_sum / K, so the phase ends when
     the slowest robot finishes:
     dT = max_k Z_k |D~_k| / (B log2(1 + H_k p_eq / (sum_{j!=k} I_{k,j} p_eq + sigma^2))).
@@ -112,7 +91,7 @@ def pilot_overhead(state: ChannelState, meta: DatasetMeta, constants: RadioConst
     p_eq = np.full(k, p_sum / k)
     rates = constants.bandwidth_hz * np.log2(
         1.0 + sinr_vector(state, p_eq, constants.noise_power_w))
-    per_robot = meta.item_volume_bits * meta.pilot_counts / rates
+    per_robot = pilot_bits / rates
     delta_t = float(per_robot.max())
     if time_budget_s is not None and delta_t >= time_budget_s:
         raise PilotPhaseInfeasible(

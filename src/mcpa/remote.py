@@ -82,7 +82,7 @@ def chat_completion(url: str, body: bytes | str, messages: list[dict] | None = N
         raise GaeTransportError("endpoint or token holds a space, a control character "
                                 "or a character outside ASCII")
     if messages is not None:
-        body = json.dumps({"model": body, "messages": messages, "temperature": 0}).encode()
+        body = _encode(body, messages)
     head = (f"POST {target} HTTP/1.0\r\nHost: {host}\r\n"
             f"Content-Type: application/json\r\nContent-Length: {len(body)}\r\n")
     if token:
@@ -151,12 +151,6 @@ def _post(address: tuple[str, int], https: bool, request: bytes,
     if length is not None and len(body) < int(length[1]):
         raise ConnectionError(f"reply ended after {len(body)} of {int(length[1])} body bytes")
     return int(status[1]), body if length is None else body[:int(length[1])]
-
-
-def _request(model: str, system: str, user: str) -> bytes:
-    """The encoded chat request of a system prompt and one user message."""
-    messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
-    return json.dumps({"model": model, "messages": messages, "temperature": 0}).encode()
 
 
 def captions(frames: FrameStore) -> str:
@@ -267,6 +261,18 @@ _ANSWER_PROMPT = (
     "alone. For presence questions reply YES or NO; for location questions "
     "reply 'x, y, yaw' in metres; for reporter questions reply the robot id."
 )
+
+
+def _encode(model: str, messages: list[dict]) -> bytes:
+    """A chat request, encoded: the one place its JSON shape is written."""
+    return json.dumps({"model": model, "messages": messages, "temperature": 0}).encode()
+
+
+def _request(model: str, system: str, user: str) -> bytes:
+    """The encoded chat request of a system prompt and one user message."""
+    return _encode(model, [{"role": "system", "content": system},
+                           {"role": "user", "content": user}])
+
 
 _CLOSE = b'"}], "temperature": 0}'   # the bytes after an encoded request's user message
 

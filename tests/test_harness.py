@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR
 from frames import items
+from mcpa.channel import ChannelState, RobotGeometry, draw_channels
 from mcpa.config import ConfigError, build_scenario, load_config
 from mcpa import harness
 from mcpa.harness import (CSV_COLUMNS, METHODS, aggregate, prepare_seed, run_campaign,
                           run_method, run_sweep, write_csv)
 from mcpa.gae import MemoryIndex, SyntheticBackend, run_gae
-from mcpa.qom import PilotPhaseInfeasible, pilot_overhead, qom_objective, qom_weights
+from mcpa.qom import (DatasetMeta, PilotPhaseInfeasible, pilot_overhead, qom_objective,
+                      qom_weights)
 from mcpa.world import build_world
 from reference_index import ReferenceIndex, grade, world_questions
 
@@ -203,7 +205,8 @@ def test_run_once_qom_round_trips_from_allocation():
     s = small_city()
     stage = prepare_seed(s, 5)
     m = run_method(stage, s, "mcpa")
-    delta_t = pilot_overhead(stage.state, s.dataset, s.radio, s.power_budget_w)
+    delta_t = pilot_overhead(stage.state, s.dataset.item_volume_bits * stage.pilot_sizes, s.radio,
+                             s.power_budget_w)
     params = qom_weights(stage.gae_scores, s.dataset, s.time_budget_s - delta_t,
                          s.radio.bandwidth_hz)
     powers = np.array(m.power_mw) / 1e3
@@ -221,17 +224,30 @@ def test_methods_sharing_a_stage_match_a_fresh_stage_each():
 
 @pytest.mark.parametrize("name, override", [
     ("city_desk.json", None), ("town.json", None), ("staged_k5.json", None),
-    ("city_desk.json", {"gae": {"pilot_ratio": 0.25}}),      # rho |D| = 262.5 exactly
+    # rho |D| = 262.5 exactly; its pilot phase takes 6,150 s
+    ("city_desk.json", {"gae": {"pilot_ratio": 0.25}, "budgets": {"time_s": 1e5}}),
 ], ids=["city_desk", "town", "staged_k5", "half"])
 def test_pilots_have_the_sizes_the_overhead_charges(name, override):
-    # pilot_overhead charges dataset.pilot_counts frames; run_gae samples the pilots
+    # dT = max_k Z_k |D~_k| / (B log2(1 + SINR_k(P/K))) over the pilots GAE sampled
     scenario = build_scenario(load_config(CONFIG_DIR / name), override)
-    world = build_world(scenario, np.random.default_rng([scenario.seeds["placement"], 0]))
-    report = run_gae(world.datasets, world.base_memory, scenario.pilot_ratio, 1,
-                     SyntheticBackend(), 0)
-    assert report.pilot_sizes.tolist() == scenario.dataset.pilot_counts.tolist()
+    stage = prepare_seed(scenario, 0)
+    report = run_gae(stage.world.datasets, stage.world.base_memory, scenario.pilot_ratio,
+                     scenario.questions_per_robot, SyntheticBackend(),
+                     [scenario.seeds["pilot"], 0])
+    assert stage.pilot_sizes.tolist() == report.pilot_sizes.tolist() == [
+        max(1, int(scenario.pilot_ratio * len(frames) + 0.5)) for frames in stage.world.datasets]
     if override:
-        assert report.pilot_sizes.tolist() == [263] * scenario.num_robots
+        assert stage.pilot_sizes.tolist() == [263] * scenario.num_robots
+    k, radio = scenario.num_robots, scenario.radio
+    p_eq = scenario.power_budget_w / k
+    seconds = []
+    for j in range(k):
+        interference = sum(stage.state.interference[j, i] * p_eq for i in range(k) if i != j)
+        rate = radio.bandwidth_hz * np.log2(
+            1.0 + stage.state.gains[j] * p_eq / (interference + radio.noise_power_w))
+        seconds.append(scenario.dataset.item_volume_bits[j] * stage.pilot_sizes[j] / rate)
+    ctx = harness._at_budget(stage, scenario, scenario.power_budget_w)
+    assert ctx.effective_time_s == pytest.approx(scenario.time_budget_s - max(seconds), rel=1e-12)
 
 
 def test_stage_accuracy_joins_uploads_with_base_memory():
@@ -581,7 +597,7 @@ def stacked_counts(draw):
     k, q = draw(st.integers(1, 12)), draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = rng.integers(1, 41, size=k)
-    stage = harness.SeedContext(seed=0, world=None, state=None, gae_scores=None,
+    stage = harness.SeedContext(seed=0, world=None, state=None, gae_scores=None, pilot_sizes=None,
                                 base_answers=rng.random(q) < 0.3,
                                 first_frames=rng.integers(0, sizes + 1, size=(q, k)))
     kinds = draw(st.lists(st.sampled_from(["none", "all", "part"]), min_size=1, max_size=8))
@@ -599,6 +615,41 @@ def test_stacked_frame_counts_grade_as_each_row_alone(case):
     for i, row in enumerate(counts):
         alone = stage.accuracy_with(row)
         assert type(alone) is float and accuracy[i] == alone
+
+
+@st.composite
+def unequal_datasets(draw):
+    """city_desk over K 1-12 robots with per-robot datasets (600-1500 items of
+    0.8-2.4 Mb), a channel at near or far distances, an effective time and a
+    permutation of the robots."""
+    k = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    meta = DatasetMeta(rng.integers(600, 1501, size=k), rng.uniform(0.8e6, 2.4e6, size=k))
+    scenario = dataclasses.replace(small_city(), num_robots=k, dataset=meta)
+    distances = rng.uniform(*draw(st.sampled_from([(50.0, 250.0), (2000.0, 5000.0)])), size=k)
+    state = draw_channels(scenario.radio, RobotGeometry(distances), rng)
+    return scenario, state, float(rng.uniform(100.0, 600.0)), rng.permutation(k)
+
+
+def _max_cov(scenario, state, effective_time_s):
+    stage = harness.SeedContext(seed=0, world=None, state=state, gae_scores=None, pilot_sizes=None,
+                                base_answers=None, first_frames=None)
+    ctx = harness._RunContext(stage, scenario.power_budget_w, effective_time_s, weights=None)
+    return harness._allocate(ctx, scenario, "max_cov")[0]
+
+
+@settings(max_examples=50)
+@given(unequal_datasets())
+def test_max_cov_permutes_with_the_robots(case):
+    # each robot's target rate comes from its own dataset, not robot 0's
+    scenario, state, effective_time_s, perm = case
+    permuted = dataclasses.replace(scenario, dataset=DatasetMeta(
+        scenario.dataset.num_items[perm], scenario.dataset.item_volume_bits[perm]))
+    relabelled = ChannelState(gains=state.gains[perm],
+                              interference=state.interference[np.ix_(perm, perm)])
+    powers = _max_cov(scenario, state, effective_time_s)
+    assert np.allclose(_max_cov(permuted, relabelled, effective_time_s), powers[perm],
+                       rtol=0.0, atol=1e-12 * scenario.power_budget_w)
 
 
 def test_aggregate_skips_nan_rows():

@@ -44,3 +44,29 @@ def test_only_gae_and_world_name_a_stores_pair_columns():
                      or isinstance(node, ast.keyword) and node.arg in columns
                      for node in ast.walk(ast.parse(inspect.getsource(module))))}
     assert naming == {"mcpa.gae", "mcpa.world"}
+
+
+def _imported(tree) -> set[str]:
+    """Every module an AST imports from, and each name it imports, fully qualified."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("mcpa." if node.level else "") + (node.module or "")
+            found.add(base.rstrip("."))
+            found.update(f"{base.rstrip('.')}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_only_gae_sizes_a_pilot():
+    # the pilot overhead charges the pilots GAE sampled: one module holds the
+    # pilot-size rule, and it takes nothing from mcpa.qom
+    trees = {module.__name__: ast.parse(inspect.getsource(module)) for module in MODULES}
+    naming = {name for name, tree in trees.items()
+              if any(getattr(node, field, None) == "pilot_size"
+                     for node in ast.walk(tree) for field in ("id", "attr", "name", "arg"))}
+    assert naming == {"mcpa.gae"}
+    assert {name for name in _imported(trees["mcpa.gae"])
+            if name == "mcpa.qom" or name.startswith("mcpa.qom.")} == set()
+    assert "mcpa.qom" in _imported(trees["mcpa.harness"])    # the check sees a relative import

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import BUDGET_W, NOISE_W, orthogonal_state, radio, random_state
 from mcpa.channel import sinr_vector
+from mcpa.gae import pilot_size
 from mcpa.harness import _checked_allocation
 from mcpa.qom import (DatasetMeta, PilotPhaseInfeasible, accuracy_estimate,
-                      frames_uploaded, pilot_overhead, pilot_size, qom_objective, qom_terms,
-                      qom_weights)
+                      frames_uploaded, pilot_overhead, qom_objective, qom_terms, qom_weights)
 
 
 def test_power_vector_feasibility():
@@ -27,16 +27,32 @@ def test_power_vector_feasibility():
 
 
 def test_dataset_meta_validation_and_pilot_counts():
-    meta = DatasetMeta.uniform(3, num_items=1050, pilot_ratio=0.01)
+    meta = DatasetMeta.uniform(3, num_items=1050)
+    assert meta.num_items.tolist() == [1050] * 3 and meta.item_volume_bits.tolist() == [1.6e6] * 3
     # round-to-nearest with halves up: 10.5 -> 11
     assert pilot_size(0.5, 21) == 11 and pilot_size(0.25, [1050, 1]).tolist() == [263, 1]
-    assert list(meta.pilot_counts) == [11, 11, 11]
-    tiny = DatasetMeta.uniform(1, num_items=10, pilot_ratio=0.01)
-    assert tiny.pilot_counts[0] == 1  # minimum one pilot item
+    assert pilot_size(0.01, meta.num_items).tolist() == [11, 11, 11]
+    assert pilot_size(0.01, 10) == 1  # minimum one pilot item
+    whole = DatasetMeta(np.array([10.0, 3.0]), np.array([1.6e6, 0.8e6]))
+    assert whole.num_items.dtype.kind == "i" and whole.num_items.tolist() == [10, 3]
     with pytest.raises(ValueError):
         DatasetMeta.uniform(2, num_items=0)
-    with pytest.raises(ValueError):
-        DatasetMeta.uniform(2, pilot_ratio=1.5)
+
+
+@pytest.mark.parametrize("counts", [
+    [10.7, 3.2], [10.0, 3.5], [np.nan, 3], [np.inf, 3],
+], ids=["fractional", "one-fractional", "nan", "inf"])
+def test_dataset_meta_rejects_fractional_counts(counts):
+    # a count is a whole number of items; none is rounded down in silence
+    with pytest.raises(ValueError, match="num_items must be a 1-D array of whole item counts"):
+        DatasetMeta(np.array(counts), 1.6e6)
+
+
+@pytest.mark.parametrize("counts", [np.full((2, 3), 100), np.array(100), np.array([], dtype=int)],
+                         ids=["2-D", "scalar", "empty"])
+def test_dataset_meta_rejects_counts_not_one_per_robot(counts):
+    with pytest.raises(ValueError, match="num_items must be a 1-D array"):
+        DatasetMeta(counts, 1.6e6)
 
 
 @pytest.mark.parametrize("volumes, message", [
@@ -45,7 +61,7 @@ def test_dataset_meta_validation_and_pilot_counts():
 ], ids=["wrong-length", "zero-volume"])
 def test_dataset_meta_rejects_bad_item_volumes(volumes, message):
     with pytest.raises(ValueError, match=message):
-        DatasetMeta(np.array([100, 100]), volumes, 0.1)
+        DatasetMeta(np.array([100, 100]), volumes)
 
 
 def test_frames_uploaded_at_unit_sinr():
@@ -53,7 +69,7 @@ def test_frames_uploaded_at_unit_sinr():
     gains = np.array([1e-12])
     state = orthogonal_state(gains)
     p = NOISE_W / gains
-    meta = DatasetMeta(np.array([100000]), 1.6e6, 0.01)
+    meta = DatasetMeta(np.array([100000]), 1.6e6)
     frames = frames_uploaded(state, p, meta, NOISE_W, 600.0, 1e7)
     assert frames.shape == (1,)
     assert frames[0] == pytest.approx(3750.0, rel=1e-12)
@@ -125,28 +141,27 @@ def test_pilot_overhead_single_user_closed_form():
     gains = np.array([1e-8])
     state = orthogonal_state(gains)
     const = radio()
-    meta = DatasetMeta.uniform(1, num_items=1050, item_volume_bits=1.6e6,
-                               pilot_ratio=0.01)
+    pilot_bits = 1.6e6 * pilot_size(0.01, np.array([1050]))      # 11 items
     p_sum = 0.2
     expected = 1.6e6 * 11 / (1e7 * np.log2(1.0 + gains[0] * p_sum / NOISE_W))
-    assert pilot_overhead(state, meta, const, p_sum) == pytest.approx(expected, rel=1e-12)
+    assert pilot_overhead(state, pilot_bits, const, p_sum) == pytest.approx(expected, rel=1e-12)
 
 
 def test_pilot_overhead_linear_in_pilot_payload():
     gains = np.array([1e-8, 2e-8])
     state = orthogonal_state(gains)
     const = radio()
-    meta1 = DatasetMeta.uniform(2, num_items=100, pilot_ratio=0.2)   # 20 items
-    meta2 = DatasetMeta.uniform(2, num_items=100, pilot_ratio=0.4)   # 40 items
-    assert pilot_overhead(state, meta2, const, 0.2) == \
-        pytest.approx(2.0 * pilot_overhead(state, meta1, const, 0.2), rel=1e-12)
+    bits1 = 1.6e6 * pilot_size(0.2, np.full(2, 100))   # 20 items
+    bits2 = 1.6e6 * pilot_size(0.4, np.full(2, 100))   # 40 items
+    assert pilot_overhead(state, bits2, const, 0.2) == \
+        pytest.approx(2.0 * pilot_overhead(state, bits1, const, 0.2), rel=1e-12)
 
 
 def test_pilot_overhead_recomposition_with_interference():
     rng = np.random.default_rng(31)
     state = random_state(rng, num_robots=4, num_antennas=16)
     const = radio()
-    meta = DatasetMeta.uniform(4, num_items=200, pilot_ratio=0.05)
+    volumes, pilots = np.array([1.6e6, 0.8e6, 2.4e6, 1.2e6]), np.array([10, 7, 1, 30])
     p_sum = 0.2
     p_eq = p_sum / 4
     per_robot = []
@@ -154,17 +169,16 @@ def test_pilot_overhead_recomposition_with_interference():
         interf = sum(state.interference[k, j] * p_eq for j in range(4) if j != k)
         rate = const.bandwidth_hz * np.log2(
             1.0 + state.gains[k] * p_eq / (interf + const.noise_power_w))
-        per_robot.append(meta.item_volume_bits[k] * meta.pilot_counts[k] / rate)
-    assert pilot_overhead(state, meta, const, p_sum) == \
+        per_robot.append(volumes[k] * pilots[k] / rate)
+    assert pilot_overhead(state, volumes * pilots, const, p_sum) == \
         pytest.approx(max(per_robot), rel=1e-12)
 
 
 def test_pilot_overhead_signals_infeasible_phase():
     gains = np.array([1e-15])  # hopeless link
     state = orthogonal_state(gains)
-    meta = DatasetMeta.uniform(1)
     with pytest.raises(PilotPhaseInfeasible):
-        pilot_overhead(state, meta, radio(), 0.2, time_budget_s=600.0)
+        pilot_overhead(state, np.array([1.6e6 * 11]), radio(), 0.2, time_budget_s=600.0)
 
 
 def test_qom_weights_zero_at_perfect_score_and_paper_ratio():
@@ -178,7 +192,7 @@ def test_qom_weights_zero_at_perfect_score_and_paper_ratio():
 
 
 def test_qom_weights_scale_inverse_in_item_volume():
-    full = DatasetMeta(np.array([100, 100]), np.array([1.6e6, 0.8e6]), 0.1)
+    full = DatasetMeta(np.array([100, 100]), np.array([1.6e6, 0.8e6]))
     weights = qom_weights([0.5, 0.5], full, 550.0, 1e7)
     assert weights[1] == pytest.approx(2.0 * weights[0], rel=1e-12)
 

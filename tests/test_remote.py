@@ -156,6 +156,17 @@ def test_chat_completion_encodes_a_model_and_messages(server):
     assert server.requests[0]["auth"] is None
 
 
+def test_both_request_forms_send_the_same_bytes(server):
+    # a model and messages, or the backend's own encoded request: one JSON shape,
+    # and the answer request's cut at remote._CLOSE relies on its tail
+    system, user = "sys \u00e9", "Is there a bus? \"\U0001F68C\""
+    messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
+    assert chat_completion(server.url, "probe", messages, retries=1) == "OK"
+    assert chat_completion(server.url, remote._request("probe", system, user), retries=1) == "OK"
+    first, second = (request["raw"] for request in server.requests)
+    assert first == second and first.endswith(remote._CLOSE)
+
+
 def test_chat_completion_retries_on_server_error(server):
     server.statuses = [500, 200]
     server.replies = ["recovered"]
