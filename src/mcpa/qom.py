@@ -45,8 +45,8 @@ class DatasetMeta:
         if volumes.shape not in ((), counts.shape):
             raise ValueError(f"item_volume_bits must be scalar or length {counts.size}, "
                              f"got shape {volumes.shape}")
-        if np.any(volumes <= 0.0):
-            raise ValueError("item_volume_bits must be strictly positive")
+        if not (np.isfinite(volumes) & (volumes > 0.0)).all():     # NaN fails too
+            raise ValueError("item_volume_bits must be strictly positive and finite")
         object.__setattr__(self, "num_items", counts.astype(int))
         object.__setattr__(self, "item_volume_bits", np.full(counts.shape, volumes))
 
@@ -84,8 +84,8 @@ def pilot_overhead(state: ChannelState, pilot_bits, constants: RadioConstants,
     the slowest robot finishes:
     dT = max_k Z_k |D~_k| / (B log2(1 + H_k p_eq / (sum_{j!=k} I_{k,j} p_eq + sigma^2))).
 
-    If ``time_budget_s`` is given and dT >= T the pilot phase cannot complete
-    and :class:`PilotPhaseInfeasible` is raised.
+    If ``time_budget_s`` is given and dT >= T (or dT is NaN) the pilot phase
+    cannot complete and :class:`PilotPhaseInfeasible` is raised.
     """
     k = state.num_robots
     p_eq = np.full(k, p_sum / k)
@@ -93,7 +93,7 @@ def pilot_overhead(state: ChannelState, pilot_bits, constants: RadioConstants,
         1.0 + sinr_vector(state, p_eq, constants.noise_power_w))
     per_robot = pilot_bits / rates
     delta_t = float(per_robot.max())
-    if time_budget_s is not None and delta_t >= time_budget_s:
+    if time_budget_s is not None and not delta_t < time_budget_s:
         raise PilotPhaseInfeasible(
             f"pilot phase needs {delta_t:.3f} s but the time budget is {time_budget_s:.3f} s")
     return delta_t
@@ -103,10 +103,10 @@ def qom_weights(gae_scores, meta: DatasetMeta, effective_time_s: float,
                 bandwidth_hz: float) -> np.ndarray:
     """lambda_k = (1 - GAE_k) * T_eff * B / (Z_k * sum_j |D_j|)."""
     scores = np.asarray(gae_scores, dtype=float)
-    if np.any(scores < 0.0) or np.any(scores > 1.0):
+    if not ((scores >= 0.0) & (scores <= 1.0)).all():              # NaN fails too
         raise ValueError("GAE scores must lie in [0, 1]")
-    if effective_time_s <= 0.0:
-        raise ValueError("effective_time_s must be strictly positive")
+    if not 0.0 < effective_time_s < np.inf:
+        raise ValueError("effective_time_s must be strictly positive and finite")
     return ((1.0 - scores) * effective_time_s * bandwidth_hz
             / (meta.item_volume_bits * meta.total_items))
 

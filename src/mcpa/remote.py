@@ -4,10 +4,16 @@ Speaks the usual JSON-over-HTTP chat shape: the request carries
 ``{"model", "messages", "temperature": 0}`` and the reply's first choice
 ``content`` string is used. The endpoint URL and bearer token come from the
 ``MCPA_REMOTE_URL`` / ``MCPA_REMOTE_TOKEN`` environment variables unless set
-explicitly. Requests are sent one at a time from the calling thread, each as
-one HTTP/1.0 POST on its own connection (TLS for https), the reply read to
-the connection's close. Every prompt and raw response is appended to a
-JSON-lines transcript file (UTF-8) when one is configured.
+explicitly. Each request is one HTTP/1.0 POST on its own connection (TLS
+for https), the reply read to the connection's close. :class:`RemoteBackend`
+keeps at most ``_IN_FLIGHT`` = 4 requests open at once: a pass waits on
+round trips rather than on the service, and more open connections than a
+small server's accept backlog stall on dropped connections. Requests go out
+in a fixed order, exams by robot and then answers by the first appearance
+of their question text, and every result, error and transcript record is
+taken in that order, so none depends on which reply arrives first. Every
+prompt and raw response is appended to a JSON-lines transcript file (UTF-8)
+when one is configured.
 
 Frames are captioned ``[t=12.00s robot=2 pos=(187.9, 55.1)] saw: bus, cone``.
 An exam request carries one caption per pilot frame (:func:`captions`): a
@@ -26,6 +32,7 @@ import math
 import os
 import re
 import socket
+import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field
@@ -125,6 +132,7 @@ _UNSAFE = re.compile(r"[^!-~]")   # anything but printable ASCII, space excluded
 _STATUS = re.compile(rb"HTTP/\d\.\d (\d{3})\b")
 _LENGTH = re.compile(rb"\r\ncontent-length:[ \t]*(\d+)", re.IGNORECASE)
 _tls = None   # the process's one ssl context, built on its first https request
+_tls_lock = threading.Lock()   # held while it is built: requests run on several threads
 
 
 def _post(address: tuple[str, int], https: bool, request: bytes,
@@ -136,9 +144,10 @@ def _post(address: tuple[str, int], https: bool, request: bytes,
     try:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # send the tail unheld
         if https:
-            if _tls is None:   # loading the CA store takes tens of ms: do it once
-                import ssl   # loaded only for an https endpoint
-                _tls = ssl.create_default_context()
+            with _tls_lock:
+                if _tls is None:   # loading the CA store takes tens of ms: do it once
+                    import ssl   # loaded only for an https endpoint
+                    _tls = ssl.create_default_context()
             sock = _tls.wrap_socket(sock, server_hostname=address[0])
         sock.sendall(request)
         reply = b"".join(iter(lambda: sock.recv(65536), b""))
@@ -229,6 +238,16 @@ def grade_text_answer(question: Question, answer: str) -> bool:
     return any(int(float(n)) == question.answer for n in numbers)
 
 
+def _record(request: bytes, content: str | None = None, error: str | None = None) -> str:
+    """One transcript line: the request (decoded only to log) and its reply or error."""
+    record = {"ts": time.time(), "request": json.loads(request)}
+    if content is not None:
+        record["response"] = content
+    if error is not None:
+        record["error"] = error
+    return json.dumps(record, ensure_ascii=False)
+
+
 class _Transcript:
     """Append-only JSON-lines log of prompts and raw responses."""
 
@@ -236,14 +255,19 @@ class _Transcript:
         self._path = path
 
     def log(self, request: bytes, content: str | None = None, error: str | None = None) -> None:
-        record = {"ts": time.time(), "request": json.loads(request)}  # decoded only to log
-        if content is not None:
-            record["response"] = content
-        if error is not None:
-            record["error"] = error
-        line = json.dumps(record, ensure_ascii=False)
+        self.write([_record(request, content, error)])
+
+    def write(self, lines) -> None:
         with open(self._path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+            fh.writelines(line + "\n" for line in lines)
+
+
+class _Held(list):
+    """One request's transcript lines, held so that they are written in
+    request order rather than as replies arrive."""
+
+    def log(self, request: bytes, content: str | None = None, error: str | None = None) -> None:
+        self.append(_record(request, content, error))
 
 
 _QUESTION_PROMPT = (
@@ -275,6 +299,7 @@ def _request(model: str, system: str, user: str) -> bytes:
 
 
 _CLOSE = b'"}], "temperature": 0}'   # the bytes after an encoded request's user message
+_IN_FLIGHT = 4   # requests open at once: below http.server's accept backlog of 5
 
 
 @dataclass
@@ -293,7 +318,18 @@ class RemoteBackend:
     and captions are fixed, so a question text fixes the prompt: each
     distinct text is asked once and its reply graded for every question that
     repeats it. The request up to the question is encoded once per prepared
-    memory. Every request goes out from the calling thread, one after another.
+    memory.
+
+    At most ``_IN_FLIGHT`` = 4 requests are open at once, each sent by a
+    worker thread through :func:`chat_completion`. A pass spends most of a
+    round trip waiting rather than in the service, so overlapping them pays;
+    above the accept backlog of 5 that Python's ``http.server`` listens with,
+    a pass stalls on dropped connections (8 open: 2.1 s against 0.1 s), so
+    there is no setting for it. Requests are queued in a fixed order (see
+    :meth:`run_exams`) and taken in that order: the first failure in it is
+    the one raised, no queued request starts once one has failed and the
+    open ones are awaited, and each request's transcript record is written
+    whole, in that order.
     """
 
     name = "remote"
@@ -312,10 +348,44 @@ class RemoteBackend:
         self.backoff_s = backoff_s
         self.transcript = _Transcript(transcript_path) if transcript_path else None
 
-    def _chat(self, body: bytes) -> str:
+    def _chat(self, body: bytes, transcript=None) -> str:
         return chat_completion(self.url, body, token=self.token, timeout_s=self.timeout_s,
                                retries=self.retries, backoff_s=self.backoff_s,
-                               transcript=self.transcript)
+                               transcript=self.transcript if transcript is None else transcript)
+
+    def _ask(self, task, bodies: list[bytes]) -> list:
+        """``task(body, log)`` for each body, ``log`` the request's held
+        transcript lines, run by at most ``_IN_FLIGHT`` worker threads that
+        take the bodies in order. Returns, in body order, each task's result
+        or the exception it raised, once every started task has ended. Once
+        a task has failed no worker starts another; a body left unasked
+        holds a "not asked" error. The transcript gets each request's lines
+        in body order."""
+        outcomes = [GaeError("not asked: an earlier request failed")] * len(bodies)
+        held = [None if self.transcript is None else _Held() for _ in bodies]
+        lock, order, failed = threading.Lock(), iter(range(len(bodies))), []
+
+        def work():
+            while True:
+                with lock:   # each body is taken once, and none once one has failed
+                    i = None if failed else next(order, None)
+                if i is None:
+                    return
+                try:
+                    outcomes[i] = task(bodies[i], held[i])
+                except Exception as exc:   # kept, to be raised in request order
+                    outcomes[i] = exc
+                    with lock:
+                        failed.append(i)
+        workers = [threading.Thread(target=work) for _ in range(min(_IN_FLIGHT, len(bodies)))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        lines = [line for lines in held if lines for line in lines]
+        if lines:
+            self.transcript.write(lines)
+        return outcomes
 
     def prepare_memory(self, memory: FrameStore) -> _AnsweringMemory:
         """The answer request with the whole memory as context, encoded up to
@@ -332,9 +402,15 @@ class RemoteBackend:
 
     def make_exam(self, pilot: FrameStore, num_questions: int, robot_id: int) -> Exam:
         """Robot ``robot_id``'s exam, written by the service from the pilot's captions."""
+        [asked] = self._exams([pilot], num_questions)
+        return Exam(robot_id, _take(asked))
+
+    def _exams(self, pilots, num_questions: int) -> list:
+        """Ask for each pilot's exam questions: the outcomes, in pilot order."""
         prompt = _QUESTION_PROMPT.format(n=num_questions)
-        reply = self._chat(_request(self.model, prompt, captions(pilot)))
-        return Exam(robot_id, self._parse_questions(reply, num_questions))
+        return self._ask(
+            lambda body, log: self._parse_questions(self._chat(body, log), num_questions),
+            [_request(self.model, prompt, captions(pilot)) for pilot in pilots])
 
     @staticmethod
     def _parse_questions(reply: str, num_questions: int) -> list[Question]:
@@ -372,26 +448,65 @@ class RemoteBackend:
         return questions
 
     def run_exams(self, pilots, num_questions: int, seeds, memory: _AnsweringMemory):
-        """Each robot's exam, asked and then answered, one robot after another.
-        The service owns question sampling, so ``seeds`` go unused."""
-        def sit(k):
-            exam = self.make_exam(pilots[k], num_questions, k)
-            return exam, self.test(exam, memory)
-        return tuple(zip(*per_robot(sit, len(pilots))))
+        """Every robot's exam and score, in three steps: ask each robot's exam;
+        ask each question text the memo lacks, taken from all the exams in
+        first-appearance order (robot 0's first); grade each exam from the
+        memo. An error names the robot whose exam failed, or for an answer
+        the first robot whose exam holds the text. The service owns question
+        sampling, so ``seeds`` go unused."""
+        asked = self._exams(pilots, num_questions)
+        exams = per_robot(lambda k: Exam(k, _take(asked[k])), len(pilots))
+        owned = self._answers(exams, memory)
+        per_robot(lambda k: _keep(memory.replies, owned[k]), len(exams))
+        return tuple(exams), tuple(_score(exam, memory.replies) for exam in exams)
 
     def test(self, exam, memory: _AnsweringMemory) -> float:
         """Ask every question text the memory has no reply for yet, with its
-        captions in context, one after another in first-appearance order, then
-        grade each exam question on its text's reply."""
-        def ask(text: str) -> str | None:
-            tail = json.dumps(f"\n\nQuestion: {text}")[1:-1].encode()  # escaped, unquoted
-            try:
-                return self._chat(memory.head + tail + _CLOSE)
-            except GaeParseError:
-                return None  # malformed answer counts as incorrect (logged)
+        captions in context, as :meth:`run_exams` does, then grade each exam
+        question on its text's reply."""
+        [owned] = self._answers([exam], memory)
+        _keep(memory.replies, owned)
+        return _score(exam, memory.replies)
 
-        replies = memory.replies
-        for text in dict.fromkeys(q.text for q in exam.qa_pairs if q.text not in replies):
-            replies[text] = ask(text)
-        return sum(replies[q.text] is not None and grade_text_answer(q, replies[q.text])
-                   for q in exam.qa_pairs) / len(exam)
+    def _answers(self, exams, memory: _AnsweringMemory) -> list[list]:
+        """Ask each question text of ``exams`` that ``memory`` has no reply
+        for, in first-appearance order: per exam, the (text, outcome) pairs
+        of the texts it holds first."""
+        first = {}
+        for k, exam in enumerate(exams):
+            for q in exam.qa_pairs:
+                if q.text not in memory.replies:
+                    first.setdefault(q.text, k)
+        # each text JSON-escaped, without its quotes, between the head and the close
+        outcomes = self._ask(self._answer, [
+            memory.head + json.dumps(f"\n\nQuestion: {text}")[1:-1].encode() + _CLOSE
+            for text in first])
+        owned = [[] for _ in exams]
+        for (text, k), outcome in zip(first.items(), outcomes):
+            owned[k].append((text, outcome))
+        return owned
+
+    def _answer(self, body: bytes, log=None) -> str | None:
+        try:
+            return self._chat(body, log)
+        except GaeParseError:
+            return None  # malformed answer counts as incorrect (logged)
+
+
+def _take(outcome):
+    """A result from :meth:`RemoteBackend._ask`, or its error raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _keep(replies: dict, owned) -> None:
+    """Memo each asked text's reply, raising the first failure in request order."""
+    for text, outcome in owned:
+        replies[text] = _take(outcome)
+
+
+def _score(exam, replies: dict) -> float:
+    """The share of the exam's questions graded right on their texts' replies."""
+    return sum(replies[q.text] is not None and grade_text_answer(q, replies[q.text])
+               for q in exam.qa_pairs) / len(exam)

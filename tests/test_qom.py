@@ -58,7 +58,11 @@ def test_dataset_meta_rejects_counts_not_one_per_robot(counts):
 @pytest.mark.parametrize("volumes, message", [
     (np.array([1.6e6, 1.6e6, 1.6e6]), r"item_volume_bits must be scalar or length 2, got"),
     (np.array([1.6e6, 0.0]), "item_volume_bits must be strictly positive"),
-], ids=["wrong-length", "zero-volume"])
+    (np.array([1.6e6, np.nan]), "item_volume_bits must be strictly positive and finite"),
+    (np.nan, "item_volume_bits must be strictly positive and finite"),
+    (np.array([np.inf, 1.6e6]), "item_volume_bits must be strictly positive and finite"),
+    (-np.inf, "item_volume_bits must be strictly positive and finite"),
+], ids=["wrong-length", "zero-volume", "nan", "scalar-nan", "inf", "minus-inf"])
 def test_dataset_meta_rejects_bad_item_volumes(volumes, message):
     with pytest.raises(ValueError, match=message):
         DatasetMeta(np.array([100, 100]), volumes)
@@ -181,6 +185,14 @@ def test_pilot_overhead_signals_infeasible_phase():
         pilot_overhead(state, np.array([1.6e6 * 11]), radio(), 0.2, time_budget_s=600.0)
 
 
+def test_a_nan_pilot_overhead_is_infeasible():
+    # nan >= T is False: a NaN dT must not pass for a feasible phase
+    state = orthogonal_state(np.array([1e-9, 1e-9]))
+    assert np.isnan(pilot_overhead(state, np.array([np.nan, 1.6e6]), radio(), 0.2))
+    with pytest.raises(PilotPhaseInfeasible, match="needs nan s"):
+        pilot_overhead(state, np.array([np.nan, 1.6e6]), radio(), 0.2, time_budget_s=600.0)
+
+
 def test_qom_weights_zero_at_perfect_score_and_paper_ratio():
     meta = DatasetMeta.uniform(2)
     weights = qom_weights([1.0, 0.5], meta, 550.0, 1e7)
@@ -203,11 +215,20 @@ def test_qom_weights_reject_bad_scores():
         qom_weights([-0.1, 0.5], meta, 550.0, 1e7)
     with pytest.raises(ValueError):
         qom_weights([0.1, 1.0001], meta, 550.0, 1e7)
+    with pytest.raises(ValueError, match=r"GAE scores must lie in \[0, 1\]"):
+        qom_weights([np.nan, 0.5], meta, 550.0, 1e7)     # NaN passes both bound tests
 
 
 def test_qom_weights_reject_nonpositive_effective_time():
     with pytest.raises(ValueError, match="effective_time_s"):
         qom_weights([0.1, 0.5], DatasetMeta.uniform(2), 0.0, 1e7)
+
+
+@pytest.mark.parametrize("effective_time_s", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "minus-inf"])
+def test_qom_weights_reject_non_finite_effective_time(effective_time_s):
+    with pytest.raises(ValueError, match="effective_time_s must be strictly positive and finite"):
+        qom_weights([0.1, 0.5], DatasetMeta.uniform(2), effective_time_s, 1e7)
 
 
 def test_qom_objective_zero_cases_and_recomposition():

@@ -1,10 +1,13 @@
 import json
+import random
 import re
 import socket
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import cli_env
 from frames import MemoryItem, items, reference_caption, store
 from mcpa import remote
-from mcpa.gae import Exam, FrameStore, GaeError, Question, run_gae
+from mcpa.gae import Exam, FrameStore, GaeError, Question, per_robot, run_gae
 from mcpa.remote import (GaeParseError, GaeTransportError, RemoteBackend,
                          chat_completion, grade_text_answer)
 
@@ -23,9 +26,15 @@ class FakeChatServer:
     """Tiny chat-completions stand-in: canned replies, captured requests
     (decoded, and as the raw bytes received).
 
-    ``statuses`` and ``replies`` are consumed one per request; a reply of
-    type ``bytes`` is sent as the raw body instead of a chat payload, and
-    ``delay_s`` stalls every request before it is answered.
+    ``statuses`` and ``replies`` are consumed one per request, in arrival
+    order; a reply of type ``bytes`` is sent as the raw body instead of a
+    chat payload, and ``delay_s`` stalls every request before it is
+    answered. When ``respond`` is set, it is called on each request's
+    system prompt and question text (for an answer request the text after
+    ``Question:``, for an exam request the captions) and its result is the
+    reply: this does not depend on the order requests arrive in, which is
+    not fixed once they overlap. An ``int`` result is sent as that HTTP
+    status instead.
     """
 
     def __init__(self):
@@ -33,15 +42,22 @@ class FakeChatServer:
         self.replies = []
         self.statuses = []
         self.delay_s = 0.0
+        self.respond = None
         server = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 raw = self.rfile.read(int(self.headers["Content-Length"]))
-                server.requests.append({"body": json.loads(raw), "raw": raw,
+                body = json.loads(raw)
+                server.requests.append({"body": body, "raw": raw,
                                         "auth": self.headers.get("Authorization")})
                 time.sleep(server.delay_s)
-                status = server.statuses.pop(0) if server.statuses else 200
+                if server.respond is not None:
+                    system, user = (m["content"] for m in body["messages"])
+                    reply = server.respond(system, user.rpartition("\n\nQuestion: ")[2])
+                    status = reply if isinstance(reply, int) else 200
+                else:
+                    status = server.statuses.pop(0) if server.statuses else 200
                 if status != 200:
                     self.send_response(status)
                     if 300 <= status < 400:
@@ -49,7 +65,8 @@ class FakeChatServer:
                     self.end_headers()
                     self.wfile.write(b"backend exploded")
                     return
-                reply = server.replies.pop(0) if server.replies else "OK"
+                if server.respond is None:
+                    reply = server.replies.pop(0) if server.replies else "OK"
                 payload = {"choices": [{"message": {"content": reply}}]}
                 data = reply if isinstance(reply, bytes) else json.dumps(payload).encode()
                 self.send_response(200)
@@ -183,7 +200,7 @@ def test_chat_completion_gives_up_after_retries(server):
 
 
 def test_chat_completion_writes_transcript(server, tmp_path):
-    server.replies = ["logged", "YES"]
+    server.respond = lambda system, text: {"sys": "logged", remote._ANSWER_PROMPT: "YES"}[system]
     path = tmp_path / "transcript.jsonl"
     backend = RemoteBackend(url=server.url, model="m", retries=1,
                             transcript_path=str(path))
@@ -368,6 +385,25 @@ def test_an_https_url_goes_through_the_default_ssl_context(monkeypatch, raw_serv
     assert len(built) == 1   # one context per process, made on the first https request
 
 
+def test_concurrent_https_requests_build_one_ssl_context(monkeypatch, raw_server):
+    import ssl
+    built = []
+
+    class Context:
+        def __init__(self):
+            built.append(self)
+            time.sleep(0.05)   # loading a CA store takes tens of ms: a wide window
+
+        def wrap_socket(self, sock, server_hostname):
+            return sock
+    monkeypatch.setattr(ssl, "create_default_context", Context)
+    monkeypatch.setattr(remote, "_tls", None)
+    raw = raw_server(*[GOOD_REPLY] * 4)
+    backend = RemoteBackend(url=raw.url.replace("http://", "https://"), retries=1)
+    assert backend._ask(backend._chat, [encoded()] * 4) == ["fine"] * 4
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("url, address", [
     ("http://chat.invalid/v1", ("chat.invalid", 80)),
     ("https://chat.invalid/v1", ("chat.invalid", 443)),
@@ -471,8 +507,21 @@ def test_a_reply_whose_content_is_not_a_string_is_a_logged_parse_error(server, t
     assert line["error"] == "choice content is not a string" and "response" not in line
 
 
+def robot_of(captions: str) -> int:
+    return int(re.search(r"robot=(\d+)", captions)[1])
+
+
+def by_prompt(exams, answers=None):
+    """A ``FakeChatServer.respond`` keyed by prompt: robot k's exam request
+    (its captions say ``robot=k``) gets ``exams[k]``, an answer request
+    ``answers[text]``."""
+    def respond(system, text):
+        return answers[text] if system == remote._ANSWER_PROMPT else exams[robot_of(text)]
+    return respond
+
+
 def test_a_question_parse_error_fails_run_gae_naming_the_robot(server):
-    server.replies = [json.dumps([entry()]), "YES", "[]"]
+    server.respond = by_prompt([json.dumps([entry()]), "[]"], {"?": "YES"})
     datasets = [store([MemoryItem(0.0, (0, 0, 10, 0, 0, 0), frozenset({"bus"}), k)])
                 for k in range(2)]
     backend = RemoteBackend(url=server.url, model="m", retries=1)
@@ -488,12 +537,12 @@ def test_remote_practice_test_grades_answers(server):
         Question("reporter", "bus", "Which robot sees the bus?", 2),
         Question("presence", "cat", "Is there a cat?", "NO"),
     ))
-    server.replies = [
-        "YES, clearly.",
-        "[30.0, 60.0, 0.0]",   # 44.7 m away: inside the 50 m radius
-        "I think robot 2 saw it",
-        "mumble mumble",       # malformed: graded incorrect
-    ]
+    server.respond = by_prompt([], {
+        "Is there a bus?": "YES, clearly.",
+        "Where is the bus?": "[30.0, 60.0, 0.0]",   # 44.7 m away: inside the 50 m radius
+        "Which robot sees the bus?": "I think robot 2 saw it",
+        "Is there a cat?": "mumble mumble",         # malformed: graded incorrect
+    })
     backend = RemoteBackend(url=server.url, model="m", retries=1)
     memory = store([MemoryItem(0.0, (10.0, 20.0, 10, 0, 0, 0), frozenset({"bus"}), 2)])
     assert backend.test(exam, backend.prepare_memory(memory)) == 0.75
@@ -716,7 +765,7 @@ def test_run_gae_captions_the_base_memory_once(server, monkeypatch):
     question = json.dumps([{"template": "presence", "tag": "bus",
                             "question": "Is there a bus?", "answer": "YES"}])
     # the robots' exams repeat one text, which is asked once against the base memory
-    server.replies = [question, "YES", question, question]
+    server.respond = by_prompt([question] * 3, {"Is there a bus?": "YES"})
     backend = RemoteBackend(url=server.url, model="m", retries=1)
     report = run_gae(datasets, base, 0.4, 1, backend, 0)
     assert list(report.scores) == [1.0] * 3
@@ -726,11 +775,11 @@ def test_run_gae_captions_the_base_memory_once(server, monkeypatch):
     assert [name for name, _ in captioned[1:]] == ["captions"] * len(datasets)
     systems = [r["body"]["messages"][0]["content"] for r in server.requests]
     asking, answering = remote._QUESTION_PROMPT.format(n=1), remote._ANSWER_PROMPT
-    assert systems == [asking, answering, asking, asking]
+    assert systems == [asking, asking, asking, answering]   # every exam, then the answers
     # the one answer request carried the whole base memory: its four frames
     # differ only in their timestamps, so they are one run
     context = reference_caption(base_items[0]).replace("[t=0.00s", "[t=0.00-3.00s")
-    assert server.requests[1]["body"]["messages"][1]["content"] == \
+    assert server.requests[3]["body"]["messages"][1]["content"] == \
         f"{context}\n\nQuestion: Is there a bus?"
 
 
@@ -842,7 +891,88 @@ def test_answer_bodies_are_byte_identical_to_json_dumps(model, context, texts):
                     for text in dict.fromkeys(texts)]
 
 
-def test_every_request_goes_through_chat_completion_on_the_calling_thread(server, monkeypatch):
+def sequential_run_exams(backend, pilots, num_questions, seeds, memory):
+    """The remote backend's exam loop from before its requests overlapped,
+    kept as the reference: robot by robot, its exam and then each of its
+    texts the memo lacks, in first-appearance order, one request at a time."""
+    prompt = remote._QUESTION_PROMPT.format(n=num_questions)
+
+    def chat(body):
+        return chat_completion(backend.url, body, retries=backend.retries)
+
+    def sit(k):
+        reply = chat(remote._request(backend.model, prompt, remote.captions(pilots[k])))
+        exam = Exam(k, RemoteBackend._parse_questions(reply, num_questions))
+        replies = memory.replies
+        for text in dict.fromkeys(q.text for q in exam.qa_pairs if q.text not in replies):
+            tail = json.dumps(f"\n\nQuestion: {text}")[1:-1].encode()
+            try:
+                replies[text] = chat(memory.head + tail + remote._CLOSE)
+            except GaeParseError:
+                replies[text] = None
+        return exam, sum(replies[q.text] is not None and grade_text_answer(q, replies[q.text])
+                         for q in exam.qa_pairs) / len(exam)
+    return tuple(zip(*per_robot(sit, len(pilots))))
+
+
+def as_entry(question: Question) -> dict:
+    """The exam entry a service writes for ``question``."""
+    answer = question.answer
+    return {"template": question.template, "tag": question.tag, "question": question.text,
+            "answer": ", ".join(map(str, answer)) if isinstance(answer, tuple) else str(answer)}
+
+
+def pilots_of(num_robots: int) -> list[FrameStore]:
+    return [store([MemoryItem(0.0, (0, 0, 10, 0, 0, 0), frozenset({"bus"}), k)])
+            for k in range(num_robots)]
+
+
+@pytest.fixture(scope="module")
+def shared_server():
+    srv = FakeChatServer()
+    yield srv
+    srv.close()
+
+
+DELAYS = st.sampled_from([0.0, 0.0005, 0.002])
+
+
+@settings(max_examples=20)
+@given(exams=st.lists(st.lists(QUESTIONS, min_size=1, max_size=6), min_size=1, max_size=5),
+       replies=st.fixed_dictionaries({text: st.sampled_from(REPLIES) for text in TEXTS}),
+       answer_delays=st.fixed_dictionaries({text: DELAYS for text in TEXTS}),
+       exam_delays=st.lists(DELAYS, min_size=5, max_size=5))
+def test_overlapped_requests_match_the_sequential_loop(shared_server, exams, replies,
+                                                       answer_delays, exam_delays):
+    def respond(system, text):
+        if system != remote._ANSWER_PROMPT:
+            time.sleep(exam_delays[robot_of(text)])
+            return json.dumps([as_entry(q) for q in exams[robot_of(text)]])
+        time.sleep(answer_delays[text])
+        return b"<malformed>" if replies[text] == MALFORMED else replies[text]
+    shared_server.respond = respond
+    backend = RemoteBackend(url=shared_server.url, model="m", retries=1)
+    runs = []
+    for run in (backend.run_exams, partial(sequential_run_exams, backend)):
+        shared_server.requests.clear()
+        memory = backend.prepare_memory(BASE)
+        runs.append((*run(pilots_of(len(exams)), 6, None, memory), list(memory.replies.items()),
+                     Counter(request["raw"] for request in shared_server.requests)))
+    (exams_now, scores_now, memo_now, sent_now), (exams_then, scores_then, memo_then, sent_then) \
+        = runs
+    assert [exam.qa_pairs for exam in exams_now] == [exam.qa_pairs for exam in exams_then]
+    assert scores_now == scores_then
+    assert memo_now == memo_then             # the same replies, in the same text order
+    assert sent_now == sent_then
+
+
+def exam_of(*texts) -> str:
+    return json.dumps([{"template": "presence", "tag": "bus", "question": text, "answer": "YES"}
+                       for text in texts])
+
+
+def test_at_most_four_requests_are_open_at_once(server, monkeypatch):
+    lock, open_now, peak = threading.Lock(), [0], [0]
     calls = []
 
     def counted(*args, **kwargs):
@@ -850,17 +980,102 @@ def test_every_request_goes_through_chat_completion_on_the_calling_thread(server
         return chat_completion(*args, **kwargs)
     monkeypatch.setattr(remote, "chat_completion", counted)
 
-    def asked(*texts):
-        return json.dumps([{"template": "presence", "tag": "bus", "question": text,
-                            "answer": "YES"} for text in texts])
-    base = store([MemoryItem(0.0, (0, 0, 10, 0, 0, 0), frozenset({"bus"}), 0)])
-    datasets = [store([MemoryItem(float(i), (0, 0, 10, 0, 0, 0), frozenset({"bus"}), k)
-                       for i in range(3)]) for k in range(3)]
-    # robot 0 asks a and b, robot 1 b and c (only c is new), robot 2 a and c (none new)
-    server.replies = [asked("a?", "b?"), "YES", "NO", asked("b?", "c?"), "YES",
-                      asked("a?", "c?")]
+    def respond(system, text):
+        with lock:
+            open_now[0] += 1
+            peak[0] = max(peak[0], open_now[0])
+        time.sleep(0.02)
+        with lock:
+            open_now[0] -= 1
+        if system == remote._ANSWER_PROMPT:
+            return "YES"
+        return exam_of(*(f"{robot_of(text)}.{i}?" for i in range(4)))
+    server.respond = respond
     backend = RemoteBackend(url=server.url, model="m", retries=1)
-    report = run_gae(datasets, base, 1.0, 2, backend, 0)
-    assert list(report.scores) == [0.5, 0.5, 1.0]
-    assert len(calls) == len(server.requests) == 6
-    assert set(calls) == {threading.get_ident()}
+    report = run_gae(pilots_of(4), BASE, 1.0, 4, backend, 0)
+    assert list(report.scores) == [1.0] * 4
+    # every request went through the module's chat_completion, from worker
+    # threads, and some overlapped
+    assert len(calls) == len(server.requests) == 4 + 16
+    assert threading.get_ident() not in calls
+    assert 1 < peak[0] <= 4
+
+
+def test_the_first_failure_in_request_order_is_raised(server, tmp_path):
+    # robot 1's text b? fails after robot 2's c? has failed, and is still the
+    # one named (robot 2's exam holds b? too, but robot 1's holds it first);
+    # the texts queued after c? are not asked once it has failed
+    texts = [["a?"], ["b?"], ["c?", "b?"] + [f"later {i}?" for i in range(12)]]
+
+    def respond(system, text):
+        if system != remote._ANSWER_PROMPT:
+            return exam_of(*texts[robot_of(text)])
+        if text != "a?" and text != "c?":
+            time.sleep(0.1)
+        return 400 if text in ("b?", "c?") else "YES"
+    server.respond = respond
+    path = tmp_path / "transcript.jsonl"
+    backend = RemoteBackend(url=server.url, model="m", retries=1, transcript_path=str(path))
+    with pytest.raises(GaeError, match=r"^robot 1: chat request failed after 1 attempt\(s\): "
+                                       r"HTTP 400") as error:
+        run_gae(pilots_of(3), BASE, 1.0, 13, backend, 0)
+    assert isinstance(error.value.__cause__, GaeTransportError)
+    # every request that started was awaited and logged, and those that
+    # started are the first ones in request order
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert len(lines) == len(server.requests) < 3 + 14
+    asked = [line["request"]["messages"][1]["content"].rpartition("Question: ")[2]
+             for line in lines[3:]]
+    assert asked == list(dict.fromkeys(text for robot in texts for text in robot))[:len(asked)]
+    assert [line.get("error", "")[:8] for line in lines[4:6]] == ["HTTP 400"] * 2
+
+
+def test_the_transcript_keeps_request_order_whatever_the_delays(server, tmp_path):
+    texts = [["a?", "b?"], ["b?", "c?", "d?"], ["a?", "e?"]]
+    rng = random.Random(0)
+
+    def respond(system, text):
+        time.sleep(rng.random() * 0.003)
+        if system != remote._ANSWER_PROMPT:
+            return exam_of(*texts[robot_of(text)])
+        return "YES"
+    server.respond = respond
+    sequences = []
+    for run in range(20):
+        path = tmp_path / f"transcript{run}.jsonl"
+        backend = RemoteBackend(url=server.url, model="m", retries=1, transcript_path=str(path))
+        run_gae(pilots_of(3), BASE, 1.0, 3, backend, 0)
+        sequences.append([{key: value for key, value in json.loads(line).items() if key != "ts"}
+                          for line in path.read_text().splitlines()])
+    assert all(sequence == sequences[0] for sequence in sequences)
+    # exams by robot, then answers by first appearance
+    users = [line["request"]["messages"][1]["content"] for line in sequences[0]]
+    assert [robot_of(user) for user in users[:3]] == [0, 1, 2]
+    assert [user.rpartition("Question: ")[2] for user in users[3:]] == ["a?", "b?", "c?", "d?", "e?"]
+
+
+def test_each_body_is_taken_once_under_fast_thread_switching():
+    # four workers on fewer cores share one order of bodies; a body taken
+    # twice, or an outcome lost, shows in the counts. Body 1000 fails: the
+    # bodies taken are then a prefix of the order, and the rest are not asked
+    failing, taken = 1000, []
+
+    def task(body, log):
+        taken.append(int(body))
+        if int(body) == failing:
+            raise GaeTransportError("refused")
+        return body.decode()
+    bodies = [str(i).encode() for i in range(3000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.perf_counter()
+        outcomes = offline_backend()._ask(task, bodies)
+        assert time.perf_counter() - started < 5.0
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(taken) == list(range(len(taken))) and len(taken) > failing
+    assert outcomes[:failing] == [str(i) for i in range(failing)]
+    assert isinstance(outcomes[failing], GaeTransportError)
+    assert outcomes[failing + 1:len(taken)] == [str(i) for i in range(failing + 1, len(taken))]
+    assert all(str(outcome).startswith("not asked") for outcome in outcomes[len(taken):])
