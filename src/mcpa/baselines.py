@@ -40,7 +40,7 @@ def _fairness_powers(state: ChannelState, target_sinr: float, budget: float,
     return p if p.min() > 0.0 and np.add.reduce(p) <= budget else None
 
 
-def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
+def allocate_fairness(state: ChannelState, budget, noise_power_w: float,
                       tol: float = 1e-4) -> np.ndarray:
     """Max-min rate via bisection on a common SINR target gamma.
 
@@ -52,7 +52,14 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
     gamma: it is probed first and returned if feasible (orthogonal channels,
     roundoff permitting), else the bisection runs on [0, gamma_hi]. A zero
     gain makes every max-min rate 0, so that channel gets all-zero powers.
+
+    An array of budgets gives one allocation per budget, each bit for bit the
+    call at that budget alone, from bisections run in lockstep
+    (:func:`_lockstep_fairness`).
     """
+    if np.ndim(budget):
+        return _lockstep_fairness(state, np.ravel(budget).tolist(), noise_power_w,
+                                  tol).reshape(np.shape(budget) + (state.num_robots,))
     if not (state.gains > 0.0).all():
         return np.zeros(state.num_robots)
     system = np.empty((state.num_robots, state.num_robots))
@@ -71,6 +78,47 @@ def allocate_fairness(state: ChannelState, budget: float, noise_power_w: float,
         else:
             best, lo = candidate, mid
     return best
+
+
+def _lockstep_fairness(state: ChannelState, budgets: list, noise_power_w: float,
+                       tol: float) -> np.ndarray:
+    """:func:`allocate_fairness` at each budget, one row each, bit for bit. The
+    bisections run in lockstep: each step assembles the probes of the budgets
+    still bisecting in one (B, K, K) buffer and solves them in one stacked
+    solve, each exactly as :func:`_fairness_powers` would; a stack holding a
+    singular system is probed one system at a time. A lone budget, or a zero
+    gain, takes the scalar call."""
+    k, n = state.num_robots, len(budgets)
+    if n < 2 or not (state.gains > 0.0).all():
+        return np.array([allocate_fairness(state, budget, noise_power_w, tol)
+                         for budget in budgets]).reshape(n, k)
+    systems = np.empty((n, k, k))
+    scale = float(noise_power_w * np.add.reduce(1.0 / state.gains))
+    his, los, best = [budget / scale for budget in budgets], [0.0] * n, [np.zeros(k)] * n
+    probing, targets = list(range(n)), his[:]          # gamma_hi, then the bisection
+    for _ in range(201):
+        m = len(probing)
+        stack = np.multiply(np.negative(targets).reshape(m, 1, 1), state.interference,
+                            out=systems[:m])
+        stack.reshape(m, -1)[:, ::k + 1] = state.gains            # the diagonals, as a view
+        try:
+            solved = np.linalg.solve(
+                stack, np.multiply(targets, noise_power_w).reshape(m, 1, 1).repeat(k, 1))
+            probes = [p if p.min() > 0.0 and np.add.reduce(p) <= budgets[i] else None
+                      for i, p in zip(probing, solved[..., 0])]
+        except np.linalg.LinAlgError:
+            probes = [_fairness_powers(state, target, budgets[i], noise_power_w, systems[0])
+                      for i, target in zip(probing, targets)]
+        for i, target, p in zip(probing, targets, probes):
+            if p is None:
+                his[i] = target
+            else:
+                best[i], los[i] = p, target
+        probing = [i for i in probing if not his[i] - los[i] <= tol * max(his[i], 1e-300)]
+        if not probing:
+            break
+        targets = [0.5 * (los[i] + his[i]) for i in probing]
+    return np.array(best)
 
 
 def _zero_interference_power(state: ChannelState, spectral, noise_power_w: float) -> np.ndarray:

@@ -190,7 +190,7 @@ class GaeReport:
 
     def __post_init__(self):
         s = np.asarray(self.scores, dtype=float)
-        if np.any(s < 0.0) or np.any(s > 1.0):
+        if not ((s >= 0.0) & (s <= 1.0)).all():                     # NaN fails too
             raise ValueError("GAE scores must lie in [0, 1]")
         object.__setattr__(self, "scores", s)
         object.__setattr__(self, "pilot_sizes", np.asarray(self.pilot_sizes, dtype=int))

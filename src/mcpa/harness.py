@@ -6,8 +6,8 @@ uploads and grades the ground-truth question set with the synthetic oracle.
 Runs are isolated: each seed is staged once (:func:`prepare_seed`), and
 every method and power budget of that seed sees the same world, channels
 and GAE scores; only the pilot overhead and the QoM weights depend on the
-budget. :func:`_run_cell` makes a (seed, budget) cell's rows: it checks each
-allocation once, as it is made, and scores the cell as one block, each row
+budget. :func:`_run_seed` makes a seed's rows at every budget: it checks each
+allocation once, as it is made, and scores the seed as one block, each row
 exactly as it would be alone; a failed run is a row of NaNs with its reason.
 """
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import baselines
 from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
 from .config import ConfigError, Scenario
 from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
-from .qom import PilotPhaseInfeasible, frames_uploaded, pilot_overhead, qom_terms, qom_weights
+from .qom import PilotPhaseInfeasible, pilot_overhead, qom_weights
 from .solver import SolveTrace, solve_mcpa
 from .world import WorldInstance, build_world
 
@@ -250,56 +250,72 @@ def _checked_allocation(p: np.ndarray, k: int, budget: float) -> None:
         raise ValueError(f"sum power {p.sum():.6g} exceeds budget {budget:.6g}")
 
 
-def _score_allocation(ctx: _RunContext, scenario: Scenario,
-                      powers: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Graded accuracy, QoM, sum rate (Mbit/s) and connected robots of each
-    row of an ``(M, K)`` block of checked allocations."""
-    noise = scenario.radio.noise_power_w
-    bandwidth = scenario.radio.bandwidth_hz
-    meta = scenario.dataset
-    stage = ctx.stage
-
-    frames = np.floor(frames_uploaded(stage.state, powers, meta, noise,
-                                      ctx.effective_time_s, bandwidth))
-    qom = qom_terms(ctx.weights, stage.state, powers, noise).sum(axis=1)
-    rates = bandwidth * np.log2(1.0 + sinr_vector(stage.state, powers, noise))
+def _score_allocation(stage: SeedContext, scenario: Scenario, powers: np.ndarray,
+                      effective_time_s: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Graded accuracy, QoM, sum rate (Mbit/s) and connected robots of each row
+    of an ``(M, K)`` block of checked allocations, with its own effective time
+    (an ``(M, 1)`` column) and QoM weights. SINR is computed once per row."""
+    radio, meta = scenario.radio, scenario.dataset
+    spectral = np.log2(1.0 + sinr_vector(stage.state, powers, radio.noise_power_w))
+    frames = np.floor(np.minimum(
+        effective_time_s * radio.bandwidth_hz * spectral / meta.item_volume_bits, meta.num_items))
     connected = (frames / meta.num_items > 0.5).sum(axis=1)
-    return stage.accuracy_with(frames), qom, rates.sum(axis=1) / 1e6, connected
+    return (stage.accuracy_with(frames), (weights * spectral).sum(axis=1),
+            (radio.bandwidth_hz * spectral).sum(axis=1) / 1e6, connected)
 
 
-def _run_cell(stage: SeedContext, scenario: Scenario, budget: float, methods, names,
+def _run_seed(stage: SeedContext, scenario: Scenario, budgets, methods, names,
               caught=(ValueError, ArithmeticError, GaeError, PilotPhaseInfeasible)
-              ) -> list[RunMetrics]:
-    """Every method on a staged seed at ``budget``, rows in method order. A
-    ``caught`` error in the pilot phase fails every row; one in a method's
-    allocation or in its :func:`_checked_allocation`, right after it is made,
-    fails that row. The checked allocations are scored as one block."""
-    try:
-        ctx = _at_budget(stage, scenario, budget)
-    except caught as exc:
-        return [_failed_run(name, stage.seed, budget, exc) for name in names]
-    failed, allocated = [], []          # (position, row); (name, powers, trace, wall_ms)
-    for i, (method, name) in enumerate(zip(methods, names)):
-        started = time.perf_counter()
+              ) -> list[list[RunMetrics]]:
+    """Every method on a staged seed at each of ``budgets``: one list of rows
+    per budget, in method order. A ``caught`` error in a budget's pilot phase
+    fails that budget's rows; one in a method's allocation, or in its
+    :func:`_checked_allocation` right after, fails that row. One fairness call
+    serves every budget, each row timed at an equal share of it. The seed's
+    checked allocations are scored as one block."""
+    rows = [[None] * len(names) for _ in budgets]
+    contexts = []                       # (budget index, context) where the pilot phase fits
+    for i, budget in enumerate(budgets):
         try:
-            powers, trace = _allocate(ctx, scenario, method)
-            _checked_allocation(powers, scenario.num_robots, budget)
+            contexts.append((i, _at_budget(stage, scenario, budget)))
         except caught as exc:
-            failed.append((i, _failed_run(name, stage.seed, budget, exc)))
-            continue
-        allocated.append((name, powers, trace, (time.perf_counter() - started) * 1e3))
-    block = np.array([p for _, p, _, _ in allocated], dtype=float).reshape(
+            rows[i] = [_failed_run(name, stage.seed, budget, exc) for name in names]
+    allocated = []          # (budget index, method position, context, powers, trace, wall ms)
+    for j, (method, name) in enumerate(zip(methods, names)):
+        fair, share_ms, started = None, 0.0, time.perf_counter()
+        if method == "fairness" and len(contexts) > 1:   # not an ExternalWeights so named
+            try:
+                fair = iter(baselines.allocate_fairness(stage.state, np.array(
+                    [ctx.power_w for _, ctx in contexts]), scenario.radio.noise_power_w))
+            except caught as exc:
+                for i, ctx in contexts:
+                    rows[i][j] = _failed_run(name, stage.seed, ctx.power_w, exc)
+                continue
+            share_ms = (time.perf_counter() - started) * 1e3 / len(contexts)
+        for i, ctx in contexts:
+            started = time.perf_counter()
+            try:
+                powers, trace = ((next(fair), None) if fair is not None
+                                 else _allocate(ctx, scenario, method))
+                _checked_allocation(powers, scenario.num_robots, ctx.power_w)
+            except caught as exc:
+                rows[i][j] = _failed_run(name, stage.seed, ctx.power_w, exc)
+                continue
+            allocated.append((i, j, ctx, powers, trace,
+                              share_ms + (time.perf_counter() - started) * 1e3))
+    block = np.array([powers for *_, powers, _, _ in allocated], dtype=float).reshape(
         len(allocated), scenario.num_robots)
-    scores = (column.tolist() for column in _score_allocation(ctx, scenario, block))
-    rows = [RunMetrics(
-        method=name, seed=stage.seed, p_sum_mw=budget * 1e3, eqa_accuracy=accuracy,
-        qom=qom, sum_rate_mbps=sum_rate, connected_drones=connected,
-        solver_iters=trace.outer_iterations if trace is not None else 0,
-        wall_ms=wall_ms, power_mw=tuple(p * 1e3 for p in powers))
-        for (name, _, trace, wall_ms), powers, accuracy, qom, sum_rate, connected
-        in zip(allocated, block.tolist(), *scores)]
-    for i, row in failed:               # in ascending position, each lands at its own
-        rows.insert(i, row)
+    scores = _score_allocation(
+        stage, scenario, block,
+        np.array([ctx.effective_time_s for _, _, ctx, *_ in allocated]).reshape(-1, 1),
+        np.array([ctx.weights for _, _, ctx, *_ in allocated]).reshape(block.shape))
+    for (i, j, ctx, _, trace, wall_ms), powers, accuracy, qom, sum_rate, connected in zip(
+            allocated, block.tolist(), *(column.tolist() for column in scores)):
+        rows[i][j] = RunMetrics(
+            method=names[j], seed=stage.seed, p_sum_mw=ctx.power_w * 1e3, eqa_accuracy=accuracy,
+            qom=qom, sum_rate_mbps=sum_rate, connected_drones=connected,
+            solver_iters=trace.outer_iterations if trace is not None else 0,
+            wall_ms=wall_ms, power_mw=tuple(p * 1e3 for p in powers))
     return rows
 
 
@@ -307,7 +323,7 @@ def run_method(stage: SeedContext, scenario: Scenario, method) -> RunMetrics:
     """Run one method, a name in :data:`METHODS` or an :class:`ExternalWeights`,
     on a staged seed at the scenario's power budget; a failure raises."""
     [name] = _check_methods([method])
-    return _run_cell(stage, scenario, scenario.power_budget_w, [method], [name], caught=())[0]
+    return _run_seed(stage, scenario, [scenario.power_budget_w], [method], [name], caught=())[0][0]
 
 
 def _failed_run(name: str, seed: int, power_w: float, error: Exception) -> RunMetrics:
@@ -321,7 +337,7 @@ def _failed_run(name: str, seed: int, power_w: float, error: Exception) -> RunMe
 
 def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
               backend) -> tuple[list[RunMetrics], dict]:
-    """Stage each seed once, then run each budget's cell on it (:func:`_run_cell`).
+    """Stage each seed once, then run every budget on it (:func:`_run_seed`).
     A run that fails with a domain error (an infeasible pilot phase, a
     numerical failure, a GAE error) is a row of NaNs with its reason; any
     other exception propagates. Rows come out budget-major, then seed, then
@@ -333,8 +349,9 @@ def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
     per_budget: list[list[RunMetrics]] = [[] for _ in budgets_w]
     for i in range(num_seeds):
         stage = prepare_seed(scenario, scenario.seeds["run"] + i, backend)
-        for rows, power_w in zip(per_budget, budgets_w):
-            rows.extend(_run_cell(stage, scenario, power_w, methods, names))
+        seed_rows = _run_seed(stage, scenario, budgets_w, methods, names)
+        for rows, budget_rows in zip(per_budget, seed_rows):
+            rows.extend(budget_rows)
     rows = [row for budget_rows in per_budget for row in budget_rows]
     return rows, aggregate(rows)
 
@@ -357,6 +374,8 @@ def run_sweep(scenario: Scenario, methods, budgets_mw, num_seeds: int,
         raise ConfigError("budgets_mw: no budget given")
     if not all(0.0 < budget_mw < math.inf for budget_mw in budgets_mw):
         raise ConfigError(f"budgets_mw: {budgets_mw} must all be finite and positive")
+    if repeated := sorted({b for b in budgets_mw if budgets_mw.count(b) > 1}):
+        raise ConfigError(f"budgets_mw: {repeated} given more than once")
     return _run_grid(scenario, methods, [budget_mw / 1e3 for budget_mw in budgets_mw],
                      num_seeds, backend)
 

@@ -291,6 +291,68 @@ def test_fairness_is_bit_identical_to_the_doubling_bisection(state, log_budget, 
         assert probe.call_count == 1
 
 
+@st.composite
+def budget_vectors(draw):
+    """A channel over K 1-12 robots and N in {1, 2, 4, 16, 256} antennas at
+    near (50-250 m) or far (800-4000 m) geometry: as drawn, with one robot's
+    channel zeroed, or made orthogonal (where the gamma_hi probe is feasible);
+    and a list of 1-6 budgets over 1 mW-10 W, repeats allowed."""
+    k = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = random_state(rng, num_robots=k, num_antennas=draw(st.sampled_from([1, 2, 4, 16, 256])),
+                         d_range=draw(st.sampled_from([(50.0, 250.0), (800.0, 4000.0)])))
+    kind = draw(st.sampled_from(["drawn", "zero gain", "orthogonal"]))
+    if kind == "zero gain":
+        state = without_channel(state, draw(st.integers(0, k - 1)))
+    elif kind == "orthogonal":
+        state = orthogonal_state(state.gains)
+    exponents = draw(st.lists(st.floats(-3.0, 1.0), min_size=1, max_size=6))
+    return state, [10.0 ** e for e in exponents]
+
+
+@settings(max_examples=200, derandomize=True)
+@given(budget_vectors(), st.sampled_from([0.0, 1e-4, 1e-6]))
+def test_fairness_over_a_budget_vector_is_the_call_at_each_budget(case, tol):
+    """Row i of the lockstep bisection is the scalar call at budget i, bit for
+    bit; at tol 0 the bisection runs to its 200-step cap."""
+    state, budgets = case
+    block = allocate_fairness(state, np.array(budgets), NOISE_W, tol)
+    assert block.shape == (len(budgets), state.num_robots) and block.dtype == np.float64
+    for row, budget in zip(block, budgets):
+        assert row.tobytes() == allocate_fairness(state, budget, NOISE_W, tol).tobytes()
+
+
+def test_a_singular_stacked_probe_is_infeasible_for_its_own_budget_alone(monkeypatch):
+    """When one system of a stack is singular, the lockstep answer is still the
+    scalar call's at each budget, with that system singular there too."""
+    state = random_state(np.random.default_rng(5), num_robots=6, num_antennas=4)
+    budgets = [0.05, 0.1, 0.2]
+    feasible = []
+
+    def recorded(*args):
+        powers = _fairness_powers(*args)
+        if powers is not None:
+            feasible.append(args[1])
+        return powers
+    with mock.patch.object(mcpa.baselines, "_fairness_powers", recorded):
+        clean = allocate_fairness(state, budgets[1], NOISE_W)
+    singular, solve, raised = feasible[0], np.linalg.solve, []
+
+    def singular_solve(a, b):
+        if np.any(np.asarray(b) == singular * NOISE_W):
+            raised.append(np.shape(a))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+    monkeypatch.setattr(np.linalg, "solve", singular_solve)
+    alone = [allocate_fairness(state, budget, NOISE_W) for budget in budgets]
+    assert alone[1].tobytes() != clean.tobytes()
+    raised.clear()
+    block = allocate_fairness(state, np.array(budgets), NOISE_W)
+    assert (3, 6, 6) in raised and (6, 6) in raised     # the stack, then the system alone
+    for row, expected in zip(block, alone):
+        assert row.tobytes() == expected.tobytes()
+
+
 def test_fairness_matches_the_power_control_iteration_on_the_shipped_scenarios():
     """On town and city_desk seeds 0-3 at 100-300 mW, and town K=50 seed 0 at
     200 mW, the powers agree with the old sweep-by-sweep iteration's."""

@@ -326,6 +326,20 @@ def test_a_repeated_method_fails_before_staging(tmp_path, capsys, monkeypatch, c
     assert staged == [] and stdout == "" and not out.exists()
 
 
+def test_a_repeated_budget_fails_before_staging(tmp_path, capsys, monkeypatch):
+    staged = no_staging(monkeypatch)
+    out = tmp_path / "out.csv"
+    argv = ["sweep", "--config", str(CONFIG_DIR / "city_desk.json"), "--seeds", "2",
+            "--budgets-mw", "100,100", "--out", str(out)]
+    assert cli.main(argv) == 2
+    stdout, err = capsys.readouterr()
+    [line] = err.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == "ConfigError"
+    assert "budgets_mw: [100.0] given more than once" in error["message"]
+    assert staged == [] and stdout == "" and not out.exists()
+
+
 def test_remote_backend_without_endpoint_is_reported(monkeypatch):
     env = cli_env()
     env.pop("MCPA_REMOTE_URL", None)

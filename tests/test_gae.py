@@ -62,12 +62,13 @@ def test_sample_pilot_rejects_empty_dataset():
      "unknown question template 'colour'"),
     (lambda: GaeReport([0.5, 1.5], [1, 1], ()), ValueError, r"scores must lie in \[0, 1\]"),
     (lambda: GaeReport([-0.1], [1], ()), ValueError, r"scores must lie in \[0, 1\]"),
+    (lambda: GaeReport([np.nan, 0.5], [1, 1], ()), ValueError, r"scores must lie in \[0, 1\]"),
     (lambda: sample_pilot(store([item({"bus"})]), 0.0, 0), ValueError, "ratio must lie in"),
     (lambda: sample_pilot(store([item({"bus"})]), 1.5, 0), ValueError, "ratio must lie in"),
     (lambda: run_gae([], store([item({"bus"})]), 0.5, 1, SyntheticBackend(), 0), GaeError,
      "needs at least one robot dataset"),
 ], ids=["frame-columns", "pair-columns", "template", "score-above-1", "score-below-0",
-        "ratio-0", "ratio-above-1", "no-datasets"])
+        "score-nan", "ratio-0", "ratio-above-1", "no-datasets"])
 def test_malformed_gae_inputs_are_rejected(build, error, message):
     with pytest.raises(error, match=message):
         build()

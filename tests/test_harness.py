@@ -424,6 +424,61 @@ def test_sweep_matches_a_campaign_per_budget():
     assert not any(np.isnan(r.qom) for r in rows if r.p_sum_mw == 200.0)
 
 
+def test_a_sweep_is_its_single_budget_sweeps_put_together(monkeypatch):
+    """Every field but wall_ms of a sweep's rows equals the rows of one sweep
+    per budget, in budget order, on city_desk seeds 0-8: seed 8's pilot phase
+    overruns T at 100 mW, and greedy fails at 200 mW alone."""
+    original = harness.baselines.allocate_greedy
+
+    def greedy(state, scores, meta, budget, *args):
+        if budget == 0.2:
+            raise ArithmeticError("greedy cannot fund 200 mW")
+        return original(state, scores, meta, budget, *args)
+    monkeypatch.setattr(harness.baselines, "allocate_greedy", greedy)
+    s = small_city()
+    rows, summary = run_sweep(s, METHODS, harness.DEFAULT_SWEEP_MW, 9)
+    alone = [row for budget_mw in harness.DEFAULT_SWEEP_MW
+             for row in run_sweep(s, METHODS, [budget_mw], 9)[0]]
+    assert [_fields(r) for r in rows] == [_fields(r) for r in alone]
+    failed = {(r.p_sum_mw, r.seed, r.method): r.failure for r in rows if r.failure}
+    assert {key[:2] for key in failed if key[2] != "greedy"} == {(100.0, 8)}
+    assert {key[:2] for key in failed if key[2] == "greedy"} == \
+        {(100.0, 8)} | {(200.0, seed) for seed in range(9)}
+    assert failed[(200.0, 0, "greedy")] == "ArithmeticError: greedy cannot fund 200 mW"
+    assert summary[("greedy", 200.0)]["qom"]["count"] == 0
+    assert summary[("fairness", 100.0)]["qom"]["count"] == 8
+
+
+def test_a_failed_fairness_call_fails_the_fairness_rows_of_its_seed(monkeypatch):
+    # one fairness call serves every budget of a seed, so its error is each
+    # of those rows' reason; every other row is as it was
+    s = small_city()
+    reference = {(r.p_sum_mw, r.seed, r.method): _fields(r)
+                 for r in run_sweep(s, METHODS, [150.0, 250.0], 2)[0]}
+
+    def broken(state, budget, noise_power_w):
+        raise np.linalg.LinAlgError("no fixed point")
+    monkeypatch.setattr(harness.baselines, "allocate_fairness", broken)
+    rows, _ = run_sweep(s, METHODS, [150.0, 250.0], 2)
+    assert len(rows) == len(reference)
+    for row in rows:
+        if row.method == "fairness":
+            assert row.failure == "LinAlgError: no fixed point" and np.isnan(row.qom)
+        else:
+            assert _fields(row) == reference[(row.p_sum_mw, row.seed, row.method)]
+
+
+def test_repeated_budgets_are_rejected_before_staging(monkeypatch):
+    staged = []
+    monkeypatch.setattr(harness, "prepare_seed", lambda *args: staged.append(args))
+    for budgets, repeated in (([100.0, 100.0], "[100.0]"), ([100, 200, 100.0], "[100.0]"),
+                              (np.array([250.0, 150.0, 250.0, 150.0]), "[150.0, 250.0]")):
+        with pytest.raises(ConfigError) as error:
+            run_sweep(small_city(), ["uniform"], budgets, 2)
+        assert str(error.value) == f"budgets_mw: {repeated} given more than once"
+    assert staged == []
+
+
 def test_sweep_stages_each_seed_once(monkeypatch):
     calls = {"build_world": [], "run_gae": []}
     for name in calls:
@@ -466,6 +521,19 @@ def test_external_weights_slot_runs_through_solver():
     # and it participates in campaigns next to the named methods
     rows, summary = run_campaign(s, ["remember", method], 2)
     assert {r.method for r in rows} == {"remember", "semcom"}
+
+
+def test_external_weights_named_fairness_run_through_the_solver(monkeypatch):
+    # the sweep's one-call fairness path is taken for the method, not its name
+    from mcpa.harness import ExternalWeights
+    monkeypatch.setattr(harness.baselines, "allocate_fairness", None)
+    s = small_city()
+    method = ExternalWeights(weights=(1.0,) + (0.0,) * 9, name="fairness")
+    rows, _ = run_sweep(s, [method], [150.0, 250.0], 1)
+    assert [(r.method, r.p_sum_mw, r.failure) for r in rows] == \
+        [("fairness", 150.0, ""), ("fairness", 250.0, "")]
+    assert all(r.solver_iters > 0 and r.power_mw[0] == pytest.approx(r.p_sum_mw, rel=1e-6)
+               for r in rows)
 
 
 def test_external_weights_need_one_finite_nonnegative_weight_per_robot():
@@ -513,17 +581,24 @@ def test_run_method_raises_an_infeasible_pilot_phase():
 
 
 def test_a_cell_where_every_allocation_fails(monkeypatch):
+    # each seed is scored once, as one block over all its budgets, even when
+    # no allocation of the seed passed its check
     monkeypatch.setattr(harness.baselines, "allocate_uniform",
                         lambda num_robots, budget: np.full(num_robots, np.nan))
     with mock.patch.object(harness, "_score_allocation",
                            wraps=harness._score_allocation) as score:
-        rows, summary = run_campaign(small_city(), ["uniform"], 2)
+        rows, summary = run_sweep(small_city(), ["uniform"], [150.0, 250.0], 2)
     assert [call.args[2].shape for call in score.call_args_list] == [(0, 10), (0, 10)]
     assert [row.failure for row in rows] == \
-        ["ValueError: non-finite powers: every power must be a finite number"] * 2
+        ["ValueError: non-finite powers: every power must be a finite number"] * 4
     assert all(np.isnan([r.eqa_accuracy, r.qom, r.sum_rate_mbps]).all() for r in rows)
-    for stats in summary[("uniform", 200.0)].values():
-        assert stats["count"] == 0 and np.isnan(stats["mean"])
+    for budget_mw in (150.0, 250.0):
+        for stats in summary[("uniform", budget_mw)].values():
+            assert stats["count"] == 0 and np.isnan(stats["mean"])
+    with mock.patch.object(harness, "_score_allocation",
+                           wraps=harness._score_allocation) as score:
+        run_sweep(small_city(), ["remember", "uniform"], [150.0, 250.0], 2)
+    assert [call.args[2].shape for call in score.call_args_list] == [(2, 10), (2, 10)]
 
 
 def test_programming_errors_propagate(monkeypatch):
