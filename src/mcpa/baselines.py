@@ -3,6 +3,8 @@
 MaxCov and Greedy size their power requests assuming zero interference (both
 are defined channel-blind / coverage-greedy); achieved rates downstream are
 always evaluated with full interference, so the metrics stay honest.
+Fairness runs one bisection for one budget or many, so the harness makes one
+call per seed over all its budgets.
 """
 from __future__ import annotations
 
@@ -30,7 +32,9 @@ def _fairness_powers(state: ChannelState, target_sinr: float, budget: float,
     """Fixed point of the standard power-control update p <- gamma (I_offdiag p
     + s2) / H (Yates 1995) by one solve of (diag(H) - gamma I_offdiag) p =
     gamma s2 1, assembled in the (K, K) buffer ``system``. Its solution is positive
-    iff the update converges from zero; returns it if so and sum p <= budget, else None."""
+    iff the update converges from zero; returns it if so and sum p <= budget, else None.
+    :func:`allocate_fairness` probes one system at a time this way only when
+    a stack of them holds a singular one."""
     np.multiply(-target_sinr, state.interference, out=system)
     system.reshape(-1)[::state.num_robots + 1] = state.gains     # the diagonal, as a view
     try:
@@ -53,50 +57,26 @@ def allocate_fairness(state: ChannelState, budget, noise_power_w: float,
     roundoff permitting), else the bisection runs on [0, gamma_hi]. A zero
     gain makes every max-min rate 0, so that channel gets all-zero powers.
 
-    An array of budgets gives one allocation per budget, each bit for bit the
-    call at that budget alone, from bisections run in lockstep
-    (:func:`_lockstep_fairness`).
-    """
-    if np.ndim(budget):
-        return _lockstep_fairness(state, np.ravel(budget).tolist(), noise_power_w,
-                                  tol).reshape(np.shape(budget) + (state.num_robots,))
-    if not (state.gains > 0.0).all():
-        return np.zeros(state.num_robots)
-    system = np.empty((state.num_robots, state.num_robots))
-    hi = budget / (noise_power_w * np.add.reduce(1.0 / state.gains))
-    best = _fairness_powers(state, hi, budget, noise_power_w, system)
-    if best is not None:
-        return best
-    best, lo = np.zeros(state.num_robots), 0.0
-    for _ in range(200):
-        if hi - lo <= tol * max(hi, 1e-300):
-            break
-        mid = 0.5 * (lo + hi)
-        candidate = _fairness_powers(state, mid, budget, noise_power_w, system)
-        if candidate is None:
-            hi = mid
-        else:
-            best, lo = candidate, mid
-    return best
-
-
-def _lockstep_fairness(state: ChannelState, budgets: list, noise_power_w: float,
-                       tol: float) -> np.ndarray:
-    """:func:`allocate_fairness` at each budget, one row each, bit for bit. The
+    One budget gives one allocation ``(K,)``; an array of budgets gives one
+    row per budget, each bit for bit the call at that budget alone. The
     bisections run in lockstep: each step assembles the probes of the budgets
     still bisecting in one (B, K, K) buffer and solves them in one stacked
-    solve, each exactly as :func:`_fairness_powers` would; a stack holding a
-    singular system is probed one system at a time. A lone budget, or a zero
-    gain, takes the scalar call."""
+    solve; a stack holding a singular system is probed one system at a time
+    (:func:`_fairness_powers`), so that system is infeasible for its own
+    budget only.
+    """
+    budgets = np.ravel(budget).tolist()
     k, n = state.num_robots, len(budgets)
-    if n < 2 or not (state.gains > 0.0).all():
-        return np.array([allocate_fairness(state, budget, noise_power_w, tol)
-                         for budget in budgets]).reshape(n, k)
+    shape = np.shape(budget) + (k,)
+    if not (state.gains > 0.0).all():
+        return np.zeros(shape)
     systems = np.empty((n, k, k))
     scale = float(noise_power_w * np.add.reduce(1.0 / state.gains))
-    his, los, best = [budget / scale for budget in budgets], [0.0] * n, [np.zeros(k)] * n
+    his, los, best = [b / scale for b in budgets], [0.0] * n, [np.zeros(k)] * n
     probing, targets = list(range(n)), his[:]          # gamma_hi, then the bisection
     for _ in range(201):
+        if not probing:
+            break
         m = len(probing)
         stack = np.multiply(np.negative(targets).reshape(m, 1, 1), state.interference,
                             out=systems[:m])
@@ -115,10 +95,8 @@ def _lockstep_fairness(state: ChannelState, budgets: list, noise_power_w: float,
             else:
                 best[i], los[i] = p, target
         probing = [i for i in probing if not his[i] - los[i] <= tol * max(his[i], 1e-300)]
-        if not probing:
-            break
         targets = [0.5 * (los[i] + his[i]) for i in probing]
-    return np.array(best)
+    return np.array(best).reshape(shape)
 
 
 def _zero_interference_power(state: ChannelState, spectral, noise_power_w: float) -> np.ndarray:

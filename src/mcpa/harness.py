@@ -9,6 +9,8 @@ and GAE scores; only the pilot overhead and the QoM weights depend on the
 budget. :func:`_run_seed` makes a seed's rows at every budget: it checks each
 allocation once, as it is made, and scores the seed as one block, each row
 exactly as it would be alone; a failed run is a row of NaNs with its reason.
+Fairness is one call per seed over the budgets whose pilot phase fits, and
+frames and QoM come from :mod:`mcpa.qom`, as for any other caller.
 """
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ from . import baselines
 from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
 from .config import ConfigError, Scenario
 from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
-from .qom import PilotPhaseInfeasible, pilot_overhead, qom_weights
+from .qom import (PilotPhaseInfeasible, frames_uploaded, pilot_overhead, qom_terms,
+                  qom_weights)
 from .solver import SolveTrace, solve_mcpa
 from .world import WorldInstance, build_world
 
@@ -188,7 +191,8 @@ def _solve(ctx: _RunContext, scenario: Scenario, weights) -> tuple[np.ndarray, S
 
 # Each method's allocator: (run context, scenario) -> (powers, solve trace or
 # None). Entries look up ``baselines.*`` and ``solve_mcpa`` when called, so a
-# rebinding of those names (a tracer, a test) reaches every run.
+# rebinding of those names (a tracer, a test) reaches every run. Fairness has
+# none: :func:`_run_seed` makes one call per seed over all its budgets.
 _ALLOCATORS = {
     "mcpa": lambda ctx, scenario: _solve(ctx, scenario, ctx.weights),
     "max_rate": lambda ctx, scenario: _solve(
@@ -197,8 +201,7 @@ _ALLOCATORS = {
         ctx.stage.state, ctx.power_w, scenario.radio.noise_power_w,
         _default_cov_threshold(scenario, ctx.effective_time_s),
         scenario.radio.bandwidth_hz), None),
-    "fairness": lambda ctx, scenario: (baselines.allocate_fairness(
-        ctx.stage.state, ctx.power_w, scenario.radio.noise_power_w), None),
+    "fairness": None,
     "greedy": lambda ctx, scenario: (baselines.allocate_greedy(
         ctx.stage.state, ctx.stage.gae_scores, scenario.dataset, ctx.power_w,
         scenario.radio.noise_power_w, ctx.effective_time_s,
@@ -231,7 +234,8 @@ def _check_methods(methods) -> list[str]:
 
 def _allocate(ctx: _RunContext, scenario: Scenario,
               method) -> tuple[np.ndarray, SolveTrace | None]:
-    """A checked method's powers and solve trace (None for a fixed rule)."""
+    """A checked method's powers and solve trace (None for a fixed rule); not
+    fairness, which :func:`_run_seed` allocates per seed."""
     if isinstance(method, ExternalWeights):
         return _solve(ctx, scenario, method.weights)
     return _ALLOCATORS[method](ctx, scenario)
@@ -254,14 +258,15 @@ def _score_allocation(stage: SeedContext, scenario: Scenario, powers: np.ndarray
                       effective_time_s: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
     """Graded accuracy, QoM, sum rate (Mbit/s) and connected robots of each row
     of an ``(M, K)`` block of checked allocations, with its own effective time
-    (an ``(M, 1)`` column) and QoM weights. SINR is computed once per row."""
-    radio, meta = scenario.radio, scenario.dataset
-    spectral = np.log2(1.0 + sinr_vector(stage.state, powers, radio.noise_power_w))
-    frames = np.floor(np.minimum(
-        effective_time_s * radio.bandwidth_hz * spectral / meta.item_volume_bits, meta.num_items))
+    (an ``(M, 1)`` column) and QoM weights. Only whole frames are uploaded."""
+    radio, meta, state = scenario.radio, scenario.dataset, stage.state
+    frames = np.floor(frames_uploaded(state, powers, meta, radio.noise_power_w,
+                                      effective_time_s, radio.bandwidth_hz))
     connected = (frames / meta.num_items > 0.5).sum(axis=1)
-    return (stage.accuracy_with(frames), (weights * spectral).sum(axis=1),
-            (radio.bandwidth_hz * spectral).sum(axis=1) / 1e6, connected)
+    rates = radio.bandwidth_hz * np.log2(1.0 + sinr_vector(state, powers, radio.noise_power_w))
+    return (stage.accuracy_with(frames),
+            qom_terms(weights, state, powers, radio.noise_power_w).sum(axis=1),
+            rates.sum(axis=1) / 1e6, connected)
 
 
 def _run_seed(stage: SeedContext, scenario: Scenario, budgets, methods, names,
@@ -271,8 +276,9 @@ def _run_seed(stage: SeedContext, scenario: Scenario, budgets, methods, names,
     per budget, in method order. A ``caught`` error in a budget's pilot phase
     fails that budget's rows; one in a method's allocation, or in its
     :func:`_checked_allocation` right after, fails that row. One fairness call
-    serves every budget, each row timed at an equal share of it. The seed's
-    checked allocations are scored as one block."""
+    serves every budget whose pilot phase fits, each row timed at an equal
+    share of it; with no such budget there is no call. The seed's checked
+    allocations are scored as one block."""
     rows = [[None] * len(names) for _ in budgets]
     contexts = []                       # (budget index, context) where the pilot phase fits
     for i, budget in enumerate(budgets):
@@ -283,7 +289,7 @@ def _run_seed(stage: SeedContext, scenario: Scenario, budgets, methods, names,
     allocated = []          # (budget index, method position, context, powers, trace, wall ms)
     for j, (method, name) in enumerate(zip(methods, names)):
         fair, share_ms, started = None, 0.0, time.perf_counter()
-        if method == "fairness" and len(contexts) > 1:   # not an ExternalWeights so named
+        if method == "fairness" and contexts:   # not an ExternalWeights so named
             try:
                 fair = iter(baselines.allocate_fairness(stage.state, np.array(
                     [ctx.power_w for _, ctx in contexts]), scenario.radio.noise_power_w))

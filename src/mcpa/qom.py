@@ -61,14 +61,15 @@ class DatasetMeta:
 
 
 def frames_uploaded(state: ChannelState, p, meta: DatasetMeta, noise_power_w: float,
-                    time_s: float, bandwidth_hz: float) -> np.ndarray:
+                    time_s, bandwidth_hz: float) -> np.ndarray:
     """Continuous frame counts F_k = T B log2(1 + SINR_k) / Z_k, capped at |D_k|.
 
     The cap models the robot running out of data; the optimization objective
     itself works on the uncapped log-rate (see :func:`qom_objective`). Stacked
-    powers ``(..., K)`` give one row each.
+    powers ``(..., K)`` give one row each, and ``time_s`` may be an ``(M, 1)``
+    column, one time per row of ``(M, K)`` powers.
     """
-    if time_s <= 0.0 or bandwidth_hz <= 0.0:
+    if (np.asarray(time_s) <= 0.0).any() or bandwidth_hz <= 0.0:
         raise ValueError("time_s and bandwidth_hz must be strictly positive")
     sinr = sinr_vector(state, p, noise_power_w)
     raw = time_s * bandwidth_hz * np.log2(1.0 + sinr) / meta.item_volume_bits

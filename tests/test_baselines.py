@@ -1,5 +1,4 @@
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import (BUDGET_W, CONFIG_DIR, NOISE_W, orthogonal_state, random_gae,
                       random_params, random_state)
-import mcpa.baselines
-from mcpa.baselines import (_fairness_powers, allocate_fairness, allocate_greedy,
-                            allocate_max_cov, allocate_remember, allocate_uniform,
-                            unit_rate_params)
+from mcpa.baselines import (allocate_fairness, allocate_greedy, allocate_max_cov,
+                            allocate_remember, allocate_uniform, unit_rate_params)
 from mcpa.channel import ChannelState, sinr_vector
 from mcpa.config import build_scenario, load_config
 from mcpa.harness import prepare_seed
@@ -278,17 +275,20 @@ def bound_states(draw):
 @given(bound_states(), st.floats(-3.0, 1.0), st.sampled_from([1e-4, 1e-6]))
 def test_fairness_is_bit_identical_to_the_doubling_bisection(state, log_budget, tol):
     """Nothing above gamma_hi is feasible, so returning at a feasible gamma_hi
-    after one probe keeps every bit of the doubling loop's answer."""
+    after one probe, one solved system, keeps every bit of the doubling loop's
+    answer."""
     budget = 10.0 ** log_budget
     hi = budget / (NOISE_W * np.sum(1.0 / state.gains))
     bound_feasible = fairness_powers(state, hi, budget, NOISE_W) is not None
-    with mock.patch.object(mcpa.baselines, "_fairness_powers",
-                           wraps=_fairness_powers) as probe:
+    solve, solved = np.linalg.solve, []           # the shape of each solve's systems
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solved.append(np.shape(a)) or solve(a, b))
         fair = allocate_fairness(state, budget, NOISE_W, tol)
     expected = doubling_allocate_fairness(state, budget, NOISE_W, tol)
     assert fair.tobytes() == expected.tobytes()
     if bound_feasible:
-        assert probe.call_count == 1
+        assert solved == [(1, state.num_robots, state.num_robots)]
 
 
 @st.composite
@@ -313,39 +313,49 @@ def budget_vectors(draw):
 @settings(max_examples=200, derandomize=True)
 @given(budget_vectors(), st.sampled_from([0.0, 1e-4, 1e-6]))
 def test_fairness_over_a_budget_vector_is_the_call_at_each_budget(case, tol):
-    """Row i of the lockstep bisection is the scalar call at budget i, bit for
-    bit; at tol 0 the bisection runs to its 200-step cap."""
+    """Row i of the lockstep bisection is the reference doubling bisection at
+    budget i alone, bit for bit; at tol 0 the bisection runs to its 200-step
+    cap. There the doubling loop also bisects above a feasible gamma_hi down
+    to the next float, which roundoff can make feasible, so a feasible
+    gamma_hi's own probe is the row instead."""
     state, budgets = case
     block = allocate_fairness(state, np.array(budgets), NOISE_W, tol)
     assert block.shape == (len(budgets), state.num_robots) and block.dtype == np.float64
     for row, budget in zip(block, budgets):
-        assert row.tobytes() == allocate_fairness(state, budget, NOISE_W, tol).tobytes()
+        expected = doubling_allocate_fairness(state, budget, NOISE_W, tol)
+        if tol == 0.0 and (state.gains > 0.0).all():
+            hi = budget / (NOISE_W * np.sum(1.0 / state.gains))
+            bound = fairness_powers(state, hi, budget, NOISE_W)
+            expected = expected if bound is None else bound
+        assert row.tobytes() == expected.tobytes()
 
 
 def test_a_singular_stacked_probe_is_infeasible_for_its_own_budget_alone(monkeypatch):
-    """When one system of a stack is singular, the lockstep answer is still the
-    scalar call's at each budget, with that system singular there too."""
+    """When one system of a stack is singular, the answer at three budgets is
+    still the answer at each budget alone, with that system singular there too:
+    a stack of one or of three falls back to that system alone, which fails."""
     state = random_state(np.random.default_rng(5), num_robots=6, num_antennas=4)
     budgets = [0.05, 0.1, 0.2]
-    feasible = []
+    solve, feasible = np.linalg.solve, []
 
-    def recorded(*args):
-        powers = _fairness_powers(*args)
-        if powers is not None:
-            feasible.append(args[1])
-        return powers
-    with mock.patch.object(mcpa.baselines, "_fairness_powers", recorded):
-        clean = allocate_fairness(state, budgets[1], NOISE_W)
-    singular, solve, raised = feasible[0], np.linalg.solve, []
+    def recorded(a, b):
+        solved = solve(a, b)
+        feasible.extend(rhs[0, 0] for rhs, p in zip(b, solved[..., 0])
+                        if p.min() > 0.0 and p.sum() <= budgets[1])
+        return solved
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    clean = allocate_fairness(state, budgets[1], NOISE_W)
+    singular, raised = feasible[0], []
 
     def singular_solve(a, b):
-        if np.any(np.asarray(b) == singular * NOISE_W):
+        if np.any(np.asarray(b) == singular):
             raised.append(np.shape(a))
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(a, b)
     monkeypatch.setattr(np.linalg, "solve", singular_solve)
     alone = [allocate_fairness(state, budget, NOISE_W) for budget in budgets]
     assert alone[1].tobytes() != clean.tobytes()
+    assert (1, 6, 6) in raised and (6, 6) in raised     # the stack of one, then the system
     raised.clear()
     block = allocate_fairness(state, np.array(budgets), NOISE_W)
     assert (3, 6, 6) in raised and (6, 6) in raised     # the stack, then the system alone

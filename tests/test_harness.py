@@ -450,22 +450,46 @@ def test_a_sweep_is_its_single_budget_sweeps_put_together(monkeypatch):
 
 
 def test_a_failed_fairness_call_fails_the_fairness_rows_of_its_seed(monkeypatch):
-    # one fairness call serves every budget of a seed, so its error is each
-    # of those rows' reason; every other row is as it was
+    # one fairness call serves every budget of a seed, in a sweep and in a
+    # one-budget campaign, so its error is each of those rows' reason; every
+    # other row is as it was
     s = small_city()
-    reference = {(r.p_sum_mw, r.seed, r.method): _fields(r)
-                 for r in run_sweep(s, METHODS, [150.0, 250.0], 2)[0]}
+    runs = (lambda: run_sweep(s, METHODS, [150.0, 250.0], 2)[0],
+            lambda: run_campaign(s, METHODS, 2)[0])
+    references = [{(r.p_sum_mw, r.seed, r.method): _fields(r) for r in run()} for run in runs]
 
     def broken(state, budget, noise_power_w):
         raise np.linalg.LinAlgError("no fixed point")
     monkeypatch.setattr(harness.baselines, "allocate_fairness", broken)
-    rows, _ = run_sweep(s, METHODS, [150.0, 250.0], 2)
-    assert len(rows) == len(reference)
-    for row in rows:
-        if row.method == "fairness":
-            assert row.failure == "LinAlgError: no fixed point" and np.isnan(row.qom)
-        else:
-            assert _fields(row) == reference[(row.p_sum_mw, row.seed, row.method)]
+    for run, reference in zip(runs, references):
+        rows = run()
+        assert len(rows) == len(reference)
+        for row in rows:
+            if row.method == "fairness":
+                assert row.failure == "LinAlgError: no fixed point" and np.isnan(row.qom)
+            else:
+                assert _fields(row) == reference[(row.p_sum_mw, row.seed, row.method)]
+
+
+def test_a_seed_whose_pilot_phase_overruns_makes_no_fairness_call(monkeypatch):
+    # city seed 8's pilot phase needs more than T at 100 mW: its fairness row
+    # fails with that reason, and fairness is called for seed 7 alone
+    cfg = json.loads(json.dumps(CITY))
+    cfg["budgets"] = {"power_sum_mw": 100}
+    cfg["seeds"] = {"run": 7}
+    s = build_scenario(cfg)
+    original, called = harness.baselines.allocate_fairness, []
+
+    def counted(state, budgets, noise_power_w):
+        called.append(state)
+        return original(state, budgets, noise_power_w)
+    monkeypatch.setattr(harness.baselines, "allocate_fairness", counted)
+    rows, summary = run_campaign(s, ["fairness"], 2)
+    assert [(r.seed, r.failure.partition(":")[0]) for r in rows] == \
+        [(7, ""), (8, "PilotPhaseInfeasible")]
+    assert len(called) == 1
+    assert np.array_equal(called[0].gains, prepare_seed(s, 7).state.gains)
+    assert summary[("fairness", 100.0)]["qom"]["count"] == 1
 
 
 def test_repeated_budgets_are_rejected_before_staging(monkeypatch):
@@ -524,14 +548,15 @@ def test_external_weights_slot_runs_through_solver():
 
 
 def test_external_weights_named_fairness_run_through_the_solver(monkeypatch):
-    # the sweep's one-call fairness path is taken for the method, not its name
+    # the one-call fairness path is taken for the method, not its name, in a
+    # sweep and in a one-budget campaign alike
     from mcpa.harness import ExternalWeights
     monkeypatch.setattr(harness.baselines, "allocate_fairness", None)
     s = small_city()
     method = ExternalWeights(weights=(1.0,) + (0.0,) * 9, name="fairness")
-    rows, _ = run_sweep(s, [method], [150.0, 250.0], 1)
+    rows = run_sweep(s, [method], [150.0, 250.0], 1)[0] + run_campaign(s, [method], 1)[0]
     assert [(r.method, r.p_sum_mw, r.failure) for r in rows] == \
-        [("fairness", 150.0, ""), ("fairness", 250.0, "")]
+        [("fairness", 150.0, ""), ("fairness", 250.0, ""), ("fairness", 200.0, "")]
     assert all(r.solver_iters > 0 and r.power_mw[0] == pytest.approx(r.p_sum_mw, rel=1e-6)
                for r in rows)
 
@@ -796,5 +821,5 @@ def test_method_table_reaches_the_allocators_when_called(monkeypatch):
             assert metrics.solver_iters == result.outer_iterations > 0
             assert metrics.power_mw == tuple(float(p) * 1e3 for p in result.final)
         else:
-            assert metrics.solver_iters == 0
-            assert metrics.power_mw == tuple(float(p) * 1e3 for p in result)
+            assert metrics.solver_iters == 0      # fairness returns one row per budget
+            assert metrics.power_mw == tuple(float(p) * 1e3 for p in np.ravel(result))

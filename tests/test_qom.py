@@ -110,8 +110,8 @@ def test_frames_uploaded_vector_matches_per_robot_formula():
 @st.composite
 def stacked_powers(draw):
     """A channel over K 1-12 robots (N 1-256, high- or low-SNR geometry), its
-    weights and dataset, and 1-8 stacked power rows: all zero, spending the
-    whole budget, or spending part of it."""
+    weights and dataset, 1-8 stacked power rows (all zero, spending the whole
+    budget, or spending part of it) and a column of one effective time per row."""
     k = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     state = random_state(rng, num_robots=k, num_antennas=draw(st.integers(1, 256)),
@@ -121,24 +121,34 @@ def stacked_powers(draw):
             * (1.0 if kind == "whole" else rng.uniform(0.01, 1.0)) for kind in kinds]
     meta = DatasetMeta.uniform(k, num_items=int(rng.integers(1, 3000)),
                                item_volume_bits=float(rng.uniform(1e5, 5e6)))
-    return state, rng.uniform(0.0, 1.0, size=k), meta, np.array(rows)
+    times = rng.uniform(1.0, 600.0, size=(len(rows), 1))
+    return state, rng.uniform(0.0, 1.0, size=k), meta, np.array(rows), times
 
 
 @settings(max_examples=80)
 @given(stacked_powers())
 def test_a_stacked_row_scores_as_the_row_alone(case):
-    # bit for bit: the harness scores a cell's allocations as one block
-    state, weights, meta, block = case
+    # bit for bit: the harness scores a seed's allocations as one block, each
+    # row with its own effective time
+    state, weights, meta, block, times = case
     sinr = sinr_vector(state, block, NOISE_W)
     frames = frames_uploaded(state, block, meta, NOISE_W, 550.0, 1e7)
+    timed = frames_uploaded(state, block, meta, NOISE_W, times, 1e7)
     terms = qom_terms(weights, state, block, NOISE_W)
     totals = terms.sum(axis=1)
-    assert sinr.shape == frames.shape == terms.shape == block.shape
+    assert sinr.shape == frames.shape == timed.shape == terms.shape == block.shape
     for i, p in enumerate(block):
         assert np.array_equal(sinr[i], sinr_vector(state, p, NOISE_W))
         assert np.array_equal(frames[i], frames_uploaded(state, p, meta, NOISE_W, 550.0, 1e7))
+        assert np.array_equal(timed[i], frames_uploaded(state, p, meta, NOISE_W,
+                                                        float(times[i, 0]), 1e7))
         assert np.array_equal(terms[i], qom_terms(weights, state, p, NOISE_W))
         assert totals[i] == qom_objective(weights, state, p, NOISE_W)
+    for bad in (0.0, -1.0):
+        column = times.copy()
+        column[-1, 0] = bad
+        with pytest.raises(ValueError, match="^time_s and bandwidth_hz must be strictly positive$"):
+            frames_uploaded(state, block, meta, NOISE_W, column, 1e7)
 
 
 def test_pilot_overhead_single_user_closed_form():
