@@ -104,6 +104,13 @@ def _report(args, rows, summary) -> int:
     write_csv(rows, args.out)
     _print_summary(summary)
     print(f"wrote {len(rows)} rows to {args.out}")
+    unconverged = {}        # (method, budget) -> stop reason of each solve that did not converge
+    for row in rows:
+        if row.stop_reason not in ("", "converged"):
+            unconverged.setdefault((row.method, row.p_sum_mw), []).append(row.stop_reason)
+    for (method, p_mw), reasons in sorted(unconverged.items()):
+        print(f"solves not converged: {method} at {p_mw:g} mW: {len(reasons)} "
+              f"({', '.join(sorted(set(reasons)))})", file=sys.stderr)
     failed = sum(1 for row in rows if row.failure)
     if failed:
         print(f"failed runs: {failed} of {len(rows)}", file=sys.stderr)

@@ -6,10 +6,9 @@ uploads and grades the ground-truth question set with the synthetic oracle.
 Runs are isolated: each seed is staged once (:func:`prepare_seed`), and
 every method and power budget of that seed sees the same world, channels
 and GAE scores; only the pilot overhead and the QoM weights depend on the
-budget. :func:`_run_seed` makes a seed's rows at every budget: it checks each
-allocation once, as it is made, and scores the seed as one block, each row
-exactly as it would be alone; a failed run is a row of NaNs with its reason.
-Fairness is one call per seed over the budgets whose pilot phase fits, and
+budget. :func:`_run_seed` makes a seed's rows at every budget with one call
+per layer: pilot overhead, weights, fairness and scoring, each row exactly as
+it would be alone; a failed run is a row of NaNs with its reason. Rates,
 frames and QoM come from :mod:`mcpa.qom`, as for any other caller.
 """
 from __future__ import annotations
@@ -22,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines
-from .channel import ChannelState, RobotGeometry, draw_channels, sinr_vector
+from .channel import ChannelState, RobotGeometry, draw_channels
 from .config import ConfigError, Scenario
 from .gae import GaeError, MemoryIndex, SyntheticBackend, run_gae
-from .qom import (PilotPhaseInfeasible, frames_uploaded, pilot_overhead, qom_terms,
+from .qom import (PilotPhaseInfeasible, frames_uploaded, log_rate, pilot_overhead, qom_terms,
                   qom_weights)
 from .solver import SolveTrace, solve_mcpa
 from .world import WorldInstance, build_world
@@ -64,7 +63,8 @@ class RunMetrics:
 
     ``power_mw`` keeps the allocation behind the metrics; it is not part of
     the CSV schema but lets callers re-derive qom / rates exactly. A failed
-    run is a row of NaNs whose ``failure`` says why (also not a CSV column).
+    run is a row of NaNs whose ``failure`` says why, and ``stop_reason`` is
+    the MM solve's, "" for a fixed rule (neither is a CSV column).
     """
 
     method: str
@@ -78,6 +78,7 @@ class RunMetrics:
     wall_ms: float
     power_mw: tuple = ()
     failure: str = ""
+    stop_reason: str = ""
 
     def row(self) -> list:
         return [self.method, self.seed, repr(self.p_sum_mw), repr(self.eqa_accuracy),
@@ -171,17 +172,6 @@ class _RunContext:
     weights: np.ndarray
 
 
-def _at_budget(stage: SeedContext, scenario: Scenario, power_w: float) -> _RunContext:
-    """Pilot overhead and QoM weights at ``power_w``; raises
-    :class:`PilotPhaseInfeasible` when the pilot phase overruns the time budget."""
-    delta_t = pilot_overhead(stage.state, scenario.dataset.item_volume_bits * stage.pilot_sizes,
-                             scenario.radio, power_w, time_budget_s=scenario.time_budget_s)
-    effective_time_s = scenario.time_budget_s - delta_t
-    weights = qom_weights(stage.gae_scores, scenario.dataset, effective_time_s,
-                          scenario.radio.bandwidth_hz)
-    return _RunContext(stage, power_w, effective_time_s, weights)
-
-
 def _solve(ctx: _RunContext, scenario: Scenario, weights) -> tuple[np.ndarray, SolveTrace]:
     """The MM solve behind mcpa, max_rate and external weights."""
     trace = solve_mcpa(weights, ctx.stage.state, ctx.power_w,
@@ -259,33 +249,42 @@ def _score_allocation(stage: SeedContext, scenario: Scenario, powers: np.ndarray
     """Graded accuracy, QoM, sum rate (Mbit/s) and connected robots of each row
     of an ``(M, K)`` block of checked allocations, with its own effective time
     (an ``(M, 1)`` column) and QoM weights. Only whole frames are uploaded."""
-    radio, meta, state = scenario.radio, scenario.dataset, stage.state
-    frames = np.floor(frames_uploaded(state, powers, meta, radio.noise_power_w,
-                                      effective_time_s, radio.bandwidth_hz))
+    radio, meta = scenario.radio, scenario.dataset
+    rate = log_rate(stage.state, powers, radio.noise_power_w)
+    frames = np.floor(frames_uploaded(rate, meta, effective_time_s, radio.bandwidth_hz))
     connected = (frames / meta.num_items > 0.5).sum(axis=1)
-    rates = radio.bandwidth_hz * np.log2(1.0 + sinr_vector(state, powers, radio.noise_power_w))
-    return (stage.accuracy_with(frames),
-            qom_terms(weights, state, powers, radio.noise_power_w).sum(axis=1),
-            rates.sum(axis=1) / 1e6, connected)
+    return (stage.accuracy_with(frames), qom_terms(weights, rate).sum(axis=1),
+            (radio.bandwidth_hz * rate).sum(axis=1) / 1e6, connected)
 
 
 def _run_seed(stage: SeedContext, scenario: Scenario, budgets, methods, names,
               caught=(ValueError, ArithmeticError, GaeError, PilotPhaseInfeasible)
               ) -> list[list[RunMetrics]]:
     """Every method on a staged seed at each of ``budgets``: one list of rows
-    per budget, in method order. A ``caught`` error in a budget's pilot phase
-    fails that budget's rows; one in a method's allocation, or in its
-    :func:`_checked_allocation` right after, fails that row. One fairness call
-    serves every budget whose pilot phase fits, each row timed at an equal
-    share of it; with no such budget there is no call. The seed's checked
-    allocations are scored as one block."""
+    per budget, in method order. A budget whose pilot phase overruns (``not
+    dT < T``, NaN included) raises :class:`PilotPhaseInfeasible`; a ``caught``
+    error there fails that budget's rows, one in a method's allocation or its
+    :func:`_checked_allocation` right after fails that row. One fairness call
+    serves the budgets that fit, each row timed at an equal share of it; with
+    no such budget there is no call."""
     rows = [[None] * len(names) for _ in budgets]
-    contexts = []                       # (budget index, context) where the pilot phase fits
-    for i, budget in enumerate(budgets):
+    time_s = scenario.time_budget_s
+    delta_t = pilot_overhead(stage.state, scenario.dataset.item_volume_bits * stage.pilot_sizes,
+                             scenario.radio, np.array(budgets, dtype=float))
+    fits = []                           # the budgets whose pilot phase fits
+    for i, (budget, needs) in enumerate(zip(budgets, delta_t.tolist())):
         try:
-            contexts.append((i, _at_budget(stage, scenario, budget)))
+            if not needs < time_s:
+                raise PilotPhaseInfeasible(
+                    f"pilot phase needs {needs:.3f} s but the time budget is {time_s:.3f} s")
+            fits.append(i)
         except caught as exc:
             rows[i] = [_failed_run(name, stage.seed, budget, exc) for name in names]
+    effective_time_s = time_s - delta_t[fits]
+    weights = qom_weights(stage.gae_scores, scenario.dataset, effective_time_s[:, None],
+                          scenario.radio.bandwidth_hz)
+    contexts = [(i, _RunContext(stage, budgets[i], t, w))
+                for i, t, w in zip(fits, effective_time_s.tolist(), weights)]
     allocated = []          # (budget index, method position, context, powers, trace, wall ms)
     for j, (method, name) in enumerate(zip(methods, names)):
         fair, share_ms, started = None, 0.0, time.perf_counter()
@@ -321,7 +320,8 @@ def _run_seed(stage: SeedContext, scenario: Scenario, budgets, methods, names,
             method=names[j], seed=stage.seed, p_sum_mw=ctx.power_w * 1e3, eqa_accuracy=accuracy,
             qom=qom, sum_rate_mbps=sum_rate, connected_drones=connected,
             solver_iters=trace.outer_iterations if trace is not None else 0,
-            wall_ms=wall_ms, power_mw=tuple(p * 1e3 for p in powers))
+            wall_ms=wall_ms, power_mw=tuple(p * 1e3 for p in powers),
+            stop_reason=trace.stop_reason if trace is not None else "")
     return rows
 
 

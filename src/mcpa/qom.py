@@ -3,6 +3,9 @@
 The objective is QoM(p) = sum_k Theta_k(p) with
 Theta_k = lambda_k * log2(1 + SINR_k) and
 lambda_k = (1 - GAE_k) * T_eff * B / (Z_k * sum_j |D_j|).
+:func:`log_rate` is the one place log2(1 + SINR) is computed; frame counts,
+QoM terms and the pilot overhead read its rate block, and each function takes
+a stack of rows (budgets, allocations) as readily as one.
 """
 from __future__ import annotations
 
@@ -15,17 +18,17 @@ from .channel import ChannelState, RadioConstants, sinr_vector
 __all__ = [
     "DatasetMeta",
     "PilotPhaseInfeasible",
+    "log_rate",
     "frames_uploaded",
     "pilot_overhead",
     "qom_weights",
     "qom_terms",
     "qom_objective",
-    "accuracy_estimate",
 ]
 
 
 class PilotPhaseInfeasible(RuntimeError):
-    """Pilot upload would consume the whole time budget (dT >= T)."""
+    """Pilot upload would consume the whole time budget (not dT < T)."""
 
 
 @dataclass(frozen=True)
@@ -60,24 +63,27 @@ class DatasetMeta:
         return int(self.num_items.sum())
 
 
-def frames_uploaded(state: ChannelState, p, meta: DatasetMeta, noise_power_w: float,
-                    time_s, bandwidth_hz: float) -> np.ndarray:
-    """Continuous frame counts F_k = T B log2(1 + SINR_k) / Z_k, capped at |D_k|.
+def log_rate(state: ChannelState, p, noise_power_w: float) -> np.ndarray:
+    """Spectral efficiency log2(1 + SINR_k(p)) in bit/s/Hz, one row per row of
+    stacked powers ``(..., K)``: the rate block every formula below reads."""
+    return np.log2(1.0 + sinr_vector(state, p, noise_power_w))
+
+
+def frames_uploaded(rate, meta: DatasetMeta, time_s, bandwidth_hz: float) -> np.ndarray:
+    """Continuous frame counts F_k = T B log2(1 + SINR_k) / Z_k, capped at |D_k|,
+    from a :func:`log_rate` block ``rate``.
 
     The cap models the robot running out of data; the optimization objective
-    itself works on the uncapped log-rate (see :func:`qom_objective`). Stacked
-    powers ``(..., K)`` give one row each, and ``time_s`` may be an ``(M, 1)``
-    column, one time per row of ``(M, K)`` powers.
+    itself works on the uncapped log-rate (see :func:`qom_objective`). ``time_s``
+    may be an ``(M, 1)`` column, one time per row of an ``(M, K)`` block.
     """
     if (np.asarray(time_s) <= 0.0).any() or bandwidth_hz <= 0.0:
         raise ValueError("time_s and bandwidth_hz must be strictly positive")
-    sinr = sinr_vector(state, p, noise_power_w)
-    raw = time_s * bandwidth_hz * np.log2(1.0 + sinr) / meta.item_volume_bits
+    raw = time_s * bandwidth_hz * rate / meta.item_volume_bits
     return np.minimum(raw, meta.num_items)
 
 
-def pilot_overhead(state: ChannelState, pilot_bits, constants: RadioConstants,
-                   p_sum: float, time_budget_s: float | None = None) -> float:
+def pilot_overhead(state: ChannelState, pilot_bits, constants: RadioConstants, p_sum):
     """Pilot upload time dT under equal power P_sum / K, max over robots.
 
     ``pilot_bits[k]`` is Z_k |D~_k|, the size of robot k's GAE pilot in bits.
@@ -85,48 +91,36 @@ def pilot_overhead(state: ChannelState, pilot_bits, constants: RadioConstants,
     the slowest robot finishes:
     dT = max_k Z_k |D~_k| / (B log2(1 + H_k p_eq / (sum_{j!=k} I_{k,j} p_eq + sigma^2))).
 
-    If ``time_budget_s`` is given and dT >= T (or dT is NaN) the pilot phase
-    cannot complete and :class:`PilotPhaseInfeasible` is raised.
+    A scalar ``p_sum`` gives a float, a ``(B,)`` vector one dT per budget, each
+    bit for bit the scalar call; whether dT fits the time budget is the caller's.
     """
     k = state.num_robots
-    p_eq = np.full(k, p_sum / k)
-    rates = constants.bandwidth_hz * np.log2(
-        1.0 + sinr_vector(state, p_eq, constants.noise_power_w))
-    per_robot = pilot_bits / rates
-    delta_t = float(per_robot.max())
-    if time_budget_s is not None and not delta_t < time_budget_s:
-        raise PilotPhaseInfeasible(
-            f"pilot phase needs {delta_t:.3f} s but the time budget is {time_budget_s:.3f} s")
-    return delta_t
+    p_eq = np.repeat(np.asarray(p_sum, dtype=float)[..., None] / k, k, axis=-1)
+    rates = constants.bandwidth_hz * log_rate(state, p_eq, constants.noise_power_w)
+    delta_t = (pilot_bits / rates).max(axis=-1)
+    return float(delta_t) if delta_t.ndim == 0 else delta_t
 
 
-def qom_weights(gae_scores, meta: DatasetMeta, effective_time_s: float,
+def qom_weights(gae_scores, meta: DatasetMeta, effective_time_s,
                 bandwidth_hz: float) -> np.ndarray:
-    """lambda_k = (1 - GAE_k) * T_eff * B / (Z_k * sum_j |D_j|)."""
+    """lambda_k = (1 - GAE_k) * T_eff * B / (Z_k * sum_j |D_j|); a ``(B, 1)``
+    column of effective times gives a ``(B, K)`` block, one row per time."""
     scores = np.asarray(gae_scores, dtype=float)
     if not ((scores >= 0.0) & (scores <= 1.0)).all():              # NaN fails too
         raise ValueError("GAE scores must lie in [0, 1]")
-    if not 0.0 < effective_time_s < np.inf:
+    times = np.asarray(effective_time_s, dtype=float)
+    if not ((times > 0.0) & (times < np.inf)).all():
         raise ValueError("effective_time_s must be strictly positive and finite")
-    return ((1.0 - scores) * effective_time_s * bandwidth_hz
+    return ((1.0 - scores) * times * bandwidth_hz
             / (meta.item_volume_bits * meta.total_items))
 
 
-def qom_terms(weights, state: ChannelState, p, noise_power_w: float) -> np.ndarray:
-    """Per-robot contributions Theta_k(p) = lambda_k log2(1 + SINR_k(p)), per row of ``p``."""
-    return weights * np.log2(1.0 + sinr_vector(state, p, noise_power_w))
+def qom_terms(weights, rate) -> np.ndarray:
+    """Per-robot contributions Theta_k = lambda_k log2(1 + SINR_k), per row of a
+    :func:`log_rate` block."""
+    return weights * rate
 
 
 def qom_objective(weights, state: ChannelState, p, noise_power_w: float) -> float:
     """QoM(p) = sum_k Theta_k(p); zero at p = 0 and whenever every weight is zero."""
-    return float(qom_terms(weights, state, p, noise_power_w).sum())
-
-
-def accuracy_estimate(gae_scores, frames, meta: DatasetMeta, base_accuracy: float) -> float:
-    """Model-predicted answer accuracy for a given upload outcome.
-
-    base + sum_k (1 - GAE_k) F_k / sum_j |D_j|, clamped to [0, 1].
-    """
-    f = np.asarray(frames, dtype=float)
-    gain = float(np.sum((1.0 - np.asarray(gae_scores, dtype=float)) * f) / meta.total_items)
-    return float(np.clip(base_accuracy + gain, 0.0, 1.0))
+    return float(qom_terms(weights, log_rate(state, p, noise_power_w)).sum())

@@ -279,10 +279,6 @@ class SolveTrace:
         return self.iterates[-1][1]
 
     @property
-    def objectives(self) -> np.ndarray:
-        return np.array([obj for _, obj, _ in self.iterates])
-
-    @property
     def outer_iterations(self) -> int:
         return len(self.iterates) - 1
 

@@ -108,7 +108,7 @@ def test_criterion_03_mm_ascent_and_convergence():
                              d_range=(2000.0, 5000.0))
         params = random_params(rng, 10, zero_fraction=0.3)
         trace = solve_mcpa(params, state, BUDGET_W, NOISE_W)
-        objs = trace.objectives
+        objs = np.array([obj for _, obj, _ in trace.iterates])
         if not np.all(np.diff(objs) >= -1e-10 * (1.0 + np.abs(objs[:-1]))):
             ascent_ok = False
         converged += trace.stop_reason == "converged"

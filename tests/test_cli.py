@@ -8,7 +8,7 @@ import pytest
 from conftest import CONFIG_DIR, REPO_ROOT, cli_env
 from golden.regenerate import GOLDEN_DIR, without_wall_ms
 from mcpa import cli, harness
-from mcpa.config import load_config
+from mcpa.config import build_scenario, load_config
 from mcpa.harness import CSV_COLUMNS
 
 
@@ -102,6 +102,29 @@ def test_a_run_where_every_row_failed_exits_nonzero(tmp_path, capsys):
     assert cli.main(["simulate", *args]) == 1
     assert capsys.readouterr().err == "failed runs: 2 of 2\n"
     assert path.exists()
+
+
+def test_a_capped_solve_reports_its_stop_reason(tmp_path, capsys):
+    # town at K = 50 with max_outer 3: the mcpa solve of seed 0 stops at the
+    # cap; its row says so, the CSV has no column for it, and simulate counts
+    # it on stderr while the run still exits 0
+    config = {**load_config(CONFIG_DIR / "town.json"), "num_robots": 50,
+              "solver": {"max_outer": 3}}
+    rows, _ = harness.run_campaign(build_scenario(config), ["mcpa", "uniform"], 1)
+    assert [(r.method, r.failure, r.stop_reason, r.solver_iters) for r in rows] == \
+        [("mcpa", "", "max_iterations", 3), ("uniform", "", "", 0)]
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(config))
+    out_csv = tmp_path / "campaign.csv"
+    assert cli.main(["simulate", "--config", str(path), "--seeds", "1",
+                     "--methods", "mcpa,uniform", "--out", str(out_csv)]) == 0
+    assert capsys.readouterr().err == "solves not converged: mcpa at 200 mW: 1 (max_iterations)\n"
+    with open(out_csv) as fh:
+        assert next(csv.reader(fh)) == list(CSV_COLUMNS)
+    # at the shipped K = 10 and max_outer, the solve converges
+    town = build_scenario(load_config(CONFIG_DIR / "town.json"))
+    assert harness.run_method(harness.prepare_seed(town, 0), town, "mcpa").stop_reason == \
+        "converged"
 
 
 def test_summary_counts_the_runs_behind_each_mean(tmp_path, capsys):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import functools
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -227,8 +228,9 @@ def test_methods_sharing_a_stage_match_a_fresh_stage_each():
     # rho |D| = 262.5 exactly; its pilot phase takes 6,150 s
     ("city_desk.json", {"gae": {"pilot_ratio": 0.25}, "budgets": {"time_s": 1e5}}),
 ], ids=["city_desk", "town", "staged_k5", "half"])
-def test_pilots_have_the_sizes_the_overhead_charges(name, override):
-    # dT = max_k Z_k |D~_k| / (B log2(1 + SINR_k(P/K))) over the pilots GAE sampled
+def test_pilots_have_the_sizes_the_overhead_charges(name, override, monkeypatch):
+    # dT = max_k Z_k |D~_k| / (B log2(1 + SINR_k(P/K))) over the pilots GAE sampled,
+    # and the harness weighs each robot by T - dT
     scenario = build_scenario(load_config(CONFIG_DIR / name), override)
     stage = prepare_seed(scenario, 0)
     report = run_gae(stage.world.datasets, stage.world.base_memory, scenario.pilot_ratio,
@@ -246,8 +248,15 @@ def test_pilots_have_the_sizes_the_overhead_charges(name, override):
         rate = radio.bandwidth_hz * np.log2(
             1.0 + stage.state.gains[j] * p_eq / (interference + radio.noise_power_w))
         seconds.append(scenario.dataset.item_volume_bits[j] * stage.pilot_sizes[j] / rate)
-    ctx = harness._at_budget(stage, scenario, scenario.power_budget_w)
-    assert ctx.effective_time_s == pytest.approx(scenario.time_budget_s - max(seconds), rel=1e-12)
+    charged = []
+
+    def spy(gae_scores, meta, effective_time_s, bandwidth_hz):
+        charged.append(effective_time_s)
+        return qom_weights(gae_scores, meta, effective_time_s, bandwidth_hz)
+    monkeypatch.setattr(harness, "qom_weights", spy)
+    run_method(stage, scenario, "remember")
+    [[[effective_time_s]]] = [times.tolist() for times in charged]
+    assert effective_time_s == pytest.approx(scenario.time_budget_s - max(seconds), rel=1e-12)
 
 
 def test_stage_accuracy_joins_uploads_with_base_memory():
@@ -594,6 +603,27 @@ def test_campaign_records_pilot_failures_and_continues():
     for key in (("remember", 200.0), ("uniform", 200.0)):
         for stats in summary[key].values():
             assert stats["count"] == 0 and np.isnan(stats["mean"])
+
+
+def test_a_pilot_phase_overrun_fails_only_its_own_budget():
+    # city seed 8's pilot phase needs more than T at 100 mW but fits at 150
+    # and 200 mW: the seed's one pilot-overhead call fails the 100 mW rows
+    # alone, each with its overrun, and the other rows are the one-budget runs'
+    s = small_city()
+    stage = prepare_seed(s, 8)
+    needs = pilot_overhead(stage.state, s.dataset.item_volume_bits * stage.pilot_sizes,
+                           s.radio, 0.1)
+    assert needs >= s.time_budget_s
+    message = f"pilot phase needs {needs:.3f} s but the time budget is 600.000 s"
+    rows = harness._run_seed(stage, s, [0.15, 0.1, 0.2], METHODS, list(METHODS))
+    assert [r.failure for r in rows[1]] == [f"PilotPhaseInfeasible: {message}"] * len(METHODS)
+    assert all(np.isnan(r.qom) for r in rows[1])
+    for budget, budget_rows in ((0.15, rows[0]), (0.2, rows[2])):
+        alone = dataclasses.replace(s, power_budget_w=budget)
+        assert [_fields(r) for r in budget_rows] == \
+            [_fields(run_method(stage, alone, method)) for method in METHODS]
+    with pytest.raises(PilotPhaseInfeasible, match=f"^{re.escape(message)}$"):
+        harness._run_seed(stage, s, [0.15, 0.1, 0.2], ["uniform"], ["uniform"], caught=())
 
 
 def test_run_method_raises_an_infeasible_pilot_phase():

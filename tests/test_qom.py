@@ -1,14 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import BUDGET_W, NOISE_W, orthogonal_state, radio, random_state
+from conftest import BUDGET_W, CONFIG_DIR, NOISE_W, orthogonal_state, radio, random_state
+from mcpa import harness
 from mcpa.channel import sinr_vector
+from mcpa.config import build_scenario, load_config
 from mcpa.gae import pilot_size
-from mcpa.harness import _checked_allocation
-from mcpa.qom import (DatasetMeta, PilotPhaseInfeasible, accuracy_estimate,
-                      frames_uploaded, pilot_overhead, qom_objective, qom_terms, qom_weights)
+from mcpa.harness import _checked_allocation, prepare_seed
+from mcpa.qom import (DatasetMeta, PilotPhaseInfeasible, frames_uploaded, log_rate,
+                      pilot_overhead, qom_objective, qom_terms, qom_weights)
 
 
 def test_power_vector_feasibility():
@@ -74,7 +78,7 @@ def test_frames_uploaded_at_unit_sinr():
     state = orthogonal_state(gains)
     p = NOISE_W / gains
     meta = DatasetMeta(np.array([100000]), 1.6e6)
-    frames = frames_uploaded(state, p, meta, NOISE_W, 600.0, 1e7)
+    frames = frames_uploaded(log_rate(state, p, NOISE_W), meta, 600.0, 1e7)
     assert frames.shape == (1,)
     assert frames[0] == pytest.approx(3750.0, rel=1e-12)
 
@@ -83,12 +87,13 @@ def test_frames_uploaded_zero_power_and_clamp():
     gains = np.array([1e-9, 1e-9])
     state = orthogonal_state(gains)
     meta = DatasetMeta.uniform(2, num_items=1050)
-    assert list(frames_uploaded(state, np.zeros(2), meta, NOISE_W, 600.0, 1e7)) == [0.0, 0.0]
+    silent = log_rate(state, np.zeros(2), NOISE_W)
+    assert list(frames_uploaded(silent, meta, 600.0, 1e7)) == [0.0, 0.0]
     # an enormous SINR would overflow the dataset: clamp at |D_k|
-    frames = frames_uploaded(state, np.array([0.2, 0.0]), meta, NOISE_W, 600.0, 1e7)
+    frames = frames_uploaded(log_rate(state, np.array([0.2, 0.0]), NOISE_W), meta, 600.0, 1e7)
     assert list(frames) == [1050.0, 0.0]
     with pytest.raises(ValueError):
-        frames_uploaded(state, np.zeros(2), meta, NOISE_W, -1.0, 1e7)
+        frames_uploaded(silent, meta, -1.0, 1e7)
 
 
 def test_frames_uploaded_vector_matches_per_robot_formula():
@@ -100,7 +105,7 @@ def test_frames_uploaded_vector_matches_per_robot_formula():
         p = rng.dirichlet(np.ones(k)) * 0.2
         meta = DatasetMeta.uniform(k, num_items=int(rng.integers(1, 3000)),
                                    item_volume_bits=float(rng.uniform(1e5, 5e6)))
-        frames = frames_uploaded(state, p, meta, NOISE_W, 550.0, 1e7)
+        frames = frames_uploaded(log_rate(state, p, NOISE_W), meta, 550.0, 1e7)
         for j in range(k):
             sinr_j = sinr_vector(state, p, NOISE_W)[j]
             raw = 550.0 * 1e7 * np.log2(1.0 + sinr_j) / meta.item_volume_bits[j]
@@ -132,23 +137,25 @@ def test_a_stacked_row_scores_as_the_row_alone(case):
     # row with its own effective time
     state, weights, meta, block, times = case
     sinr = sinr_vector(state, block, NOISE_W)
-    frames = frames_uploaded(state, block, meta, NOISE_W, 550.0, 1e7)
-    timed = frames_uploaded(state, block, meta, NOISE_W, times, 1e7)
-    terms = qom_terms(weights, state, block, NOISE_W)
+    rate = log_rate(state, block, NOISE_W)
+    frames = frames_uploaded(rate, meta, 550.0, 1e7)
+    timed = frames_uploaded(rate, meta, times, 1e7)
+    terms = qom_terms(weights, rate)
     totals = terms.sum(axis=1)
-    assert sinr.shape == frames.shape == timed.shape == terms.shape == block.shape
+    assert sinr.shape == rate.shape == frames.shape == timed.shape == terms.shape == block.shape
     for i, p in enumerate(block):
+        alone = log_rate(state, p, NOISE_W)
         assert np.array_equal(sinr[i], sinr_vector(state, p, NOISE_W))
-        assert np.array_equal(frames[i], frames_uploaded(state, p, meta, NOISE_W, 550.0, 1e7))
-        assert np.array_equal(timed[i], frames_uploaded(state, p, meta, NOISE_W,
-                                                        float(times[i, 0]), 1e7))
-        assert np.array_equal(terms[i], qom_terms(weights, state, p, NOISE_W))
+        assert np.array_equal(rate[i], alone)
+        assert np.array_equal(frames[i], frames_uploaded(alone, meta, 550.0, 1e7))
+        assert np.array_equal(timed[i], frames_uploaded(alone, meta, float(times[i, 0]), 1e7))
+        assert np.array_equal(terms[i], qom_terms(weights, alone))
         assert totals[i] == qom_objective(weights, state, p, NOISE_W)
     for bad in (0.0, -1.0):
         column = times.copy()
         column[-1, 0] = bad
         with pytest.raises(ValueError, match="^time_s and bandwidth_hz must be strictly positive$"):
-            frames_uploaded(state, block, meta, NOISE_W, column, 1e7)
+            frames_uploaded(rate, meta, column, 1e7)
 
 
 def test_pilot_overhead_single_user_closed_form():
@@ -188,19 +195,54 @@ def test_pilot_overhead_recomposition_with_interference():
         pytest.approx(max(per_robot), rel=1e-12)
 
 
-def test_pilot_overhead_signals_infeasible_phase():
-    gains = np.array([1e-15])  # hopeless link
-    state = orthogonal_state(gains)
-    with pytest.raises(PilotPhaseInfeasible):
-        pilot_overhead(state, np.array([1.6e6 * 11]), radio(), 0.2, time_budget_s=600.0)
-
-
-def test_a_nan_pilot_overhead_is_infeasible():
-    # nan >= T is False: a NaN dT must not pass for a feasible phase
+def test_a_nan_pilot_overhead_is_infeasible(monkeypatch):
+    # nan >= T is False: a NaN dT must not pass for a feasible phase. The
+    # harness's rule is not dT < T, so a NaN fails its own budget's rows alone
     state = orthogonal_state(np.array([1e-9, 1e-9]))
-    assert np.isnan(pilot_overhead(state, np.array([np.nan, 1.6e6]), radio(), 0.2))
+    bits = np.array([np.nan, 1.6e6])
+    assert np.isnan(pilot_overhead(state, bits, radio(), 0.2))
+    assert np.isnan(pilot_overhead(state, bits, radio(), np.array([0.1, 0.2]))).all()
+    scenario = build_scenario(load_config(CONFIG_DIR / "city_desk.json"))
+    stage = prepare_seed(scenario, 0)
+    overhead = harness.pilot_overhead
+    monkeypatch.setattr(harness, "pilot_overhead", lambda *args: np.where(
+        args[-1] == 0.15, np.nan, overhead(*args)))
+    rows = harness._run_seed(stage, scenario, [0.1, 0.15, 0.2], ["uniform"], ["uniform"])
+    assert [row.failure for [row] in rows] == [
+        "", "PilotPhaseInfeasible: pilot phase needs nan s but the time budget is 600.000 s", ""]
     with pytest.raises(PilotPhaseInfeasible, match="needs nan s"):
-        pilot_overhead(state, np.array([np.nan, 1.6e6]), radio(), 0.2, time_budget_s=600.0)
+        harness.run_method(stage, dataclasses.replace(scenario, power_budget_w=0.15), "uniform")
+
+
+@st.composite
+def budget_grids(draw):
+    """A channel over K 1-12 robots (N 1-256, high- or low-SNR geometry), its
+    pilot payloads, GAE scores and dataset, and 1-6 budgets, each with an
+    effective time."""
+    k = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state = random_state(rng, num_robots=k, num_antennas=draw(st.integers(1, 256)),
+                         d_range=draw(st.sampled_from([(50.0, 250.0), (800.0, 4000.0)])))
+    meta = DatasetMeta(rng.integers(600, 1501, size=k), rng.uniform(0.8e6, 2.4e6, size=k))
+    bits = meta.item_volume_bits * rng.integers(1, 30, size=k)
+    budgets = rng.uniform(0.01, 0.5, size=draw(st.integers(1, 6)))
+    times = rng.uniform(1.0, 600.0, size=(budgets.size, 1))
+    return state, bits, rng.uniform(0.0, 1.0, size=k), meta, budgets, times
+
+
+@settings(max_examples=100)
+@given(budget_grids())
+def test_a_budget_grid_stages_as_each_budget_alone(case):
+    # bit for bit: the harness makes one pilot-overhead call and one weight
+    # block per seed over its budgets
+    state, bits, scores, meta, budgets, times = case
+    delta_t = pilot_overhead(state, bits, radio(), budgets)
+    weights = qom_weights(scores, meta, times, 1e7)
+    assert delta_t.shape == budgets.shape and weights.shape == (budgets.size, state.num_robots)
+    for i, budget in enumerate(budgets.tolist()):
+        alone = pilot_overhead(state, bits, radio(), budget)
+        assert type(alone) is float and delta_t[i] == alone
+        assert np.array_equal(weights[i], qom_weights(scores, meta, float(times[i, 0]), 1e7))
 
 
 def test_qom_weights_zero_at_perfect_score_and_paper_ratio():
@@ -239,6 +281,10 @@ def test_qom_weights_reject_nonpositive_effective_time():
 def test_qom_weights_reject_non_finite_effective_time(effective_time_s):
     with pytest.raises(ValueError, match="effective_time_s must be strictly positive and finite"):
         qom_weights([0.1, 0.5], DatasetMeta.uniform(2), effective_time_s, 1e7)
+    # a column is checked entry by entry
+    with pytest.raises(ValueError, match="effective_time_s must be strictly positive and finite"):
+        qom_weights([0.1, 0.5], DatasetMeta.uniform(2), np.array([[550.0], [effective_time_s]]),
+                    1e7)
 
 
 def test_qom_objective_zero_cases_and_recomposition():
@@ -256,7 +302,7 @@ def test_qom_objective_zero_cases_and_recomposition():
         interf = sum(state.interference[k, j] * p[j] for j in range(5) if j != k)
         total += params[k] * np.log2(1 + state.gains[k] * p[k] / (interf + NOISE_W))
     assert qom_objective(params, state, p, NOISE_W) == pytest.approx(total, rel=1e-12)
-    assert qom_terms(params, state, p, NOISE_W).sum() == \
+    assert qom_terms(params, log_rate(state, p, NOISE_W)).sum() == \
         pytest.approx(qom_objective(params, state, p, NOISE_W), rel=1e-15)
 
 
@@ -288,21 +334,3 @@ def test_qom_objective_monotone_on_orthogonal_channels():
         bumped[k] *= 1.3
         assert qom_objective(params, state, bumped, NOISE_W) >= base
 
-
-def test_accuracy_estimate_cases():
-    meta = DatasetMeta.uniform(3, num_items=100)
-    assert accuracy_estimate([0.2, 0.5, 0.8], np.zeros(3), meta, 0.4) == 0.4
-    # full upload with equal scores g: base + (1 - g), clamped into [0, 1]
-    equal = np.array([0.5, 0.5, 0.5])
-    full = meta.num_items.astype(float)
-    assert accuracy_estimate(equal, full, meta, 0.4) == pytest.approx(0.9, rel=1e-12)
-    assert accuracy_estimate(equal, full, meta, 0.8) == 1.0  # clamped
-    # full-dataset case equals base + sum eta_k (1 - g_k)
-    mixed = np.array([0.2, 0.5, 0.8])
-    eta = meta.num_items / meta.total_items
-    expected = 0.3 + float(np.sum(eta * (1 - mixed)))
-    assert accuracy_estimate(mixed, full, meta, 0.3) == pytest.approx(expected, rel=1e-12)
-    # mixed partial case against independent summation
-    frames = np.array([10.0, 40.0, 70.0])
-    expected = 0.3 + float(np.sum((1 - mixed) * frames) / meta.total_items)
-    assert accuracy_estimate(mixed, frames, meta, 0.3) == pytest.approx(expected, rel=1e-12)

@@ -367,7 +367,7 @@ def test_solve_mcpa_monotone_ascent_over_seeds():
                              d_range=(800.0, 4000.0))
         params = random_params(rng, 8, zero_fraction=0.3)
         trace = solve_mcpa(params, state, BUDGET_W, NOISE_W)
-        objs = trace.objectives
+        objs = np.array([obj for _, obj, _ in trace.iterates])
         assert np.all(np.diff(objs) >= -1e-10 * (1.0 + np.abs(objs[:-1])))
         converged += trace.stop_reason == "converged"
     assert converged >= 95
