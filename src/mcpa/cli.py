@@ -46,7 +46,8 @@ def _cmd_solve(args) -> int:
     scenario = _load_scenario(args)
     stage = prepare_seed(scenario, args.seed, _backend_for(scenario))
     metrics = run_method(stage, scenario, args.method)
-    print(f"method={args.method} seed={args.seed} outer_iterations={metrics.solver_iters}")
+    print(f"method={args.method} seed={args.seed} outer_iterations={metrics.solver_iters} "
+          f"stop_reason={metrics.stop_reason or 'none'}")
     print(f"gae_scores={np.array2string(stage.gae_scores, precision=4)}")
     print("power_mw=" + np.array2string(np.array(metrics.power_mw), precision=6,
                                         floatmode="fixed"))

@@ -35,11 +35,10 @@ import socket
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gae import LOCATION_RADIUS_M, TEMPLATES, Exam, FrameStore, GaeError, Question, per_robot
+from .gae import LOCATION_RADIUS_M, TEMPLATES, Exam, FrameStore, GaeError, Question
 
 __all__ = [
     "URL_ENV_VAR",
@@ -238,36 +237,18 @@ def grade_text_answer(question: Question, answer: str) -> bool:
     return any(int(float(n)) == question.answer for n in numbers)
 
 
-def _record(request: bytes, content: str | None = None, error: str | None = None) -> str:
-    """One transcript line: the request (decoded only to log) and its reply or error."""
-    record = {"ts": time.time(), "request": json.loads(request)}
-    if content is not None:
-        record["response"] = content
-    if error is not None:
-        record["error"] = error
-    return json.dumps(record, ensure_ascii=False)
-
-
-class _Transcript:
-    """Append-only JSON-lines log of prompts and raw responses."""
-
-    def __init__(self, path: str):
-        self._path = path
-
-    def log(self, request: bytes, content: str | None = None, error: str | None = None) -> None:
-        self.write([_record(request, content, error)])
-
-    def write(self, lines) -> None:
-        with open(self._path, "a", encoding="utf-8") as fh:
-            fh.writelines(line + "\n" for line in lines)
-
-
 class _Held(list):
     """One request's transcript lines, held so that they are written in
     request order rather than as replies arrive."""
 
     def log(self, request: bytes, content: str | None = None, error: str | None = None) -> None:
-        self.append(_record(request, content, error))
+        """Hold one line: the request (decoded only to log) and its reply or error."""
+        record = {"ts": time.time(), "request": json.loads(request)}
+        if content is not None:
+            record["response"] = content
+        if error is not None:
+            record["error"] = error
+        self.append(json.dumps(record, ensure_ascii=False))
 
 
 _QUESTION_PROMPT = (
@@ -302,23 +283,15 @@ _CLOSE = b'"}], "temperature": 0}'   # the bytes after an encoded request's user
 _IN_FLIGHT = 4   # requests open at once: below http.server's accept backlog of 5
 
 
-@dataclass
-class _AnsweringMemory:
-    """The encoded answer request up to its question, and the reply already
-    received for each question text (``None`` for a malformed one)."""
-
-    head: bytes
-    replies: dict[str, str | None] = field(default_factory=dict)
-
-
 class RemoteBackend:
-    """Questioner/answerer that delegates to a chat-completion service.
+    """Questioner/answerer that delegates to a chat-completion service: the
+    backend protocol (:meth:`prepare_memory`, :meth:`run_exams`) and no more.
 
-    Requests share no session. Within one prepared memory the system prompt
-    and captions are fixed, so a question text fixes the prompt: each
+    Requests share no session. Within one :meth:`run_exams` call the system
+    prompt and captions are fixed, so a question text fixes the prompt: each
     distinct text is asked once and its reply graded for every question that
-    repeats it. The request up to the question is encoded once per prepared
-    memory.
+    repeats it. The reply memo lives for that one call. The request up to the
+    question is encoded once per prepared memory.
 
     At most ``_IN_FLIGHT`` = 4 requests are open at once, each sent by a
     worker thread through :func:`chat_completion`. A pass spends most of a
@@ -328,15 +301,15 @@ class RemoteBackend:
     there is no setting for it. Requests are queued in a fixed order (see
     :meth:`run_exams`) and taken in that order: the first failure in it is
     the one raised, no queued request starts once one has failed and the
-    open ones are awaited, and each request's transcript record is written
-    whole, in that order.
+    open ones are awaited, and each request's transcript record is appended
+    to ``transcript_path`` whole, in that order, once its step has ended.
     """
 
     name = "remote"
 
     def __init__(self, url: str | None = None, model: str = "qwen3-8b", *,
                  token: str | None = None, timeout_s: float = 60.0, retries: int = 3,
-                 backoff_s: float = 1.0, transcript_path: str | None = None):
+                 transcript_path: str | None = None):
         self.url = url or os.environ.get(URL_ENV_VAR)
         if not self.url:
             raise GaeError(
@@ -345,13 +318,11 @@ class RemoteBackend:
         self.token = token if token is not None else os.environ.get(TOKEN_ENV_VAR)
         self.timeout_s = timeout_s
         self.retries = retries
-        self.backoff_s = backoff_s
-        self.transcript = _Transcript(transcript_path) if transcript_path else None
+        self.transcript_path = transcript_path
 
-    def _chat(self, body: bytes, transcript=None) -> str:
+    def _chat(self, body: bytes, log) -> str:
         return chat_completion(self.url, body, token=self.token, timeout_s=self.timeout_s,
-                               retries=self.retries, backoff_s=self.backoff_s,
-                               transcript=self.transcript if transcript is None else transcript)
+                               retries=self.retries, transcript=log)
 
     def _ask(self, task, bodies: list[bytes]) -> list:
         """``task(body, log)`` for each body, ``log`` the request's held
@@ -362,7 +333,7 @@ class RemoteBackend:
         holds a "not asked" error. The transcript gets each request's lines
         in body order."""
         outcomes = [GaeError("not asked: an earlier request failed")] * len(bodies)
-        held = [None if self.transcript is None else _Held() for _ in bodies]
+        held = [_Held() if self.transcript_path else None for _ in bodies]
         lock, order, failed = threading.Lock(), iter(range(len(bodies))), []
 
         def work():
@@ -382,35 +353,22 @@ class RemoteBackend:
             worker.start()
         for worker in workers:
             worker.join()
-        lines = [line for lines in held if lines for line in lines]
+        lines = [line + "\n" for lines in held if lines for line in lines]
         if lines:
-            self.transcript.write(lines)
+            with open(self.transcript_path, "a", encoding="utf-8") as fh:
+                fh.writelines(lines)
         return outcomes
 
-    def prepare_memory(self, memory: FrameStore) -> _AnsweringMemory:
+    def prepare_memory(self, memory: FrameStore) -> bytes:
         """The answer request with the whole memory as context, encoded up to
-        the question, with an empty reply memo. The context is
-        :func:`run_captions`: a frame repeating the one before but for its
-        timestamp adds no sighting, so ``[t=3.00s …] saw: bus`` and
-        ``[t=4.00s …] saw: bus`` become ``[t=3.00-4.00s …] saw: bus``. On
-        staged_k5 that is 40 lines (2.7 KB) instead of 1,050 (65 KB) per
-        request; on town and city_desk 11 KB and 28 KB instead of 300 KB.
-        :meth:`make_exam` still sends a caption per frame, as a questioner
-        weighs each sighting by how often it was seen."""
-        head = _request(self.model, _ANSWER_PROMPT, run_captions(memory))[:-len(_CLOSE)]
-        return _AnsweringMemory(head)
-
-    def make_exam(self, pilot: FrameStore, num_questions: int, robot_id: int) -> Exam:
-        """Robot ``robot_id``'s exam, written by the service from the pilot's captions."""
-        [asked] = self._exams([pilot], num_questions)
-        return Exam(robot_id, _take(asked))
-
-    def _exams(self, pilots, num_questions: int) -> list:
-        """Ask for each pilot's exam questions: the outcomes, in pilot order."""
-        prompt = _QUESTION_PROMPT.format(n=num_questions)
-        return self._ask(
-            lambda body, log: self._parse_questions(self._chat(body, log), num_questions),
-            [_request(self.model, prompt, captions(pilot)) for pilot in pilots])
+        the question. The context is :func:`run_captions`: a frame repeating
+        the one before but for its timestamp adds no sighting, so
+        ``[t=3.00s …] saw: bus`` and ``[t=4.00s …] saw: bus`` become
+        ``[t=3.00-4.00s …] saw: bus``. On staged_k5 that is 40 lines (2.7 KB)
+        instead of 1,050 (65 KB) per request; on town and city_desk 11 KB and
+        28 KB instead of 300 KB. An exam request still sends a caption per
+        frame, as a questioner weighs each sighting by how often it was seen."""
+        return _request(self.model, _ANSWER_PROMPT, run_captions(memory))[:-len(_CLOSE)]
 
     @staticmethod
     def _parse_questions(reply: str, num_questions: int) -> list[Question]:
@@ -447,63 +405,45 @@ class RemoteBackend:
             raise GaeParseError("question reply parsed to an empty exam")
         return questions
 
-    def run_exams(self, pilots, num_questions: int, seeds, memory: _AnsweringMemory):
-        """Every robot's exam and score, in three steps: ask each robot's exam;
-        ask each question text the memo lacks, taken from all the exams in
-        first-appearance order (robot 0's first); grade each exam from the
-        memo. An error names the robot whose exam failed, or for an answer
-        the first robot whose exam holds the text. The service owns question
-        sampling, so ``seeds`` go unused."""
-        asked = self._exams(pilots, num_questions)
-        exams = per_robot(lambda k: Exam(k, _take(asked[k])), len(pilots))
-        owned = self._answers(exams, memory)
-        per_robot(lambda k: _keep(memory.replies, owned[k]), len(exams))
-        return tuple(exams), tuple(_score(exam, memory.replies) for exam in exams)
-
-    def test(self, exam, memory: _AnsweringMemory) -> float:
-        """Ask every question text the memory has no reply for yet, with its
-        captions in context, as :meth:`run_exams` does, then grade each exam
-        question on its text's reply."""
-        [owned] = self._answers([exam], memory)
-        _keep(memory.replies, owned)
-        return _score(exam, memory.replies)
-
-    def _answers(self, exams, memory: _AnsweringMemory) -> list[list]:
-        """Ask each question text of ``exams`` that ``memory`` has no reply
-        for, in first-appearance order: per exam, the (text, outcome) pairs
-        of the texts it holds first."""
+    def run_exams(self, pilots, num_questions: int, seeds, memory: bytes):
+        """Every robot's exam and score, in three steps: ask each robot's exam
+        from its pilot's captions; ask each distinct question text once, in
+        first-appearance order (robot 0's first), after the prepared
+        ``memory``; grade each exam from those replies. An error names the
+        robot whose exam failed, or for an answer the first robot whose exam
+        holds the text. The service owns question sampling, so ``seeds`` go
+        unused."""
+        prompt = _QUESTION_PROMPT.format(n=num_questions)
+        asked = self._ask(
+            lambda body, log: self._parse_questions(self._chat(body, log), num_questions),
+            [_request(self.model, prompt, captions(pilot)) for pilot in pilots])
+        exams = [Exam(k, questions)
+                 for k, questions in enumerate(_settle(range(len(pilots)), asked))]
         first = {}
-        for k, exam in enumerate(exams):
+        for exam in exams:
             for q in exam.qa_pairs:
-                if q.text not in memory.replies:
-                    first.setdefault(q.text, k)
+                first.setdefault(q.text, exam.robot_id)
         # each text JSON-escaped, without its quotes, between the head and the close
-        outcomes = self._ask(self._answer, [
-            memory.head + json.dumps(f"\n\nQuestion: {text}")[1:-1].encode() + _CLOSE
+        answered = self._ask(self._answer, [
+            memory + json.dumps(f"\n\nQuestion: {text}")[1:-1].encode() + _CLOSE
             for text in first])
-        owned = [[] for _ in exams]
-        for (text, k), outcome in zip(first.items(), outcomes):
-            owned[k].append((text, outcome))
-        return owned
+        replies = dict(zip(first, _settle(first.values(), answered)))
+        return tuple(exams), tuple(_score(exam, replies) for exam in exams)
 
-    def _answer(self, body: bytes, log=None) -> str | None:
+    def _answer(self, body: bytes, log) -> str | None:
         try:
             return self._chat(body, log)
         except GaeParseError:
             return None  # malformed answer counts as incorrect (logged)
 
 
-def _take(outcome):
-    """A result from :meth:`RemoteBackend._ask`, or its error raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def _keep(replies: dict, owned) -> None:
-    """Memo each asked text's reply, raising the first failure in request order."""
-    for text, outcome in owned:
-        replies[text] = _take(outcome)
+def _settle(robots, outcomes: list) -> list:
+    """The outcomes of :meth:`RemoteBackend._ask`, each request's owner in
+    ``robots``; the first failure in request order is raised, naming its robot."""
+    for k, outcome in zip(robots, outcomes):
+        if isinstance(outcome, Exception):
+            raise GaeError(f"robot {k}: {outcome}") from outcome
+    return outcomes
 
 
 def _score(exam, replies: dict) -> float:

@@ -106,8 +106,8 @@ def test_a_run_where_every_row_failed_exits_nonzero(tmp_path, capsys):
 
 def test_a_capped_solve_reports_its_stop_reason(tmp_path, capsys):
     # town at K = 50 with max_outer 3: the mcpa solve of seed 0 stops at the
-    # cap; its row says so, the CSV has no column for it, and simulate counts
-    # it on stderr while the run still exits 0
+    # cap; its row says so, the CSV has no column for it, simulate counts it
+    # on stderr while the run still exits 0, and solve prints it
     config = {**load_config(CONFIG_DIR / "town.json"), "num_robots": 50,
               "solver": {"max_outer": 3}}
     rows, _ = harness.run_campaign(build_scenario(config), ["mcpa", "uniform"], 1)
@@ -121,6 +121,10 @@ def test_a_capped_solve_reports_its_stop_reason(tmp_path, capsys):
     assert capsys.readouterr().err == "solves not converged: mcpa at 200 mW: 1 (max_iterations)\n"
     with open(out_csv) as fh:
         assert next(csv.reader(fh)) == list(CSV_COLUMNS)
+    # solve prints the reason on its first line
+    assert cli.main(["solve", "--config", str(path), "--seed", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "method=mcpa seed=0 outer_iterations=3 stop_reason=max_iterations"
     # at the shipped K = 10 and max_outer, the solve converges
     town = build_scenario(load_config(CONFIG_DIR / "town.json"))
     assert harness.run_method(harness.prepare_seed(town, 0), town, "mcpa").stop_reason == \

@@ -96,8 +96,9 @@ def test_remote_section_is_the_backend_keywords(tmp_path):
     backend = RemoteBackend(**build_scenario({"remote": section}).remote)
     assert (backend.url, backend.model, backend.timeout_s, backend.retries) == \
         ("http://127.0.0.1:9/v1", "m2", 5.0, 2)
-    backend.transcript.log(b'{"probe": 1}', "ok")
-    assert transcript.exists()
+    assert backend.transcript_path == str(transcript)
+    backend._ask(lambda body, log: log.log(body, "ok"), [b'{"probe": 1}'])
+    assert json.loads(transcript.read_text())["response"] == "ok"
 
 
 @pytest.mark.parametrize("path", LEAVES, ids=".".join)

@@ -35,6 +35,16 @@ def test_package_reexports_what_the_readme_examples_import():
                           "run_campaign"}
 
 
+def test_every_backend_is_the_two_method_protocol():
+    # run_gae calls prepare_memory and run_exams; an entry point only a test
+    # calls would show here as one more public name
+    from mcpa.gae import SyntheticBackend
+    from mcpa.remote import RemoteBackend
+    for backend in (SyntheticBackend, RemoteBackend):
+        assert {name for name in dir(backend) if not name.startswith("_")} == \
+            {"name", "prepare_memory", "run_exams"}, backend.__name__
+
+
 def test_only_gae_and_world_name_a_stores_pair_columns():
     # a store's (frame, tag) pairs stay behind FrameStore: every other module
     # reads tags through occurrences(), a MemoryIndex or the tag table

@@ -4,11 +4,13 @@ import re
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -200,17 +202,17 @@ def test_chat_completion_gives_up_after_retries(server):
 
 
 def test_chat_completion_writes_transcript(server, tmp_path):
-    server.respond = lambda system, text: {"sys": "logged", remote._ANSWER_PROMPT: "YES"}[system]
+    exam = json.dumps([as_entry(Question("presence", "bus", 'Is there a "bus"?', "YES"))])
+    server.respond = by_prompt({2: exam}, {'Is there a "bus"?': "YES"})   # BASE is robot 2's
     path = tmp_path / "transcript.jsonl"
     backend = RemoteBackend(url=server.url, model="m", retries=1,
                             transcript_path=str(path))
-    assert backend._chat(remote._request("m", "sys", "usr")) == "logged"
-    exam = Exam(robot_id=0, qa_pairs=(Question("presence", "bus", 'Is there a "bus"?', "YES"),))
-    assert backend.test(exam, backend.prepare_memory(BASE)) == 1.0
+    assert backend.run_exams([BASE], 1, None, backend.prepare_memory(BASE))[1] == (1.0,)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == 2
-    assert lines[0]["response"] == "logged"
-    assert lines[0]["request"]["messages"][1]["content"] == "usr"
+    assert lines[0]["response"] == exam
+    assert lines[0]["request"] == json.loads(
+        remote._request("m", remote._QUESTION_PROMPT.format(n=1), remote.captions(BASE)))
     # an answer request is logged as the object it encodes
     context = f'{remote.run_captions(BASE)}\n\nQuestion: Is there a "bus"?'
     assert lines[1]["response"] == "YES"
@@ -219,6 +221,13 @@ def test_chat_completion_writes_transcript(server, tmp_path):
         "model": "m", "temperature": 0,
         "messages": [{"role": "system", "content": remote._ANSWER_PROMPT},
                      {"role": "user", "content": context}]}
+
+
+def test_an_empty_transcript_path_keeps_no_transcript(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    backend = RemoteBackend(url="http://127.0.0.1:9/v1", transcript_path="")
+    assert backend._ask(lambda body, log: log, [encoded()]) == [None]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_chat_completion_retries_rate_limit(server):
@@ -243,8 +252,9 @@ def test_chat_completion_non_json_reply_is_parse_error(server, tmp_path):
     path = tmp_path / "transcript.jsonl"
     backend = RemoteBackend(url=server.url, model="m", retries=3,
                             transcript_path=str(path))
-    with pytest.raises(GaeParseError):
-        backend._chat(remote._request("m", "sys", "usr"))
+    with pytest.raises(GaeError, match="^robot 0: malformed chat response") as error:
+        backend.run_exams([BASE], 1, None, backend.prepare_memory(BASE))
+    assert isinstance(error.value.__cause__, GaeParseError)
     assert len(server.requests) == 1
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(lines) == 1 and "error" in lines[0] and "response" not in lines[0]
@@ -280,11 +290,9 @@ def test_chat_completion_refuses_non_http_urls(monkeypatch, tmp_path, scheme):
     monkeypatch.setattr(remote.socket, "create_connection", no_io)
     transcript = tmp_path / "transcript.jsonl"
     backend = RemoteBackend(url=url, model="m", transcript_path=str(transcript))
-    with pytest.raises(GaeTransportError, match="not an http"):
-        backend.make_exam(BASE, 1, 0)
-    exam = Exam(robot_id=0, qa_pairs=(Question("presence", "bus", "Is there a bus?", "YES"),))
-    with pytest.raises(GaeTransportError, match="not an http"):
-        backend.test(exam, backend.prepare_memory(BASE))
+    with pytest.raises(GaeError, match="^robot 0: not an http") as error:
+        backend.run_exams([BASE], 1, None, backend.prepare_memory(BASE))
+    assert isinstance(error.value.__cause__, GaeTransportError)
     assert not transcript.exists()
 
 
@@ -337,16 +345,16 @@ GOOD_REPLY = b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(CHAT_OK),
 
 
 @pytest.mark.parametrize("bad", BAD_REPLIES.values(), ids=BAD_REPLIES.keys())
-def test_a_short_or_garbled_reply_is_a_retried_transport_error(bad, tmp_path, raw_server):
-    transcript = tmp_path / "transcript.jsonl"
+def test_a_short_or_garbled_reply_is_a_retried_transport_error(bad, raw_server):
+    held = remote._Held()
     raw = raw_server(bad, GOOD_REPLY, bad)
     assert chat_completion(raw.url, encoded(), retries=2, backoff_s=0.0) == "fine"
     with pytest.raises(GaeTransportError, match="after 1 attempt") as error:
-        chat_completion(raw.url, encoded(), retries=1, backoff_s=0.0,
-                        transcript=remote._Transcript(str(transcript)))
+        chat_completion(raw.url, encoded(), retries=1, backoff_s=0.0, transcript=held)
     assert isinstance(error.value.__cause__, ConnectionError)
     assert len(raw.requests) == 3
-    record = json.loads(transcript.read_text())
+    [line] = held
+    record = json.loads(line)
     assert "error" in record and "response" not in record
 
 
@@ -455,7 +463,7 @@ def test_remote_exam_generation_parses_json(server):
     ])]
     backend = RemoteBackend(url=server.url, model="m", retries=1)
     pilot = store([MemoryItem(0.0, (1.0, 2.0, 10.0, 0, 0, 0), frozenset({"bus"}), 3)])
-    exam = backend.make_exam(pilot, 3, 0)
+    [exam], _ = backend.run_exams([pilot], 3, None, backend.prepare_memory(pilot))
     assert [q.template for q in exam.qa_pairs] == ["presence", "location", "reporter"]
     assert exam.qa_pairs[0].answer == "YES"
     assert exam.qa_pairs[1].answer == (12.0, -3.5, 0.4)
@@ -468,8 +476,10 @@ def test_remote_exam_generation_rejects_garbage(server):
     server.replies = ["no json here at all"]
     backend = RemoteBackend(url=server.url, model="m", retries=1)
     pilot = store([MemoryItem(0.0, (0, 0, 10, 0, 0, 0), frozenset({"bus"}), 0)])
-    with pytest.raises(GaeParseError):
-        backend.make_exam(pilot, 2, 0)
+    with pytest.raises(GaeError, match="^robot 0: question reply contains no JSON") as error:
+        backend.run_exams([pilot], 2, None, backend.prepare_memory(pilot))
+    assert isinstance(error.value.__cause__, GaeParseError)
+    assert len(server.requests) == 1
 
 
 def entry(template="presence", answer="YES"):
@@ -491,8 +501,10 @@ def entry(template="presence", answer="YES"):
 def test_question_replies_that_make_no_exam_are_parse_errors(server, reply, message):
     server.replies = [reply]
     backend = RemoteBackend(url=server.url, model="m", retries=3)
-    with pytest.raises(GaeParseError, match=message):
-        backend.make_exam(BASE, 2, 0)
+    with pytest.raises(GaeError, match=message) as error:
+        backend.run_exams([BASE], 2, None, backend.prepare_memory(BASE))
+    assert str(error.value).startswith("robot 0: ")
+    assert isinstance(error.value.__cause__, GaeParseError)
     assert len(server.requests) == 1
 
 
@@ -500,8 +512,10 @@ def test_a_reply_whose_content_is_not_a_string_is_a_logged_parse_error(server, t
     server.replies = [json.dumps({"choices": [{"message": {"content": 5}}]}).encode()]
     path = tmp_path / "transcript.jsonl"
     backend = RemoteBackend(url=server.url, model="m", retries=3, transcript_path=str(path))
-    with pytest.raises(GaeParseError, match="choice content is not a string"):
-        backend.make_exam(BASE, 2, 0)
+    with pytest.raises(GaeError, match="^robot 0: malformed chat response: "
+                                       "choice content is not a string") as error:
+        backend.run_exams([BASE], 2, None, backend.prepare_memory(BASE))
+    assert isinstance(error.value.__cause__, GaeParseError)
     assert len(server.requests) == 1
     [line] = [json.loads(line) for line in path.read_text().splitlines()]
     assert line["error"] == "choice content is not a string" and "response" not in line
@@ -537,7 +551,7 @@ def test_remote_practice_test_grades_answers(server):
         Question("reporter", "bus", "Which robot sees the bus?", 2),
         Question("presence", "cat", "Is there a cat?", "NO"),
     ))
-    server.respond = by_prompt([], {
+    server.respond = by_prompt({2: json.dumps([as_entry(q) for q in exam.qa_pairs])}, {
         "Is there a bus?": "YES, clearly.",
         "Where is the bus?": "[30.0, 60.0, 0.0]",   # 44.7 m away: inside the 50 m radius
         "Which robot sees the bus?": "I think robot 2 saw it",
@@ -545,7 +559,8 @@ def test_remote_practice_test_grades_answers(server):
     })
     backend = RemoteBackend(url=server.url, model="m", retries=1)
     memory = store([MemoryItem(0.0, (10.0, 20.0, 10, 0, 0, 0), frozenset({"bus"}), 2)])
-    assert backend.test(exam, backend.prepare_memory(memory)) == 0.75
+    [asked], scores = backend.run_exams([memory], 4, None, backend.prepare_memory(memory))
+    assert asked.qa_pairs == exam.qa_pairs and scores == (0.75,)
 
 
 def test_grade_text_answer_rules():
@@ -641,9 +656,8 @@ def test_a_hyphenated_name_in_an_exam_answer_is_no_number():
 PROBE_ASCII_LOCALE = r"""
 import sys
 from mcpa import remote
-reply = remote.chat_completion(sys.argv[1], b'{"q": "\u00e9"}', retries=1,
-                               transcript=remote._Transcript(sys.argv[2]))
-print(reply == "\u4e2d")
+backend = remote.RemoteBackend(sys.argv[1], retries=1, transcript_path=sys.argv[2])
+print(backend._ask(backend._chat, [b'{"q": "\u00e9"}']) == ["\u4e2d"])
 """
 
 
@@ -740,7 +754,8 @@ def test_exam_requests_caption_every_pilot_frame(server):
     pilot_items = [MemoryItem(float(t), (1.0, 2.0, 10.0, 0, 0, 0), frozenset({"bus"}), 3)
                    for t in range(3)]
     server.replies = [json.dumps([entry()])]
-    RemoteBackend(url=server.url, model="m", retries=1).make_exam(store(pilot_items), 1, 3)
+    backend = RemoteBackend(url=server.url, model="m", retries=1)
+    backend.run_exams([store(pilot_items)], 1, None, backend.prepare_memory(BASE))
     context = "\n".join(reference_caption(it) for it in pilot_items)
     assert server.requests[0]["raw"] == encoded("m", [
         {"role": "system", "content": remote._QUESTION_PROMPT.format(n=1)},
@@ -786,10 +801,11 @@ def test_run_gae_captions_the_base_memory_once(server, monkeypatch):
 MALFORMED = "<malformed>"
 
 
-def text_keyed_chat(monkeypatch, replies: dict):
+def text_keyed_chat(monkeypatch, replies: dict, exams):
     """Replace ``remote.chat_completion`` by a pure responder: an answer
     prompt gets ``replies[text]`` (a parse error for ``MALFORMED``; an
-    exception value is raised), a question prompt gets ``replies[None]``.
+    exception value is raised), robot k's exam prompt (its captions say
+    ``robot=k``) the questions ``exams[k]``, written as a service would.
     Returns the list of (system, user) prompts it received."""
     prompts = []
 
@@ -797,7 +813,7 @@ def text_keyed_chat(monkeypatch, replies: dict):
         system, user = (m["content"] for m in json.loads(body)["messages"])
         prompts.append((system, user))
         if system != remote._ANSWER_PROMPT:
-            return replies[None]
+            return json.dumps([as_entry(q) for q in exams[robot_of(user)]])
         reply = replies[user.rpartition("\n\nQuestion: ")[2]]
         if isinstance(reply, Exception):
             raise reply
@@ -830,36 +846,41 @@ QUESTIONS = st.one_of(
        exams=st.lists(st.lists(QUESTIONS, min_size=1, max_size=12), min_size=1, max_size=4))
 def test_reply_memo_grades_like_one_request_per_question(replies, exams):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        prompts = text_keyed_chat(monkeypatch, replies)
+        prompts = text_keyed_chat(monkeypatch, replies, exams)
         backend = offline_backend()
-        prepared = backend.prepare_memory(BASE)
-        for k, questions in enumerate(exams):
-            expected = sum(replies[q.text] != MALFORMED and grade_text_answer(q, replies[q.text])
-                           for q in questions) / len(questions)
-            assert backend.test(Exam(robot_id=k, qa_pairs=tuple(questions)), prepared) == expected
-    asked = [user.rpartition("\n\nQuestion: ")[2] for _, user in prompts]
-    assert sorted(asked) == sorted({q.text for questions in exams for q in questions})
-    assert {system for system, _ in prompts} <= {remote._ANSWER_PROMPT}
+        asked, scores = backend.run_exams(pilots_of(len(exams)), 12, None,
+                                          backend.prepare_memory(BASE))
+    assert [exam.qa_pairs for exam in asked] == [tuple(questions) for questions in exams]
+    assert scores == tuple(
+        sum(replies[q.text] != MALFORMED and grade_text_answer(q, replies[q.text])
+            for q in questions) / len(questions) for questions in exams)
+    # one exam request per robot, and one answer request per distinct text
+    answered = [user.rpartition("\n\nQuestion: ")[2] for system, user in prompts
+                if system == remote._ANSWER_PROMPT]
+    assert sorted(answered) == sorted({q.text for questions in exams for q in questions})
+    assert len(prompts) == len(exams) + len(answered)
 
 
 def test_questions_sharing_a_text_are_graded_apart_from_one_reply(monkeypatch):
-    prompts = text_keyed_chat(monkeypatch, {"Which robot sees the bus?": "robot 2"})
-    exam = Exam(robot_id=0, qa_pairs=(
-        Question("reporter", "bus", "Which robot sees the bus?", 2),
-        Question("reporter", "bus", "Which robot sees the bus?", 3)))
+    questions = [Question("reporter", "bus", "Which robot sees the bus?", 2),
+                 Question("reporter", "bus", "Which robot sees the bus?", 3)]
+    prompts = text_keyed_chat(monkeypatch, {"Which robot sees the bus?": "robot 2"}, [questions])
     backend = offline_backend()
-    assert backend.test(exam, backend.prepare_memory(BASE)) == 0.5
-    assert len(prompts) == 1
-    # the memo lives as long as one prepared memory: a new practice test asks again
-    assert backend.test(exam, backend.prepare_memory(BASE)) == 0.5
-    assert len(prompts) == 2
+    prepared = backend.prepare_memory(BASE)
+
+    def answered():
+        return sum(system == remote._ANSWER_PROMPT for system, _ in prompts)
+    assert backend.run_exams(pilots_of(1), 2, None, prepared)[1] == (0.5,)
+    assert answered() == 1
+    # the memo lives for one run_exams call: a second call on the same
+    # prepared memory asks again
+    assert backend.run_exams(pilots_of(1), 2, None, prepared)[1] == (0.5,)
+    assert answered() == 2
 
 
 def test_transport_failure_while_answering_fails_run_gae(monkeypatch):
-    question = json.dumps([{"template": "presence", "tag": "t0",
-                            "question": "Is there a t0?", "answer": "YES"}])
-    text_keyed_chat(monkeypatch, {None: question,
-                                  "Is there a t0?": GaeTransportError("HTTP 503")})
+    text_keyed_chat(monkeypatch, {"Is there a t0?": GaeTransportError("HTTP 503")},
+                    [[Question("presence", "t0", "Is there a t0?", "YES")]])
     datasets = [store([MemoryItem(0.0, (0, 0, 10, 0, 0, 0), frozenset({"t0"}), 0)])]
     with pytest.raises(GaeError, match="robot 0: HTTP 503") as error:
         run_gae(datasets, BASE, 1.0, 1, offline_backend(), 0)
@@ -878,41 +899,55 @@ def test_answer_bodies_are_byte_identical_to_json_dumps(model, context, texts):
     """The prepared head plus each question's tail is the request json.dumps
     encodes, byte for byte."""
     sent = []
+    exam = json.dumps([as_entry(Question("presence", "t", text, "YES")) for text in texts])
+
+    def chat(url, body, **kwargs):
+        sent.append(body)
+        return exam if len(sent) == 1 else "YES"   # the one exam request goes first
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(remote, "run_captions", lambda frames: context)
-        monkeypatch.setattr(remote, "chat_completion",
-                            lambda url, body, **kwargs: sent.append(body) or "YES")
+        monkeypatch.setattr(remote, "chat_completion", chat)
         backend = RemoteBackend(url="http://127.0.0.1:9/v1", model=model)
-        exam = Exam(robot_id=0, qa_pairs=tuple(Question("presence", "t", text, "YES")
-                                               for text in texts))
-        assert backend.test(exam, backend.prepare_memory(BASE)) == 1.0
-    assert sent == [encoded(model, [{"role": "system", "content": remote._ANSWER_PROMPT},
+        assert backend.run_exams([BASE], len(texts), None,
+                                 backend.prepare_memory(BASE))[1] == (1.0,)
+    assert sent[1:] == [encoded(model, [{"role": "system", "content": remote._ANSWER_PROMPT},
                                     {"role": "user", "content": f"{context}\n\nQuestion: {text}"}])
                     for text in dict.fromkeys(texts)]
 
 
-def sequential_run_exams(backend, pilots, num_questions, seeds, memory):
+def sequential_run_exams(backend, pilots, num_questions, seeds, memory, transcript):
     """The remote backend's exam loop from before its requests overlapped,
     kept as the reference: robot by robot, its exam and then each of its
-    texts the memo lacks, in first-appearance order, one request at a time."""
+    texts not yet asked in this call, in first-appearance order, one request
+    at a time after the prepared ``memory`` bytes. Each request's transcript
+    line goes to ``transcript``."""
     prompt = remote._QUESTION_PROMPT.format(n=num_questions)
+    replies = {}
 
     def chat(body):
-        return chat_completion(backend.url, body, retries=backend.retries)
+        return chat_completion(backend.url, body, retries=backend.retries, transcript=transcript)
 
     def sit(k):
         reply = chat(remote._request(backend.model, prompt, remote.captions(pilots[k])))
         exam = Exam(k, RemoteBackend._parse_questions(reply, num_questions))
-        replies = memory.replies
         for text in dict.fromkeys(q.text for q in exam.qa_pairs if q.text not in replies):
             tail = json.dumps(f"\n\nQuestion: {text}")[1:-1].encode()
             try:
-                replies[text] = chat(memory.head + tail + remote._CLOSE)
+                replies[text] = chat(memory + tail + remote._CLOSE)
             except GaeParseError:
                 replies[text] = None
         return exam, sum(replies[q.text] is not None and grade_text_answer(q, replies[q.text])
                          for q in exam.qa_pairs) / len(exam)
     return tuple(zip(*per_robot(sit, len(pilots))))
+
+
+def by_step(lines) -> list[dict]:
+    """Transcript records without their timestamps: the exam requests', then
+    the answer requests', each step in request order."""
+    records = [{key: value for key, value in json.loads(line).items() if key != "ts"}
+               for line in lines]
+    return sorted(records, key=lambda record:
+                  record["request"]["messages"][0]["content"] == remote._ANSWER_PROMPT)
 
 
 def as_entry(question: Question) -> dict:
@@ -951,18 +986,24 @@ def test_overlapped_requests_match_the_sequential_loop(shared_server, exams, rep
         time.sleep(answer_delays[text])
         return b"<malformed>" if replies[text] == MALFORMED else replies[text]
     shared_server.respond = respond
-    backend = RemoteBackend(url=shared_server.url, model="m", retries=1)
     runs = []
-    for run in (backend.run_exams, partial(sequential_run_exams, backend)):
-        shared_server.requests.clear()
-        memory = backend.prepare_memory(BASE)
-        runs.append((*run(pilots_of(len(exams)), 6, None, memory), list(memory.replies.items()),
-                     Counter(request["raw"] for request in shared_server.requests)))
-    (exams_now, scores_now, memo_now, sent_now), (exams_then, scores_then, memo_then, sent_then) \
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "transcript.jsonl"
+        backend = RemoteBackend(url=shared_server.url, model="m", retries=1,
+                                transcript_path=str(path))
+        held = remote._Held()
+        reference = partial(sequential_run_exams, backend, transcript=held)
+        for run, lines in ((backend.run_exams, lambda: path.read_text().splitlines()),
+                           (reference, lambda: held)):
+            shared_server.requests.clear()
+            outcome = run(pilots_of(len(exams)), 6, None, backend.prepare_memory(BASE))
+            runs.append((*outcome, by_step(lines()),
+                         Counter(request["raw"] for request in shared_server.requests)))
+    (exams_now, scores_now, log_now, sent_now), (exams_then, scores_then, log_then, sent_then) \
         = runs
     assert [exam.qa_pairs for exam in exams_now] == [exam.qa_pairs for exam in exams_then]
     assert scores_now == scores_then
-    assert memo_now == memo_then             # the same replies, in the same text order
+    assert log_now == log_then      # the same replies, exams by robot and answers by text
     assert sent_now == sent_then
 
 
