@@ -130,8 +130,11 @@ def _print_summary(summary) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mcpa", description="Memory-centric power allocation experiments")
+    class Parser(argparse.ArgumentParser):      # its subcommands' parsers are Parsers too
+        def error(self, message):               # a usage error is a ConfigError: exit 2
+            raise ConfigError(message)
+
+    parser = Parser(prog="mcpa", description="Memory-centric power allocation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -170,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, GaeError, PilotPhaseInfeasible, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -7,11 +7,11 @@ content. The path is columnar end to end: frames are columns and their tags
 (frame, tag) pairs (:class:`FrameStore`), a pilot is a sub-store of its
 dataset, exams and the world's questions are columns (template, tag id,
 ground truth) rendered as :class:`Question` objects only for ``repr``, and a
-store's :class:`MemoryIndex` holds each tag's hits once for every exam and
-first-frame table graded against it. A backend readies the base memory once
-(``prepare_memory``), then draws and grades every robot's exam
-(``run_exams``); the remote one (:mod:`mcpa.remote`) delegates questioning
-and answering to a chat-completion service but is graded by the same rules.
+:class:`MemoryIndex` of one or more stores holds each tag's hits once for
+every exam and first-frame table graded against it. A backend readies the
+base memory once (``prepare_memory``), then draws and grades every robot's
+exam (``run_exams``); the remote one (:mod:`mcpa.remote`) delegates
+questioning and answering to a chat-completion service but is graded by the same rules.
 """
 from __future__ import annotations
 
@@ -105,14 +105,7 @@ class FrameStore:
         """``(frames, tag_ids, names)``: tag ``names[tag_ids[i]]`` is on frame
         ``frames[i]``, each pair once, frame by frame and in tag order within a
         frame. ``names`` defaults to the store's tags, sorted; given, others are left out."""
-        if names is None:
-            names = tuple(sorted(set(self.tags)))
-        ids = {name: i for i, name in enumerate(names)}
-        tag_ids = np.fromiter(map(ids.get, self.tags, repeat(-1)), np.intp)[self.tag_ids]
-        keys = (self.hits * len(names) + tag_ids)[tag_ids >= 0]
-        keys.sort()
-        frames, tag_ids = np.divmod(keys[_run_starts(keys)], max(len(names), 1))
-        return frames, tag_ids, names
+        return _occurrences([self], names)
 
     @cached_property
     def index(self) -> "MemoryIndex":
@@ -196,6 +189,20 @@ class GaeReport:
         object.__setattr__(self, "pilot_sizes", np.asarray(self.pilot_sizes, dtype=int))
 
 
+def _occurrences(stores, names=None) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """:meth:`FrameStore.occurrences` of the ``stores`` joined one after another."""
+    names = tuple(sorted({t for s in stores for t in s.tags})) if names is None else names
+    ids = {name: i for i, name in enumerate(names)}
+    keys = []
+    for store, start in zip(stores, accumulate(map(len, stores), initial=0)):
+        tag_ids = np.fromiter(map(ids.get, store.tags, repeat(-1)), np.intp)[store.tag_ids]
+        keys.append(((store.hits + start) * len(names) + tag_ids)[tag_ids >= 0])
+    keys = np.concatenate(keys)
+    keys.sort()
+    frames, tag_ids = np.divmod(keys[_run_starts(keys)], max(len(names), 1))
+    return frames, tag_ids, names
+
+
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Mask of the entries of the sorted ``values`` that differ from the one before."""
     new = np.ones(len(values), dtype=bool)
@@ -214,32 +221,41 @@ def _within_radius(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 class MemoryIndex:
-    """One store's tag hits (for all its tags, or only the listed ``tags``),
-    grouped by runs of consecutive frames taken at one place (x, y, robot),
-    which answer every question alike: ``first[offsets[j]:offsets[j + 1]]``
+    """The tag hits of one store, or of a list of stores joined in order (store
+    ``d`` holds rows ``bounds[d]:bounds[d + 1]``), for all or the listed ``tags``,
+    grouped by runs of a store's consecutive frames taken at one place (x, y,
+    robot), which answer every question alike: ``first[offsets[j]:offsets[j + 1]]``
     are the first frames of the groups of ``tags[j]``, at ``x``, ``y``, ``robots``."""
 
-    def __init__(self, frames: FrameStore, tags=None):
-        self.size = len(frames)       # no reference back: the store caches its index
-        hits, tag_ids, self.tags = frames.occurrences(tags)
-        x, y, robots = frames.poses[:, 0], frames.poses[:, 1], frames.robot_ids
-        moved = np.ones(len(frames) + 1, dtype=np.intp)       # [-1]: bounds the run ids
-        moved[1:-1] = (x[1:] != x[:-1]) | (y[1:] != y[:-1]) | (robots[1:] != robots[:-1])
-        run = moved.cumsum()
-        keys = (tag_ids * run[-1] + run[hits]) * (self.size + 1) + hits
+    def __init__(self, frames, tags=None):
+        self._joined = not isinstance(frames, FrameStore)
+        stores = list(frames) if self._joined else [frames]
+        self.bounds = np.fromiter(accumulate(map(len, stores), initial=0), np.intp)
+        self.size = int(self.bounds[-1])   # no reference back: the store caches its index
+        hits, tag_ids, self.tags = _occurrences(stores, tags)
+        runs = []               # each run's first frame, x, y and robot, store by store
+        for store, lo in zip(stores, self.bounds.tolist()):
+            x, y, robots = store.poses[:, 0], store.poses[:, 1], store.robot_ids
+            moved = (x[1:] != x[:-1]) | (y[1:] != y[:-1]) | (robots[1:] != robots[:-1])
+            at = np.flatnonzero(np.concatenate(([len(store) > 0], moved)))
+            runs.append((at + lo, x[at], y[at], robots[at]))
+        starts, x, y, robots = map(np.concatenate, zip(*runs))
+        count = len(starts) + 1         # run ids count from 1; hits come frame by frame
+        run = np.repeat(np.arange(1, count), np.diff(hits.searchsorted(starts), append=len(hits)))
+        keys = (tag_ids * count + run) * (self.size + 1) + hits
         keys.sort()
         groups, self.first = np.divmod(keys[_run_starts(keys // (self.size + 1))], self.size + 1)
-        self.x, self.y = frames.poses[self.first, :2].T.copy()
-        self.robots = frames.robot_ids[self.first]
+        self.x, self.y, self.robots = (column[groups % count - 1] for column in (x, y, robots))
         # row len(tags) is empty: the row of every tag the store lacks
-        self.offsets = (groups // run[-1]).searchsorted(np.arange(len(self.tags) + 2))
+        self.offsets = (groups // count).searchsorted(np.arange(len(self.tags) + 2))
         self._rows = {tag: j for j, tag in enumerate(self.tags)}
 
     def first_frames(self, columns) -> np.ndarray:
         """The first frame that alone answers each question of exam ``columns``
         (presence counted as YES), or the store's length. Such questions are
         answered by single frames, so a memory joined with a prefix of ``n``
-        frames answers one exactly when it alone does or ``n`` exceeds this."""
+        frames answers one exactly when it alone does or ``n`` exceeds this.
+        Over a list of stores, a (question, store) table of these."""
         templates, tags, tag_ids, truth = columns
         rows = np.fromiter(map(self._rows.get, tags, repeat(len(self.tags))), np.intp)[tag_ids]
         lo = self.offsets[rows]
@@ -250,9 +266,11 @@ class MemoryIndex:
         ok = np.choose(templates[question], (True, _within_radius(self.x[group] - answer[:, 0],
                                                                   self.y[group] - answer[:, 1]),
                                              self.robots[group] == answer[:, 0]))
-        first = np.full(len(rows), self.size)
-        np.minimum.at(first, question[ok], self.first[group[ok]])
-        return first
+        frame = self.first[group[ok]]
+        store = self.bounds.searchsorted(frame, side="right") - 1
+        first = np.tile(np.diff(self.bounds), (len(rows), 1))   # from each store's start
+        np.minimum.at(first, (question[ok], store), frame - self.bounds[store])
+        return first if self._joined else first[:, 0]
 
     def answers(self, columns) -> np.ndarray:
         """Whether the memory answers each question of exam ``columns``; a

@@ -149,14 +149,13 @@ def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
                      scenario.questions_per_robot, backend,
                      seed=[scenario.seeds["pilot"], seed])
 
-    # a dataset holding none of the asked tags answers nothing: its entries
-    # stay at its length and it needs no index
+    # one index over the hosts, the datasets holding an asked tag; any other answers nothing
     columns = world.questions
     asked = set(columns[1])
-    first = np.array([[len(frames) for frames in world.datasets]] * len(columns[0]))
-    for k, frames in enumerate(world.datasets):
-        if not asked.isdisjoint(frames.tags):
-            first[:, k] = MemoryIndex(frames, columns[1]).first_frames(columns)
+    hosts = [k for k, frames in enumerate(world.datasets) if not asked.isdisjoint(frames.tags)]
+    first = np.tile([len(frames) for frames in world.datasets], (len(columns[0]), 1))
+    first[:, hosts] = MemoryIndex([world.datasets[k] for k in hosts],
+                                  columns[1]).first_frames(columns)
     return SeedContext(seed=seed, world=world, state=state, gae_scores=report.scores,
                        base_answers=world.base_memory.index.answers(columns),
                        pilot_sizes=report.pilot_sizes, first_frames=first)

@@ -69,11 +69,10 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
         routes = rng.integers(0, scenario.num_landmarks, size=(k, num_segments))
 
     # every robot's frames as columns: the landmark each frame passes, its
-    # position there, and its timestamp
+    # pose there (that landmark's row of a pose table), and its timestamp
     route_at = routes[:, np.arange(frames) // seg]                 # (k, frames)
-    poses = np.zeros((k, frames, 6))
-    poses[:, :, :2] = landmarks[route_at]
-    poses[:, :, 2] = 10.0
+    poses = np.zeros((scenario.num_landmarks, 6))                  # (x, y, 10 m, 0, 0, 0)
+    poses[:, :2], poses[:, 2] = landmarks, 10.0
     timestamps = np.arange(frames) / scenario.frame_rate_fps
 
     # object placement: host robot, dwell window and the host's position at its start
@@ -82,15 +81,15 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
         names = iter(scenario.objects)
         for robot, count in enumerate(scenario.staged_novel_counts):
             for start, width in _staged_windows(count, frames, scenario.object_dwell_frames):
-                placed.append(PlacedObject(next(names), robot, start, width,
-                                           position=tuple(poses[robot, start, :2].tolist())))
+                placed.append(PlacedObject(next(names), robot, start, width, position=tuple(
+                    landmarks[route_at[robot, start]].tolist())))
     else:
         dwell = scenario.object_dwell_frames
         for name in scenario.objects:
             host = int(rng.integers(0, k))
             start = int(rng.integers(0, frames - dwell + 1))
             placed.append(PlacedObject(name, host, start, dwell,
-                                       position=tuple(poses[host, start, :2].tolist())))
+                                       position=tuple(landmarks[route_at[host, start]].tolist())))
 
     # which ordinary frames get captioned with their landmark: a rate of 1
     # tags everything; sparse rates model a captioner that only remarks on
@@ -108,7 +107,7 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
         captioned = bg_tagged[robot].nonzero()[0]
         windows = [np.arange(o.window_start, o.window_start + o.window_len) for o in hosted]
         objects = np.arange(len(hosted)).repeat([o.window_len for o in hosted])
-        return FrameStore(np.full(frames, robot), timestamps, poses[robot],
+        return FrameStore(np.full(frames, robot), timestamps, poses.take(route_at[robot], axis=0),
                           hits=np.concatenate([captioned, *windows]),
                           tag_ids=np.concatenate([route_at[robot, captioned],
                                                   scenario.num_landmarks + objects]),
@@ -129,7 +128,7 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
     hosts = np.array([o.host_robot for o in placed])
     truth = np.zeros((len(placed), len(TEMPLATES), 3))
     truth[:, 0, 0], truth[:, 2, 0] = 1.0, hosts
-    truth[:, 1] = poses[hosts, [o.window_start for o in placed]][:, [0, 1, 5]]
+    truth[:, 1] = poses[route_at[hosts, [o.window_start for o in placed]]][:, [0, 1, 5]]
     tags = tuple(dict.fromkeys(o.name for o in placed))
     questions = (np.tile(np.arange(len(TEMPLATES)), len(placed)), tags,
                  np.array([tags.index(o.name) for o in placed]).repeat(len(TEMPLATES)),

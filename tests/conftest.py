@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from frames import MemoryItem
 from mcpa.channel import ChannelState, RadioConstants, RobotGeometry, draw_channels
+from mcpa.gae import FrameStore
 from mcpa.qom import DatasetMeta, qom_weights
 
 # property tests replay the same examples on every run and keep no example
@@ -81,3 +82,22 @@ def random_memory(rng, num_items=40, num_tags=8, num_robots=4, tag_pool=None):
         items.append(MemoryItem(timestamp_s=float(i), pose=pose, tags=tags,
                                 robot_id=int(rng.integers(0, num_robots))))
     return items
+
+
+def random_store(rng, num_items=40, num_tags=8, num_robots=4) -> FrameStore:
+    """``frames.store(random_memory(rng, num_items, num_tags, num_robots))``:
+    the same draws in the same order, built as store columns directly, with
+    no ``MemoryItem`` per frame and the tags drawn by index."""
+    robots, poses, pairs = [], [], []
+    for i in range(num_items):
+        count = int(rng.integers(0, 3))
+        if count:
+            drawn = rng.choice(num_tags, size=count, replace=False).tolist()
+            pairs.extend((i, tag) for tag in sorted(f"event-{t}" for t in drawn))
+        poses.append((rng.uniform(-500, 500), rng.uniform(-500, 500),
+                      10.0, 0.0, 0.0, rng.uniform(-3.14, 3.14)))
+        robots.append(int(rng.integers(0, num_robots)))
+    tags = sorted({tag for _, tag in pairs})
+    ids = {tag: j for j, tag in enumerate(tags)}
+    return FrameStore(robots, np.arange(float(num_items)), poses, [i for i, _ in pairs],
+                      [ids[tag] for _, tag in pairs], tags)

@@ -13,9 +13,8 @@ from itertools import product
 import numpy as np
 
 from conftest import (BUDGET_W, CONFIG_DIR, NOISE_W, REPO_ROOT, cli_env,
-                      orthogonal_state, random_feasible, random_memory,
-                      random_params, random_state)
-from frames import store
+                      orthogonal_state, random_feasible, random_params, random_state,
+                      random_store)
 from mcpa.config import build_scenario, load_config
 from mcpa.gae import SyntheticBackend, sample_pilot, run_gae
 from mcpa.harness import METHODS, run_campaign, run_sweep
@@ -185,8 +184,8 @@ def test_criterion_06_self_test_identity():
     rng = np.random.default_rng(606)
     failures = 0
     for trial in range(1000):
-        memory = store(random_memory(rng, num_items=int(rng.integers(5, 60)),
-                                     num_tags=int(rng.integers(2, 12))))
+        memory = random_store(rng, num_items=int(rng.integers(5, 60)),
+                              num_tags=int(rng.integers(2, 12)))
         ratio = float(rng.uniform(0.05, 1.0))
         pilot = sample_pilot(memory, ratio, trial)
         _, scores = backend.run_exams([pilot], int(rng.integers(1, 20)), [trial],

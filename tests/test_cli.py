@@ -302,6 +302,32 @@ def test_missing_config_file_is_reported():
     assert error["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--seeds", "abc"], "argument --seeds: invalid int value: 'abc'"),
+    (["solve", "--method", "nope"], "argument --method: invalid choice: 'nope'"),
+    (["solve", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+], ids=["seeds-abc", "method-nope", "unknown-flag", "no-subcommand"])
+def test_usage_errors_are_one_json_line(capsys, argv, message):
+    """Errors the argument parser finds follow the same rule as every other
+    bad argument: exit 2 with one JSON line, and no usage text."""
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    error = json.loads(lines[0])
+    assert error["error"] == "ConfigError"
+    assert message in error["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_still_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(argv)
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mcpa")
+
+
 def no_staging(monkeypatch) -> list:
     """Record, instead of running, every seed the CLI would stage."""
     staged = []

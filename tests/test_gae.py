@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_memory
+from conftest import random_memory, random_store
 from frames import MemoryItem, items, reference_caption, store
 import reference_index
 from mcpa.gae import (NOTHING_TAG, Exam, FrameStore, GaeError, GaeReport, MemoryIndex,
@@ -103,6 +103,22 @@ def test_generate_exam_deterministic_and_validates():
     assert all(q.tag in pilot_tags for q in one.qa_pairs)
     with pytest.raises(GaeError):
         run_gae([store(pilot)], store(pilot), 1.0, 0, SyntheticBackend(), 1)
+
+
+def test_random_store_is_the_store_of_random_memory():
+    # criterion 06 draws its memories with random_store: the same generator
+    # state must give the store of random_memory's items, and leave the
+    # generator where random_memory leaves it
+    for seed in range(300):
+        sizes = np.random.default_rng([seed, 1]).integers([0, 2, 1], [60, 13, 6])
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_store(ours, *sizes.tolist())
+        want = store(random_memory(theirs, *sizes.tolist()))
+        for column in ("robot_ids", "timestamps", "poses", "hits", "tag_ids"):
+            np.testing.assert_array_equal(getattr(got, column), getattr(want, column))
+            assert getattr(got, column).dtype == getattr(want, column).dtype
+        assert got.tags == want.tags
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_practice_test_self_identity_and_disjoint():

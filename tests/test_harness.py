@@ -282,9 +282,10 @@ def test_stage_accuracy_joins_uploads_with_base_memory():
 
 
 def test_prepare_seed_indexes_the_base_memory_once(monkeypatch):
-    # the GAE practice tests and the first-frame table share one index of the
-    # base memory over all its tags; a dataset is indexed, on the asked tags
-    # only, when it holds one of them
+    # a seed builds exactly two indexes: the base memory's over all its tags,
+    # which the GAE practice tests and base answers share, and one over the
+    # hosts (the datasets holding an asked tag, joined in robot order) on the
+    # asked tags, which makes the whole first-frame table
     built = []
     original = MemoryIndex.__init__
 
@@ -295,14 +296,14 @@ def test_prepare_seed_indexes_the_base_memory_once(monkeypatch):
     s = small_city()
     world = prepare_seed(s, 0).world
     asked = set(world.questions[1])
-    assert [tags for frames, tags in built if frames is world.base_memory] == [None]
-    hosts = [frames for frames in world.datasets
-             if not asked.isdisjoint(frames.tags)]
+    hosts = [frames for frames in world.datasets if not asked.isdisjoint(frames.tags)]
     assert 0 < len(hosts) < s.num_robots
-    for frames in world.datasets:
-        indexed = [set(tags) for store, tags in built if store is frames]
-        assert indexed == ([asked] if any(frames is host for host in hosts) else [])
-    assert len(built) == 1 + len(hosts)
+    assert len(built) == 2
+    (base, base_tags), (joined, joined_tags) = built
+    assert base is world.base_memory and base_tags is None
+    assert len(joined) == len(hosts)
+    assert all(store is host for store, host in zip(joined, hosts))
+    assert set(joined_tags) == asked
 
 
 # --- campaigns & sweeps ---------------------------------------------------------

@@ -222,6 +222,22 @@ def prefix_cases(draw):
 
 @settings(max_examples=150)
 @given(prefix_cases())
+# an object named like a landmark tag makes every robot a host of an asked tag
+@example(({"num_robots": 3, "gae": {"questions_per_robot": 3},
+           "world": {"objects": ["bus", landmark_tag(1)], "object_dwell_frames": 5,
+                     "num_landmarks": 3, "segment_frames": 7, "background_tag_rate": 0.5,
+                     "num_base_robots": 1, "town_extent_m": 120.0},
+           "dataset": {"items_per_robot": 40, "frame_rate_fps": 35.0},
+           "seeds": {"placement": 3}},
+          [[0, 0, 0], [40, 40, 40], [3, 17, 40], [40, 0, 9]]))
+# one robot, and a base memory of no frames
+@example(({"num_robots": 1, "gae": {"questions_per_robot": 3},
+           "world": {"objects": ["bus", "taxi"], "object_dwell_frames": 4,
+                     "num_landmarks": 2, "segment_frames": 5, "background_tag_rate": 1.0,
+                     "num_base_robots": 0, "town_extent_m": 1000.0},
+           "dataset": {"items_per_robot": 30, "frame_rate_fps": 7.3},
+           "seeds": {"placement": 11}},
+          [[0], [30], [1], [12], [29]]))
 def test_accuracy_with_matches_index_grading(case):
     config, prefixes = case
     scenario, _, ref = _worlds(config)
