@@ -27,23 +27,6 @@ def unit_rate_params(num_robots: int) -> np.ndarray:
     return np.ones(num_robots)
 
 
-def _fairness_powers(state: ChannelState, target_sinr: float, budget: float,
-                     noise_power_w: float, system: np.ndarray):
-    """Fixed point of the standard power-control update p <- gamma (I_offdiag p
-    + s2) / H (Yates 1995) by one solve of (diag(H) - gamma I_offdiag) p =
-    gamma s2 1, assembled in the (K, K) buffer ``system``. Its solution is positive
-    iff the update converges from zero; returns it if so and sum p <= budget, else None.
-    :func:`allocate_fairness` probes one system at a time this way only when
-    a stack of them holds a singular one."""
-    np.multiply(-target_sinr, state.interference, out=system)
-    system.reshape(-1)[::state.num_robots + 1] = state.gains     # the diagonal, as a view
-    try:
-        p = np.linalg.solve(system, np.full(state.num_robots, target_sinr * noise_power_w))
-    except np.linalg.LinAlgError:
-        return None
-    return p if p.min() > 0.0 and np.add.reduce(p) <= budget else None
-
-
 def allocate_fairness(state: ChannelState, budget, noise_power_w: float,
                       tol: float = 1e-4) -> np.ndarray:
     """Max-min rate via bisection on a common SINR target gamma.
@@ -61,9 +44,12 @@ def allocate_fairness(state: ChannelState, budget, noise_power_w: float,
     row per budget, each bit for bit the call at that budget alone. The
     bisections run in lockstep: each step assembles the probes of the budgets
     still bisecting in one (B, K, K) buffer and solves them in one stacked
-    solve; a stack holding a singular system is probed one system at a time
-    (:func:`_fairness_powers`), so that system is infeasible for its own
-    budget only.
+    solve. A probe is the fixed point of the standard power-control update
+    p <- gamma (I_offdiag p + s2) / H (Yates 1995), one solve of
+    (diag(H) - gamma I_offdiag) p = gamma s2 1, whose solution is positive iff
+    the update converges from zero. When the stack holds a singular system,
+    each system is solved alone and a singular one is a NaN row, so it is
+    infeasible for its own budget only.
     """
     budgets = np.ravel(budget).tolist()
     k, n = state.num_robots, len(budgets)
@@ -81,19 +67,21 @@ def allocate_fairness(state: ChannelState, budget, noise_power_w: float,
         stack = np.multiply(np.negative(targets).reshape(m, 1, 1), state.interference,
                             out=systems[:m])
         stack.reshape(m, -1)[:, ::k + 1] = state.gains            # the diagonals, as a view
+        rhs = np.multiply(targets, noise_power_w).reshape(m, 1, 1).repeat(k, 1)
         try:
-            solved = np.linalg.solve(
-                stack, np.multiply(targets, noise_power_w).reshape(m, 1, 1).repeat(k, 1))
-            probes = [p if p.min() > 0.0 and np.add.reduce(p) <= budgets[i] else None
-                      for i, p in zip(probing, solved[..., 0])]
+            solved = np.linalg.solve(stack, rhs)
         except np.linalg.LinAlgError:
-            probes = [_fairness_powers(state, target, budgets[i], noise_power_w, systems[0])
-                      for i, target in zip(probing, targets)]
-        for i, target, p in zip(probing, targets, probes):
-            if p is None:
-                his[i] = target
-            else:
+            solved = np.full((m, k, 1), np.nan)
+            for j in range(m):
+                try:
+                    solved[j] = np.linalg.solve(stack[j:j + 1], rhs[j:j + 1])[0]
+                except np.linalg.LinAlgError:
+                    pass
+        for i, target, p in zip(probing, targets, solved[..., 0]):
+            if p.min() > 0.0 and np.add.reduce(p) <= budgets[i]:    # NaN fails too
                 best[i], los[i] = p, target
+            else:
+                his[i] = target
         probing = [i for i in probing if not his[i] - los[i] <= tol * max(his[i], 1e-300)]
         targets = [0.5 * (los[i] + his[i]) for i in probing]
     return np.array(best).reshape(shape)

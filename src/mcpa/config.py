@@ -57,7 +57,7 @@ class Scenario:
     radio: RadioConstants
     distance_min_m: float
     distance_max_m: float
-    power_budget_w: float
+    power_budget_mw: float
     time_budget_s: float
     dataset: DatasetMeta
     frame_rate_fps: float
@@ -266,7 +266,7 @@ def build_scenario(config: dict | None = None, override: dict | None = None) -> 
         num_robots=k,
         radio=constants,
         **geometry,
-        power_budget_w=cfg["budgets"]["power_sum_mw"] / 1e3,
+        power_budget_mw=cfg["budgets"]["power_sum_mw"],
         time_budget_s=cfg["budgets"]["time_s"],
         dataset=DatasetMeta.uniform(k, items, dataset["item_volume_bits"]),
         frame_rate_fps=dataset["frame_rate_fps"],

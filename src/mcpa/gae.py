@@ -107,11 +107,6 @@ class FrameStore:
         frame. ``names`` defaults to the store's tags, sorted; given, others are left out."""
         return _occurrences([self], names)
 
-    @cached_property
-    def index(self) -> "MemoryIndex":
-        """The :class:`MemoryIndex` over all the store's tags, built once."""
-        return MemoryIndex(self)
-
 
 @dataclass(frozen=True)
 class Question:
@@ -231,7 +226,7 @@ class MemoryIndex:
         self._joined = not isinstance(frames, FrameStore)
         stores = list(frames) if self._joined else [frames]
         self.bounds = np.fromiter(accumulate(map(len, stores), initial=0), np.intp)
-        self.size = int(self.bounds[-1])   # no reference back: the store caches its index
+        span = int(self.bounds[-1]) + 1     # a frame index, or the memory's length
         hits, tag_ids, self.tags = _occurrences(stores, tags)
         runs = []               # each run's first frame, x, y and robot, store by store
         for store, lo in zip(stores, self.bounds.tolist()):
@@ -242,9 +237,9 @@ class MemoryIndex:
         starts, x, y, robots = map(np.concatenate, zip(*runs))
         count = len(starts) + 1         # run ids count from 1; hits come frame by frame
         run = np.repeat(np.arange(1, count), np.diff(hits.searchsorted(starts), append=len(hits)))
-        keys = (tag_ids * count + run) * (self.size + 1) + hits
+        keys = (tag_ids * count + run) * span + hits
         keys.sort()
-        groups, self.first = np.divmod(keys[_run_starts(keys // (self.size + 1))], self.size + 1)
+        groups, self.first = np.divmod(keys[_run_starts(keys // span)], span)
         self.x, self.y, self.robots = (column[groups % count - 1] for column in (x, y, robots))
         # row len(tags) is empty: the row of every tag the store lacks
         self.offsets = (groups // count).searchsorted(np.arange(len(self.tags) + 2))
@@ -273,10 +268,12 @@ class MemoryIndex:
         return first if self._joined else first[:, 0]
 
     def answers(self, columns) -> np.ndarray:
-        """Whether the memory answers each question of exam ``columns``; a
-        presence question answered NO is right when no frame has the tag."""
+        """Whether the memory answers each question of exam ``columns``: some
+        store has a frame that does; a presence question answered NO is right
+        when no frame has the tag."""
         templates, _, _, truth = columns
-        answered = self.first_frames(columns) < self.size
+        first = self.first_frames(columns).reshape(len(templates), -1)
+        answered = (first < np.diff(self.bounds)).any(axis=1)
         return answered != ((templates == 0) & (truth[:, 0] == 0.0))     # flip answered NO
 
 
@@ -286,7 +283,7 @@ class SyntheticBackend:
     name = "synthetic"
 
     def prepare_memory(self, memory: FrameStore) -> MemoryIndex:
-        return memory.index
+        return MemoryIndex(memory)
 
     def run_exams(self, pilots, num_questions: int, seeds, index: MemoryIndex):
         """Every robot's exam and score, drawn and graded in one batch."""

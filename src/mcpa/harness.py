@@ -126,11 +126,6 @@ class SeedContext:
         accuracy = answered.sum(axis=-1) / answered.shape[-1]
         return float(accuracy) if accuracy.ndim == 0 else accuracy
 
-    @property
-    def base_accuracy(self) -> float:
-        """Accuracy of the base memory alone."""
-        return self.accuracy_with(np.zeros(len(self.world.datasets), dtype=int))
-
 
 def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
     """Stage one seed: build the world, draw the channel, run the GAE exams
@@ -153,11 +148,15 @@ def prepare_seed(scenario: Scenario, seed: int, backend=None) -> SeedContext:
     columns = world.questions
     asked = set(columns[1])
     hosts = [k for k, frames in enumerate(world.datasets) if not asked.isdisjoint(frames.tags)]
-    first = np.tile([len(frames) for frames in world.datasets], (len(columns[0]), 1))
+    lengths = np.array([len(frames) for frames in world.datasets])
+    first = np.tile(lengths, (len(columns[0]), 1))
     first[:, hosts] = MemoryIndex([world.datasets[k] for k in hosts],
                                   columns[1]).first_frames(columns)
+    # the base memory is the base robots' datasets, and a world question asks
+    # no presence question answered NO: a base robot's frame answers it or none does
+    base = list(world.base_robots)
     return SeedContext(seed=seed, world=world, state=state, gae_scores=report.scores,
-                       base_answers=world.base_memory.index.answers(columns),
+                       base_answers=(first[:, base] < lengths[base]).any(axis=1),
                        pilot_sizes=report.pilot_sizes, first_frames=first)
 
 
@@ -256,22 +255,24 @@ def _score_allocation(stage: SeedContext, scenario: Scenario, powers: np.ndarray
             (radio.bandwidth_hz * rate).sum(axis=1) / 1e6, connected)
 
 
-def _run_seed(stage: SeedContext, scenario: Scenario, budgets, methods, names,
+def _run_seed(stage: SeedContext, scenario: Scenario, budgets_mw, methods, names,
               caught=(ValueError, ArithmeticError, GaeError, PilotPhaseInfeasible)
               ) -> list[list[RunMetrics]]:
-    """Every method on a staged seed at each of ``budgets``: one list of rows
-    per budget, in method order. A budget whose pilot phase overruns (``not
+    """Every method on a staged seed at each of ``budgets_mw``: one list of
+    rows per budget, in method order; rows echo a budget as given and the
+    allocators see it in watts. A budget whose pilot phase overruns (``not
     dT < T``, NaN included) raises :class:`PilotPhaseInfeasible`; a ``caught``
     error there fails that budget's rows, one in a method's allocation or its
     :func:`_checked_allocation` right after fails that row. One fairness call
     serves the budgets that fit, each row timed at an equal share of it; with
     no such budget there is no call."""
-    rows = [[None] * len(names) for _ in budgets]
+    rows = [[None] * len(names) for _ in budgets_mw]
     time_s = scenario.time_budget_s
+    budgets = [budget_mw / 1e3 for budget_mw in budgets_mw]
     delta_t = pilot_overhead(stage.state, scenario.dataset.item_volume_bits * stage.pilot_sizes,
-                             scenario.radio, np.array(budgets, dtype=float))
+                             scenario.radio, np.array(budgets))
     fits = []                           # the budgets whose pilot phase fits
-    for i, (budget, needs) in enumerate(zip(budgets, delta_t.tolist())):
+    for i, (budget, needs) in enumerate(zip(budgets_mw, delta_t.tolist())):
         try:
             if not needs < time_s:
                 raise PilotPhaseInfeasible(
@@ -293,7 +294,7 @@ def _run_seed(stage: SeedContext, scenario: Scenario, budgets, methods, names,
                     [ctx.power_w for _, ctx in contexts]), scenario.radio.noise_power_w))
             except caught as exc:
                 for i, ctx in contexts:
-                    rows[i][j] = _failed_run(name, stage.seed, ctx.power_w, exc)
+                    rows[i][j] = _failed_run(name, stage.seed, budgets_mw[i], exc)
                 continue
             share_ms = (time.perf_counter() - started) * 1e3 / len(contexts)
         for i, ctx in contexts:
@@ -303,7 +304,7 @@ def _run_seed(stage: SeedContext, scenario: Scenario, budgets, methods, names,
                                  else _allocate(ctx, scenario, method))
                 _checked_allocation(powers, scenario.num_robots, ctx.power_w)
             except caught as exc:
-                rows[i][j] = _failed_run(name, stage.seed, ctx.power_w, exc)
+                rows[i][j] = _failed_run(name, stage.seed, budgets_mw[i], exc)
                 continue
             allocated.append((i, j, ctx, powers, trace,
                               share_ms + (time.perf_counter() - started) * 1e3))
@@ -316,7 +317,7 @@ def _run_seed(stage: SeedContext, scenario: Scenario, budgets, methods, names,
     for (i, j, ctx, _, trace, wall_ms), powers, accuracy, qom, sum_rate, connected in zip(
             allocated, block.tolist(), *(column.tolist() for column in scores)):
         rows[i][j] = RunMetrics(
-            method=names[j], seed=stage.seed, p_sum_mw=ctx.power_w * 1e3, eqa_accuracy=accuracy,
+            method=names[j], seed=stage.seed, p_sum_mw=budgets_mw[i], eqa_accuracy=accuracy,
             qom=qom, sum_rate_mbps=sum_rate, connected_drones=connected,
             solver_iters=trace.outer_iterations if trace is not None else 0,
             wall_ms=wall_ms, power_mw=tuple(p * 1e3 for p in powers),
@@ -328,19 +329,20 @@ def run_method(stage: SeedContext, scenario: Scenario, method) -> RunMetrics:
     """Run one method, a name in :data:`METHODS` or an :class:`ExternalWeights`,
     on a staged seed at the scenario's power budget; a failure raises."""
     [name] = _check_methods([method])
-    return _run_seed(stage, scenario, [scenario.power_budget_w], [method], [name], caught=())[0][0]
+    return _run_seed(stage, scenario, [scenario.power_budget_mw], [method], [name],
+                     caught=())[0][0]
 
 
-def _failed_run(name: str, seed: int, power_w: float, error: Exception) -> RunMetrics:
+def _failed_run(name: str, seed: int, budget_mw: float, error: Exception) -> RunMetrics:
     nan = float("nan")
     return RunMetrics(method=name, seed=seed,
-                      p_sum_mw=power_w * 1e3, eqa_accuracy=nan,
+                      p_sum_mw=budget_mw, eqa_accuracy=nan,
                       qom=nan, sum_rate_mbps=nan, connected_drones=0,
                       solver_iters=0, wall_ms=0.0,
                       failure=f"{type(error).__name__}: {error}")
 
 
-def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
+def _run_grid(scenario: Scenario, methods, budgets_mw, num_seeds: int,
               backend) -> tuple[list[RunMetrics], dict]:
     """Stage each seed once, then run every budget on it (:func:`_run_seed`).
     A run that fails with a domain error (an infeasible pilot phase, a
@@ -351,10 +353,10 @@ def _run_grid(scenario: Scenario, methods, budgets_w, num_seeds: int,
     if num_seeds < 1:
         raise ConfigError(f"num_seeds: {num_seeds} is not an integer >= 1")
     names = _check_methods(methods)
-    per_budget: list[list[RunMetrics]] = [[] for _ in budgets_w]
+    per_budget: list[list[RunMetrics]] = [[] for _ in budgets_mw]
     for i in range(num_seeds):
         stage = prepare_seed(scenario, scenario.seeds["run"] + i, backend)
-        seed_rows = _run_seed(stage, scenario, budgets_w, methods, names)
+        seed_rows = _run_seed(stage, scenario, budgets_mw, methods, names)
         for rows, budget_rows in zip(per_budget, seed_rows):
             rows.extend(budget_rows)
     rows = [row for budget_rows in per_budget for row in budget_rows]
@@ -368,7 +370,7 @@ def run_campaign(scenario: Scenario, methods, num_seeds: int,
     Each seed is staged once and shared by every method, so the method list's
     order cannot affect any result; a failed run is a row of NaNs.
     """
-    return _run_grid(scenario, methods, [scenario.power_budget_w], num_seeds, backend)
+    return _run_grid(scenario, methods, [scenario.power_budget_mw], num_seeds, backend)
 
 
 def run_sweep(scenario: Scenario, methods, budgets_mw, num_seeds: int,
@@ -381,8 +383,7 @@ def run_sweep(scenario: Scenario, methods, budgets_mw, num_seeds: int,
         raise ConfigError(f"budgets_mw: {budgets_mw} must all be finite and positive")
     if repeated := sorted({b for b in budgets_mw if budgets_mw.count(b) > 1}):
         raise ConfigError(f"budgets_mw: {repeated} given more than once")
-    return _run_grid(scenario, methods, [budget_mw / 1e3 for budget_mw in budgets_mw],
-                     num_seeds, backend)
+    return _run_grid(scenario, methods, budgets_mw, num_seeds, backend)
 
 
 DEFAULT_SWEEP_MW = (100.0, 150.0, 200.0, 250.0, 300.0)

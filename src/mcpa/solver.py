@@ -37,7 +37,6 @@ __all__ = [
     "SolveTrace",
     "SolverOptions",
     "WaterfillResult",
-    "qom_gradient",
     "solve_mcpa",
     "waterfill",
 ]
@@ -118,18 +117,6 @@ class SurrogateContext:
         """Surrogate gradient at the point p whose A p + 1 is ``full``."""
         return (self.coupling.T.dot(self.weights / (_LN2 * full))
                 - self.anchor_gradient)
-
-
-def qom_gradient(weights, state: ChannelState, p, noise_power_w: float) -> np.ndarray:
-    """Analytic gradient of the true objective sum_k Theta_k(p)."""
-    coupling = state.interference / noise_power_w
-    offdiag = coupling.copy()
-    np.fill_diagonal(offdiag, 0.0)
-    full = coupling @ p + 1.0
-    cross = offdiag @ p + 1.0
-    w_full = weights / (_LN2 * full)
-    w_cross = weights / (_LN2 * cross)
-    return coupling.T @ w_full - offdiag.T @ w_cross
 
 
 class _InnerResult(NamedTuple):

@@ -23,8 +23,8 @@ by sweep, up to 30,000 sweeps, is kept as the reference that
 ``mcpa.baselines.allocate_fairness``'s one-solve probes must agree with on
 the shipped scenarios; the one with one-solve probes that doubled its upper
 bound until infeasible is its bit-level oracle. Its probe assembles a fresh
-system per target and tests it with ``np.all`` and ``sum``, as
-``mcpa.baselines._fairness_powers`` did before it took a shared buffer.
+(K, K) system per target and tests it with ``np.all`` and ``sum``, where
+``mcpa`` solves the probes of all budgets still bisecting as one stack.
 """
 import math
 

@@ -333,7 +333,8 @@ def test_fairness_over_a_budget_vector_is_the_call_at_each_budget(case, tol):
 def test_a_singular_stacked_probe_is_infeasible_for_its_own_budget_alone(monkeypatch):
     """When one system of a stack is singular, the answer at three budgets is
     still the answer at each budget alone, with that system singular there too:
-    a stack of one or of three falls back to that system alone, which fails."""
+    a stack of one or of three re-solves each system as a stack of one, and
+    that system's fails."""
     state = random_state(np.random.default_rng(5), num_robots=6, num_antennas=4)
     budgets = [0.05, 0.1, 0.2]
     solve, feasible = np.linalg.solve, []
@@ -355,10 +356,12 @@ def test_a_singular_stacked_probe_is_infeasible_for_its_own_budget_alone(monkeyp
     monkeypatch.setattr(np.linalg, "solve", singular_solve)
     alone = [allocate_fairness(state, budget, NOISE_W) for budget in budgets]
     assert alone[1].tobytes() != clean.tobytes()
-    assert (1, 6, 6) in raised and (6, 6) in raised     # the stack of one, then the system
+    assert raised == [(1, 6, 6)] * 6    # each budget: the stack of one, then the system alone
     raised.clear()
     block = allocate_fairness(state, np.array(budgets), NOISE_W)
-    assert (3, 6, 6) in raised and (6, 6) in raised     # the stack, then the system alone
+    # the budgets' bisections meet that target at three steps: each time the
+    # stack, then that system alone
+    assert raised == [(3, 6, 6), (1, 6, 6)] * 3
     for row, expected in zip(block, alone):
         assert row.tobytes() == expected.tobytes()
 

@@ -51,6 +51,17 @@ def test_sweep_row_count(tmp_path):
     assert {r["p_sum_mw"] for r in rows} == {"100.0", "200.0"}
 
 
+def test_sweep_rows_echo_the_budgets_as_given(tmp_path):
+    # 63.7 / 1e3 * 1e3 is 63.70000000000001 and 127.4 / 1e3 * 1e3 is
+    # 127.40000000000002: a row carries the budget as given, not its round trip
+    path = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", str(CONFIG_DIR / "city_desk.json"), "--seeds", "1",
+                     "--methods", "uniform", "--budgets-mw", "63.7,127.4",
+                     "--out", str(path)]) == 0
+    with open(path) as fh:
+        assert [row["p_sum_mw"] for row in csv.DictReader(fh)] == ["63.7", "127.4"]
+
+
 def test_gae_test_emits_table(tmp_path):
     path = tmp_path / "gae.csv"
     out = run_cli("gae-test", "--config", str(CONFIG_DIR / "staged_k5.json"),

@@ -30,7 +30,7 @@ def sit(pilot, num_questions, seed, memory):
 
 def score(columns, memory) -> float:
     """The share of the exam ``columns`` the synthetic oracle answers from ``memory``."""
-    return float(memory.index.answers(columns).mean())
+    return float(MemoryIndex(memory).answers(columns).mean())
 
 
 def test_sample_pilot_full_ratio_keeps_order():
@@ -369,6 +369,19 @@ def test_memory_index_answers_as_the_set_index(frames):
         assert index.first_frames(positive).tolist() == first
 
 
+@settings(max_examples=60, derandomize=True)
+@given(st.lists(frame_stores(), min_size=1, max_size=4), st.booleans())
+@example([FrameStore([], [], [])], False)
+def test_a_joined_index_answers_as_its_stores_concatenated(stores, asked_only):
+    """An index over a list of stores, lists of one and empty stores included,
+    answers a question when any store does, and then a presence question
+    answered NO flips, as the index of the stores concatenated does."""
+    questions = exam_columns(QUESTIONS)
+    tags = questions[1] if asked_only else None
+    expected = MemoryIndex(FrameStore.concatenate(stores), tags).answers(questions)
+    assert MemoryIndex(stores, tags).answers(questions).tolist() == expected.tolist()
+
+
 @settings(max_examples=60)
 @given(frame_stores(), frame_stores(), st.integers(1, 12), st.integers(0, 2**32),
        st.booleans())
@@ -398,7 +411,7 @@ def test_columnar_exams_match_the_per_question_path(pilot, memory, num_questions
     if positive:
         first = [oracle.first_answering_frame(q) for q in positive]
         columns = exam_columns(positive)
-        assert memory.index.first_frames(columns).tolist() == first
+        assert MemoryIndex(memory).first_frames(columns).tolist() == first
         assert MemoryIndex(memory, columns[1]).first_frames(columns).tolist() == first
 
 
@@ -430,7 +443,8 @@ def test_robot_k_draws_from_spawn_keys_k0_and_k1(datasets, base, ratio, seed):
     assert list(map(store_bytes, backend.pilots)) == list(map(store_bytes, pilots))
     assert ([s.generate_state(8).tobytes() for s in backend.seeds]
             == [exam_seed.generate_state(8).tobytes() for _, exam_seed in children])
-    exams, scores = SyntheticBackend().run_exams(pilots, 5, [c[1] for c in children], base.index)
+    exams, scores = SyntheticBackend().run_exams(pilots, 5, [c[1] for c in children],
+                                                 MemoryIndex(base))
     assert report.exams == tuple(exams)
     assert report.scores.tobytes() == scores.tobytes()
 

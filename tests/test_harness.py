@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import CONFIG_DIR
 from frames import items
 from mcpa.channel import ChannelState, RobotGeometry, draw_channels
-from mcpa.config import ConfigError, build_scenario, load_config
+from mcpa.config import DEFAULT_OBJECTS, ConfigError, build_scenario, load_config
 from mcpa import harness
 from mcpa.harness import (CSV_COLUMNS, METHODS, aggregate, prepare_seed, run_campaign,
                           run_method, run_sweep, write_csv)
@@ -48,7 +48,7 @@ def test_default_scenario_echoes_reference_constants():
     assert s.radio.shadow_fading_linear == pytest.approx(1e-2)        # -20 dB
     assert s.radio.pathloss_exponent == 3.0
     assert s.radio.num_antennas == 256
-    assert s.power_budget_w == pytest.approx(0.2)                     # 200 mW
+    assert s.power_budget_mw == 200.0
     assert s.time_budget_s == 600.0
     assert (s.distance_min_m, s.distance_max_m) == (50.0, 250.0)
     assert list(s.dataset.num_items) == [1050] * 10
@@ -135,8 +135,8 @@ def test_build_scenario_is_deterministic():
     assert a.seeds == b.seeds
     assert a.objects == b.objects
     assert np.array_equal(a.dataset.num_items, b.dataset.num_items)
-    assert (a.power_budget_w, a.time_budget_s, a.distance_min_m, a.distance_max_m) \
-        == (b.power_budget_w, b.time_budget_s, b.distance_min_m, b.distance_max_m)
+    assert (a.power_budget_mw, a.time_budget_s, a.distance_min_m, a.distance_max_m) \
+        == (b.power_budget_mw, b.time_budget_s, b.distance_min_m, b.distance_max_m)
 
 
 def test_staged_world_layout():
@@ -175,7 +175,7 @@ def test_run_once_remember_reports_base_accuracy():
     s = small_city()
     stage = prepare_seed(s, 0)
     m = run_method(stage, s, "remember")
-    assert m.eqa_accuracy == pytest.approx(stage.base_accuracy)
+    assert m.eqa_accuracy == pytest.approx(stage.accuracy_with([0] * s.num_robots))
     assert m.sum_rate_mbps == 0.0
     assert m.connected_drones == 0
     assert m.qom == 0.0
@@ -188,7 +188,7 @@ def test_run_once_all_robots_in_base_memory_gains_nothing():
     stage = prepare_seed(s, 1)
     assert np.all(stage.gae_scores == 1.0)
     m = run_method(stage, s, "mcpa")
-    assert m.eqa_accuracy == pytest.approx(stage.base_accuracy)
+    assert m.eqa_accuracy == pytest.approx(stage.accuracy_with([0] * s.num_robots))
     assert m.qom == 0.0
 
 
@@ -207,7 +207,7 @@ def test_run_once_qom_round_trips_from_allocation():
     stage = prepare_seed(s, 5)
     m = run_method(stage, s, "mcpa")
     delta_t = pilot_overhead(stage.state, s.dataset.item_volume_bits * stage.pilot_sizes, s.radio,
-                             s.power_budget_w)
+                             s.power_budget_mw / 1e3)
     params = qom_weights(stage.gae_scores, s.dataset, s.time_budget_s - delta_t,
                          s.radio.bandwidth_hz)
     powers = np.array(m.power_mw) / 1e3
@@ -241,7 +241,7 @@ def test_pilots_have_the_sizes_the_overhead_charges(name, override, monkeypatch)
     if override:
         assert stage.pilot_sizes.tolist() == [263] * scenario.num_robots
     k, radio = scenario.num_robots, scenario.radio
-    p_eq = scenario.power_budget_w / k
+    p_eq = scenario.power_budget_mw / 1e3 / k
     seconds = []
     for j in range(k):
         interference = sum(stage.state.interference[j, i] * p_eq for i in range(k) if i != j)
@@ -271,7 +271,7 @@ def test_stage_accuracy_joins_uploads_with_base_memory():
         questions = world_questions(stage.world)
         return sum(grade(q, merged) for q in questions) / len(questions)
     nothing = [0] * len(datasets)
-    assert stage.base_accuracy == stage.accuracy_with(nothing) == graded(nothing) < 1.0
+    assert stage.accuracy_with(nothing) == graded(nothing) < 1.0
     # every robot's full dataset: the union covers every placed object
     everything = [len(d) for d in datasets]
     assert stage.accuracy_with(everything) == graded(everything) == 1.0
@@ -281,11 +281,35 @@ def test_stage_accuracy_joins_uploads_with_base_memory():
         assert stage.accuracy_with(counts) == graded(counts)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.sampled_from(["town.json", "city_desk.json", "staged_k5.json"]), st.integers(0, 99),
+       st.booleans(), st.booleans(), st.booleans())
+def test_base_answers_read_from_the_table_are_the_base_memorys_own(name, seed, one_robot,
+                                                                  no_base, landmark_named):
+    """The base answers ``prepare_seed`` reads from the first-frame table are
+    those of an index over the base memory itself: on shipped worlds, with no
+    base robot, at K=1 and with an object named like a landmark tag."""
+    world = {"base_robots": None, "num_base_robots": 0} if no_base else {}
+    if one_robot:
+        world = {"num_base_robots": 1, "base_robots": None, **world}
+        if name == "staged_k5.json":
+            world["staged_novel_counts"] = [len(DEFAULT_OBJECTS)]
+    if landmark_named:
+        world["objects"] = ["landmark-01", *DEFAULT_OBJECTS[1:]]
+    override = {"world": world, "gae": {"questions_per_robot": 10}}
+    if one_robot:
+        override["num_robots"] = 1
+    stage = prepare_seed(build_scenario(load_config(CONFIG_DIR / name), override), seed)
+    expected = MemoryIndex(stage.world.base_memory).answers(stage.world.questions)
+    assert stage.base_answers.tolist() == expected.tolist()
+
+
 def test_prepare_seed_indexes_the_base_memory_once(monkeypatch):
-    # a seed builds exactly two indexes: the base memory's over all its tags,
-    # which the GAE practice tests and base answers share, and one over the
-    # hosts (the datasets holding an asked tag, joined in robot order) on the
-    # asked tags, which makes the whole first-frame table
+    # a synthetic seed builds exactly two indexes: the backend's over all the
+    # base memory's tags, which the GAE practice tests grade against, and the
+    # harness's one over the hosts (the datasets holding an asked tag, joined
+    # in robot order) on the asked tags, which makes the whole first-frame
+    # table and with it the base answers
     built = []
     original = MemoryIndex.__init__
 
@@ -347,6 +371,22 @@ def test_campaign_method_order_is_irrelevant():
 def test_campaign_rejects_zero_seeds():
     with pytest.raises(ValueError):
         run_campaign(small_city(), ["uniform"], 0)
+
+
+def test_a_campaign_row_echoes_its_budget_as_given(monkeypatch):
+    # 63.7 / 1e3 * 1e3 is 63.70000000000001: the rows and their aggregate keys
+    # carry the configured mW, and the pilot phase and allocators see 63.7 / 1e3 W
+    cfg = json.loads(json.dumps(CITY))
+    cfg["budgets"] = {"power_sum_mw": 63.7}
+    s = build_scenario(cfg)
+    charged = []
+    monkeypatch.setattr(harness, "pilot_overhead",
+                        lambda *args: charged.append(args[-1].tolist()) or np.zeros(1))
+    rows, summary = run_campaign(s, ["uniform", "fairness"], 1)
+    assert [row.p_sum_mw for row in rows] == [63.7, 63.7] and not rows[0].failure
+    assert list(summary) == [("uniform", 63.7), ("fairness", 63.7)]
+    assert charged == [[63.7 / 1e3]]
+    assert rows[0].power_mw == (63.7 / 1e3 / s.num_robots * 1e3,) * s.num_robots
 
 
 def test_unknown_methods_are_rejected_before_staging(monkeypatch):
@@ -616,15 +656,15 @@ def test_a_pilot_phase_overrun_fails_only_its_own_budget():
                            s.radio, 0.1)
     assert needs >= s.time_budget_s
     message = f"pilot phase needs {needs:.3f} s but the time budget is 600.000 s"
-    rows = harness._run_seed(stage, s, [0.15, 0.1, 0.2], METHODS, list(METHODS))
+    rows = harness._run_seed(stage, s, [150.0, 100.0, 200.0], METHODS, list(METHODS))
     assert [r.failure for r in rows[1]] == [f"PilotPhaseInfeasible: {message}"] * len(METHODS)
     assert all(np.isnan(r.qom) for r in rows[1])
-    for budget, budget_rows in ((0.15, rows[0]), (0.2, rows[2])):
-        alone = dataclasses.replace(s, power_budget_w=budget)
+    for budget, budget_rows in ((150.0, rows[0]), (200.0, rows[2])):
+        alone = dataclasses.replace(s, power_budget_mw=budget)
         assert [_fields(r) for r in budget_rows] == \
             [_fields(run_method(stage, alone, method)) for method in METHODS]
     with pytest.raises(PilotPhaseInfeasible, match=f"^{re.escape(message)}$"):
-        harness._run_seed(stage, s, [0.15, 0.1, 0.2], ["uniform"], ["uniform"], caught=())
+        harness._run_seed(stage, s, [150.0, 100.0, 200.0], ["uniform"], ["uniform"], caught=())
 
 
 def test_run_method_raises_an_infeasible_pilot_phase():
@@ -765,7 +805,7 @@ def unequal_datasets(draw):
 def _max_cov(scenario, state, effective_time_s):
     stage = harness.SeedContext(seed=0, world=None, state=state, gae_scores=None, pilot_sizes=None,
                                 base_answers=None, first_frames=None)
-    ctx = harness._RunContext(stage, scenario.power_budget_w, effective_time_s, weights=None)
+    ctx = harness._RunContext(stage, scenario.power_budget_mw / 1e3, effective_time_s, weights=None)
     return harness._allocate(ctx, scenario, "max_cov")[0]
 
 
@@ -780,7 +820,7 @@ def test_max_cov_permutes_with_the_robots(case):
                               interference=state.interference[np.ix_(perm, perm)])
     powers = _max_cov(scenario, state, effective_time_s)
     assert np.allclose(_max_cov(permuted, relabelled, effective_time_s), powers[perm],
-                       rtol=0.0, atol=1e-12 * scenario.power_budget_w)
+                       rtol=0.0, atol=1e-12 * scenario.power_budget_mw / 1e3)
 
 
 def test_aggregate_skips_nan_rows():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import sys
 
 import mcpa
 
@@ -80,3 +81,18 @@ def test_only_gae_sizes_a_pilot():
     assert {name for name in _imported(trees["mcpa.gae"])
             if name == "mcpa.qom" or name.startswith("mcpa.qom.")} == set()
     assert "mcpa.qom" in _imported(trees["mcpa.harness"])    # the check sees a relative import
+
+
+def test_src_imports_only_the_stdlib_and_numpy():
+    # numpy is the one runtime dependency; the test extras (scipy, hypothesis)
+    # are installed too, so an import of theirs in the package would otherwise
+    # pass. Every import statement counts, the lazy ones inside functions too.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "mcpa"}
+    for module in (mcpa, *MODULES):
+        tree = ast.parse(inspect.getsource(module))
+        lazy = {name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                for name in _imported(node)}
+        assert module.__name__ != "mcpa.remote" or "ssl" in lazy
+        assert module.__name__ != "mcpa.cli" or "mcpa.remote" in lazy
+        outside = {name for name in _imported(tree) if name.split(".")[0] not in allowed}
+        assert outside == set(), module.__name__

@@ -207,11 +207,11 @@ def test_a_nan_pilot_overhead_is_infeasible(monkeypatch):
     overhead = harness.pilot_overhead
     monkeypatch.setattr(harness, "pilot_overhead", lambda *args: np.where(
         args[-1] == 0.15, np.nan, overhead(*args)))
-    rows = harness._run_seed(stage, scenario, [0.1, 0.15, 0.2], ["uniform"], ["uniform"])
+    rows = harness._run_seed(stage, scenario, [100.0, 150.0, 200.0], ["uniform"], ["uniform"])
     assert [row.failure for [row] in rows] == [
         "", "PilotPhaseInfeasible: pilot phase needs nan s but the time budget is 600.000 s", ""]
     with pytest.raises(PilotPhaseInfeasible, match="needs nan s"):
-        harness.run_method(stage, dataclasses.replace(scenario, power_budget_w=0.15), "uniform")
+        harness.run_method(stage, dataclasses.replace(scenario, power_budget_mw=150.0), "uniform")
 
 
 @st.composite

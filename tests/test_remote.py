@@ -16,10 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cli_env
+from conftest import CONFIG_DIR, cli_env
 from frames import MemoryItem, items, reference_caption, store
 from mcpa import remote
-from mcpa.gae import Exam, FrameStore, GaeError, Question, per_robot, run_gae
+from mcpa.config import build_scenario, load_config
+from mcpa.gae import Exam, FrameStore, GaeError, MemoryIndex, Question, per_robot, run_gae
+from mcpa.harness import prepare_seed
 from mcpa.remote import (GaeParseError, GaeTransportError, RemoteBackend,
                          chat_completion, grade_text_answer)
 
@@ -1120,3 +1122,25 @@ def test_each_body_is_taken_once_under_fast_thread_switching():
     assert isinstance(outcomes[failing], GaeTransportError)
     assert outcomes[failing + 1:len(taken)] == [str(i) for i in range(failing + 1, len(taken))]
     assert all(str(outcome).startswith("not asked") for outcome in outcomes[len(taken):])
+
+
+def test_a_remote_seed_builds_one_memory_index(server, monkeypatch):
+    # the remote backend prepares the base memory as caption bytes, so the
+    # seed's one index is the harness's over the hosts, which also gives the
+    # base answers; a synthetic seed builds the backend's base index too
+    built = []
+    original = MemoryIndex.__init__
+
+    def counted(self, frames, tags=None):
+        built.append(frames)
+        original(self, frames, tags)
+    monkeypatch.setattr(MemoryIndex, "__init__", counted)
+    server.respond = lambda system, text: (
+        "YES" if system == remote._ANSWER_PROMPT else exam_of(f"{robot_of(text)}?"))
+    scenario = build_scenario(load_config(CONFIG_DIR / "staged_k5.json"),
+                              {"gae": {"questions_per_robot": 1}})
+    remote_stage = prepare_seed(scenario, 0, RemoteBackend(url=server.url, model="m", retries=1))
+    assert len(built) == 1 and isinstance(built[0], list)
+    synthetic_stage = prepare_seed(scenario, 0)
+    assert len(built) == 3 and built[1] is synthetic_stage.world.base_memory
+    assert remote_stage.base_answers.tolist() == synthetic_stage.base_answers.tolist()
