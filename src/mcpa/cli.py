@@ -122,7 +122,7 @@ def _print_summary(summary) -> None:
     print(f"{'method':<10} {'P_mW':>6} {'n':>4} {'accuracy':>9} {'qom':>8} "
           f"{'Mbps':>8} {'#drones':>8}")
     for (method, p_mw), stats in sorted(summary.items()):   # every metric skips the same rows
-        print(f"{method:<10} {p_mw:>6.0f} {stats['eqa_accuracy']['count']:>4} "
+        print(f"{method:<10} {p_mw:>6g} {stats['eqa_accuracy']['count']:>4} "
               f"{stats['eqa_accuracy']['mean']:>9.4f} "
               f"{stats['qom']['mean']:>8.4f} "
               f"{stats['sum_rate_mbps']['mean']:>8.2f} "

@@ -58,48 +58,63 @@ class GaeError(RuntimeError):
 class FrameStore:
     """Recorded frames of one or more robots, held as columns.
 
-    Frame ``i`` was captured by ``robot_ids[i]`` at ``timestamps[i]`` with
-    pose ``poses[i]``. Tag ``tags[tag_ids[j]]`` is on frame ``hits[j]``: the
-    (frame, tag) pairs come in any order and may repeat, and ``tags`` may
-    name a tag more than once or name tags on no frame.
+    Frame ``i`` was captured by ``robot_ids[i]`` at ``timestamps[i]`` with pose
+    ``pose_table[pose_ids[i]]`` (no ``pose_ids``: ``poses`` has a row per frame).
+    Tag ``tags[tag_ids[j]]`` is on frame ``hits[j]``: the pairs come in any order
+    and may repeat, and ``tags`` may name a tag twice or name tags on no frame.
     """
 
-    def __init__(self, robot_ids, timestamps, poses, hits=(), tag_ids=(), tags=()):
+    def __init__(self, robot_ids, timestamps, poses, hits=(), tag_ids=(), tags=(), pose_ids=None):
         self.robot_ids = np.asarray(robot_ids, dtype=np.intp)
         self.timestamps = np.asarray(timestamps, dtype=float)
-        self.poses = np.asarray(poses, dtype=float).reshape(-1, 6)
+        table = np.asarray(poses, dtype=float)          # a (P, 6) table is kept as given
+        self.pose_table = table if table.shape[1:] == (6,) else table.reshape(-1, 6)
+        ids = np.arange(len(self.pose_table)) if pose_ids is None else np.asarray(pose_ids)
         self.hits = np.asarray(hits, dtype=np.intp)
         self.tag_ids = np.asarray(tag_ids, dtype=np.intp)
         self.tags = tuple(tags)
-        if not (len(self.robot_ids) == len(self.timestamps) == len(self.poses)
+        if not (len(self.robot_ids) == len(self.timestamps)
                 and len(self.hits) == len(self.tag_ids)):
             raise ValueError("store columns must have one entry per frame or per pair")
+        ints = ids.dtype.kind in "iu" or not ids.size
+        self.pose_ids = ids.astype(np.intp, copy=False) if ints else ids
+        if ids.shape != (len(self),) or len(self) and not (    # viewed unsigned, ids < 0 are huge
+                ints and self.pose_ids.view(np.uintp).max() < len(self.pose_table)):
+            raise ValueError("pose_ids must be integers indexing pose table rows, one per frame")
 
     @classmethod
     def concatenate(cls, stores) -> "FrameStore":
-        """The ``stores``' frames, one store after another."""
+        """The ``stores``' frames, one store after another, on their pose tables joined."""
         stores = [cls([], [], []), *stores]           # joining no store gives an empty one
         starts = accumulate(map(len, stores), initial=0)
         offsets = accumulate((len(store.tags) for store in stores), initial=0)
+        rows = accumulate((len(store.pose_table) for store in stores), initial=0)
         return cls(*(np.concatenate([getattr(store, column) for store in stores])
-                     for column in ("robot_ids", "timestamps", "poses")),
+                     for column in ("robot_ids", "timestamps", "pose_table")),
                    np.concatenate([store.hits + start for store, start in zip(stores, starts)]),
                    np.concatenate([store.tag_ids + shift for store, shift in zip(stores, offsets)]),
-                   [tag for store in stores for tag in store.tags])
+                   [tag for store in stores for tag in store.tags],
+                   np.concatenate([store.pose_ids + row for store, row in zip(stores, rows)]))
 
     def __len__(self) -> int:
         return len(self.robot_ids)
 
+    def pose(self, column=slice(None), frames=slice(None)) -> np.ndarray:
+        """Pose ``column`` (0-5: x, y, z, roll, pitch, yaw) of the ``frames``."""
+        return self.pose_table[:, column].take(self.pose_ids[frames], axis=0)
+
+    poses = property(pose)              # every frame's pose row, gathered from the table
+
     def take(self, indices) -> "FrameStore":
         """The frames at the ascending ``indices``, as a store of their own
-        with the pairs of those frames and the whole tag table."""
+        with the pairs of those frames and the whole tag and pose tables."""
         indices = np.asarray(indices, dtype=np.intp)
         renumbered = np.full(len(self), -1, dtype=np.intp)
         renumbered[indices] = np.arange(len(indices))
         hits = renumbered[self.hits]
         kept = hits >= 0
-        return FrameStore(self.robot_ids[indices], self.timestamps[indices], self.poses[indices],
-                          hits[kept], self.tag_ids[kept], self.tags)
+        return FrameStore(self.robot_ids[indices], self.timestamps[indices], self.pose_table,
+                          hits[kept], self.tag_ids[kept], self.tags, self.pose_ids[indices])
 
     def occurrences(self, names=None) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
         """``(frames, tag_ids, names)``: tag ``names[tag_ids[i]]`` is on frame
@@ -230,7 +245,7 @@ class MemoryIndex:
         hits, tag_ids, self.tags = _occurrences(stores, tags)
         runs = []               # each run's first frame, x, y and robot, store by store
         for store, lo in zip(stores, self.bounds.tolist()):
-            x, y, robots = store.poses[:, 0], store.poses[:, 1], store.robot_ids
+            x, y, robots = store.pose(0), store.pose(1), store.robot_ids
             moved = (x[1:] != x[:-1]) | (y[1:] != y[:-1]) | (robots[1:] != robots[:-1])
             at = np.flatnonzero(np.concatenate(([len(store) > 0], moved)))
             runs.append((at + lo, x[at], y[at], robots[at]))
@@ -312,7 +327,7 @@ def _draw_questions(pilots, num_questions: int, rngs) -> tuple:
     templates[picks < 0] = 0
     at, kind = frames[picks[drawn]], templates[drawn]
     truth = np.zeros((len(picks), 3))
-    truth[drawn] = np.where((kind == 1)[:, None], joined.poses[at[:, None], [0, 1, 5]], 0.0)
+    truth[drawn] = np.where((kind == 1)[:, None], joined.pose([0, 1, 5], at), 0.0)
     truth[drawn, 0] = np.where(kind == 0, 1.0,
                                np.where(kind == 2, joined.robot_ids[at], truth[drawn, 0]))
     tag_id = np.full(len(picks), len(tags))             # the NOTHING_TAG row

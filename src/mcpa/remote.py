@@ -175,7 +175,7 @@ def run_captions(frames: FrameStore) -> str:
     costs no string."""
     occurrences = hit_frames, tag_ids, _ = frames.occurrences()
     counts = np.bincount(hit_frames, minlength=len(frames))
-    xy = np.ascontiguousarray(frames.poses[:, :2]).view(np.int64)    # -0.0 prints apart from 0.0
+    xy = frames.pose(slice(2)).view(np.int64)                       # -0.0 prints apart from 0.0
     place = np.column_stack([frames.robot_ids, xy, counts])
     new = np.ones(len(frames) + 1, dtype=bool)                      # [-1]: ends the last run
     new[1:-1] = (place[1:] != place[:-1]).any(axis=1)
@@ -199,7 +199,7 @@ def _caption_lines(frames: FrameStore, starts: np.ndarray, hit_frames: np.ndarra
         for t, u, long, robot, x, y, a, b in zip(
             frames.timestamps[first].tolist(), frames.timestamps[last].tolist(),
             (last > first).tolist(), frames.robot_ids[first].tolist(),
-            frames.poses[first, 0].tolist(), frames.poses[first, 1].tolist(), lo, hi))
+            frames.pose(0, first).tolist(), frames.pose(1, first).tolist(), lo, hi))
 
 
 # a number standing on its own: not part of a word or a hyphenated name, so

@@ -68,9 +68,9 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
     else:
         routes = rng.integers(0, scenario.num_landmarks, size=(k, num_segments))
 
-    # every robot's frames as columns: the landmark each frame passes, its
-    # pose there (that landmark's row of a pose table), and its timestamp
-    route_at = routes[:, np.arange(frames) // seg]                 # (k, frames)
+    # every robot's frames as columns: the landmark each frame passes (its pose id,
+    # a row of the one pose table; a robot's ids view its row here) and its timestamp
+    route_at = routes.repeat(seg, axis=1)[:, :frames]              # (k, frames), rows contiguous
     poses = np.zeros((scenario.num_landmarks, 6))                  # (x, y, 10 m, 0, 0, 0)
     poses[:, :2], poses[:, 2] = landmarks, 10.0
     timestamps = np.arange(frames) / scenario.frame_rate_fps
@@ -95,25 +95,25 @@ def build_world(scenario: Scenario, rng: np.random.Generator) -> WorldInstance:
     # tags everything; sparse rates model a captioner that only remarks on
     # distinctive scenery every so often
     tag_rate = scenario.background_tag_rate
-    if tag_rate >= 1.0:
-        bg_tagged = np.ones((k, frames), dtype=bool)
-    else:
-        bg_tagged = rng.random((k, frames)) < tag_rate
+    bg_tagged = (np.ones((k, frames), dtype=bool) if tag_rate >= 1.0
+                 else rng.random((k, frames)) < tag_rate)
     landmark_names = tuple(landmark_tag(i) for i in range(scenario.num_landmarks))
+    by_host = [[] for _ in range(k)]            # each robot's placed objects
+    for o in placed:
+        by_host[o.host_robot].append(o)
 
-    def dataset(robot: int) -> FrameStore:
-        """The robot's frames, tagged with their landmark and hosted objects."""
-        hosted = [o for o in placed if o.host_robot == robot]
+    def dataset(robot: int, hosted: list[PlacedObject]) -> FrameStore:
+        """The robot's frames, tagged with their landmark and the ``hosted`` objects."""
         captioned = bg_tagged[robot].nonzero()[0]
         windows = [np.arange(o.window_start, o.window_start + o.window_len) for o in hosted]
         objects = np.arange(len(hosted)).repeat([o.window_len for o in hosted])
-        return FrameStore(np.full(frames, robot), timestamps, poses.take(route_at[robot], axis=0),
+        return FrameStore(np.full(frames, robot), timestamps, poses, pose_ids=route_at[robot],
                           hits=np.concatenate([captioned, *windows]),
                           tag_ids=np.concatenate([route_at[robot, captioned],
                                                   scenario.num_landmarks + objects]),
                           tags=landmark_names + tuple(o.name for o in hosted))
 
-    datasets = tuple(dataset(robot) for robot in range(k))
+    datasets = tuple(map(dataset, range(k), by_host))
 
     # pre-collection memory: full datasets of the seed robots
     if scenario.base_robots is not None:

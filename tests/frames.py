@@ -56,8 +56,8 @@ def items(frames: FrameStore) -> list[MemoryItem]:
     tags = [set() for _ in range(len(frames))]
     for i, tag_id in zip(frames.hits.tolist(), frames.tag_ids.tolist()):
         tags[i].add(frames.tags[tag_id])
-    return [MemoryItem(timestamp_s=float(frames.timestamps[i]),
-                       pose=tuple(frames.poses[i].tolist()),
+    poses = frames.poses.tolist()           # gathered from the pose table once
+    return [MemoryItem(timestamp_s=float(frames.timestamps[i]), pose=tuple(poses[i]),
                        tags=frozenset(tags[i]), robot_id=int(frames.robot_ids[i]))
             for i in range(len(frames))]
 

@@ -62,6 +62,16 @@ def test_sweep_rows_echo_the_budgets_as_given(tmp_path):
         assert [row["p_sum_mw"] for row in csv.DictReader(fh)] == ["63.7", "127.4"]
 
 
+def test_the_summary_prints_each_budget_as_given(tmp_path, capsys):
+    # budgets below 1 mW apart print apart, as the rows carry them
+    assert cli.main(["sweep", "--config", str(CONFIG_DIR / "city_desk.json"), "--seeds", "1",
+                     "--methods", "uniform", "--budgets-mw", "63.7,127.4,100.2,100.4",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    header, *table, _ = capsys.readouterr().out.splitlines()
+    assert header.split()[1] == "P_mW"
+    assert [line.split()[1] for line in table] == ["63.7", "100.2", "100.4", "127.4"]
+
+
 def test_gae_test_emits_table(tmp_path):
     path = tmp_path / "gae.csv"
     out = run_cli("gae-test", "--config", str(CONFIG_DIR / "staged_k5.json"),

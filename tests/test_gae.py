@@ -9,8 +9,8 @@ from conftest import random_memory, random_store
 from frames import MemoryItem, items, reference_caption, store
 import reference_index
 from mcpa.gae import (NOTHING_TAG, Exam, FrameStore, GaeError, GaeReport, MemoryIndex,
-                      Question, SyntheticBackend, run_gae, sample_pilot)
-from mcpa.remote import captions
+                      Question, SyntheticBackend, _draw_questions, run_gae, sample_pilot)
+from mcpa.remote import captions, run_captions
 from reference_index import QuestionIndex, ReferenceIndex, exam_columns, grade
 
 
@@ -54,6 +54,11 @@ def test_sample_pilot_rejects_empty_dataset():
         sample_pilot(store([]), 0.5, 0)
 
 
+# per-frame poses of the wrong count, and pose ids that are not integers, lie
+# outside the table or do not number one per frame
+POSE_IDS = "pose_ids must be integers indexing pose table rows, one per frame"
+
+
 @pytest.mark.parametrize("build, error, message", [
     (lambda: FrameStore([0, 0], [0.0], np.zeros((2, 6))), ValueError, "one entry per frame"),
     (lambda: FrameStore([0], [0.0], np.zeros(6), hits=[0], tag_ids=[]), ValueError,
@@ -67,8 +72,27 @@ def test_sample_pilot_rejects_empty_dataset():
     (lambda: sample_pilot(store([item({"bus"})]), 1.5, 0), ValueError, "ratio must lie in"),
     (lambda: run_gae([], store([item({"bus"})]), 0.5, 1, SyntheticBackend(), 0), GaeError,
      "needs at least one robot dataset"),
+    (lambda: FrameStore([0, 0], [0.0, 1.0], np.zeros((3, 6))), ValueError, POSE_IDS),
+    (lambda: FrameStore([0, 0], [0.0, 1.0], np.zeros((3, 6)), pose_ids=[0]), ValueError,
+     POSE_IDS),
+    (lambda: FrameStore([0], [0.0], np.zeros((3, 6)), pose_ids=[[0]]), ValueError,
+     POSE_IDS),
+    (lambda: FrameStore([0, 0], [0.0, 1.0], np.zeros((3, 6)), pose_ids=[0.0, 1.0]), ValueError,
+     POSE_IDS),
+    (lambda: FrameStore([0], [0.0], np.zeros((3, 6)), pose_ids=[True]), ValueError,
+     POSE_IDS),
+    (lambda: FrameStore([0, 0], [0.0, 1.0], np.zeros((3, 6)), pose_ids=[0, 3]), ValueError,
+     POSE_IDS),
+    (lambda: FrameStore([0, 0], [0.0, 1.0], np.zeros((3, 6)), pose_ids=[-1, 0]), ValueError,
+     POSE_IDS),
+    (lambda: FrameStore([0], [0.0], np.zeros((3, 6)), pose_ids=np.array([2**63], np.uint64)),
+     ValueError, POSE_IDS),
+    (lambda: FrameStore([0], [0.0], np.zeros((0, 6)), pose_ids=[0]), ValueError,
+     POSE_IDS),
 ], ids=["frame-columns", "pair-columns", "template", "score-above-1", "score-below-0",
-        "score-nan", "ratio-0", "ratio-above-1", "no-datasets"])
+        "score-nan", "ratio-0", "ratio-above-1", "no-datasets", "pose-rows", "pose-id-count",
+        "pose-id-shape", "pose-id-floats", "pose-id-bools", "pose-id-above", "pose-id-negative",
+        "pose-id-unsigned", "pose-id-empty-table"])
 def test_malformed_gae_inputs_are_rejected(build, error, message):
     with pytest.raises(error, match=message):
         build()
@@ -528,3 +552,60 @@ def test_column_ops_match_the_item_reference(case, seed):
     else:
         with pytest.raises(GaeError):
             sample_pilot(frames, 1.0, seed)
+
+
+@st.composite
+def stores_on_a_shared_table(draw):
+    """A pose table of 1-4 rows (x, y and yaw drawn, -0.0 among them) and 1-4
+    random stores whose frames point into it, empty stores included."""
+    rows = draw(st.integers(1, 4))
+    table = np.zeros((rows, 6))
+    for column in (0, 1, 5):
+        table[:, column] = draw(st.lists(st.sampled_from((*COORDS, -0.0)),
+                                         min_size=rows, max_size=rows))
+    stores = []
+    for frames in draw(st.lists(frame_stores(), min_size=1, max_size=4)):
+        ids = draw(st.lists(st.integers(0, rows - 1), min_size=len(frames),
+                            max_size=len(frames)))
+        stores.append((frames, np.array(ids, dtype=np.intp)))
+    return table, stores
+
+
+@settings(max_examples=60, derandomize=True)
+@given(stores_on_a_shared_table(), st.integers(1, 12), st.integers(0, 2**32))
+@example((np.zeros((1, 6)), [(FrameStore([], [], []), np.array([], dtype=np.intp))]), 3, 0)
+@example((np.ones((2, 6)), [(one_tag_run([0.0, 0.0], [30.0, 30.0], [1, 1]), np.array([1, 0]))]),
+         4, 1)
+def test_stores_on_a_shared_table_read_as_their_materialized_poses(case, num_questions, seed):
+    """Stores whose frames hold ids into one pose table give every result that
+    the same stores holding each frame's pose row give: sub-stores, joins,
+    occurrences, first frames and answers, captions and drawn exams."""
+    table, cases = case
+    shared = [FrameStore(f.robot_ids, f.timestamps, table, f.hits, f.tag_ids, f.tags, ids)
+              for f, ids in cases]
+    flat = [FrameStore(f.robot_ids, f.timestamps, table[ids], f.hits, f.tag_ids, f.tags)
+            for f, ids in cases]
+    assert all(frames.pose_table is table for frames in shared)
+    for ours, theirs in zip(shared, flat):
+        assert_same_store(ours, theirs)
+        every_other = np.arange(0, len(ours), 2)
+        assert ours.take(every_other).pose_table is table
+        assert_same_store(ours.take(every_other), theirs.take(every_other))
+        for one, other in zip(ours.occurrences(), theirs.occurrences()):
+            np.testing.assert_array_equal(one, other)
+        assert captions(ours) == captions(theirs)
+        assert run_captions(ours) == run_captions(theirs)
+    assert_same_store(FrameStore.concatenate(shared), FrameStore.concatenate(flat))
+    questions, positive = exam_columns(QUESTIONS), exam_columns(POSITIVE)
+    for ours, theirs in ((shared[0], flat[0]), (shared, flat)):
+        assert (MemoryIndex(ours).answers(questions).tolist()
+                == MemoryIndex(theirs).answers(questions).tolist())
+        assert (MemoryIndex(ours).first_frames(positive).tolist()
+                == MemoryIndex(theirs).first_frames(positive).tolist())
+    draws = [_draw_questions(stores, num_questions,
+                             [np.random.default_rng([seed, k]) for k in range(len(stores))])
+             for stores in (shared, flat)]
+    ours, theirs = draws
+    assert ours[1] == theirs[1]
+    for column in (0, 2, 3):
+        assert ours[column].tobytes() == theirs[column].tobytes()

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -302,6 +303,21 @@ def test_base_answers_read_from_the_table_are_the_base_memorys_own(name, seed, o
     stage = prepare_seed(build_scenario(load_config(CONFIG_DIR / name), override), seed)
     expected = MemoryIndex(stage.world.base_memory).answers(stage.world.questions)
     assert stage.base_answers.tolist() == expected.tolist()
+
+
+def test_staging_a_town_k50_seed_stays_under_3_5_mib_traced():
+    # robots' frames hold pose ids into the world's landmark pose table; a
+    # copied (frames, 6) pose row per frame, 2.4 MiB on this world, read 4.94
+    # MiB of traced peak
+    scenario = build_scenario(load_config(CONFIG_DIR / "town.json"), {"num_robots": 50})
+    prepare_seed(scenario, 0)                   # imports and first-call caches
+    tracemalloc.start()
+    try:
+        prepare_seed(scenario, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
 
 
 def test_prepare_seed_indexes_the_base_memory_once(monkeypatch):

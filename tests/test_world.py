@@ -12,8 +12,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CONFIG_DIR
 from frames import MemoryItem, items
-from mcpa.config import Scenario, build_scenario
+from mcpa.config import Scenario, build_scenario, load_config
 from mcpa.gae import MemoryIndex, Question
 from mcpa.harness import prepare_seed
 from reference_index import (ReferenceIndex, exam_columns, first_frame_table, grade,
@@ -208,6 +209,25 @@ def test_columnar_world_materializes_the_reference_items(config):
     assert world.base_robots == ref.base_robots
     assert world.placed_objects == ref.placed_objects
     assert world_questions(world) == ref.questions
+
+
+def test_a_towns_datasets_point_into_one_pose_table_through_views_of_the_routes():
+    """Every robot's frames hold ids into the one (landmarks, 6) pose table,
+    and the ids are a view of the world's route table, not a copy; pilots
+    and the base memory read poses from the same rows."""
+    scenario = build_scenario(load_config(CONFIG_DIR / "town.json"))
+    for seed in range(3):
+        world = build_world(scenario, np.random.default_rng([scenario.seeds["placement"], seed]))
+        table = world.datasets[0].pose_table
+        routes = world.datasets[0].pose_ids.base          # the (robots, frames) route table
+        assert table.shape == (scenario.num_landmarks, 6)
+        assert routes is not None and len(routes) == scenario.num_robots
+        for frames in world.datasets:
+            assert frames.pose_table is table
+            assert frames.pose_ids.base is routes and np.shares_memory(frames.pose_ids, routes)
+            assert frames.take([0, len(frames) - 1]).pose_table is table
+        base = np.concatenate([world.datasets[k].poses for k in world.base_robots])
+        assert world.base_memory.poses.tobytes() == base.tobytes()
 
 
 @st.composite
